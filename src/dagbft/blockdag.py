@@ -14,6 +14,7 @@ the gossip layer's pending buffer, never here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .crypto import (
@@ -79,7 +80,12 @@ class BlockRef:
 
 @dataclass(frozen=True)
 class Block:
-    """Content-addressed vertex carrying requests and predecessor hashes."""
+    """Content-addressed vertex carrying requests and predecessor hashes.
+
+    A block object is immutable, so facts derived from it are kept on it:
+    its ref is hashed on first use, and a signature check that passed is
+    remembered per registry (see :meth:`BlockDag.signature_verifies`).
+    """
 
     builder: int
     seqno: int
@@ -104,24 +110,27 @@ class Block:
 
     def distinct_preds(self) -> tuple[BlockRef, ...]:
         """Predecessor refs with byzantine repetitions removed, first-seen order."""
-        seen: set[BlockRef] = set()
-        out: list[BlockRef] = []
-        for p in self.preds:
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        return tuple(out)
+        return tuple(dict.fromkeys(self.preds))
 
     def is_genesis(self) -> bool:
         return self.seqno == 0
 
+    @cached_property
+    def ref(self) -> BlockRef:
+        """Content address over (builder, seqno, preds, requests)."""
+        return BlockRef(content_digest(self.core_bytes()))
+
     def with_signature(self, signature: Signature) -> "Block":
-        return Block(self.builder, self.seqno, self.preds, self.requests, signature)
+        signed = Block(self.builder, self.seqno, self.preds, self.requests, signature)
+        if "ref" in self.__dict__:  # the ref excludes the signature
+            signed.__dict__["ref"] = self.ref
+        return signed
 
 
 def block_ref(block: Block) -> BlockRef:
-    """Content address over (builder, seqno, preds, requests)."""
-    return BlockRef(content_digest(block.core_bytes()))
+    """Content address over (builder, seqno, preds, requests); hashed once
+    per block object."""
+    return block.ref
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +310,15 @@ class BlockDag:
             )
         return matches[0] if matches else None
 
-    def is_valid(self, block: Block) -> bool:
-        """Validity from this server's point of view: the signature verifies,
-        the block is genesis or has exactly one parent, and every predecessor
-        has already been validated (is in this DAG)."""
+    def signature_verifies(self, block: Block) -> bool:
+        """Whether the block carries its builder's signature over its ref.
+
+        A pass is kept on the block object for this DAG's registry, so each
+        received or sealed block is verified once and every later check
+        reuses the answer. A copy with another signature is a new object
+        and is checked afresh."""
+        if block.__dict__.get("_verified_by") is self.registry:
+            return True
         if block.signature is None:
             return False
         try:
@@ -313,6 +327,15 @@ class BlockDag:
             ):
                 return False
         except UnknownServerError:
+            return False
+        block.__dict__["_verified_by"] = self.registry
+        return True
+
+    def is_valid(self, block: Block) -> bool:
+        """Validity from this server's point of view: the signature verifies,
+        the block is genesis or has exactly one parent, and every predecessor
+        has already been validated (is in this DAG)."""
+        if not self.signature_verifies(block):
             return False
         for ref in block.distinct_preds():
             if ref not in self._vertices:

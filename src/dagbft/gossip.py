@@ -1,14 +1,24 @@
-"""Block exchange: receive, validate, insert, recover missing predecessors.
+"""Block exchange: one intake per block, promotion, FWD recovery.
 
-One node per server. Received blocks sit in a pending buffer until every
-predecessor is present and the block validates, at which point it is
-promoted into the DAG and its reference is appended to the block the server
-is currently building. Missing predecessors are requested from the builder
-of the block that references them (FWD), throttled per reference by a
-request interval. ``disseminate`` seals the current block with the drained
-request buffer, signs it, inserts it locally, and addresses it to every
-server (the builder included, for wire uniformity; the duplicate arrival is
-absorbed by the already-in-DAG guard).
+One node per server. A received block is hashed and its signature verified
+once, at receipt; a bad signature is dropped there, since nothing downstream
+could ever validate it. The block then waits in the pending buffer, indexed
+by the predecessors it still misses: each missing ref maps to the blocks
+waiting on it, and each block counts what it misses. When the count reaches
+zero the block is a candidate, and ``try_promote`` validates it once with
+``BlockDag.is_valid``, which reuses the receipt-time signature check. A
+candidate that fails then can never pass and stays pending. Promotion runs
+in rounds: a round promotes, in ascending ref order, the valid candidates
+that were ready when it began; the blocks they unblock wait for the next
+round. A promoted ref is appended to the block the server is building.
+
+Missing predecessors are requested from the builder of the block that
+references them (FWD), throttled per reference by a request interval.
+``disseminate`` seals the current block with the drained request buffer,
+signs it, commits it (inserts it and restarts the draft from it), and
+addresses it to every server (the builder included, for wire uniformity;
+the duplicate arrival is absorbed by the already-in-DAG guard). Scripted
+adversaries seal their own blocks but share this intake and ``commit``.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ from .crypto import (
     DIGEST_SIZE,
     ENCODING_VERSION,
     EncodingError,
-    UnknownServerError,
     enc_u32,
     enc_u8,
     reader,
@@ -95,8 +104,8 @@ class Disposition(Enum):
 
 
 class GossipNode:
-    """Per-server gossip state: the DAG, the pending buffer, and the block
-    under construction."""
+    """Per-server gossip state: the DAG, the pending buffer with its waiter
+    index, and the block under construction."""
 
     def __init__(
         self,
@@ -120,29 +129,25 @@ class GossipNode:
         self.pending_cap_per_builder = pending_cap_per_builder
         self.debug_checks = debug_checks
 
-        self._next_seqno = 0
-        self._draft_preds: list[BlockRef] = []
-        self._draft_pred_set: set[BlockRef] = set()
-        self.pending: dict[BlockRef, Block] = {}
+        self.next_seqno = 0
+        self.draft_preds: dict[BlockRef, None] = {}  # ordered set
+        self.pending: dict[BlockRef, Block] = {}  # arrival order
         self._pending_per_builder: dict[int, int] = {}
-        self.fwd_clock: dict[BlockRef, int] = {}
+        self._missing: dict[BlockRef, int] = {}  # pending ref -> preds not in DAG
+        self._waiters: dict[BlockRef, set[BlockRef]] = {}  # missing ref -> pending refs
+        self._ready: set[BlockRef] = set()  # no pred missing, not yet validated
+        self.fwd_clock: dict[BlockRef, dict[int, int]] = {}  # ref -> target -> step
         self.evicted = 0
 
     # -- receiving ----------------------------------------------------------
 
     def on_receive_block(self, block: Block) -> Disposition:
-        """Buffer a received block unless it is already known. Blocks whose
-        signature does not verify are rejected outright; nothing downstream
-        could ever validate them."""
+        """Buffer a received block unless it is already known or its
+        signature does not verify, and index it by its missing predecessors."""
         ref = block_ref(block)
         if ref in self.dag or ref in self.pending:
             return Disposition.ALREADY_KNOWN
-        try:
-            if block.signature is None or not self.registry.verify(
-                block.builder, ref.digest, block.signature
-            ):
-                return Disposition.BAD_SIGNATURE
-        except UnknownServerError:
+        if not self.dag.signature_verifies(block):
             return Disposition.BAD_SIGNATURE
         disposition = Disposition.BUFFERED
         count = self._pending_per_builder.get(block.builder, 0)
@@ -153,6 +158,13 @@ class GossipNode:
         self._pending_per_builder[block.builder] = (
             self._pending_per_builder.get(block.builder, 0) + 1
         )
+        missing = [p for p in block.distinct_preds() if p not in self.dag]
+        if missing:
+            self._missing[ref] = len(missing)
+            for pred in missing:
+                self._waiters.setdefault(pred, set()).add(ref)
+        else:
+            self._ready.add(ref)
         return disposition
 
     def _evict_oldest(self, builder: int) -> None:
@@ -160,6 +172,14 @@ class GossipNode:
             if blk.builder == builder:
                 del self.pending[ref]
                 self._pending_per_builder[builder] -= 1
+                self._ready.discard(ref)
+                self._missing.pop(ref, None)
+                for pred in blk.distinct_preds():
+                    waiters = self._waiters.get(pred)
+                    if waiters is not None:
+                        waiters.discard(ref)
+                        if not waiters:
+                            del self._waiters[pred]
                 self.evicted += 1
                 return
 
@@ -167,28 +187,31 @@ class GossipNode:
 
     def try_promote(self) -> list[Block]:
         """Promote every pending block that validates, cascading until no
-        further block becomes valid. Simultaneously eligible blocks are
-        processed in ascending reference order so runs are reproducible."""
+        further block becomes valid. Each round takes the candidates ready
+        at its start in ascending reference order, so runs are reproducible."""
         promoted: list[Block] = []
-        while True:
-            batch = sorted(
-                (ref for ref, blk in self.pending.items() if self.dag.is_valid(blk)),
-            )
-            if not batch:
-                break
-            for ref in batch:
+        while self._ready:
+            batch = sorted(self._ready)
+            self._ready = set()
+            for ref in [r for r in batch if self.dag.is_valid(self.pending[r])]:
                 block = self.pending.pop(ref)
                 self._pending_per_builder[block.builder] -= 1
                 self.dag.insert(block)
-                if ref not in self._draft_pred_set:
-                    self._draft_pred_set.add(ref)
-                    self._draft_preds.append(ref)
-                for key in [k for k in self.fwd_clock if k[0] == ref]:
-                    del self.fwd_clock[key]
+                self.draft_preds[ref] = None
+                self.fwd_clock.pop(ref, None)
+                self._release(ref)
                 promoted.append(block)
                 if self.debug_checks:
                     self.dag.self_check()
         return promoted
+
+    def _release(self, ref: BlockRef) -> None:
+        """``ref`` entered the DAG: the blocks waiting on it miss one less."""
+        for waiter in self._waiters.pop(ref, ()):
+            self._missing[waiter] -= 1
+            if not self._missing[waiter]:
+                del self._missing[waiter]
+                self._ready.add(waiter)
 
     # -- predecessor recovery -----------------------------------------------------
 
@@ -198,7 +221,7 @@ class GossipNode:
         not wedge recovery); repeats from the same builder collapse."""
         out: list[tuple[BlockRef, int]] = []
         seen: set[tuple[BlockRef, int]] = set()
-        for ref in sorted(self.pending):
+        for ref in sorted(self._missing):
             block = self.pending[ref]
             for pred in block.distinct_preds():
                 if pred in self.dag or pred in self.pending:
@@ -216,10 +239,11 @@ class GossipNode:
         bypasses the timer; the drain phase uses it)."""
         envelopes: list[WireEnvelope] = []
         for missing, target in self.missing_predecessors():
-            stamp = self.fwd_clock.get((missing, target))
+            stamps = self.fwd_clock.setdefault(missing, {})
+            stamp = stamps.get(target)
             if not force and stamp is not None and now - stamp < self.fwd_interval:
                 continue
-            self.fwd_clock[(missing, target)] = now
+            stamps[target] = now
             envelopes.append(
                 WireEnvelope(FWD_ENVELOPE, self.server, target, ref=missing)
             )
@@ -235,25 +259,28 @@ class GossipNode:
 
     # -- dissemination ----------------------------------------------------------
 
+    def commit(self, block: Block) -> None:
+        """Insert this server's own sealed block and restart the draft from
+        it: the next block is its child and lists it as its parent."""
+        ref = self.dag.insert(block)
+        if self.debug_checks:
+            self.dag.self_check()
+        self.next_seqno = block.seqno + 1
+        self.draft_preds = {ref: None}
+        self._release(ref)
+
     def disseminate(self) -> tuple[Block, list[WireEnvelope]]:
         """Seal the current block: drain buffered requests into it, sign it,
-        insert it locally, and address it to every server. The next draft
-        starts with the sealed block as its parent."""
+        commit it, and address it to every server."""
         drained: list[tuple[Label, bytes]] = []
         while self.requests and len(drained) < self.max_requests_per_block:
             drained.append(self.requests.popleft())
         core = Block(
-            self.server, self._next_seqno, tuple(self._draft_preds), tuple(drained)
+            self.server, self.next_seqno, tuple(self.draft_preds), tuple(drained)
         )
         signature = self.registry.sign(self.handle, block_ref(core).digest)
         block = core.with_signature(signature)
-        self.dag.insert(block)
-        if self.debug_checks:
-            self.dag.self_check()
-        ref = block_ref(block)
-        self._next_seqno += 1
-        self._draft_preds = [ref]
-        self._draft_pred_set = {ref}
+        self.commit(block)
         envelopes = [
             WireEnvelope(BLOCK_ENVELOPE, self.server, receiver, block=block)
             for receiver in range(self.registry.server_count)

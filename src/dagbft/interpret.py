@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import islice
 from random import Random
 from typing import Optional
 
@@ -103,7 +104,7 @@ class Interpreter:
         self.skipped_requests = 0
 
         # dependency tracking for incremental eligibility
-        self._known: set[BlockRef] = set()
+        self._ingested = 0  # DAG refs seen so far; the DAG only appends
         self._ready: list[BlockRef] = []
         self._missing: dict[BlockRef, int] = {}
         self._dependents: dict[BlockRef, list[BlockRef]] = {}
@@ -169,10 +170,7 @@ class Interpreter:
     # -- scheduling ------------------------------------------------------------
 
     def _ingest_new_blocks(self) -> None:
-        for ref in self.dag.refs():
-            if ref in self._known:
-                continue
-            self._known.add(ref)
+        for ref in islice(self.dag.refs(), self._ingested, None):
             preds = self.dag.get(ref).distinct_preds()
             missing = sum(1 for p in preds if p not in self._interpreted)
             if missing == 0:
@@ -182,6 +180,7 @@ class Interpreter:
                 for p in preds:
                     if p not in self._interpreted:
                         self._dependents.setdefault(p, []).append(ref)
+        self._ingested = len(self.dag)
 
     def _pop_ready(self) -> BlockRef:
         if isinstance(self.selection, Random):

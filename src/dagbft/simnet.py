@@ -27,10 +27,10 @@ from random import Random
 from typing import Optional
 
 from . import trace
-from .blockdag import Block, BlockDag, BlockRef, block_ref
+from .blockdag import Block, BlockDag, block_ref
 from .brb import ReliableBroadcast, encode_broadcast
-from .crypto import KeyRegistry, Signature, SignatureScheme, UnknownServerError
-from .gossip import BLOCK_ENVELOPE, FWD_ENVELOPE, Disposition, WireEnvelope
+from .crypto import EncodingError, KeyRegistry, Signature, SignatureScheme, UnknownServerError
+from .gossip import BLOCK_ENVELOPE, FWD_ENVELOPE, Disposition, GossipNode, WireEnvelope
 from .interpret import BlockInterpretation
 from .protocol import Label
 from .shim import Shim
@@ -247,72 +247,11 @@ class _RestrictedRegistryAdapter:
         return self._restricted.verify(server, digest, sig)
 
 
-class _ScriptedChain:
-    """Minimal chain mechanics for scripted adversaries: validate and insert
-    received blocks, collect references, seal and commit own blocks. Unlike
-    the honest gossip node, sealing is manual so behaviors can fork or
-    malform their blocks."""
-
-    def __init__(self, server: int, registry_like) -> None:
-        self.server = server
-        self.registry = registry_like
-        self.dag = BlockDag(server, registry_like)
-        self.pending: dict[BlockRef, Block] = {}
-        self.draft_preds: list[BlockRef] = []
-        self._draft_set: set[BlockRef] = set()
-        self.seqno = 0
-
-    def receive(self, block: Block) -> None:
-        ref = block_ref(block)
-        if ref in self.dag or ref in self.pending:
-            return
-        try:
-            if block.signature is None or not self.registry.verify(
-                block.builder, ref.digest, block.signature
-            ):
-                return
-        except UnknownServerError:
-            return
-        self.pending[ref] = block
-
-    def promote(self) -> None:
-        while True:
-            batch = sorted(
-                ref for ref, blk in self.pending.items() if self.dag.is_valid(blk)
-            )
-            if not batch:
-                return
-            for ref in batch:
-                block = self.pending.pop(ref)
-                self.dag.insert(block)
-                if ref not in self._draft_set:
-                    self._draft_set.add(ref)
-                    self.draft_preds.append(ref)
-
-    def seal(
-        self,
-        requests: tuple[tuple[Label, bytes], ...],
-        *,
-        double_refs: bool = False,
-    ) -> Block:
-        use = tuple(self.draft_preds)
-        if double_refs:
-            use = tuple(p for p in use for _ in range(2))
-        core = Block(self.server, self.seqno, use, requests)
-        sig = self.registry.sign(None, block_ref(core).digest)
-        return core.with_signature(sig)
-
-    def commit(self, block: Block) -> None:
-        self.dag.insert(block)
-        self.seqno = block.seqno + 1
-        ref = block_ref(block)
-        self.draft_preds = [ref]
-        self._draft_set = {ref}
-
-
 class _Adversary:
-    """One scripted byzantine server. Produces wire traffic into an outbox
-    that the engine drains at the per-step budget."""
+    """One scripted byzantine server. Takes received blocks through the same
+    gossip intake as a correct server, seals its own blocks by hand, and
+    produces wire traffic into an outbox that the engine drains at the
+    per-step budget."""
 
     def __init__(
         self,
@@ -327,7 +266,7 @@ class _Adversary:
         self.scenario = scenario
         self.rng = rng
         self.adapter = _RestrictedRegistryAdapter(restricted, scenario.n)
-        self.chain = _ScriptedChain(server, self.adapter)
+        self.node = GossipNode(server, BlockDag(server, self.adapter), deque(), self.adapter)
         self.pending_requests: list[tuple[Label, int]] = []
         self.outbox: deque[tuple[int, bytes, Optional[str], Optional[str]]] = deque()
         self._marker_nonce = 0
@@ -344,13 +283,11 @@ class _Adversary:
         if kind in ("SILENT", "GARBAGE"):
             return
         if envelope.kind == BLOCK_ENVELOPE:
-            self.chain.receive(envelope.block)
+            self.node.on_receive_block(envelope.block)
         elif envelope.kind == FWD_ENVELOPE and kind == "CRASH_AT":
-            reply = None
-            if envelope.ref in self.chain.dag:
-                reply = self.chain.dag.get(envelope.ref)
+            reply = self.node.on_fwd_request(envelope.ref, envelope.sender)
             if reply is not None:
-                self._post_block(reply, [envelope.sender])
+                self._post_block(reply.block, [envelope.sender])
 
     def on_step(self, now: int) -> None:
         if self._dead(now):
@@ -363,24 +300,19 @@ class _Adversary:
             if now % self.scenario.cadence == 0:
                 self._emit_garbage()
             return
-        self.chain.promote()
+        self.node.try_promote()
         if now % self.scenario.cadence != 0:
             return
         if kind == "EQUIVOCATE":
             self._emit_equivocation()
-        elif kind == "SELECTIVE_SEND":
-            block = self.chain.seal(self._drain_requests())
-            self.chain.commit(block)
-            targets = self.spec.targets or tuple(range(self.scenario.n))
-            self._post_block(block, targets)
-        elif kind == "DUPLICATE_REFS":
-            block = self.chain.seal(self._drain_requests(), double_refs=True)
-            self.chain.commit(block)
-            self._post_block(block, range(self.scenario.n))
-        elif kind == "CRASH_AT":
-            block = self.chain.seal(self._drain_requests())
-            self.chain.commit(block)
-            self._post_block(block, range(self.scenario.n))
+            return
+        # SELECTIVE_SEND, DUPLICATE_REFS and CRASH_AT play a single chain
+        block = self._seal(self._drain_requests(), double_refs=kind == "DUPLICATE_REFS")
+        self.node.commit(block)
+        targets = range(self.scenario.n)
+        if kind == "SELECTIVE_SEND" and self.spec.targets:
+            targets = self.spec.targets
+        self._post_block(block, targets)
 
     def drain_outbox(self, budget: int) -> list[tuple[int, bytes, Optional[str], Optional[str]]]:
         out = []
@@ -392,6 +324,17 @@ class _Adversary:
 
     def _dead(self, now: int) -> bool:
         return self.spec.kind == "CRASH_AT" and now >= self.spec.crash_step
+
+    def _seal(
+        self, requests: tuple[tuple[Label, bytes], ...], *, double_refs: bool = False
+    ) -> Block:
+        """Sign a block on the node's draft without committing it, so that a
+        behaviour can fork (seal twice) or list every ref twice."""
+        preds = tuple(self.node.draft_preds)
+        if double_refs:
+            preds = tuple(p for p in preds for _ in range(2))
+        core = Block(self.server, self.node.next_seqno, preds, requests)
+        return core.with_signature(self.adapter.sign(None, block_ref(core).digest))
 
     def _drain_requests(self) -> tuple[tuple[Label, bytes], ...]:
         take = self.pending_requests[: self.scenario.max_requests_per_block]
@@ -408,10 +351,10 @@ class _Adversary:
         taken = self.pending_requests[: self.scenario.max_requests_per_block]
         self.pending_requests = self.pending_requests[len(taken) :]
         rs_a = tuple((label, encode_broadcast(v)) for label, v in taken)
-        if self.chain.seqno == 0:
+        if self.node.next_seqno == 0:
             # needs a prior own block to fork from; first block is played straight
-            block = self.chain.seal(rs_a)
-            self.chain.commit(block)
+            block = self._seal(rs_a)
+            self.node.commit(block)
             self._post_block(block, range(self.scenario.n))
             return
         if taken:
@@ -420,10 +363,10 @@ class _Adversary:
             self._marker_nonce += 1
             marker = Label(self.server, 1_000_000 + self._marker_nonce)
             rs_b = ((marker, b"\x00"),)  # undecodable filler; just forces a distinct ref
-        fork_a = self.chain.seal(rs_a)
-        fork_b = self.chain.seal(rs_b)
-        self.chain.commit(fork_a)
-        self.chain.dag.insert(fork_b)  # both forks are individually valid
+        fork_a = self._seal(rs_a)
+        fork_b = self._seal(rs_b)
+        self.node.commit(fork_a)
+        self.node.dag.insert(fork_b)  # both forks are individually valid
         half = (self.scenario.n + 1) // 2
         self._post_block(fork_a, range(half))
         self._post_block(fork_b, range(half, self.scenario.n))
@@ -548,14 +491,14 @@ class Simulation:
                 if not drain:
                     try:
                         env = WireEnvelope.decode(wire)
-                    except Exception:
+                    except EncodingError:
                         env = None
                     self.adversaries[receiver].on_deliver(now, env)
                 continue
             node = self.correct[receiver]
             try:
                 env = WireEnvelope.decode(wire)
-            except Exception:
+            except EncodingError:
                 self.counters["drops"] += 1
                 self.events.append(
                     trace.event(
@@ -634,13 +577,16 @@ class Simulation:
             )
         )
 
-    def _gossip_phase(self, now: int, node: _CorrectServer) -> None:
-        for block in node.gossip.try_promote():
-            ref = block_ref(block)
-            self.events.append(
-                trace.event(now, "PROMOTE", server=node.server, ref=ref.hex())
-            )
+    def _promote(self, now: int, node: _CorrectServer) -> bool:
+        promoted = node.gossip.try_promote()
+        for block in promoted:
+            ref_hex = block_ref(block).hex()
+            self.events.append(trace.event(now, "PROMOTE", server=node.server, ref=ref_hex))
             self._record_insert(now, node.server, block)
+        return bool(promoted)
+
+    def _gossip_phase(self, now: int, node: _CorrectServer) -> None:
+        self._promote(now, node)
         for env in node.gossip.request_missing(now):
             self.events.append(
                 trace.event(
@@ -764,12 +710,7 @@ class Simulation:
                         progressed = True
                 for server in sorted(self.correct):
                     node = self.correct[server]
-                    for block in node.gossip.try_promote():
-                        ref = block_ref(block)
-                        self.events.append(
-                            trace.event(now, "PROMOTE", server=server, ref=ref.hex())
-                        )
-                        self._record_insert(now, server, block)
+                    if self._promote(now, node):
                         progressed = True
                     for env in node.gossip.request_missing(now, force=True):
                         key = (server, env.ref.hex(), env.receiver)

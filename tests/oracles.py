@@ -1,6 +1,6 @@
 """Independent oracles the tests check the implementation against.
 
-Two kinds live here, each independent of the code path it judges:
+Three kinds live here, each independent of the code path it judges:
 
 * ``reference_outputs`` recomputes what a double-echo broadcast instance must
   emit for an input sequence by rescanning the prefix with plain set
@@ -10,13 +10,19 @@ Two kinds live here, each independent of the code path it judges:
   direct network (no DAG, no gossip, no simulator). It deliberately reuses
   the instance class: the thing it isolates is the DAG embedding, which must
   reproduce exactly what the bare protocol does.
+* ``RescanPromoter`` is the gossip layer's pending buffer as first written:
+  every promotion round rescans the whole buffer with ``BlockDag.is_valid``.
+  ``GossipNode`` replaced the rescan with a waiter index; this is the
+  behaviour the index must reproduce.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from dagbft.blockdag import Block, BlockDag, BlockRef, block_ref
 from dagbft.brb import ReliableBroadcast, decode_deliver, encode_broadcast, encode_payload
+from dagbft.crypto import UnknownServerError
 from dagbft.protocol import Label, Message
 
 # Input alphabet for the reference oracle:
@@ -136,3 +142,60 @@ def echo_quorums_possible(n: int, f: int) -> list[tuple[int, int]]:
                 b = sum(1 for c in choice if c == "B") + len(byz)
                 pairs.append((a, b))
     return pairs
+
+
+class RescanPromoter:
+    """Reference pending buffer: receipt with signature check and a
+    per-builder cap that evicts the builder's oldest block, promotion by
+    rescanning, and the missing-predecessor listing."""
+
+    def __init__(self, dag: BlockDag, *, pending_cap_per_builder: int = 1024) -> None:
+        self.dag = dag
+        self.cap = pending_cap_per_builder
+        self.pending: dict[BlockRef, Block] = {}
+
+    def on_receive_block(self, block: Block) -> str:
+        """The disposition's value: buffered, already_known, bad_signature
+        or evicted_oldest."""
+        ref = block_ref(block)
+        if ref in self.dag or ref in self.pending:
+            return "already_known"
+        try:
+            if block.signature is None or not self.dag.registry.verify(
+                block.builder, ref.digest, block.signature
+            ):
+                return "bad_signature"
+        except UnknownServerError:
+            return "bad_signature"
+        disposition = "buffered"
+        same_builder = [r for r, b in self.pending.items() if b.builder == block.builder]
+        if len(same_builder) >= self.cap:
+            del self.pending[same_builder[0]]
+            disposition = "evicted_oldest"
+        self.pending[ref] = block
+        return disposition
+
+    def try_promote(self) -> list[Block]:
+        """Rounds until none promotes: each round promotes, in ascending ref
+        order, every pending block that is valid when the round begins."""
+        promoted: list[Block] = []
+        while True:
+            batch = sorted(ref for ref, blk in self.pending.items() if self.dag.is_valid(blk))
+            if not batch:
+                return promoted
+            for ref in batch:
+                block = self.pending.pop(ref)
+                self.dag.insert(block)
+                promoted.append(block)
+
+    def missing_predecessors(self) -> list[tuple[BlockRef, int]]:
+        """(ref in neither the DAG nor the buffer, builder of a block listing
+        it), pending blocks in ref order, each pair once."""
+        out: list[tuple[BlockRef, int]] = []
+        for ref in sorted(self.pending):
+            block = self.pending[ref]
+            for pred in block.distinct_preds():
+                key = (pred, block.builder)
+                if pred not in self.dag and pred not in self.pending and key not in out:
+                    out.append(key)
+        return out

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from collections import deque
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagbft.blockdag import BlockDag, block_ref
 from dagbft.crypto import EncodingError, Signature, SignatureScheme
@@ -17,6 +20,7 @@ from dagbft.gossip import (
 )
 from dagbft.protocol import Label
 
+from .oracles import RescanPromoter
 from .util import make_registry, signed_block
 
 
@@ -257,3 +261,109 @@ class TestEnvelopeCodec:
             WireEnvelope.decode(b"\x01\x09\x00\x00")
         with pytest.raises(EncodingError):
             WireEnvelope.decode(b"")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_decode_raises_only_encoding_error(self, data):
+        # valid BLOCK and FWD envelopes, then bytes flipped, cut off or added
+        registry = make_registry()
+        builder = data.draw(st.integers(0, 3))
+        preds = tuple(
+            block_ref(signed_block(registry, 0, k))
+            for k in range(data.draw(st.integers(0, 3)))
+        )
+        requests = tuple(
+            (Label(builder, nonce), payload)
+            for nonce, payload in data.draw(
+                st.lists(st.tuples(st.integers(0, 2**64 - 1), st.binary(max_size=12)), max_size=3)
+            )
+        )
+        block = signed_block(registry, builder, data.draw(st.integers(0, 2**64 - 1)), preds, requests)
+        env = data.draw(
+            st.sampled_from(
+                [
+                    WireEnvelope(BLOCK_ENVELOPE, builder, 2, block=block),
+                    WireEnvelope(FWD_ENVELOPE, builder, 2, ref=block_ref(block)),
+                ]
+            )
+        )
+        wire = bytearray(env.encode())
+        for _ in range(data.draw(st.integers(0, 4))):
+            wire[data.draw(st.integers(0, len(wire) - 1))] = data.draw(st.integers(0, 255))
+        wire = wire[: data.draw(st.integers(0, len(wire)))] + data.draw(st.binary(max_size=8))
+        try:
+            WireEnvelope.decode(bytes(wire))
+        except EncodingError:
+            pass
+
+
+def block_pool(rng: Random, registry, n: int = 4, size: int = 28):
+    """Signed blocks by n builders, built so that arrival order matters:
+    forks, doubled refs, blocks listing two parents or none, blocks listing
+    a ref that is never delivered, and copies with a forged signature."""
+    blocks = []
+    for nonce in range(size):
+        builder = rng.randrange(n)
+        own = [b for b in blocks if b.builder == builder]
+        requests = ((Label(builder, nonce), b"x"),)
+        if not own or rng.random() < 0.1:
+            blocks.append(signed_block(registry, builder, 0, (), requests))
+            continue
+        parent = rng.choice(own)  # a parent other than the tip forks
+        seqno = parent.seqno + 1
+        preds = [block_ref(parent)]
+        preds += [block_ref(b) for b in rng.sample(blocks, min(len(blocks), rng.randrange(3)))]
+        twins = [b for b in own if b.seqno == parent.seqno and b is not parent]
+        roll = rng.random()
+        if roll < 0.1 and twins:
+            preds.append(block_ref(twins[0]))  # two parents: never valid
+        elif roll < 0.2:
+            preds = preds[1:]  # no parent: never valid unless a twin is listed
+            seqno += 1
+        elif roll < 0.3:
+            preds += preds  # every ref twice
+        elif roll < 0.4:
+            ghost = signed_block(registry, builder, 0, (), ((Label(builder, 10_000 + nonce), b""),))
+            preds.append(block_ref(ghost))  # never delivered
+        blocks.append(signed_block(registry, builder, seqno, tuple(preds), requests))
+    return blocks
+
+
+class TestPromotionMatchesRescan:
+    """The waiter index promotes exactly what a full rescan of the pending
+    buffer promotes, in the same order, after every call."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_shuffled_arrivals(self, seed):
+        rng = Random(seed)
+        cap = rng.choice((2, 3, 1024))
+        # equal keys, two registry objects: the oracle verifies on its own
+        node = make_node(make_registry(), pending_cap_per_builder=cap)
+        oracle = RescanPromoter(BlockDag(0, make_registry()), pending_cap_per_builder=cap)
+        pool = block_pool(rng, make_registry())
+        forged = [
+            b.with_signature(Signature(SignatureScheme.HMAC_SHA256, bytes(32)))
+            for b in rng.sample(pool, 3)
+        ]
+        arrivals = pool + rng.sample(pool, len(pool) // 2) + forged
+        rng.shuffle(arrivals)
+        arrivals += pool  # re-delivers whatever was evicted
+        evicted = set()
+        for block in arrivals:
+            disposition = node.on_receive_block(block)
+            assert disposition.value == oracle.on_receive_block(block)
+            if disposition == Disposition.EVICTED_OLDEST:
+                evicted.add(block.builder)
+            if rng.random() < 0.3:
+                promoted = [block_ref(b) for b in node.try_promote()]
+                assert promoted == [block_ref(b) for b in oracle.try_promote()]
+            assert list(node.pending) == list(oracle.pending)
+            assert node.missing_predecessors() == oracle.missing_predecessors()
+        assert [block_ref(b) for b in node.try_promote()] == [
+            block_ref(b) for b in oracle.try_promote()
+        ]
+        assert list(node.pending) == list(oracle.pending)
+        assert node.dag.vertex_set() == oracle.dag.vertex_set()
+        assert node.missing_predecessors() == oracle.missing_predecessors()
+        if cap == 2:
+            assert evicted, "a cap of 2 must evict in this pool"

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import pytest
 
 from dagbft.blockdag import block_ref, extends, union_dags
 from dagbft.brb import decode_deliver
+from dagbft.crypto import KeyRegistry
 from dagbft.protocol import Label
 from dagbft.simnet import (
     BehaviorSpec,
@@ -403,3 +407,46 @@ class TestRequestRouting:
         delivered = surfaced_deliveries(result.events)
         # the pre-crash byzantine originator behaves honestly: everyone delivers
         assert {s: vs[0] for (s, _), vs in delivered.items()} == {0: 99, 1: 99, 3: 99}
+
+
+class TestVerifyOnce:
+    def test_each_server_verifies_each_block_at_most_once(self, monkeypatch):
+        # each verify is charged to the server of the nearest calling object
+        # that belongs to one (a DAG's owner, a node's or signer's server)
+        calls: Counter = Counter()
+        verify = KeyRegistry.verify
+
+        def counting_verify(self, server, digest, sig):
+            frame = sys._getframe(1)
+            while True:
+                caller = frame.f_locals.get("self")
+                asker = getattr(caller, "owner", getattr(caller, "server", None))
+                if isinstance(asker, int):
+                    break
+                frame = frame.f_back
+            calls[(asker, digest)] += 1
+            return verify(self, server, digest, sig)
+
+        monkeypatch.setattr(KeyRegistry, "verify", counting_verify)
+        scenario = Scenario(
+            n=7,
+            f=2,
+            seed=29,
+            max_steps=36,
+            delay_bounds=(1, 8),
+            byzantine=(
+                (5, BehaviorSpec("EQUIVOCATE")),
+                (6, BehaviorSpec("SELECTIVE_SEND", targets=(0, 1, 2))),
+            ),
+            requests=tuple(
+                RequestInjection(3 * i, i % 5, Label(i % 5, 1 + i), 40 + i) for i in range(6)
+            ),
+        )
+        result = run(scenario)
+        correct = set(scenario.correct_servers())
+        per_correct = {key: count for key, count in calls.items() if key[0] in correct}
+        stored = {
+            (server, ref.digest) for server, dag in result.final_dags.items() for ref in dag.refs()
+        }
+        assert stored <= set(per_correct)  # every stored block was verified
+        assert max(per_correct.values()) == 1
