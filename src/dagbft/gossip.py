@@ -267,7 +267,7 @@ class GossipNode:
             self.dag.self_check()
         self.next_seqno = block.seqno + 1
         self.draft_preds = {ref: None}
-        self._release(ref)
+        self._release(ref)  # content is predictable, e.g. an empty genesis block
 
     def disseminate(self) -> tuple[Block, list[WireEnvelope]]:
         """Seal the current block: drain buffered requests into it, sign it,

@@ -116,6 +116,15 @@ class TestPromotion:
         promoted = node.try_promote()
         assert [b.seqno for b in promoted] == [0, 1]
 
+    def test_own_block_releases_blocks_waiting_on_it(self, registry):
+        # an empty genesis block's ref is known before it is sealed
+        node = make_node(registry)
+        child = signed_block(registry, 1, 0, (block_ref(signed_block(registry, 0, 0)),))
+        node.on_receive_block(child)
+        assert node.try_promote() == []
+        node.disseminate()
+        assert node.try_promote() == [child]
+
     def test_ref_never_referenced_twice(self, registry):
         # once promoted into the DAG, a block cannot re-enter the draft
         node = make_node(registry)
