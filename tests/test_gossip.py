@@ -271,10 +271,11 @@ class TestEnvelopeCodec:
         with pytest.raises(EncodingError):
             WireEnvelope.decode(b"")
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_decode_raises_only_encoding_error(self, data):
-        # valid BLOCK and FWD envelopes, then bytes flipped, cut off or added
+        # a valid BLOCK or FWD envelope, then one drawn byte value written at
+        # every position in turn, bytes cut off or added, and a few at once
         registry = make_registry()
         builder = data.draw(st.integers(0, 3))
         preds = tuple(
@@ -296,14 +297,20 @@ class TestEnvelopeCodec:
                 ]
             )
         )
-        wire = bytearray(env.encode())
-        for _ in range(data.draw(st.integers(0, 4))):
-            wire[data.draw(st.integers(0, len(wire) - 1))] = data.draw(st.integers(0, 255))
-        wire = wire[: data.draw(st.integers(0, len(wire)))] + data.draw(st.binary(max_size=8))
-        try:
-            WireEnvelope.decode(bytes(wire))
-        except EncodingError:
-            pass
+        wire = env.encode()
+        value = bytes([data.draw(st.integers(0, 255))])
+        tail = data.draw(st.binary(max_size=8))
+        mutants = [wire[:i] + value + wire[i + 1 :] for i in range(len(wire))]
+        mutants += [wire[: data.draw(st.integers(0, len(wire)))] + tail, wire + tail]
+        scrambled = bytearray(wire)
+        for _ in range(data.draw(st.integers(2, 6))):
+            scrambled[data.draw(st.integers(0, len(wire) - 1))] = data.draw(st.integers(0, 255))
+        mutants.append(bytes(scrambled))
+        for mutant in mutants:
+            try:
+                WireEnvelope.decode(mutant)
+            except EncodingError:
+                pass
 
 
 def block_pool(rng: Random, registry, n: int = 4, size: int = 28):
@@ -327,7 +334,7 @@ def block_pool(rng: Random, registry, n: int = 4, size: int = 28):
         if roll < 0.1 and twins:
             preds.append(block_ref(twins[0]))  # two parents: never valid
         elif roll < 0.2:
-            preds = preds[1:]  # no parent: never valid unless a twin is listed
+            preds = preds[1:]  # parent dropped and a seqno skipped: usually no parent
             seqno += 1
         elif roll < 0.3:
             preds += preds  # every ref twice
