@@ -82,13 +82,7 @@ def server_views(events: list[dict]) -> dict[int, _ServerView]:
 
 
 def _distinct_preds(insert_event: dict) -> list[str]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for p in insert_event["preds"]:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    return list(dict.fromkeys(insert_event["preds"]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ Two signature backends share one surface:
 * ``KeyRegistry`` -- HMAC-SHA256 over per-server secrets. This is the
   simulator backend; it is fast, deterministic from a seed, and the
   adversary model is enforced by handing byzantine parties a
-  ``RestrictedSigner`` view that can sign only as its own server.
+  ``RestrictedSigner``: a view with the same surface whose ``handle`` and
+  ``sign`` work only for its own server.
 * ``Ed25519Registry`` -- a real asymmetric scheme (requires the optional
   ``cryptography`` dependency) with the same methods.
 """
@@ -196,7 +197,13 @@ class KeyRegistry:
 
 
 class RestrictedSigner:
-    """Registry view that verifies anyone but signs only as ``server``."""
+    """Registry view that verifies anyone but signs only as ``server``.
+
+    It has the registry surface that ``BlockDag`` and ``GossipNode`` use
+    (``server_count``, ``handle``, ``sign``, ``verify``), so byzantine code
+    runs the same stack as a correct server on it; ``handle`` refuses every
+    id but its own.
+    """
 
     __slots__ = ("_registry", "server", "_handle")
 
@@ -206,11 +213,18 @@ class RestrictedSigner:
         self._handle = registry.handle(server)
 
     @property
-    def handle(self) -> SigningHandle:
+    def server_count(self) -> int:
+        return self._registry.server_count
+
+    def handle(self, server: int) -> SigningHandle:
+        if server != self.server:
+            raise UnknownServerError(f"this view holds only the key of server {self.server}")
         return self._handle
 
-    def sign(self, digest: bytes) -> Signature:
-        return self._registry.sign(self._handle, digest)
+    def sign(self, handle: SigningHandle, digest: bytes) -> Signature:
+        if handle is not self._handle:
+            raise UnknownServerError(f"this view signs only as server {self.server}")
+        return self._registry.sign(handle, digest)
 
     def verify(self, server: int, digest: bytes, sig: Signature) -> bool:
         return self._registry.verify(server, digest, sig)

@@ -9,18 +9,11 @@ the interpretation raised it on behalf of this very server.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .blockdag import BlockDag
 from .gossip import GossipNode, WireEnvelope
 from .interpret import Indication, Interpreter
 from .protocol import Label, Protocol
-
-
-@dataclass(frozen=True)
-class UserIndication:
-    label: Label
-    payload: bytes
 
 
 class Shim:
@@ -68,20 +61,10 @@ class Shim:
         _, envelopes = self.gossip.disseminate()
         return envelopes
 
-    def poll_indications(self) -> list[UserIndication]:
-        """Drain interpretation indications, surfacing only those raised on
-        behalf of this server; foreign ones are dropped and counted."""
-        surfaced: list[UserIndication] = []
-        for ind in self.interpreter.take_indications():
-            if ind.on_behalf_of == self.server:
-                surfaced.append(UserIndication(ind.label, ind.payload))
-            else:
-                self.dropped_indications += 1
-        return surfaced
-
     def filter_indication(self, indication: Indication) -> bool:
-        """The bare self-filter, usable when the caller drains the
-        interpreter itself."""
+        """Whether ``indication`` surfaces to this server's user: only those
+        raised on its own behalf do; foreign ones are dropped and counted.
+        The caller drains ``interpreter.take_indications()`` through it."""
         if indication.on_behalf_of == self.server:
             return True
         self.dropped_indications += 1

@@ -7,8 +7,9 @@ delivered in (receiver, sender, send step, envelope hash) order. The whole
 run is a pure function of the scenario, so equal scenarios produce
 byte-identical traces.
 
-Correct servers run the full stack (gossip + interpretation + shim filter).
-Byzantine servers run scripted behaviors against a restricted crypto view
+Correct servers are ``Shim`` instances: the full stack of gossip,
+interpretation and the self-filter on indications. Byzantine servers run
+scripted behaviors on a ``GossipNode`` whose registry is a restricted signer
 that can only sign as their own id; their outbound traffic is throttled by a
 per-step envelope budget.
 
@@ -29,7 +30,7 @@ from typing import Optional
 from . import trace
 from .blockdag import Block, BlockDag, block_ref
 from .brb import ReliableBroadcast, encode_broadcast
-from .crypto import EncodingError, KeyRegistry, Signature, SignatureScheme, UnknownServerError
+from .crypto import EncodingError, KeyRegistry, RestrictedSigner, Signature, SignatureScheme
 from .gossip import BLOCK_ENVELOPE, FWD_ENVELOPE, Disposition, GossipNode, WireEnvelope
 from .interpret import BlockInterpretation
 from .protocol import Label
@@ -227,26 +228,6 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-class _RestrictedRegistryAdapter:
-    """Registry facade over a RestrictedSigner: verifies anyone, signs only
-    as the adversary's own id."""
-
-    def __init__(self, restricted, server_count: int) -> None:
-        self._restricted = restricted
-        self.server_count = server_count
-
-    def handle(self, server: int):
-        if server != self._restricted.server:
-            raise UnknownServerError("adversary holds only its own key")
-        return self._restricted.handle
-
-    def sign(self, handle, digest: bytes) -> Signature:
-        return self._restricted.sign(digest)
-
-    def verify(self, server: int, digest: bytes, sig: Signature) -> bool:
-        return self._restricted.verify(server, digest, sig)
-
-
 class _Adversary:
     """One scripted byzantine server. Takes received blocks through the same
     gossip intake as a correct server, seals its own blocks by hand, and
@@ -258,15 +239,14 @@ class _Adversary:
         server: int,
         spec: BehaviorSpec,
         scenario: Scenario,
-        restricted,
+        restricted: RestrictedSigner,
         rng: Random,
     ) -> None:
         self.server = server
         self.spec = spec
         self.scenario = scenario
         self.rng = rng
-        self.adapter = _RestrictedRegistryAdapter(restricted, scenario.n)
-        self.node = GossipNode(server, BlockDag(server, self.adapter), deque(), self.adapter)
+        self.node = GossipNode(server, BlockDag(server, restricted), deque(), restricted)
         self.pending_requests: list[tuple[Label, int]] = []
         self.outbox: deque[tuple[int, bytes, Optional[str], Optional[str]]] = deque()
         self._marker_nonce = 0
@@ -303,11 +283,15 @@ class _Adversary:
         self.node.try_promote()
         if now % self.scenario.cadence != 0:
             return
-        if kind == "EQUIVOCATE":
-            self._emit_equivocation()
+        taken = self.pending_requests[: self.scenario.max_requests_per_block]
+        del self.pending_requests[: len(taken)]
+        if kind == "EQUIVOCATE" and self.node.next_seqno > 0:
+            self._emit_equivocation(taken)
             return
-        # SELECTIVE_SEND, DUPLICATE_REFS and CRASH_AT play a single chain
-        block = self._seal(self._drain_requests(), double_refs=kind == "DUPLICATE_REFS")
+        # SELECTIVE_SEND, DUPLICATE_REFS and CRASH_AT play a single chain, and
+        # so does the equivocator's first block, which has no parent to fork
+        requests = tuple((label, encode_broadcast(v)) for label, v in taken)
+        block = self._seal(requests, double_refs=kind == "DUPLICATE_REFS")
         self.node.commit(block)
         targets = range(self.scenario.n)
         if kind == "SELECTIVE_SEND" and self.spec.targets:
@@ -334,12 +318,8 @@ class _Adversary:
         if double_refs:
             preds = tuple(p for p in preds for _ in range(2))
         core = Block(self.server, self.node.next_seqno, preds, requests)
-        return core.with_signature(self.adapter.sign(None, block_ref(core).digest))
-
-    def _drain_requests(self) -> tuple[tuple[Label, bytes], ...]:
-        take = self.pending_requests[: self.scenario.max_requests_per_block]
-        self.pending_requests = self.pending_requests[len(take) :]
-        return tuple((label, encode_broadcast(value)) for label, value in take)
+        signature = self.node.registry.sign(self.node.handle, block_ref(core).digest)
+        return core.with_signature(signature)
 
     def _post_block(self, block: Block, receivers) -> None:
         ref_hex = block_ref(block).hex()
@@ -347,16 +327,8 @@ class _Adversary:
             env = WireEnvelope(BLOCK_ENVELOPE, self.server, receiver, block=block)
             self.outbox.append((receiver, env.encode(), "BLOCK", ref_hex))
 
-    def _emit_equivocation(self) -> None:
-        taken = self.pending_requests[: self.scenario.max_requests_per_block]
-        self.pending_requests = self.pending_requests[len(taken) :]
+    def _emit_equivocation(self, taken: list[tuple[Label, int]]) -> None:
         rs_a = tuple((label, encode_broadcast(v)) for label, v in taken)
-        if self.node.next_seqno == 0:
-            # needs a prior own block to fork from; first block is played straight
-            block = self._seal(rs_a)
-            self.node.commit(block)
-            self._post_block(block, range(self.scenario.n))
-            return
         if taken:
             rs_b = tuple((label, encode_broadcast(v + 1)) for label, v in taken)
         else:
@@ -388,33 +360,6 @@ class _Adversary:
 # ---------------------------------------------------------------------------
 
 
-class _CorrectServer:
-    def __init__(self, server: int, scenario: Scenario, registry: KeyRegistry) -> None:
-        protocol = ReliableBroadcast(scenario.n, scenario.f)
-        self.shim = Shim(
-            server,
-            protocol,
-            registry,
-            cadence=scenario.cadence,
-            fwd_interval=scenario.fwd_interval,
-            max_requests_per_block=scenario.max_requests_per_block,
-            debug_checks=scenario.debug_checks,
-        )
-        self.server = server
-
-    @property
-    def gossip(self):
-        return self.shim.gossip
-
-    @property
-    def interpreter(self):
-        return self.shim.interpreter
-
-    @property
-    def dag(self) -> BlockDag:
-        return self.shim.dag
-
-
 class Simulation:
     def __init__(self, scenario: Scenario) -> None:
         scenario.validate()
@@ -422,7 +367,7 @@ class Simulation:
         self.registry = KeyRegistry.generate(scenario.n, seed=scenario.seed)
         self.delay_rng = Random(scenario.seed ^ 0x5E11A5ED)
         byz = scenario.byzantine_map()
-        self.correct: dict[int, _CorrectServer] = {}
+        self.correct: dict[int, Shim] = {}
         self.adversaries: dict[int, _Adversary] = {}
         for server in range(scenario.n):
             if server in byz:
@@ -434,7 +379,15 @@ class Simulation:
                     Random((scenario.seed << 8) ^ server),
                 )
             else:
-                self.correct[server] = _CorrectServer(server, scenario, self.registry)
+                self.correct[server] = Shim(
+                    server,
+                    ReliableBroadcast(scenario.n, scenario.f),
+                    self.registry,
+                    cadence=scenario.cadence,
+                    fwd_interval=scenario.fwd_interval,
+                    max_requests_per_block=scenario.max_requests_per_block,
+                    debug_checks=scenario.debug_checks,
+                )
         self.events: list[dict] = []
         self.inflight: dict[int, list[tuple[tuple, int, int, int, bytes]]] = {}
         self.snapshots: dict[int, dict[int, BlockDag]] = {}
@@ -480,6 +433,12 @@ class Simulation:
                 block_ref(env.block).hex() if env.kind == BLOCK_ENVELOPE else env.ref.hex()
             )
             self._schedule(now, env.sender, env.receiver, env.encode(), env.kind_name, ref_hex)
+
+    def _send_fwd(self, now: int, env: WireEnvelope) -> None:
+        self.events.append(
+            trace.event(now, "FWD_REQ", server=env.sender, ref=env.ref.hex(), to=env.receiver)
+        )
+        self._send_envelopes(now, [env])
 
     def _deliver_due(self, now: int, *, drain: bool = False) -> int:
         batch = self.inflight.pop(now, [])
@@ -577,7 +536,7 @@ class Simulation:
             )
         )
 
-    def _promote(self, now: int, node: _CorrectServer) -> bool:
+    def _promote(self, now: int, node: Shim) -> bool:
         promoted = node.gossip.try_promote()
         for block in promoted:
             ref_hex = block_ref(block).hex()
@@ -585,28 +544,23 @@ class Simulation:
             self._record_insert(now, node.server, block)
         return bool(promoted)
 
-    def _gossip_phase(self, now: int, node: _CorrectServer) -> None:
+    def _gossip_phase(self, now: int, node: Shim) -> None:
         self._promote(now, node)
         for env in node.gossip.request_missing(now):
-            self.events.append(
-                trace.event(
-                    now, "FWD_REQ", server=node.server, ref=env.ref.hex(), to=env.receiver
-                )
-            )
-            self._send_envelopes(now, [env])
-        envelopes = node.shim.tick(now)
+            self._send_fwd(now, env)
+        envelopes = node.tick(now)
         if envelopes:
             self._record_insert(now, node.server, envelopes[0].block)
             self._send_envelopes(now, envelopes)
 
-    def _interpret_phase(self, now: int, node: _CorrectServer) -> None:
+    def _interpret_phase(self, now: int, node: Shim) -> None:
         for report in node.interpreter.run_to_fixpoint():
             self._record_interpretation(now, node.server, report)
         self._emit_indications(now, node)
 
-    def _emit_indications(self, now: int, node: _CorrectServer) -> None:
+    def _emit_indications(self, now: int, node: Shim) -> None:
         for ind in node.interpreter.take_indications():
-            surfaced = node.shim.filter_indication(ind)
+            surfaced = node.filter_indication(ind)
             key = "indications_surfaced" if surfaced else "indications_dropped"
             self.counters[key] += 1
             self.events.append(
@@ -654,7 +608,7 @@ class Simulation:
                 if req.step != now:
                     continue
                 if req.server in self.correct:
-                    self.correct[req.server].shim.request(
+                    self.correct[req.server].request(
                         req.label, encode_broadcast(req.value)
                     )
                 else:
@@ -717,16 +671,7 @@ class Simulation:
                         if key in requested:
                             continue
                         requested.add(key)
-                        self.events.append(
-                            trace.event(
-                                now,
-                                "FWD_REQ",
-                                server=server,
-                                ref=env.ref.hex(),
-                                to=env.receiver,
-                            )
-                        )
-                        self._send_envelopes(now, [env])
+                        self._send_fwd(now, env)
                         progressed = True
                 if not progressed and not self.inflight:
                     break

@@ -9,6 +9,7 @@ import pytest
 from dagbft.blockdag import Block, block_ref
 from dagbft.crypto import (
     DIGEST_SIZE,
+    Ed25519Registry,
     EncodingError,
     KeyRegistry,
     Signature,
@@ -141,7 +142,7 @@ class TestHmacRegistry:
         registry = make_registry()
         view = registry.restricted(2)
         digest = content_digest(b"z")
-        assert registry.verify(2, digest, view.sign(digest))
+        assert registry.verify(2, digest, view.sign(view.handle(2), digest))
         assert view.verify(0, digest, registry.sign(registry.handle(0), digest))
 
     def test_all_servers_self_verify(self):
@@ -175,3 +176,56 @@ class TestEd25519Registry:
         block = signed_block(registry, 0, 0)
         dag.insert(block)
         assert dag.is_valid(block)
+
+
+@pytest.fixture(
+    params=[
+        pytest.param(KeyRegistry, id="hmac"),
+        pytest.param(
+            Ed25519Registry,
+            id="ed25519",
+            marks=pytest.mark.skipif(
+                not ed25519_available(), reason="cryptography not installed"
+            ),
+        ),
+    ]
+)
+def any_registry(request):
+    return request.param.generate(4, seed=11)
+
+
+class TestRestrictedSignerSurface:
+    """A restricted view is a registry for ``BlockDag`` and ``GossipNode``:
+    it hands out and signs with its own handle only."""
+
+    def test_own_handle_signs_as_own(self, any_registry):
+        view = any_registry.restricted(2)
+        handle = view.handle(2)
+        for i in range(4):
+            digest = content_digest(bytes([i]))
+            sig = view.sign(handle, digest)
+            assert any_registry.verify(2, digest, sig)
+            assert view.verify(2, digest, sig)
+
+    def test_other_handle_is_unknown(self, any_registry):
+        view = any_registry.restricted(2)
+        for other in (0, 1, 3, 4, -1):
+            with pytest.raises(UnknownServerError):
+                view.handle(other)
+
+    def test_foreign_handle_does_not_sign(self, any_registry):
+        view = any_registry.restricted(2)
+        with pytest.raises(UnknownServerError):
+            view.sign(any_registry.handle(0), content_digest(b"x"))
+
+    def test_server_count_is_the_registry_count(self, any_registry):
+        assert any_registry.restricted(1).server_count == any_registry.server_count == 4
+
+    def test_signature_never_verifies_as_another(self, any_registry):
+        view = any_registry.restricted(2)
+        for i in range(4):
+            digest = content_digest(bytes([i]))
+            sig = view.sign(view.handle(2), digest)
+            for other in (0, 1, 3):
+                assert not any_registry.verify(other, digest, sig)
+                assert not view.verify(other, digest, sig)
