@@ -6,11 +6,11 @@ instances over the DAG, materializing the protocol messages without ever
 sending them.
 """
 
-from .blockdag import Block, BlockDag, BlockRef, block_ref, extends, union_dags
+from .blockdag import Block, BlockDag, BlockRef, block_ref
 from .brb import ReliableBroadcast
 from .crypto import KeyRegistry
 from .interpret import Interpreter
-from .protocol import Label, Message, message_less
+from .protocol import Label, Message
 from .shim import Shim
 from .simnet import BehaviorSpec, RequestInjection, Scenario, run
 
@@ -28,8 +28,5 @@ __all__ = [
     "Scenario",
     "Shim",
     "block_ref",
-    "extends",
-    "message_less",
     "run",
-    "union_dags",
 ]

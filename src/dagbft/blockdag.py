@@ -13,9 +13,9 @@ the gossip layer's pending buffer, never here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .crypto import (
     DIGEST_SIZE,
@@ -173,34 +173,6 @@ def block_from_wire(data: bytes) -> Block:
     return Block(builder, seqno, preds, tuple(requests), sig)
 
 
-# ---------------------------------------------------------------------------
-# Generic directed graphs (insert / extends / union on raw vertices)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Digraph:
-    """Plain directed graph; carries the general insert/extension semantics
-    that the block DAG specializes."""
-
-    vertices: set = field(default_factory=set)
-    edges: set = field(default_factory=set)
-
-    def insert(self, vertex, edges_to_vertex: Iterable[tuple]) -> "Digraph":
-        """Insert ``vertex`` plus edges of the form (v_i, vertex), v_i already
-        present. Returns a new graph; the only way to grow one."""
-        new_edges = set(edges_to_vertex)
-        for src, dst in new_edges:
-            if dst != vertex:
-                raise BlockDagError("insert edges must point at the new vertex")
-            if src not in self.vertices:
-                raise BlockDagError("insert edge source must already be a vertex")
-        return Digraph(self.vertices | {vertex}, self.edges | new_edges)
-
-    def is_acyclic(self) -> bool:
-        return _is_acyclic(self.vertices, self.edges)
-
-
 def _is_acyclic(vertices: set, edges: set) -> bool:
     succ: dict = {v: [] for v in vertices}
     indeg: dict = {v: 0 for v in vertices}
@@ -217,31 +189,6 @@ def _is_acyclic(vertices: set, edges: set) -> bool:
             if indeg[w] == 0:
                 queue.append(w)
     return seen == len(vertices)
-
-
-def extends(inner, outer) -> bool:
-    """Graph extension: every inner vertex is in the outer graph and the inner
-    edge set equals the outer edges restricted to inner vertices.
-
-    The restriction clause matters: a graph that later gains an edge between
-    two old vertices is not an extension of the old graph.
-    """
-    v1, e1 = _graph_view(inner)
-    v2, e2 = _graph_view(outer)
-    if not v1 <= v2:
-        return False
-    restricted = {(a, b) for (a, b) in e2 if a in v1 and b in v1}
-    return e1 == restricted
-
-
-def union(g1: Digraph, g2: Digraph) -> Digraph:
-    return Digraph(g1.vertices | g2.vertices, g1.edges | g2.edges)
-
-
-def _graph_view(g) -> tuple[set, set]:
-    if isinstance(g, BlockDag):
-        return g.vertex_set(), g.edge_set()
-    return set(g.vertices), set(g.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +391,3 @@ def render_dot(summaries: list[tuple[str, int, int, list[str]]]) -> str:
             lines.append(f'  "{pred}" -> "{ref}" [style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def union_dags(g1: BlockDag, g2: BlockDag) -> BlockDag:
-    """Vertex- and edge-wise union; a test oracle, so it bypasses the insert
-    validation path on purpose."""
-    out = BlockDag(g1.owner, g1.registry)
-    for src in (g1, g2):
-        for ref, block in src._vertices.items():
-            if ref not in out._vertices:
-                out._vertices[ref] = block
-    out._successors = {ref: [] for ref in out._vertices}
-    for ref, block in out._vertices.items():
-        for pred in block.distinct_preds():
-            if pred in out._successors and ref not in out._successors[pred]:
-                out._successors[pred].append(ref)
-    return out

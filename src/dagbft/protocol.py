@@ -79,16 +79,12 @@ def message_from_canonical(data: bytes) -> Message:
 
 
 def message_sort_key(message: Message) -> bytes:
-    return message.canonical_bytes()
-
-
-def message_less(m1: Message, m2: Message) -> bool:
-    """Strict total order on messages: byte order of the canonical encoding.
+    """Key of the strict total order on messages: the canonical encoding.
 
     Any fixed order works; bytes are stable across machines, which is what
     keeps independent interpreters feeding messages in the same sequence.
     """
-    return message_sort_key(m1) < message_sort_key(m2)
+    return message.canonical_bytes()
 
 
 class ProcessInstance(ABC):

@@ -14,16 +14,23 @@ Three kinds live here, each independent of the code path it judges:
   every promotion round rescans the whole buffer with ``BlockDag.is_valid``.
   ``GossipNode`` replaced the rescan with a waiter index; this is the
   behaviour the index must reproduce.
+
+Beside them sit the paper's definitions that only the tests evaluate: the
+generic directed graph with its insert, ``extends`` and ``union``, the
+vertex- and edge-wise ``union_dags`` of two block DAGs, and ``message_less``,
+the strict total order on messages.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
+from typing import Iterable
 
-from dagbft.blockdag import Block, BlockDag, BlockRef, block_ref
+from dagbft.blockdag import Block, BlockDag, BlockDagError, BlockRef, _is_acyclic, block_ref
 from dagbft.brb import ReliableBroadcast, decode_deliver, encode_broadcast, encode_payload
 from dagbft.crypto import UnknownServerError
-from dagbft.protocol import Label, Message
+from dagbft.protocol import Label, Message, message_sort_key
 
 # Input alphabet for the reference oracle:
 #   ("broadcast", value)          user request at the instance's server
@@ -199,3 +206,78 @@ class RescanPromoter:
                 if pred not in self.dag and pred not in self.pending and key not in out:
                     out.append(key)
         return out
+
+
+# ---------------------------------------------------------------------------
+# Generic directed graphs (insert / extends / union on raw vertices)
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Digraph:
+    """Plain directed graph; carries the general insert/extension semantics
+    that the block DAG specializes."""
+
+    vertices: set = field(default_factory=set)
+    edges: set = field(default_factory=set)
+
+    def insert(self, vertex, edges_to_vertex: Iterable[tuple]) -> "Digraph":
+        """Insert ``vertex`` plus edges of the form (v_i, vertex), v_i already
+        present. Returns a new graph; the only way to grow one."""
+        new_edges = set(edges_to_vertex)
+        for src, dst in new_edges:
+            if dst != vertex:
+                raise BlockDagError("insert edges must point at the new vertex")
+            if src not in self.vertices:
+                raise BlockDagError("insert edge source must already be a vertex")
+        return Digraph(self.vertices | {vertex}, self.edges | new_edges)
+
+    def is_acyclic(self) -> bool:
+        return _is_acyclic(self.vertices, self.edges)
+
+
+def extends(inner, outer) -> bool:
+    """Graph extension: every inner vertex is in the outer graph and the inner
+    edge set equals the outer edges restricted to inner vertices.
+
+    The restriction clause matters: a graph that later gains an edge between
+    two old vertices is not an extension of the old graph.
+    """
+    v1, e1 = _graph_view(inner)
+    v2, e2 = _graph_view(outer)
+    if not v1 <= v2:
+        return False
+    restricted = {(a, b) for (a, b) in e2 if a in v1 and b in v1}
+    return e1 == restricted
+
+
+def union(g1: Digraph, g2: Digraph) -> Digraph:
+    return Digraph(g1.vertices | g2.vertices, g1.edges | g2.edges)
+
+
+def _graph_view(g) -> tuple[set, set]:
+    if isinstance(g, BlockDag):
+        return g.vertex_set(), g.edge_set()
+    return set(g.vertices), set(g.edges)
+
+
+def union_dags(g1: BlockDag, g2: BlockDag) -> BlockDag:
+    """Vertex- and edge-wise union; it bypasses the insert validation path on
+    purpose."""
+    out = BlockDag(g1.owner, g1.registry)
+    for src in (g1, g2):
+        for ref, block in src._vertices.items():
+            if ref not in out._vertices:
+                out._vertices[ref] = block
+    out._successors = {ref: [] for ref in out._vertices}
+    for ref, block in out._vertices.items():
+        for pred in block.distinct_preds():
+            if pred in out._successors and ref not in out._successors[pred]:
+                out._successors[pred].append(ref)
+    return out
+
+
+def message_less(m1: Message, m2: Message) -> bool:
+    """Strict total order on messages: byte order of the canonical encoding,
+    the order the interpreter sorts by."""
+    return message_sort_key(m1) < message_sort_key(m2)

@@ -14,7 +14,7 @@ from random import Random
 
 import pytest
 
-from dagbft.blockdag import Digraph, block_ref, extends
+from dagbft.blockdag import block_ref
 from dagbft.brb import ECHO, READY, ReliableBroadcast, encode_broadcast, encode_payload
 from dagbft.checks import (
     check_brb,
@@ -28,7 +28,7 @@ from dagbft.protocol import Label, Message
 from dagbft.simnet import run
 
 from .forgeries import forged_duplicate, forged_unsigned_origin
-from .oracles import feed_instance, reference_outputs
+from .oracles import Digraph, extends, feed_instance, reference_outputs
 from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
 
 L1 = Label(0, 1)

@@ -9,20 +9,17 @@ import pytest
 from dagbft.blockdag import (
     Block,
     BlockDag,
-    Digraph,
     MalformedBlockError,
     RejectedInsertError,
     UnknownBlockError,
     block_from_wire,
     block_ref,
     block_to_wire,
-    extends,
-    union,
-    union_dags,
 )
 from dagbft.crypto import EncodingError, Signature, SignatureScheme
 from dagbft.protocol import Label
 
+from .oracles import Digraph, extends, union, union_dags
 from .util import fig_pair_dag, make_registry, signed_block
 
 

@@ -12,9 +12,10 @@ from dagbft.protocol import (
     Label,
     Message,
     message_from_canonical,
-    message_less,
     message_sort_key,
 )
+
+from .oracles import message_less
 
 
 def random_message(rng: Random) -> Message:

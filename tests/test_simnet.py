@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from dagbft.blockdag import block_ref, extends, union_dags
+from dagbft.blockdag import block_ref
 from dagbft.brb import decode_deliver
 from dagbft.crypto import KeyRegistry
 from dagbft.protocol import Label
@@ -19,7 +19,7 @@ from dagbft.simnet import (
     run,
 )
 
-from .oracles import perfect_network_deliveries
+from .oracles import extends, perfect_network_deliveries, union_dags
 from .scenarios import fig_broadcast_scenario
 
 
