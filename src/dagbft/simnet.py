@@ -285,12 +285,12 @@ class _Adversary:
             return
         taken = self.pending_requests[: self.scenario.max_requests_per_block]
         del self.pending_requests[: len(taken)]
+        requests = tuple((label, encode_broadcast(v)) for label, v in taken)
         if kind == "EQUIVOCATE" and self.node.next_seqno > 0:
-            self._emit_equivocation(taken)
+            self._emit_equivocation(taken, requests)
             return
         # SELECTIVE_SEND, DUPLICATE_REFS and CRASH_AT play a single chain, and
         # so does the equivocator's first block, which has no parent to fork
-        requests = tuple((label, encode_broadcast(v)) for label, v in taken)
         block = self._seal(requests, double_refs=kind == "DUPLICATE_REFS")
         self.node.commit(block)
         targets = range(self.scenario.n)
@@ -327,8 +327,9 @@ class _Adversary:
             env = WireEnvelope(BLOCK_ENVELOPE, self.server, receiver, block=block)
             self.outbox.append((receiver, env.encode(), "BLOCK", ref_hex))
 
-    def _emit_equivocation(self, taken: list[tuple[Label, int]]) -> None:
-        rs_a = tuple((label, encode_broadcast(v)) for label, v in taken)
+    def _emit_equivocation(
+        self, taken: list[tuple[Label, int]], rs_a: tuple[tuple[Label, bytes], ...]
+    ) -> None:
         if taken:
             rs_b = tuple((label, encode_broadcast(v + 1)) for label, v in taken)
         else:
@@ -608,9 +609,7 @@ class Simulation:
                 if req.step != now:
                     continue
                 if req.server in self.correct:
-                    self.correct[req.server].request(
-                        req.label, encode_broadcast(req.value)
-                    )
+                    self.correct[req.server].request(req.label, encode_broadcast(req.value))
                 else:
                     self.adversaries[req.server].enqueue_request(req.label, req.value)
             self._deliver_due(now)
