@@ -3,10 +3,11 @@
 Interpretation walks the DAG in dependency order. Each block inherits a copy
 of its parent's process instances, feeds the block's embedded requests, then
 feeds every message addressed to the block's builder from the out-buffers of
-the block's predecessors, in the fixed message order. The resulting per-block
-buffers and instance states are write-once: after a block is interpreted its
-slots are never touched again, which is what lets independent machines (and
-re-runs over extended DAGs) agree byte-for-byte.
+the block's predecessors, in the fixed message order. Each interpreted block
+gets one slot holding its instances and its in- and out-buffer per label.
+Slots are write-once: after a block is interpreted its slot is never touched
+again, which is what lets independent machines (and re-runs over extended
+DAGs) agree byte-for-byte.
 
 Byzantine-crafted requests that fail protocol decoding are skipped per
 request and counted; a correct interpreter keeps going on mixed blocks.
@@ -18,7 +19,6 @@ import heapq
 from dataclasses import dataclass
 from itertools import islice
 from random import Random
-from typing import Optional
 
 from .blockdag import BlockDag, BlockRef, UnknownBlockError, block_ref
 from .crypto import content_digest, enc_bytes, enc_seq, enc_u8
@@ -68,6 +68,16 @@ class BlockInterpretation:
     labels: tuple[LabelActivity, ...]
 
 
+@dataclass(frozen=True, slots=True)
+class _Slot:
+    """One interpreted block: the instances taken over from its parent and
+    advanced here, and the in- and out-buffer per label."""
+
+    instances: dict[Label, ProcessInstance]
+    fed: dict[Label, tuple[Message, ...]]
+    out: dict[Label, tuple[Message, ...]]
+
+
 class Interpreter:
     """Replays ``protocol`` over ``dag``; the DAG may keep growing between
     calls to :meth:`run_to_fixpoint`.
@@ -94,50 +104,31 @@ class Interpreter:
         self.eager_labels = tuple(eager_labels)
         self.debug_checks = debug_checks
 
-        self._interpreted: set[BlockRef] = set()
-        self._pis: dict[BlockRef, dict[Label, ProcessInstance]] = {}
-        self._ms_in: dict[BlockRef, dict[Label, tuple[Message, ...]]] = {}
-        self._ms_out: dict[BlockRef, dict[Label, tuple[Message, ...]]] = {}
-        self._labels_at: dict[BlockRef, frozenset[Label]] = {}
+        self._slots: dict[BlockRef, _Slot] = {}
+        self._ingested = 0  # DAG refs seen so far; the DAG only appends
         self._frozen_digest: dict[BlockRef, bytes] = {}
         self._indications: list[Indication] = []
         self.skipped_requests = 0
 
-        # dependency tracking for incremental eligibility
-        self._ingested = 0  # DAG refs seen so far; the DAG only appends
-        self._ready: list[BlockRef] = []
-        self._missing: dict[BlockRef, int] = {}
-        self._dependents: dict[BlockRef, list[BlockRef]] = {}
-
     # -- observation ---------------------------------------------------------
 
     def interpreted(self, ref: BlockRef) -> bool:
-        return ref in self._interpreted
+        return ref in self._slots
 
     def eligible(self, ref: BlockRef) -> bool:
         """A block may be interpreted when it has not been yet and every
         predecessor has been."""
         if ref not in self.dag:
             raise UnknownBlockError(f"{ref!r} not in DAG")
-        if ref in self._interpreted:
+        if ref in self._slots:
             return False
-        return all(p in self._interpreted for p in self.dag.get(ref).distinct_preds())
+        return all(p in self._slots for p in self.dag.get(ref).distinct_preds())
 
     def messages_out(self, ref: BlockRef, label: Label) -> tuple[Message, ...]:
-        self._require_interpreted(ref)
-        return self._ms_out[ref].get(label, ())
+        return self._slot(ref).out.get(label, ())
 
     def messages_in(self, ref: BlockRef, label: Label) -> tuple[Message, ...]:
-        self._require_interpreted(ref)
-        return self._ms_in[ref].get(label, ())
-
-    def labels_at(self, ref: BlockRef) -> frozenset[Label]:
-        self._require_interpreted(ref)
-        return self._labels_at[ref]
-
-    def instance(self, ref: BlockRef, label: Label) -> Optional[ProcessInstance]:
-        self._require_interpreted(ref)
-        return self._pis[ref].get(label)
+        return self._slot(ref).fed.get(label, ())
 
     def take_indications(self) -> list[Indication]:
         out = self._indications
@@ -151,11 +142,11 @@ class Interpreter:
         Labels never touched at the block digest as a fresh instance, which
         makes lazy and eager instantiation indistinguishable here.
         """
-        self._require_interpreted(ref)
-        inst = self._pis[ref].get(label)
+        slot = self._slot(ref)
+        inst = slot.instances.get(label)
         if inst is None:
             inst = self.protocol.spawn(label, self.dag.get(ref).builder)
-        out = sorted(self._ms_out[ref].get(label, ()), key=message_sort_key)
+        out = sorted(slot.out.get(label, ()), key=message_sort_key)
         material = (
             enc_u8(_TAG_INSTANCE_STATE)
             + enc_bytes(inst.state_bytes())
@@ -163,47 +154,49 @@ class Interpreter:
         )
         return content_digest(material)
 
-    def _require_interpreted(self, ref: BlockRef) -> None:
-        if ref not in self._interpreted:
+    def _slot(self, ref: BlockRef) -> _Slot:
+        slot = self._slots.get(ref)
+        if slot is None:
             raise InterpretError(f"{ref!r} has not been interpreted")
+        return slot
 
     # -- scheduling ------------------------------------------------------------
 
-    def _ingest_new_blocks(self) -> None:
-        for ref in islice(self.dag.refs(), self._ingested, None):
-            preds = self.dag.get(ref).distinct_preds()
-            missing = sum(1 for p in preds if p not in self._interpreted)
-            if missing == 0:
-                heapq.heappush(self._ready, ref)
-            else:
-                self._missing[ref] = missing
-                for p in preds:
-                    if p not in self._interpreted:
-                        self._dependents.setdefault(p, []).append(ref)
-        self._ingested = len(self.dag)
-
-    def _pop_ready(self) -> BlockRef:
+    def _pop_ready(self, ready: list[BlockRef]) -> BlockRef:
         if isinstance(self.selection, Random):
-            ordered = sorted(self._ready)
+            ordered = sorted(ready)
             pick = ordered[self.selection.randrange(len(ordered))]
-            self._ready.remove(pick)
-            heapq.heapify(self._ready)
+            ready.remove(pick)
+            heapq.heapify(ready)
             return pick
-        return heapq.heappop(self._ready)
+        return heapq.heappop(ready)
 
     def run_to_fixpoint(self) -> list[BlockInterpretation]:
-        """Interpret every currently eligible block (and everything unblocked
-        by doing so); returns per-block reports in interpretation order."""
-        self._ingest_new_blocks()
+        """Interpret every block added to the DAG since the last call, each
+        once all its predecessors are; returns per-block reports in
+        interpretation order. The DAG is predecessor-closed, so a call leaves
+        every block interpreted and the next one starts after them."""
+        ready: list[BlockRef] = []
+        missing: dict[BlockRef, int] = {}
+        dependents: dict[BlockRef, list[BlockRef]] = {}
+        for ref in islice(self.dag.refs(), self._ingested, None):
+            waiting = [p for p in self.dag.get(ref).distinct_preds() if p not in self._slots]
+            if waiting:
+                missing[ref] = len(waiting)
+                for p in waiting:
+                    dependents.setdefault(p, []).append(ref)
+            else:
+                heapq.heappush(ready, ref)
+        self._ingested = len(self.dag)
+
         reports: list[BlockInterpretation] = []
-        while self._ready:
-            ref = self._pop_ready()
+        while ready:
+            ref = self._pop_ready(ready)
             reports.append(self._interpret_block(ref))
-            for dep in self._dependents.pop(ref, ()):
-                self._missing[dep] -= 1
-                if self._missing[dep] == 0:
-                    del self._missing[dep]
-                    heapq.heappush(self._ready, dep)
+            for dep in dependents.pop(ref, ()):
+                missing[dep] -= 1
+                if missing[dep] == 0:
+                    heapq.heappush(ready, dep)
         if self.debug_checks:
             self._check_immutability()
         return reports
@@ -217,19 +210,18 @@ class Interpreter:
 
         parent = self.dag.parent_of(block)
         if parent is None:
-            instances: dict[Label, ProcessInstance] = {}
-            for label in self.eager_labels:
-                instances[label] = self.protocol.spawn(label, block.builder)
-        else:
-            parent_ref = block_ref(parent)
             instances = {
-                label: inst.clone() for label, inst in self._pis[parent_ref].items()
+                label: self.protocol.spawn(label, block.builder) for label in self.eager_labels
+            }
+        else:
+            instances = {
+                label: inst.clone()
+                for label, inst in self._slots[block_ref(parent)].instances.items()
             }
 
-        ms_out: dict[Label, list[Message]] = {}
-        out_seen: dict[Label, set[Message]] = {}
-        ms_in: dict[Label, tuple[Message, ...]] = {}
-        touched: set[Label] = set()
+        # out-buffers as ordered sets; a label gets one exactly when touched here
+        out: dict[Label, dict[Message, None]] = {}
+        fed: dict[Label, tuple[Message, ...]] = {}
         skipped: dict[Label, int] = {}
 
         def instance_for(label: Label) -> ProcessInstance:
@@ -240,12 +232,7 @@ class Interpreter:
             return inst
 
         def emit(label: Label, messages: list[Message]) -> None:
-            bucket = ms_out.setdefault(label, [])
-            seen = out_seen.setdefault(label, set())
-            for m in messages:
-                if m not in seen:
-                    seen.add(m)
-                    bucket.append(m)
+            out.setdefault(label, {}).update(dict.fromkeys(messages))
 
         # requests embedded in this block, in list order
         for label, payload in block.requests:
@@ -259,52 +246,44 @@ class Interpreter:
                 skipped[label] = skipped.get(label, 0) + 1
                 self.skipped_requests += 1
                 continue
-            touched.add(label)
             emit(label, outputs)
 
-        # messages materialized by edges from predecessors
-        preds = block.distinct_preds()
-        live: set[Label] = set()
-        for pred in preds:
-            live |= self._labels_at[pred]
-        for label in sorted(live):
-            incoming: set[Message] = set()
-            for pred in preds:
-                for m in self._ms_out[pred].get(label, ()):
-                    if m.receiver == block.builder:
-                        incoming.add(m)
+        # messages materialized by edges from predecessors: only labels some
+        # predecessor has an out-buffer for can carry one
+        preds = [self._slots[p] for p in block.distinct_preds()]
+        for label in sorted(set().union(*(pred.out for pred in preds))):
+            incoming = {
+                m
+                for pred in preds
+                for m in pred.out.get(label, ())
+                if m.receiver == block.builder
+            }
             if not incoming:
                 continue
-            fed = tuple(sorted(incoming, key=message_sort_key))
-            ms_in[label] = fed
+            fed[label] = tuple(sorted(incoming, key=message_sort_key))
             inst = instance_for(label)
-            touched.add(label)
-            for m in fed:
+            for m in fed[label]:
                 emit(label, inst.on_receive(m))
 
-        for label in sorted(touched):
+        for label in sorted(out):
             for payload in instances[label].take_indications():
                 self._indications.append(Indication(ref, label, block.builder, payload))
 
-        self._pis[ref] = instances
-        self._ms_in[ref] = ms_in
-        self._ms_out[ref] = {label: tuple(ms) for label, ms in ms_out.items()}
-        self._labels_at[ref] = frozenset(live | {label for label, _ in block.requests})
-        self._interpreted.add(ref)
+        slot = _Slot(instances, fed, {label: tuple(ms) for label, ms in out.items()})
+        self._slots[ref] = slot
 
-        active = sorted(set(skipped) | touched | set(ms_in) | set(self._ms_out[ref]))
         report = BlockInterpretation(
             ref,
             block.builder,
             tuple(
                 LabelActivity(
                     label,
-                    ms_in.get(label, ()),
-                    self._ms_out[ref].get(label, ()),
+                    fed.get(label, ()),
+                    slot.out.get(label, ()),
                     self.state_digest(ref, label),
                     skipped.get(label, 0),
                 )
-                for label in active
+                for label in sorted(skipped.keys() | out.keys())
             ),
         )
         if self.debug_checks:
@@ -314,15 +293,16 @@ class Interpreter:
     # -- debug assertions -----------------------------------------------------------
 
     def _check_slots_empty(self, ref: BlockRef) -> None:
-        if ref in self._pis or ref in self._ms_in or ref in self._ms_out:
-            raise InterpretError(f"slots of uninterpreted {ref!r} already populated")
+        if ref in self._slots:
+            raise InterpretError(f"slot of uninterpreted {ref!r} already populated")
 
     def _slot_fingerprint(self, ref: BlockRef) -> bytes:
+        slot = self._slots[ref]
         parts = [ref.digest]
-        for label in sorted(self._pis[ref]):
+        for label in sorted(slot.instances):
             parts.append(label.canonical_bytes())
-            parts.append(self._pis[ref][label].state_bytes())
-        for table in (self._ms_in[ref], self._ms_out[ref]):
+            parts.append(slot.instances[label].state_bytes())
+        for table in (slot.fed, slot.out):
             for label in sorted(table):
                 parts.append(label.canonical_bytes())
                 parts.extend(m.canonical_bytes() for m in table[label])
@@ -331,4 +311,4 @@ class Interpreter:
     def _check_immutability(self) -> None:
         for ref, frozen in self._frozen_digest.items():
             if self._slot_fingerprint(ref) != frozen:
-                raise InterpretError(f"slots of interpreted {ref!r} were modified")
+                raise InterpretError(f"slot of interpreted {ref!r} was modified")

@@ -17,8 +17,9 @@ Three kinds live here, each independent of the code path it judges:
 
 Beside them sit the paper's definitions that only the tests evaluate: the
 generic directed graph with its insert, ``extends`` and ``union``, the
-vertex- and edge-wise ``union_dags`` of two block DAGs, and ``message_less``,
-the strict total order on messages.
+vertex- and edge-wise ``union_dags`` of two block DAGs, ``message_less``,
+the strict total order on messages, and ``live_labels``, the labels a block
+can hold state for.
 """
 
 from __future__ import annotations
@@ -206,6 +207,23 @@ class RescanPromoter:
                 if pred not in self.dag and pred not in self.pending and key not in out:
                     out.append(key)
         return out
+
+
+def live_labels(dag: BlockDag, ref: BlockRef) -> frozenset[Label]:
+    """The labels requested in ``ref`` or in any block ``ref`` reaches back
+    to. Only these can have an instance, an in-buffer or an out-buffer at
+    ``ref``; every other label digests as a fresh instance there."""
+    labels: set[Label] = set()
+    seen = {ref}
+    stack = [ref]
+    while stack:
+        block = dag.get(stack.pop())
+        labels.update(label for label, _ in block.requests)
+        for pred in block.distinct_preds():
+            if pred not in seen:
+                seen.add(pred)
+                stack.append(pred)
+    return frozenset(labels)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dagbft.protocol import Label, Message
 from dagbft.simnet import run
 
 from .forgeries import forged_duplicate, forged_unsigned_origin
-from .oracles import Digraph, extends, feed_instance, reference_outputs
+from .oracles import Digraph, extends, feed_instance, live_labels, reference_outputs
 from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
 
 L1 = Label(0, 1)
@@ -130,7 +130,7 @@ class TestCriterion2InterpretationDeterminism:
             shuffled = Interpreter(final_dag, protocol, selection=Random(i))
             shuffled.run_to_fixpoint()
             for ref in final_dag.refs():
-                for label in base.labels_at(ref):
+                for label in live_labels(final_dag, ref):
                     if base.state_digest(ref, label) != shuffled.state_digest(ref, label):
                         failures.append(f"scenario {i}: selection-order mismatch at {ref!r}")
             snap_step = scenario.snapshot_steps[0]
@@ -138,7 +138,7 @@ class TestCriterion2InterpretationDeterminism:
             prefix = Interpreter(prefix_dag, protocol)
             prefix.run_to_fixpoint()
             for ref in prefix_dag.refs():
-                for label in prefix.labels_at(ref):
+                for label in live_labels(prefix_dag, ref):
                     if prefix.state_digest(ref, label) != base.state_digest(ref, label):
                         failures.append(f"scenario {i}: prefix/extension mismatch at {ref!r}")
         elapsed = batch_elapsed + (time.perf_counter() - t0)

@@ -18,6 +18,7 @@ from dagbft.brb import (
 from dagbft.interpret import InterpretError, Interpreter
 from dagbft.protocol import Label, Message
 
+from .oracles import live_labels
 from .util import fig_pair_dag, lockstep_dag, make_registry, signed_block
 
 N, F = 4, 1
@@ -49,7 +50,6 @@ class TestEligibility:
     def test_blocked_until_all_preds_interpreted(self, registry):
         dag, (b1, b2, b3) = fig_pair_dag(registry)
         it = Interpreter(dag, protocol())
-        it._ingest_new_blocks()
         it._interpret_block(block_ref(b1))
         assert not it.eligible(block_ref(b3))  # b2 still pending
 
@@ -182,7 +182,7 @@ class TestStateDigests:
         a.run_to_fixpoint()
         b.run_to_fixpoint()
         for ref in dag.refs():
-            for label in a.labels_at(ref):
+            for label in live_labels(dag, ref):
                 assert a.state_digest(ref, label) == b.state_digest(ref, label)
 
     def test_prefix_dag_agrees_with_extension(self, registry):
@@ -193,7 +193,7 @@ class TestStateDigests:
         a.run_to_fixpoint()
         b.run_to_fixpoint()
         for ref in small.refs():
-            for label in a.labels_at(ref):
+            for label in live_labels(small, ref):
                 assert a.state_digest(ref, label) == b.state_digest(ref, label)
 
     def test_random_selection_order_agrees(self, registry):
@@ -204,7 +204,7 @@ class TestStateDigests:
             other = Interpreter(dag, protocol(), selection=Random(seed))
             other.run_to_fixpoint()
             for ref in dag.refs():
-                for label in base.labels_at(ref):
+                for label in live_labels(dag, ref):
                     assert base.state_digest(ref, label) == other.state_digest(ref, label)
 
     def test_lazy_equals_eager_instantiation(self, registry):
@@ -216,6 +216,35 @@ class TestStateDigests:
         for ref in dag.refs():
             for label in (L1, Label(2, 9)):
                 assert lazy.state_digest(ref, label) == eager.state_digest(ref, label)
+
+
+class TestGrowingDag:
+    def test_repeated_calls_match_one_call_on_the_final_dag(self, registry):
+        final, blocks = broadcast_fixture(registry, rounds=5)
+        # within the second and third batch, blocks depend on each other
+        batches = [
+            [(0, 0), (1, 0)],
+            [(2, 0), (3, 0)] + [(s, 1) for s in range(N)],
+            [(s, k) for k in (2, 3) for s in range(N)],
+            [(s, 4) for s in range(N)],
+        ]
+        dag = BlockDag(0, registry)
+        grown = Interpreter(dag, protocol(), debug_checks=True)
+        interpreted: list[object] = []
+        for batch in batches:
+            for key in batch:
+                dag.insert(blocks[key])
+            interpreted += [report.ref for report in grown.run_to_fixpoint()]
+            assert all(grown.interpreted(ref) for ref in dag.refs())
+        assert sorted(interpreted) == sorted(final.refs())
+
+        once = Interpreter(final, protocol())
+        once.run_to_fixpoint()
+        for ref in final.refs():
+            for label in live_labels(final, ref):
+                assert grown.state_digest(ref, label) == once.state_digest(ref, label)
+                assert grown.messages_in(ref, label) == once.messages_in(ref, label)
+        assert len(grown.take_indications()) == len(once.take_indications()) == 4
 
 
 class TestByzantineInputs:
@@ -257,7 +286,7 @@ class TestLiveLabelSoundness:
         it.run_to_fixpoint()
         request_ref = block_ref(blocks[(0, 0)])
         for ref in dag.refs():
-            for label in it.labels_at(ref):
+            for label in live_labels(dag, ref):
                 if it.messages_out(ref, label):
                     assert label == L1
                     assert ref == request_ref or dag.reaches(request_ref, ref)
