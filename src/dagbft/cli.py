@@ -63,11 +63,15 @@ def cmd_run(args, out) -> int:
         scenario = scenario.with_seed(args.seed)
     if args.snapshots:
         try:
-            steps = tuple(int(s) for s in args.snapshots.split(","))
+            steps = [int(s) for s in args.snapshots.split(",")]
         except ValueError:
             print("error: --snapshots expects a comma-separated list of steps", file=out)
             return EXIT_CONFIG
-        scenario = simnet.Scenario.from_dict({**scenario.to_dict(), "snapshot_steps": list(steps)})
+        try:
+            scenario = simnet.Scenario.from_dict({**scenario.to_dict(), "snapshot_steps": steps})
+        except simnet.ScenarioError as exc:
+            print(f"error: {exc}", file=out)
+            return EXIT_CONFIG
     result = simnet.run(scenario)
     try:
         trace.write_jsonl(result.events, args.out)

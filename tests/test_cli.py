@@ -9,8 +9,9 @@ import pytest
 
 from dagbft import trace
 from dagbft.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATIONS, main
+from dagbft.simnet import run
 
-from .scenarios import fig_broadcast_scenario
+from .scenarios import adversarial_scenario, fig_broadcast_scenario
 
 
 @pytest.fixture
@@ -57,6 +58,13 @@ class TestRun:
         code, text = run_cli("run", "--scenario", bad, "--out", tmp_path / "t.jsonl")
         assert code == EXIT_CONFIG
         assert "3f + 1" in text
+
+    def test_snapshot_outside_horizon_is_config_error(self, tmp_path, scenario_file):
+        code, text = run_cli(
+            "run", "--scenario", scenario_file, "--out", tmp_path / "t.jsonl", "--snapshots", 999
+        )
+        assert code == EXIT_CONFIG
+        assert "snapshot step" in text
 
     def test_unreadable_scenario_is_config_error(self, tmp_path):
         code, _ = run_cli(
@@ -110,7 +118,8 @@ class TestCheck:
 
     def test_malformed_trace_reports_line_number(self, tmp_path, scenario_file):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"schema":1,"step":0,"kind":"SEND"}\nnot json\n')
+        send = trace.event(0, "SEND", frm=0, to=1, envelope="BLOCK", ref=None, size=1)
+        bad.write_text(trace.dumps([send]) + "not json\n")
         code, text = run_cli("check", "--trace", bad, "--scenario", scenario_file)
         assert code == EXIT_CONFIG
         assert "line 2" in text
@@ -178,6 +187,53 @@ class TestExportDot:
         trace.write_jsonl([trace.event(0, "DROP", server=0, reason="x")], str(trace_path))
         code, _ = run_cli("export-dot", "--trace", trace_path, "--out", tmp_path / "o.dot")
         assert code == EXIT_CONFIG
+
+
+_MALFORMED_EVENTS = [
+    '{"schema":1,"step":0,"kind":"INSERT"}',
+    '{"schema":1,"step":0,"kind":"INSERT","server":0,"builder":0,"seqno":0,"preds":[],"requests":[]}',
+    '{"schema":1,"step":0,"kind":"SEND","frm":0,"to":1,"envelope":"BLOCK","ref":null}',
+    '{"schema":1,"step":0,"kind":"INTERPRET","server":0,"ref":"aa","builder":0,'
+    '"labels":[{"label":[0,1],"fed":[],"emitted":[],"skipped":0}]}',
+    '{"schema":1,"step":0,"kind":"INTERPRET","server":0,"ref":"aa","builder":0,"labels":[7]}',
+    '{"schema":1,"step":0,"kind":["INSERT"]}',
+]
+
+
+class TestMalformedEvents:
+    """A line that is valid JSON but lacks a field every event of its kind
+    carries is malformed input: exit 2 with its line number, for every
+    subcommand that reads a trace, never a traceback or a violation."""
+
+    @pytest.mark.parametrize("line", _MALFORMED_EVENTS)
+    @pytest.mark.parametrize("command", ["check", "export-dot", "census"])
+    def test_rejected_with_line_number(self, tmp_path, scenario_file, command, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(trace.dumps([_insert(0, 1, "aa" * 32, 0, 0, [])]) + line + "\n")
+        extra = {
+            "check": ["--scenario", scenario_file],
+            "export-dot": ["--out", tmp_path / "o.dot"],
+            "census": [],
+        }[command]
+        code, text = run_cli(command, "--trace", bad, *extra)
+        assert code == EXIT_CONFIG
+        assert "line 2" in text
+
+    @pytest.mark.parametrize(
+        "scenario", [fig_broadcast_scenario(), adversarial_scenario(3)], ids=["fig", "adv3"]
+    )
+    def test_required_fields_are_those_every_simulated_event_carries(self, scenario):
+        events = run(scenario).events
+        assert trace.loads(trace.dumps(events)) == events
+        common: dict[str, set[str]] = {}
+        for e in events:
+            common.setdefault(e["kind"], set(e)).intersection_update(e)
+        for kind, fields in common.items():
+            assert fields - {"schema", "step", "kind"} == set(trace.FIELDS[kind]), kind
+        for e in events:
+            if e["kind"] == "INTERPRET":
+                for entry in e["labels"]:
+                    assert set(entry) == set(trace.LABEL_FIELDS)
 
 
 class TestCensus:
