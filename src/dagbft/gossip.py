@@ -111,7 +111,6 @@ class GossipNode:
         self,
         server: int,
         dag: BlockDag,
-        requests: deque,
         registry,
         *,
         fwd_interval: int = 5,
@@ -121,7 +120,7 @@ class GossipNode:
     ) -> None:
         self.server = server
         self.dag = dag
-        self.requests = requests  # shared FIFO of (Label, payload)
+        self.requests: deque[tuple[Label, bytes]] = deque()  # FIFO drained into blocks
         self.registry = registry
         self.handle = registry.handle(server)
         self.fwd_interval = fwd_interval

@@ -1,14 +1,12 @@
 """User-facing facade: request buffering, dissemination cadence, and the
 self-filter on indications.
 
-The shim owns the FIFO that feeds the gossip layer, triggers dissemination
+The shim queues requests on the gossip layer's FIFO, triggers dissemination
 on a fixed step cadence, and forwards an indication to the user only when
 the interpretation raised it on behalf of this very server.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .blockdag import BlockDag
 from .gossip import GossipNode, WireEnvelope
@@ -34,12 +32,10 @@ class Shim:
             raise ValueError("cadence must be at least 1")
         self.server = server
         self.cadence = cadence
-        self.requests: deque[tuple[Label, bytes]] = deque()
         self.dag = BlockDag(server, registry)
         self.gossip = GossipNode(
             server,
             self.dag,
-            self.requests,
             registry,
             fwd_interval=fwd_interval,
             max_requests_per_block=max_requests_per_block,
@@ -51,7 +47,7 @@ class Shim:
     def request(self, label: Label, payload: bytes) -> None:
         """Queue a user request; it will ride in a later block of this server
         and eventually reach the local simulation."""
-        self.requests.append((label, payload))
+        self.gossip.requests.append((label, payload))
 
     def tick(self, now: int) -> list[WireEnvelope]:
         """Disseminate on the cadence (steps 0, c, 2c, ...); otherwise a

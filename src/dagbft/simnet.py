@@ -246,7 +246,7 @@ class _Adversary:
         self.spec = spec
         self.scenario = scenario
         self.rng = rng
-        self.node = GossipNode(server, BlockDag(server, restricted), deque(), restricted)
+        self.node = GossipNode(server, BlockDag(server, restricted), restricted)
         self.pending_requests: list[tuple[Label, int]] = []
         self.outbox: deque[tuple[int, bytes, Optional[str], Optional[str]]] = deque()
         self._marker_nonce = 0
@@ -397,7 +397,6 @@ class Simulation:
             "delivers": 0,
             "drops": 0,
             "indications_surfaced": 0,
-            "indications_dropped": 0,
         }
 
     # -- wire ------------------------------------------------------------------
@@ -562,8 +561,8 @@ class Simulation:
     def _emit_indications(self, now: int, node: Shim) -> None:
         for ind in node.interpreter.take_indications():
             surfaced = node.filter_indication(ind)
-            key = "indications_surfaced" if surfaced else "indications_dropped"
-            self.counters[key] += 1
+            if surfaced:
+                self.counters["indications_surfaced"] += 1
             self.events.append(
                 trace.event(
                     now,
@@ -634,6 +633,9 @@ class Simulation:
         final_dags = {s: node.dag.copy() for s, node in self.correct.items()}
         self.counters["pending_evicted"] = sum(
             node.gossip.evicted for node in self.correct.values()
+        )
+        self.counters["indications_dropped"] = sum(
+            node.dropped_indications for node in self.correct.values()
         )
         self.counters["skipped_requests"] = sum(
             node.interpreter.skipped_requests for node in self.correct.values()

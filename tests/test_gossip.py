@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from random import Random
 
 import pytest
@@ -31,7 +30,7 @@ def registry():
 
 def make_node(registry, server=0, **kwargs) -> GossipNode:
     dag = BlockDag(server, registry)
-    return GossipNode(server, dag, deque(), registry, **kwargs)
+    return GossipNode(server, dag, registry, **kwargs)
 
 
 class TestReceive:

@@ -20,7 +20,7 @@ from dagbft.simnet import (
 )
 
 from .oracles import extends, perfect_network_deliveries, union_dags
-from .scenarios import fig_broadcast_scenario
+from .scenarios import adversarial_scenario, fig_broadcast_scenario
 
 
 def surfaced_deliveries(events) -> dict[tuple[int, tuple[int, int]], list[int]]:
@@ -390,6 +390,18 @@ class TestGarbageHandling:
         assert reasons == {"undecodable", "bad_signature"}
         delivered = surfaced_deliveries(result.events)
         assert {s for (s, _) in delivered} == {0, 2, 3}
+
+
+class TestRunCounters:
+    @pytest.mark.parametrize(
+        "scenario", [fig_broadcast_scenario(), adversarial_scenario(3)], ids=["fig", "adv3"]
+    )
+    def test_indication_counters_match_indicate_events(self, scenario):
+        result = run(scenario)
+        surfaced = [e["surfaced"] for e in result.events if e["kind"] == "INDICATE"]
+        assert surfaced.count(False) > 0
+        assert result.counters["indications_surfaced"] == surfaced.count(True)
+        assert result.counters["indications_dropped"] == surfaced.count(False)
 
 
 class TestRequestRouting:
