@@ -27,6 +27,7 @@ from dagbft.interpret import Interpreter
 from dagbft.protocol import Label, Message
 from dagbft.simnet import run
 
+from . import forgeries, oracles
 from .forgeries import forged_duplicate, forged_unsigned_origin
 from .oracles import Digraph, extends, feed_instance, live_labels, reference_outputs
 from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
@@ -61,6 +62,52 @@ def adversarial_batch():
         scenario = adversarial_scenario(i)
         batch.append((scenario, run(scenario)))
     return batch, time.perf_counter() - t0
+
+
+CHECKER_PAIRS = (
+    (check_point_to_point, oracles.check_point_to_point),
+    (check_brb, oracles.check_brb),
+    (check_convergence, oracles.check_convergence),
+    (check_interpretation_agreement, oracles.check_interpretation_agreement),
+)
+
+
+def _report_mismatches(name: str, events: list[dict], scenario) -> list[str]:
+    """Where the checkers and their reference copies in ``oracles`` disagree."""
+    mismatches = []
+    for checker, reference in CHECKER_PAIRS:
+        got, want = checker(events, scenario), reference(events, scenario)
+        if (got.violations, got.checked, got.vacuous) != (
+            want.violations, want.checked, want.vacuous
+        ):
+            mismatches.append(f"{name}: {got.name} differs from the reference")
+    return mismatches
+
+
+class TestCheckersMatchReference:
+    """Every checker gives the report its reference copy gives: the same
+    violations in the same order, the same count of checks and the same
+    vacuity."""
+
+    def test_forgeries_and_broadcast_fixture(self):
+        cases = [
+            (name, *getattr(forgeries, name)())
+            for name in sorted(dir(forgeries))
+            if name.startswith("forged_")
+        ]
+        scenario = fig_broadcast_scenario()
+        cases.append(("fig_broadcast", scenario, run(scenario).events))
+        assert len(cases) >= 7
+        failures = [m for name, sc, events in cases for m in _report_mismatches(name, events, sc)]
+        assert not failures, failures
+
+    def test_scenario_batches(self, mixed_batch, adversarial_batch):
+        t0 = time.perf_counter()
+        failures: list[str] = []
+        for name, (batch, _) in (("mixed", mixed_batch), ("adversarial", adversarial_batch)):
+            for i, (scenario, result) in enumerate(batch):
+                failures += _report_mismatches(f"{name} {i}", result.events, scenario)
+        _verdict("checkers match their reference (300 scenarios)", failures, time.perf_counter() - t0, None)
 
 
 class TestCriterion1BroadcastFixture:

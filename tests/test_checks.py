@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 
 from dagbft import trace
 from dagbft.brb import encode_deliver
@@ -15,7 +16,14 @@ from dagbft.checks import (
 from dagbft.protocol import Label
 from dagbft.simnet import BehaviorSpec, RequestInjection, Scenario, run
 
-from .forgeries import forged_base, forged_duplicate, forged_unsigned_origin
+from .forgeries import (
+    forged_base,
+    forged_byzantine_refeed,
+    forged_cross_edge,
+    forged_duplicate,
+    forged_partitioned,
+    forged_unsigned_origin,
+)
 from .scenarios import fig_broadcast_scenario
 
 ALL_CHECKERS = (
@@ -114,6 +122,14 @@ class TestNegativeFixtures:
         assert len(report.violations) == 1
         assert report.violations[0].startswith("authenticity")
 
+    def test_byzantine_message_refed_from_one_origin_caught_once(self):
+        scenario, events = forged_byzantine_refeed()
+        report = check_point_to_point(events, scenario)
+        assert report.violations == [
+            f"no-duplication: interpreter 1: origin block {'ee' * 6} contributed the same "
+            "message twice to server 1 (label 0/1)"
+        ]
+
     def test_dropped_delivery_caught(self):
         # block Z references X but the echo addressed to server 1 is missing
         # from its in-buffer
@@ -193,6 +209,28 @@ class TestConvergenceChecker:
         ]
         report = check_convergence(events, scenario)
         assert not report.ok
+
+    def test_edge_across_two_snapshots_fails_only_their_union(self):
+        # each snapshot alone is extended by every final DAG; only the
+        # union of the two lacks server 1's edge between them
+        scenario, events = forged_cross_edge()
+        report = check_convergence(events, scenario)
+        assert report.checked == 27
+        assert report.violations == [
+            "convergence: union of snapshots (0@1, 2@1) is not extended by the final DAG of server 1",
+            "convergence: union of snapshots (2@1, 0@1) is not extended by the final DAG of server 1",
+        ]
+
+    def test_violations_reported_in_pair_order(self):
+        scenario, events = forged_partitioned()
+        report = check_convergence(events, scenario)
+        assert report.checked == 2 * 2 * 2 * 2 * 2
+        pairs = [
+            tuple(int(x) for x in re.findall(r"\d+", v)) for v in report.violations
+        ]  # (s1, t1, s2, t2, target)
+        assert len(pairs) == 16
+        assert pairs == sorted(pairs, key=lambda p: (p[0], p[2], p[1], p[3], p[4]))
+        assert {p[4] for p in pairs} == {0, 1}
 
     def test_no_snapshots_is_vacuous(self):
         scenario = Scenario(n=4, f=1, seed=0, max_steps=6)
