@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .brb import decode_deliver
+from .crypto import EncodingError
 from .protocol import Label, Message, message_from_canonical
 from .simnet import Scenario
+from .trace import TraceFormatError
 
 
 @dataclass
@@ -44,7 +46,7 @@ class _ServerView:
     """One server's recorded perspective: its inserts and its interpretation."""
 
     inserts: dict[str, dict] = field(default_factory=dict)  # ref -> INSERT event
-    insert_step: dict[str, int] = field(default_factory=dict)
+    preds: dict[str, list[str]] = field(default_factory=dict)  # ref -> distinct preds
     out: dict[tuple[str, Label], tuple[Message, ...]] = field(default_factory=dict)
     fed: dict[tuple[str, Label], tuple[Message, ...]] = field(default_factory=dict)
     state: dict[tuple[str, Label], str] = field(default_factory=dict)
@@ -55,12 +57,21 @@ def _decode_label(raw) -> Label:
     return Label(int(raw[0]), int(raw[1]))
 
 
-def _decode_messages(hexes) -> tuple[Message, ...]:
-    return tuple(message_from_canonical(bytes.fromhex(h)) for h in hexes)
-
-
 def server_views(events: list[dict]) -> dict[int, _ServerView]:
+    """Each server's view, with every distinct message encoding decoded once."""
     views: dict[int, _ServerView] = {}
+    messages: dict[str, Message] = {}
+
+    def decode(hexes: list[str], server: int, ref: str) -> tuple[Message, ...]:
+        for h in hexes:
+            if h not in messages:
+                try:
+                    messages[h] = message_from_canonical(bytes.fromhex(h))
+                except (ValueError, EncodingError) as exc:
+                    what = f"server {server} block {ref[:12]}: undecodable message {h[:24]!r}"
+                    raise TraceFormatError(what) from exc
+        return tuple(messages[h] for h in hexes)
+
     for ev in events:
         kind = ev["kind"]
         if kind == "INSERT":
@@ -68,21 +79,17 @@ def server_views(events: list[dict]) -> dict[int, _ServerView]:
             ref = ev["ref"]
             if ref not in view.inserts:
                 view.inserts[ref] = ev
-                view.insert_step[ref] = ev["step"]
+                view.preds[ref] = list(dict.fromkeys(ev["preds"]))
         elif kind == "INTERPRET":
-            view = views.setdefault(ev["server"], _ServerView())
-            ref = ev["ref"]
+            server, ref = ev["server"], ev["ref"]
+            view = views.setdefault(server, _ServerView())
             view.interpreted.append(ref)
             for act in ev["labels"]:
-                label = _decode_label(act["label"])
-                view.fed[(ref, label)] = _decode_messages(act["fed"])
-                view.out[(ref, label)] = _decode_messages(act["emitted"])
-                view.state[(ref, label)] = act["state"]
+                key = (ref, _decode_label(act["label"]))
+                view.fed[key] = decode(act["fed"], server, ref)
+                view.out[key] = decode(act["emitted"], server, ref)
+                view.state[key] = act["state"]
     return views
-
-
-def _distinct_preds(insert_event: dict) -> list[str]:
-    return list(dict.fromkeys(insert_event["preds"]))
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +114,13 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
         seen_any = True
         builder_of = {ref: ev["builder"] for ref, ev in view.inserts.items()}
         children: dict[str, list[str]] = {}
-        for ref, ev in view.inserts.items():
-            for p in _distinct_preds(ev):
+        for ref, preds in view.preds.items():
+            for p in preds:
                 children.setdefault(p, []).append(ref)
 
         # reliable delivery: an emitted message appears in the in-buffer of
         # every block by its (correct) receiver that references the emitting block
-        for (ref1, label), messages in sorted(
-            view.out.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
+        for (ref1, label), messages in sorted(view.out.items()):
             if builder_of.get(ref1) not in correct:
                 continue
             for m in messages:
@@ -134,18 +139,13 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
 
         # no duplication: one send is fed at most once along a correct
         # receiver's chain; for correct senders the message itself is unique
-        deliveries: dict[tuple[Label, int, Message], list[tuple[str, list[str]]]] = {}
+        deliveries: dict[tuple[Label, int, Message], list[str]] = {}
         for (ref2, label), fed in view.fed.items():
             receiver = builder_of.get(ref2)
             if receiver not in correct:
                 continue
             for m in fed:
-                origins = [
-                    p
-                    for p in _distinct_preds(view.inserts[ref2])
-                    if m in view.out.get((p, label), ())
-                ]
-                deliveries.setdefault((label, receiver, m), []).append((ref2, origins))
+                deliveries.setdefault((label, receiver, m), []).append(ref2)
         for (label, receiver, m), feeds in sorted(
             deliveries.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].canonical_bytes())
         ):
@@ -159,10 +159,13 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
                     f"across blocks of server {receiver}"
                 )
                 continue
+            # a byzantine sender may send equal messages from several blocks;
+            # only one origin block contributing it twice is a duplication
             origin_count: dict[str, int] = {}
-            for _ref2, origins in feeds:
-                for p in origins:
-                    origin_count[p] = origin_count.get(p, 0) + 1
+            for ref2 in feeds:
+                for p in view.preds[ref2]:
+                    if m in view.out.get((p, label), ()):
+                        origin_count[p] = origin_count.get(p, 0) + 1
             repeated = sorted(p for p, c in origin_count.items() if c > 1)
             if repeated:
                 report.violations.append(
@@ -173,17 +176,14 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
 
         # authenticity: a fed message with a correct sender exists in the
         # out-buffer of a referenced block built by that sender
-        for (ref2, label), fed in sorted(
-            view.fed.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
+        for (ref2, label), fed in sorted(view.fed.items()):
             for m in fed:
                 if m.sender not in correct:
                     continue
                 report.checked += 1
-                preds = _distinct_preds(view.inserts[ref2])
                 if not any(
                     builder_of.get(p) == m.sender and m in view.out.get((p, label), ())
-                    for p in preds
+                    for p in view.preds[ref2]
                 ):
                     report.violations.append(
                         f"authenticity: interpreter {server}: message claiming sender "
@@ -285,63 +285,38 @@ def check_brb(events: list[dict], scenario: Scenario) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _dag_sets(view: _ServerView, up_to_step: int | None) -> tuple[set[str], set[tuple[str, str]]]:
-    refs = {
-        ref
-        for ref, step in view.insert_step.items()
-        if up_to_step is None or step <= up_to_step
-    }
-    edges = {
-        (p, ref)
-        for ref in refs
-        for p in _distinct_preds(view.inserts[ref])
-        if p in refs
-    }
-    return refs, edges
+def _edges_within(preds: dict[str, list[str]], refs: set[str]) -> set[tuple[str, str]]:
+    """The edges among ``refs`` in the DAG ``preds`` describes, which holds them all."""
+    return {(p, ref) for ref in refs for p in preds[ref] if p in refs}
 
 
-def _extends_sets(
-    inner: tuple[set[str], set[tuple[str, str]]],
-    outer: tuple[set[str], set[tuple[str, str]]],
-) -> bool:
-    v1, e1 = inner
-    v2, e2 = outer
-    if not v1 <= v2:
-        return False
-    return e1 == {(a, b) for (a, b) in e2 if a in v1 and b in v1}
-
-
-def check_convergence(
-    events: list[dict],
-    scenario: Scenario,
-    snapshot_steps: tuple[int, ...] | None = None,
-) -> CheckReport:
+def check_convergence(events: list[dict], scenario: Scenario) -> CheckReport:
     """Every pair of correct snapshots is jointly contained in every correct
-    server's final DAG (with the edge restriction, not mere vertex subset)."""
+    server's final DAG (with the edge restriction, not mere vertex subset),
+    pair by pair: a final DAG's edge may run between two snapshots."""
     report = CheckReport("convergence")
-    steps = tuple(snapshot_steps if snapshot_steps is not None else scenario.snapshot_steps)
-    correct = sorted(set(scenario.correct_servers()))
+    steps = tuple(scenario.snapshot_steps)
     views = server_views(events)
-    if not steps or not any(s in views for s in correct):
+    finals = {s: views[s].preds for s in sorted(set(scenario.correct_servers())) if s in views}
+    if not steps or not finals:
         report.vacuous = True
         return report
 
-    finals = {s: _dag_sets(views[s], None) for s in correct if s in views}
-    snaps = {
-        (s, t): _dag_sets(views[s], t) for s in correct if s in views for t in steps
-    }
-    for s1 in correct:
-        for s2 in correct:
+    snaps = {}
+    for s, preds in finals.items():
+        for t in steps:
+            refs = {ref for ref, ev in views[s].inserts.items() if ev["step"] <= t}
+            snaps[(s, t)] = (refs, _edges_within(preds, refs))
+    for s1 in finals:
+        for s2 in finals:
             for t1 in steps:
                 for t2 in steps:
-                    if (s1, t1) not in snaps or (s2, t2) not in snaps:
-                        continue
                     v1, e1 = snaps[(s1, t1)]
                     v2, e2 = snaps[(s2, t2)]
-                    joint = (v1 | v2, e1 | e2)
-                    for target in sorted(finals):
+                    refs, edges = v1 | v2, e1 | e2
+                    for target, preds in finals.items():  # in server order
                         report.checked += 1
-                        if not _extends_sets(joint, finals[target]):
+                        if not (refs <= preds.keys() and edges == _edges_within(preds, refs)):
                             report.violations.append(
                                 f"convergence: union of snapshots ({s1}@{t1}, {s2}@{t2}) "
                                 f"is not extended by the final DAG of server {target}"

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import re
 
-from dagbft import trace
+import pytest
+
+from dagbft import checks, trace
 from dagbft.brb import encode_deliver
 from dagbft.checks import (
     check_brb,
@@ -13,10 +15,14 @@ from dagbft.checks import (
     check_point_to_point,
     message_census,
 )
-from dagbft.protocol import Label
+from dagbft.protocol import Label, message_from_canonical
 from dagbft.simnet import BehaviorSpec, RequestInjection, Scenario, run
 
 from .forgeries import (
+    W,
+    X,
+    Y,
+    Z,
     forged_base,
     forged_byzantine_refeed,
     forged_cross_edge,
@@ -137,6 +143,47 @@ class TestNegativeFixtures:
         events[5]["labels"][0]["fed"] = []
         report = check_point_to_point(events, scenario)
         assert any(v.startswith("reliable-delivery") for v in report.violations)
+
+
+class TestServerViews:
+    def test_each_distinct_message_decoded_once(self, monkeypatch):
+        events = run(fig_broadcast_scenario()).events
+        distinct = {
+            h
+            for ev in events
+            if ev["kind"] == "INTERPRET"
+            for act in ev["labels"]
+            for h in act["fed"] + act["emitted"]
+        }
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return message_from_canonical(data)
+
+        monkeypatch.setattr(checks, "message_from_canonical", counting)
+        views = checks.server_views(events)
+        assert len(calls) == len(distinct) > 0
+        assert sum(len(v.fed) for v in views.values()) > len(distinct)
+
+    def test_preds_kept_distinct_in_order_from_the_first_insert(self):
+        scenario, events = forged_base()
+        events.append(
+            trace.event(2, "INSERT", server=1, ref=W, builder=2, seqno=0, preds=[X, Z, X], requests=[])
+        )
+        events.append(
+            trace.event(3, "INSERT", server=1, ref=W, builder=2, seqno=0, preds=[Y], requests=[])
+        )
+        view = checks.server_views(events)[1]
+        assert view.preds == {X: [], Y: [], Z: [Y, X], W: [X, Z]}
+        assert view.inserts[W]["step"] == 2
+
+    @pytest.mark.parametrize("bad", ["zz", "00"], ids=["not-hex", "not-a-message"])
+    def test_undecodable_message_is_a_format_error(self, bad):
+        scenario, events = forged_base()
+        events[5]["labels"][0]["emitted"].append(bad)
+        with pytest.raises(trace.TraceFormatError, match=f"server 1 block {'cc' * 6}"):
+            checks.server_views(events)
 
 
 class TestBrbChecker:
