@@ -119,7 +119,11 @@ def cmd_check(args, out) -> int:
         return EXIT_CONFIG
     failed = False
     for name in names:
-        report = _CHECKERS[name](events, scenario)
+        try:
+            report = _CHECKERS[name](events, scenario)
+        except trace.TraceFormatError as exc:
+            print(f"error: malformed trace: {exc}", file=out)
+            return EXIT_CONFIG
         print(report.summary(), file=out)
         for violation in report.violations:
             print(f"  {violation}", file=out)

@@ -3,9 +3,9 @@
 A run produces a totally ordered list of events, one JSON object per line.
 Every event carries the schema version, the step it happened at, and a kind
 from the fixed alphabet below; the remaining fields depend on the kind, and
-parsing rejects an event that lacks one its kind always carries. The
-serialization is canonical (sorted keys, no whitespace) so identical runs
-produce byte-identical files.
+parsing rejects an event that lacks one its kind always carries or gives it
+another type. The serialization is canonical (sorted keys, no whitespace) so
+identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,19 +15,26 @@ from typing import Iterable
 
 SCHEMA_VERSION = 1
 
-# the fields every event of a kind carries besides schema, step and kind
+# The fields every event of a kind carries besides schema, step and kind,
+# with their types as simnet writes them: a Python type (``int`` excludes
+# ``bool``), ``None``, a set of alternatives, ``[t]`` for a list of t, or
+# ``(t1, t2)`` for a two-element list such as a label.
+LABEL = (int, int)
 FIELDS = {
-    "SEND": ("frm", "to", "envelope", "ref", "size"),
-    "DELIVER": ("frm", "to", "envelope", "ref"),
-    "INSERT": ("server", "ref", "builder", "seqno", "preds", "requests"),
-    "PROMOTE": ("server", "ref"),
-    "FWD_REQ": ("server", "ref", "to"),
-    "FWD_RESP": ("server", "to", "ref"),
-    "INTERPRET": ("server", "ref", "builder", "labels"),
-    "INDICATE": ("server", "label", "indication", "on_behalf_of", "block", "surfaced"),
-    "DROP": ("server", "reason"),
+    "SEND": {"frm": int, "to": int, "envelope": str, "ref": {str, None}, "size": int},
+    "DELIVER": {"frm": int, "to": int, "envelope": str, "ref": str},
+    "INSERT": {"server": int, "ref": str, "builder": int, "seqno": int, "preds": [str],
+               "requests": [(int, int, str)]},
+    "PROMOTE": {"server": int, "ref": str},
+    "FWD_REQ": {"server": int, "ref": str, "to": int},
+    "FWD_RESP": {"server": int, "to": int, "ref": str},
+    "INTERPRET": {"server": int, "ref": str, "builder": int, "labels": [dict]},
+    "INDICATE": {"server": int, "label": LABEL, "indication": str, "on_behalf_of": int,
+                 "block": str, "surfaced": bool},
+    "DROP": {"server": int, "reason": str},
 }
-LABEL_FIELDS = ("label", "fed", "emitted", "state", "skipped")  # per INTERPRET label
+# per INTERPRET label entry
+LABEL_FIELDS = {"label": LABEL, "fed": [str], "emitted": [str], "state": str, "skipped": int}
 KINDS = frozenset(FIELDS)
 
 
@@ -73,19 +80,29 @@ def parse_line(line: str, lineno: int) -> dict:
         raise TraceFormatError("missing integer step", lineno)
     _require(obj, FIELDS[obj["kind"]], obj["kind"], lineno)
     if obj["kind"] == "INTERPRET":
-        if not isinstance(obj["labels"], list):
-            raise TraceFormatError("INTERPRET labels is not a list", lineno)
         for entry in obj["labels"]:
             _require(entry, LABEL_FIELDS, "INTERPRET label entry", lineno)
     return obj
 
 
-def _require(obj, fields: tuple[str, ...], what: str, lineno: int) -> None:
-    if not isinstance(obj, dict):
-        raise TraceFormatError(f"{what} is not an object", lineno)
+def conforms(value, spec) -> bool:
+    """Whether a parsed JSON value has the type ``spec`` (see ``FIELDS``)."""
+    if isinstance(spec, set):
+        return any(conforms(value, alt) for alt in spec)
+    if isinstance(spec, tuple):
+        return type(value) is list and len(value) == len(spec) and all(map(conforms, value, spec))
+    if isinstance(spec, list):
+        return type(value) is list and all(conforms(item, spec[0]) for item in value)
+    return value is None if spec is None else type(value) is spec
+
+
+def _require(obj: dict, fields: dict, what: str, lineno: int) -> None:
     missing = [name for name in fields if name not in obj]
     if missing:
         raise TraceFormatError(f"{what} lacks {', '.join(missing)}", lineno)
+    for name, spec in fields.items():
+        if not conforms(obj[name], spec):
+            raise TraceFormatError(f"{what} field {name} has the wrong type", lineno)
 
 
 def loads(text: str) -> list[dict]:

@@ -197,13 +197,23 @@ _MALFORMED_EVENTS = [
     '"labels":[{"label":[0,1],"fed":[],"emitted":[],"skipped":0}]}',
     '{"schema":1,"step":0,"kind":"INTERPRET","server":0,"ref":"aa","builder":0,"labels":[7]}',
     '{"schema":1,"step":0,"kind":["INSERT"]}',
+    # present but wrongly typed
+    '{"schema":1,"step":0,"kind":"INSERT","server":0,"ref":"aa","builder":0,"seqno":0,'
+    '"preds":5,"requests":[]}',
+    '{"schema":1,"step":0,"kind":"INSERT","server":"x","ref":"aa","builder":0,"seqno":0,'
+    '"preds":[],"requests":[]}',
+    '{"schema":1,"step":0,"kind":"INDICATE","server":0,"label":[0],"indication":"2a",'
+    '"on_behalf_of":0,"block":"aa","surfaced":true}',
+    '{"schema":1,"step":0,"kind":"INTERPRET","server":0,"ref":"aa","builder":0,'
+    '"labels":[{"label":[0,1],"fed":3,"emitted":[],"state":"11","skipped":0}]}',
 ]
 
 
 class TestMalformedEvents:
     """A line that is valid JSON but lacks a field every event of its kind
-    carries is malformed input: exit 2 with its line number, for every
-    subcommand that reads a trace, never a traceback or a violation."""
+    carries, or gives one a wrong type, is malformed input: exit 2 with its
+    line number, for every subcommand that reads a trace, never a traceback
+    or a violation."""
 
     @pytest.mark.parametrize("line", _MALFORMED_EVENTS)
     @pytest.mark.parametrize("command", ["check", "export-dot", "census"])
@@ -231,9 +241,28 @@ class TestMalformedEvents:
         for kind, fields in common.items():
             assert fields - {"schema", "step", "kind"} == set(trace.FIELDS[kind]), kind
         for e in events:
+            for name, spec in trace.FIELDS[e["kind"]].items():
+                assert trace.conforms(e[name], spec), (e["kind"], name, e[name])
             if e["kind"] == "INTERPRET":
                 for entry in e["labels"]:
                     assert set(entry) == set(trace.LABEL_FIELDS)
+                    for name, spec in trace.LABEL_FIELDS.items():
+                        assert trace.conforms(entry[name], spec), (name, entry[name])
+
+    @pytest.mark.parametrize("bad", ["zz", "00"], ids=["not-hex", "not-a-message"])
+    def test_undecodable_message_is_malformed_input(self, tmp_path, scenario_file, bad):
+        entry = {"label": [0, 1], "fed": [], "emitted": [bad], "state": "11", "skipped": 0}
+        bad_trace = tmp_path / "bad.jsonl"
+        trace.write_jsonl(
+            [
+                _insert(0, 1, "aa" * 32, 0, 0, []),
+                trace.event(0, "INTERPRET", server=1, ref="aa" * 32, builder=0, labels=[entry]),
+            ],
+            str(bad_trace),
+        )
+        code, text = run_cli("check", "--trace", bad_trace, "--scenario", scenario_file)
+        assert code == EXIT_CONFIG
+        assert f"malformed trace: server 1 block {'aa' * 6}: undecodable message" in text
 
 
 class TestCensus:
