@@ -129,14 +129,13 @@ def forged_byzantine_refeed() -> tuple[Scenario, list[dict]]:
     """Byzantine server 3's echo reaches server 1 through block V twice: both
     Z and W reference V, and both feed the echo (one no-duplication
     violation that names V as the repeated origin block)."""
-    scenario, events = forged_base()
     scenario = Scenario(
         n=4,
         f=1,
         seed=0,
         max_steps=3,
         byzantine=((3, BehaviorSpec("SILENT")),),
-        requests=scenario.requests,
+        requests=(RequestInjection(0, 0, Label(0, 1), 42),),
     )
     echo = {"label": [0, 1], "fed": [msg_hex(3, 1)], "emitted": [], "state": "44" * 32, "skipped": 0}
     events = [
