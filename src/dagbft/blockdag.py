@@ -57,25 +57,8 @@ class RejectedInsertError(BlockDagError):
         self.reason = reason
 
 
-@dataclass(frozen=True, order=True)
-class BlockRef:
-    """Collision-resistant content hash of a block's core fields."""
-
-    digest: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.digest) != DIGEST_SIZE:
-            raise EncodingError(f"block reference must be {DIGEST_SIZE} bytes")
-
-    def hex(self) -> str:
-        return self.digest.hex()
-
-    @classmethod
-    def from_hex(cls, text: str) -> "BlockRef":
-        return cls(bytes.fromhex(text))
-
-    def __repr__(self) -> str:
-        return f"BlockRef({self.digest.hex()[:12]})"
+BlockRef = bytes
+"""A block reference: the 32-byte content digest of the block's core fields."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +84,7 @@ class Block:
             + enc_u8(_TAG_BLOCK_CORE)
             + enc_u32(self.builder)
             + enc_u64(self.seqno)
-            + enc_seq(p.digest for p in self.preds)
+            + enc_seq(self.preds)
             + enc_seq(
                 label.canonical_bytes() + enc_bytes(payload)
                 for label, payload in self.requests
@@ -118,7 +101,7 @@ class Block:
     @cached_property
     def ref(self) -> BlockRef:
         """Content address over (builder, seqno, preds, requests)."""
-        return BlockRef(content_digest(self.core_bytes()))
+        return content_digest(self.core_bytes())
 
     def with_signature(self, signature: Signature) -> "Block":
         signed = Block(self.builder, self.seqno, self.preds, self.requests, signature)
@@ -156,7 +139,7 @@ def block_from_wire(data: bytes) -> Block:
         raise EncodingError("not a block encoding")
     builder = r.u32()
     seqno = r.u64()
-    preds = tuple(BlockRef(r.take(DIGEST_SIZE)) for _ in range(r.u32()))
+    preds = tuple(r.take(DIGEST_SIZE) for _ in range(r.u32()))
     requests = []
     for _ in range(r.u32()):
         if r.u8() != ENCODING_VERSION or r.u8() != 0x10:
@@ -203,7 +186,6 @@ class BlockDag:
         self.owner = owner
         self.registry = registry
         self._vertices: dict[BlockRef, Block] = {}
-        self._successors: dict[BlockRef, list[BlockRef]] = {}
 
     # -- resolution ---------------------------------------------------------
 
@@ -217,7 +199,7 @@ class BlockDag:
         try:
             return self._vertices[ref]
         except KeyError:
-            raise UnknownBlockError(f"{ref!r} not in DAG") from None
+            raise UnknownBlockError(f"{ref.hex()[:12]} not in DAG") from None
 
     def refs(self) -> Iterator[BlockRef]:
         return iter(self._vertices)
@@ -270,7 +252,7 @@ class BlockDag:
             return False
         try:
             if not self.registry.verify(
-                block.builder, block_ref(block).digest, block.signature
+                block.builder, block_ref(block), block.signature
             ):
                 return False
         except UnknownServerError:
@@ -300,7 +282,7 @@ class BlockDag:
     def insert(self, block: Block) -> BlockRef:
         """Insert a validated block; idempotent when already present.
 
-        Edges are added from every distinct predecessor to the new block, so
+        The block's edges are its own preds, all already present, so
         acyclicity and predecessor closure are preserved by construction.
         """
         ref = block_ref(block)
@@ -308,35 +290,31 @@ class BlockDag:
             return ref
         for pred in block.distinct_preds():
             if pred not in self._vertices:
-                raise RejectedInsertError(f"missing predecessor {pred!r}")
+                raise RejectedInsertError(f"missing predecessor {pred.hex()[:12]}")
         if not self.is_valid(block):
             raise RejectedInsertError("block failed validation")
         self._vertices[ref] = block
-        self._successors[ref] = []
-        for pred in block.distinct_preds():
-            self._successors[pred].append(ref)
         return ref
 
     # -- reachability ---------------------------------------------------------
 
     def reaches(self, a: BlockRef, b: BlockRef, *, reflexive: bool = False) -> bool:
-        """Whether ``b`` is reachable from ``a`` along DAG edges."""
-        if a not in self._vertices:
-            raise UnknownBlockError(f"{a!r} not in DAG")
-        if b not in self._vertices:
-            raise UnknownBlockError(f"{b!r} not in DAG")
+        """Whether ``b`` is reachable from ``a`` along DAG edges, found by
+        walking predecessors back from ``b``."""
+        for ref in (a, b):
+            if ref not in self._vertices:
+                raise UnknownBlockError(f"{ref.hex()[:12]} not in DAG")
         if a == b:
             return reflexive
-        stack = [a]
-        seen = {a}
+        stack = [b]
+        seen = {b}
         while stack:
-            cur = stack.pop()
-            for nxt in self._successors[cur]:
-                if nxt == b:
+            for pred in self._vertices[stack.pop()].distinct_preds():
+                if pred == a:
                     return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+                if pred not in seen:
+                    seen.add(pred)
+                    stack.append(pred)
         return False
 
     # -- oracles & export -------------------------------------------------------
@@ -344,7 +322,6 @@ class BlockDag:
     def copy(self) -> "BlockDag":
         dup = BlockDag(self.owner, self.registry)
         dup._vertices = dict(self._vertices)
-        dup._successors = {k: list(v) for k, v in self._successors.items()}
         return dup
 
     def self_check(self) -> None:
@@ -355,8 +332,6 @@ class BlockDag:
             for pred in block.distinct_preds():
                 if pred not in self._vertices:
                     raise BlockDagError("closure violated: predecessor missing")
-                if ref not in self._successors[pred]:
-                    raise BlockDagError("closure violated: edge missing")
         if not _is_acyclic(self.vertex_set(), self.edge_set()):
             raise BlockDagError("cycle detected")
 

@@ -73,7 +73,7 @@ class WireEnvelope:
             assert self.block is not None
             return head + block_to_wire(self.block)
         assert self.ref is not None
-        return head + self.ref.digest
+        return head + self.ref
 
     @classmethod
     def decode(cls, data: bytes) -> "WireEnvelope":
@@ -87,7 +87,7 @@ class WireEnvelope:
             block = block_from_wire(data[r.pos :])
             return cls(kind, sender, receiver, block=block)
         if kind == FWD_ENVELOPE:
-            ref = BlockRef(r.take(DIGEST_SIZE))
+            ref = r.take(DIGEST_SIZE)
             if not r.done():
                 raise EncodingError("trailing bytes after FWD envelope")
             return cls(kind, sender, receiver, ref=ref)
@@ -277,7 +277,7 @@ class GossipNode:
         core = Block(
             self.server, self.next_seqno, tuple(self.draft_preds), tuple(drained)
         )
-        signature = self.registry.sign(self.handle, block_ref(core).digest)
+        signature = self.registry.sign(self.handle, block_ref(core))
         block = core.with_signature(signature)
         self.commit(block)
         envelopes = [

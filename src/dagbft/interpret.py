@@ -119,7 +119,7 @@ class Interpreter:
         """A block may be interpreted when it has not been yet and every
         predecessor has been."""
         if ref not in self.dag:
-            raise UnknownBlockError(f"{ref!r} not in DAG")
+            raise UnknownBlockError(f"{ref.hex()[:12]} not in DAG")
         if ref in self._slots:
             return False
         return all(p in self._slots for p in self.dag.get(ref).distinct_preds())
@@ -157,7 +157,7 @@ class Interpreter:
     def _slot(self, ref: BlockRef) -> _Slot:
         slot = self._slots.get(ref)
         if slot is None:
-            raise InterpretError(f"{ref!r} has not been interpreted")
+            raise InterpretError(f"{ref.hex()[:12]} has not been interpreted")
         return slot
 
     # -- scheduling ------------------------------------------------------------
@@ -294,11 +294,11 @@ class Interpreter:
 
     def _check_slots_empty(self, ref: BlockRef) -> None:
         if ref in self._slots:
-            raise InterpretError(f"slot of uninterpreted {ref!r} already populated")
+            raise InterpretError(f"slot of uninterpreted {ref.hex()[:12]} already populated")
 
     def _slot_fingerprint(self, ref: BlockRef) -> bytes:
         slot = self._slots[ref]
-        parts = [ref.digest]
+        parts = [ref]
         for label in sorted(slot.instances):
             parts.append(label.canonical_bytes())
             parts.append(slot.instances[label].state_bytes())
@@ -311,4 +311,4 @@ class Interpreter:
     def _check_immutability(self) -> None:
         for ref, frozen in self._frozen_digest.items():
             if self._slot_fingerprint(ref) != frozen:
-                raise InterpretError(f"slot of interpreted {ref!r} was modified")
+                raise InterpretError(f"slot of interpreted {ref.hex()[:12]} was modified")

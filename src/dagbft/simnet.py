@@ -318,7 +318,7 @@ class _Adversary:
         if double_refs:
             preds = tuple(p for p in preds for _ in range(2))
         core = Block(self.server, self.node.next_seqno, preds, requests)
-        signature = self.node.registry.sign(self.node.handle, block_ref(core).digest)
+        signature = self.node.registry.sign(self.node.handle, block_ref(core))
         return core.with_signature(signature)
 
     def _post_block(self, block: Block, receivers) -> None:

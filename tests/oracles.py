@@ -179,7 +179,7 @@ class RescanPromoter:
             return "already_known"
         try:
             if block.signature is None or not self.dag.registry.verify(
-                block.builder, ref.digest, block.signature
+                block.builder, ref, block.signature
             ):
                 return "bad_signature"
         except UnknownServerError:
@@ -296,11 +296,6 @@ def union_dags(g1: BlockDag, g2: BlockDag) -> BlockDag:
         for ref, block in src._vertices.items():
             if ref not in out._vertices:
                 out._vertices[ref] = block
-    out._successors = {ref: [] for ref in out._vertices}
-    for ref, block in out._vertices.items():
-        for pred in block.distinct_preds():
-            if pred in out._successors and ref not in out._successors[pred]:
-                out._successors[pred].append(ref)
     return out
 
 

@@ -66,14 +66,14 @@ class TestBlockEncoding:
     def test_signature_excluded_from_core(self):
         registry = make_registry()
         core = Block(0, 0, (), ())
-        sig1 = registry.sign(registry.handle(0), block_ref(core).digest)
+        sig1 = registry.sign(registry.handle(0), block_ref(core))
         sig2 = Signature(SignatureScheme.HMAC_SHA256, b"\x11" * 32)
         assert core.with_signature(sig1).core_bytes() == core.with_signature(sig2).core_bytes()
 
     def test_ref_stable_across_signing(self):
         registry = make_registry()
         core = Block(2, 5, (), ())
-        signed = core.with_signature(registry.sign(registry.handle(2), block_ref(core).digest))
+        signed = core.with_signature(registry.sign(registry.handle(2), block_ref(core)))
         assert block_ref(core) == block_ref(signed)
 
     def test_refs_differ_between_builders(self):
@@ -82,7 +82,7 @@ class TestBlockEncoding:
         assert block_ref(b1) != block_ref(b2)
 
     def test_digest_length(self):
-        assert len(block_ref(Block(0, 0, (), ())).digest) == DIGEST_SIZE
+        assert len(block_ref(Block(0, 0, (), ()))) == DIGEST_SIZE
 
     def test_ref_corpus_distinct(self):
         # collision sweep over 10^4 distinct cores

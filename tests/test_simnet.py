@@ -210,7 +210,7 @@ class TestEquivocation:
             (),
         )
         joiner = joiner_core.with_signature(
-            registry.sign(registry.handle(3), block_ref(joiner_core).digest)
+            registry.sign(registry.handle(3), block_ref(joiner_core))
         )
         assert not dag.is_valid(joiner)
 
@@ -458,7 +458,7 @@ class TestVerifyOnce:
         correct = set(scenario.correct_servers())
         per_correct = {key: count for key, count in calls.items() if key[0] in correct}
         stored = {
-            (server, ref.digest) for server, dag in result.final_dags.items() for ref in dag.refs()
+            (server, ref) for server, dag in result.final_dags.items() for ref in dag.refs()
         }
         assert stored <= set(per_correct)  # every stored block was verified
         assert max(per_correct.values()) == 1

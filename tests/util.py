@@ -19,7 +19,7 @@ def signed_block(
     requests: tuple[tuple[Label, bytes], ...] = (),
 ) -> Block:
     core = Block(builder, seqno, preds, requests)
-    return core.with_signature(registry.sign(registry.handle(builder), block_ref(core).digest))
+    return core.with_signature(registry.sign(registry.handle(builder), block_ref(core)))
 
 
 def fig_pair_dag(registry: KeyRegistry, owner: int = 1):
