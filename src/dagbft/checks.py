@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .brb import decode_deliver
 from .crypto import EncodingError
-from .protocol import Label, Message, message_from_canonical
+from .protocol import Label, Message, ProtocolError, message_from_canonical
 from .simnet import Scenario
 from .trace import TraceFormatError
 
@@ -183,7 +183,7 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
                 report.checked += 1
                 if not any(
                     builder_of.get(p) == m.sender and m in view.out.get((p, label), ())
-                    for p in view.preds[ref2]
+                    for p in view.preds.get(ref2, ())
                 ):
                     report.violations.append(
                         f"authenticity: interpreter {server}: message claiming sender "
@@ -220,7 +220,11 @@ def check_brb(events: list[dict], scenario: Scenario) -> CheckReport:
         if server not in correct:
             continue
         label = _decode_label(ev["label"])
-        value = decode_deliver(bytes.fromhex(ev["indication"]))
+        try:
+            value = decode_deliver(bytes.fromhex(ev["indication"]))
+        except (ValueError, ProtocolError) as exc:
+            what = f"server {server} label {label.originator}/{label.nonce}: undecodable indication"
+            raise TraceFormatError(what) from exc
         delivered.setdefault(label, {}).setdefault(server, []).append(value)
 
     labels = sorted(set(broadcast) | set(delivered))

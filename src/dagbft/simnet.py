@@ -133,6 +133,10 @@ class Scenario:
                 raise ScenarioError(f"request targets unknown server {req.server}")
             if not 0 <= req.step < self.max_steps:
                 raise ScenarioError("request step must fall inside the run horizon")
+            if not (0 <= req.label.originator < 2**32 and 0 <= req.label.nonce < 2**64):
+                raise ScenarioError("request label must be a (u32, u64) pair")
+            if not 0 <= req.value < 2**64:
+                raise ScenarioError("request value must fit in 64 bits")
         for step in self.snapshot_steps:
             if not 0 <= step < self.max_steps:
                 raise ScenarioError("snapshot step must fall inside the run horizon")
@@ -202,7 +206,7 @@ class Scenario:
                 snapshot_steps=tuple(int(s) for s in data.get("snapshot_steps", ())),
                 adversary_budget=int(data.get("adversary_budget", 4)),
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ScenarioError(f"malformed scenario: {exc}") from exc
         scenario.validate()
         return scenario
@@ -331,7 +335,7 @@ class _Adversary:
         self, taken: list[tuple[Label, int]], rs_a: tuple[tuple[Label, bytes], ...]
     ) -> None:
         if taken:
-            rs_b = tuple((label, encode_broadcast(v + 1)) for label, v in taken)
+            rs_b = tuple((label, encode_broadcast((v + 1) % 2**64)) for label, v in taken)
         else:
             self._marker_nonce += 1
             marker = Label(self.server, 1_000_000 + self._marker_nonce)

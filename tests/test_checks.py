@@ -17,6 +17,7 @@ from dagbft.protocol import Label, message_from_canonical
 from dagbft.simnet import BehaviorSpec, RequestInjection, Scenario, run
 
 from .forgeries import (
+    V,
     W,
     X,
     Y,
@@ -27,6 +28,7 @@ from .forgeries import (
     forged_duplicate,
     forged_partitioned,
     forged_unsigned_origin,
+    msg_hex,
 )
 from .scenarios import fig_broadcast_scenario
 
@@ -125,6 +127,18 @@ class TestNegativeFixtures:
         report = check_point_to_point(events, scenario)
         assert len(report.violations) == 1
         assert report.violations[0].startswith("authenticity")
+
+    def test_message_fed_to_a_block_never_inserted_caught_once(self):
+        # an interpretation of a block its server never inserted has no
+        # referenced block to vouch for a correct sender's message
+        scenario, events = forged_base()
+        entry = {"label": [0, 1], "fed": [msg_hex(0, 1)], "emitted": [], "state": "33" * 32, "skipped": 0}
+        events.append(trace.event(2, "INTERPRET", server=1, ref=V, builder=1, labels=[entry]))
+        report = check_point_to_point(events, scenario)
+        assert report.violations == [
+            f"authenticity: interpreter 1: message claiming sender 0 in in-buffer of {'ee' * 6} "
+            "has no signed origin block (label 0/1)"
+        ]
 
     def test_byzantine_message_refed_from_one_origin_caught_once(self):
         scenario, events = forged_byzantine_refeed()

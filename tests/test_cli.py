@@ -11,6 +11,7 @@ from dagbft import trace
 from dagbft.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATIONS, main
 from dagbft.simnet import run
 
+from .forgeries import msg_hex
 from .scenarios import adversarial_scenario, fig_broadcast_scenario
 
 
@@ -65,6 +66,40 @@ class TestRun:
         )
         assert code == EXIT_CONFIG
         assert "snapshot step" in text
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"byzantine": [1]},
+            {"requests": [{"step": 0, "server": 0, "label": [0, 1], "value": 2**64}]},
+            {"requests": [{"step": 0, "server": 0, "label": [0, 1], "value": -1}]},
+            {"requests": [{"step": 0, "server": 0, "label": [2**32, 1], "value": 1}]},
+            {"requests": [{"step": 0, "server": 0, "label": [0, 2**64], "value": 1}]},
+            {"seed": float("inf")},
+        ],
+        ids=[
+            "byzantine-list", "value-too-big", "value-negative", "originator-too-big",
+            "nonce-too-big", "infinite-seed",
+        ],
+    )
+    def test_malformed_scenario_is_config_error(self, tmp_path, extra):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 4, "f": 1, "seed": 0, "max_steps": 4, **extra}))
+        code, text = run_cli("run", "--scenario", bad, "--out", tmp_path / "t.jsonl")
+        assert code == EXIT_CONFIG
+        assert text.startswith("error: ")
+
+    def test_largest_value_at_an_equivocator_runs(self, tmp_path):
+        scenario = {
+            "n": 4, "f": 1, "seed": 5, "max_steps": 12,
+            "byzantine": {"3": {"kind": "EQUIVOCATE"}},
+            "requests": [{"step": 4, "server": 3, "label": [3, 1], "value": 2**64 - 1}],
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, text = run_cli("run", "--scenario", path, "--out", tmp_path / "t.jsonl")
+        assert code == EXIT_OK
+        assert "ran 12 steps" in text
 
     def test_unreadable_scenario_is_config_error(self, tmp_path):
         code, _ = run_cli(
@@ -263,6 +298,32 @@ class TestMalformedEvents:
         code, text = run_cli("check", "--trace", bad_trace, "--scenario", scenario_file)
         assert code == EXIT_CONFIG
         assert f"malformed trace: server 1 block {'aa' * 6}: undecodable message" in text
+
+    @pytest.mark.parametrize("bad", ["zz", "00"], ids=["not-hex", "not-eight-bytes"])
+    def test_undecodable_indication_is_malformed_input(self, tmp_path, scenario_file, bad):
+        bad_trace = tmp_path / "bad.jsonl"
+        indicate = trace.event(
+            0, "INDICATE", server=2, label=[0, 1], indication=bad, on_behalf_of=2,
+            block="aa" * 32, surfaced=True,
+        )
+        trace.write_jsonl([indicate], str(bad_trace))
+        code, text = run_cli("check", "--trace", bad_trace, "--scenario", scenario_file)
+        assert code == EXIT_CONFIG
+        assert "malformed trace: server 2 label 0/1: undecodable indication" in text
+
+    def test_message_fed_to_a_block_never_inserted_is_one_violation(self, tmp_path, scenario_file):
+        entry = {"label": [0, 1], "fed": [msg_hex(0, 1)], "emitted": [], "state": "11", "skipped": 0}
+        forged = tmp_path / "forged.jsonl"
+        trace.write_jsonl(
+            [trace.event(0, "INTERPRET", server=1, ref="ff" * 32, builder=1, labels=[entry])],
+            str(forged),
+        )
+        code, text = run_cli(
+            "check", "--trace", forged, "--scenario", scenario_file, "--props", "ppl"
+        )
+        assert code == EXIT_VIOLATIONS
+        assert "FAIL point-to-point: 1 violation(s)" in text
+        assert "  authenticity: interpreter 1:" in text
 
 
 class TestCensus:

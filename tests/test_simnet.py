@@ -69,6 +69,26 @@ class TestScenarioValidation:
                 requests=(RequestInjection(0, 9, Label(9, 1), 1),),
             ).validate()
 
+    @pytest.mark.parametrize(
+        "label, value",
+        [(Label(0, 1), 2**64), (Label(0, 1), -1), (Label(2**32, 1), 1), (Label(0, 2**64), 1)],
+        ids=["value-too-big", "value-negative", "originator-too-big", "nonce-too-big"],
+    )
+    def test_request_outside_its_encoding(self, label, value):
+        with pytest.raises(ScenarioError):
+            Scenario(
+                n=4, f=1, seed=0, max_steps=5, requests=(RequestInjection(0, 0, label, value),)
+            ).validate()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"byzantine": [1]}, {"seed": float("inf")}],
+        ids=["byzantine-list", "infinite-seed"],
+    )
+    def test_malformed_dict_is_scenario_error(self, extra):
+        with pytest.raises(ScenarioError):
+            Scenario.from_dict({"n": 4, "f": 1, "seed": 0, "max_steps": 5, **extra})
+
     def test_json_round_trip(self):
         scenario = fig_broadcast_scenario()
         assert Scenario.from_dict(scenario.to_dict()) == scenario
@@ -213,6 +233,28 @@ class TestEquivocation:
             registry.sign(registry.handle(3), block_ref(joiner_core))
         )
         assert not dag.is_valid(joiner)
+
+    def test_largest_value_forks_to_zero(self):
+        # the second fork carries value + 1, which wraps at 2**64
+        top = 2**64 - 1
+        result = run(
+            Scenario(
+                n=4,
+                f=1,
+                seed=5,
+                max_steps=12,
+                byzantine=((3, BehaviorSpec("EQUIVOCATE")),),
+                requests=(RequestInjection(4, 3, Label(3, 1), top),),
+            )
+        )
+        payloads = {
+            payload
+            for ev in result.events
+            if ev["kind"] == "INSERT" and ev["builder"] == 3
+            for originator, nonce, payload in ev["requests"]
+            if (originator, nonce) == (3, 1)
+        }
+        assert payloads == {top.to_bytes(8, "big").hex(), (0).to_bytes(8, "big").hex()}
 
     def test_split_instance_states_across_forks(self):
         # server 0 interprets both forks; when their inputs differ, so do the
