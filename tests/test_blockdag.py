@@ -9,6 +9,7 @@ import pytest
 from dagbft.blockdag import (
     Block,
     BlockDag,
+    BlockDagError,
     MalformedBlockError,
     RejectedInsertError,
     UnknownBlockError,
@@ -144,6 +145,14 @@ class TestInsert:
         dag, _ = fig_pair_dag(registry)
         dag.self_check()
 
+    def test_self_check_catches_a_deleted_predecessor(self, registry):
+        dag, (b1, _, _) = fig_pair_dag(registry)
+        broken = dag.copy()
+        del broken._vertices[block_ref(b1)]
+        with pytest.raises(BlockDagError, match="predecessor missing"):
+            broken.self_check()
+        dag.self_check()  # the copy's vertex map is its own
+
 
 class TestReaches:
     def test_forward_path(self, registry):
@@ -165,6 +174,23 @@ class TestReaches:
         ghost = block_ref(signed_block(registry, 3, 0))
         with pytest.raises(UnknownBlockError):
             dag.reaches(block_ref(b1), ghost)
+
+    def test_agrees_with_the_closure_of_the_edge_set(self, registry):
+        rng = Random(13)
+        top = signed_block(registry, 0, 0)
+        left = signed_block(registry, 1, 0, (block_ref(top),))
+        right = signed_block(registry, 2, 0, (block_ref(top),))
+        bottom = signed_block(registry, 3, 0, (block_ref(left), block_ref(right)))
+        diamond = BlockDag(0, registry)
+        for block in (top, left, right, bottom):
+            diamond.insert(block)
+        assert diamond.reaches(block_ref(top), block_ref(bottom))
+        assert not diamond.reaches(block_ref(left), block_ref(right))
+        for dag in [diamond] + [_random_chain_dag(registry, rng) for _ in range(20)]:
+            closure = _closure(dag.edge_set())
+            for a in dag.refs():
+                for b in dag.refs():
+                    assert dag.reaches(a, b) == ((a, b) in closure)
 
 
 class TestExtends:
@@ -241,6 +267,16 @@ def _random_chain_dag(registry, rng: Random) -> BlockDag:
             prev = block
         tips.append(block_ref(prev))
     return dag
+
+
+def _closure(edges: set) -> set:
+    """Transitive closure of an edge set, by squaring until it is stable."""
+    closure = set(edges)
+    while True:
+        longer = {(a, d) for a, b in closure for c, d in closure if b == c} - closure
+        if not longer:
+            return closure
+        closure |= longer
 
 
 class TestInsertLemmaProperties:
