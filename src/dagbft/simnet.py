@@ -83,10 +83,20 @@ class BehaviorSpec:
 
 @dataclass(frozen=True)
 class RequestInjection:
+    """A broadcast of ``value`` requested at ``server`` on ``step``. That the
+    label and value fit their encodings is checked here, at construction,
+    rather than in ``Scenario.validate``, which every ``Simulation`` runs."""
+
     step: int
     server: int
     label: Label
     value: int
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.label.originator < 2**32 and 0 <= self.label.nonce < 2**64):
+            raise ScenarioError("request label must be a (u32, u64) pair")
+        if not 0 <= self.value < 2**64:
+            raise ScenarioError("request value must fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -133,10 +143,6 @@ class Scenario:
                 raise ScenarioError(f"request targets unknown server {req.server}")
             if not 0 <= req.step < self.max_steps:
                 raise ScenarioError("request step must fall inside the run horizon")
-            if not (0 <= req.label.originator < 2**32 and 0 <= req.label.nonce < 2**64):
-                raise ScenarioError("request label must be a (u32, u64) pair")
-            if not 0 <= req.value < 2**64:
-                raise ScenarioError("request value must fit in 64 bits")
         for step in self.snapshot_steps:
             if not 0 <= step < self.max_steps:
                 raise ScenarioError("snapshot step must fall inside the run horizon")

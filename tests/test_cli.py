@@ -244,6 +244,23 @@ _MALFORMED_EVENTS = [
 ]
 
 
+def _interpret_emitting(message_hex: str) -> list[dict]:
+    entry = {"label": [0, 1], "fed": [], "emitted": [message_hex], "state": "11", "skipped": 0}
+    return [
+        _insert(0, 1, "aa" * 32, 0, 0, []),
+        trace.event(0, "INTERPRET", server=1, ref="aa" * 32, builder=0, labels=[entry]),
+    ]
+
+
+def _indicating(indication_hex: str) -> list[dict]:
+    return [
+        trace.event(
+            0, "INDICATE", server=2, label=[0, 1], indication=indication_hex, on_behalf_of=2,
+            block="aa" * 32, surfaced=True,
+        )
+    ]
+
+
 class TestMalformedEvents:
     """A line that is valid JSON but lacks a field every event of its kind
     carries, or gives one a wrong type, is malformed input: exit 2 with its
@@ -284,32 +301,22 @@ class TestMalformedEvents:
                     for name, spec in trace.LABEL_FIELDS.items():
                         assert trace.conforms(entry[name], spec), (name, entry[name])
 
-    @pytest.mark.parametrize("bad", ["zz", "00"], ids=["not-hex", "not-a-message"])
-    def test_undecodable_message_is_malformed_input(self, tmp_path, scenario_file, bad):
-        entry = {"label": [0, 1], "fed": [], "emitted": [bad], "state": "11", "skipped": 0}
+    @pytest.mark.parametrize(
+        "events, named",
+        [
+            (_interpret_emitting("zz"), f"server 1 block {'aa' * 6}: undecodable message"),
+            (_interpret_emitting("00"), f"server 1 block {'aa' * 6}: undecodable message"),
+            (_indicating("zz"), "server 2 label 0/1: undecodable indication"),
+            (_indicating("00"), "server 2 label 0/1: undecodable indication"),
+        ],
+        ids=["not-hex", "not-a-message", "indication-not-hex", "indication-not-eight-bytes"],
+    )
+    def test_undecodable_message_is_malformed_input(self, tmp_path, scenario_file, events, named):
         bad_trace = tmp_path / "bad.jsonl"
-        trace.write_jsonl(
-            [
-                _insert(0, 1, "aa" * 32, 0, 0, []),
-                trace.event(0, "INTERPRET", server=1, ref="aa" * 32, builder=0, labels=[entry]),
-            ],
-            str(bad_trace),
-        )
+        trace.write_jsonl(events, str(bad_trace))
         code, text = run_cli("check", "--trace", bad_trace, "--scenario", scenario_file)
         assert code == EXIT_CONFIG
-        assert f"malformed trace: server 1 block {'aa' * 6}: undecodable message" in text
-
-    @pytest.mark.parametrize("bad", ["zz", "00"], ids=["not-hex", "not-eight-bytes"])
-    def test_undecodable_indication_is_malformed_input(self, tmp_path, scenario_file, bad):
-        bad_trace = tmp_path / "bad.jsonl"
-        indicate = trace.event(
-            0, "INDICATE", server=2, label=[0, 1], indication=bad, on_behalf_of=2,
-            block="aa" * 32, surfaced=True,
-        )
-        trace.write_jsonl([indicate], str(bad_trace))
-        code, text = run_cli("check", "--trace", bad_trace, "--scenario", scenario_file)
-        assert code == EXIT_CONFIG
-        assert "malformed trace: server 2 label 0/1: undecodable indication" in text
+        assert f"malformed trace: {named}" in text
 
     def test_message_fed_to_a_block_never_inserted_is_one_violation(self, tmp_path, scenario_file):
         entry = {"label": [0, 1], "fed": [msg_hex(0, 1)], "emitted": [], "state": "11", "skipped": 0}

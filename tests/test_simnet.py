@@ -76,9 +76,7 @@ class TestScenarioValidation:
     )
     def test_request_outside_its_encoding(self, label, value):
         with pytest.raises(ScenarioError):
-            Scenario(
-                n=4, f=1, seed=0, max_steps=5, requests=(RequestInjection(0, 0, label, value),)
-            ).validate()
+            RequestInjection(0, 0, label, value)
 
     @pytest.mark.parametrize(
         "extra",
