@@ -156,24 +156,6 @@ def block_from_wire(data: bytes) -> Block:
     return Block(builder, seqno, preds, tuple(requests), sig)
 
 
-def _is_acyclic(vertices: set, edges: set) -> bool:
-    succ: dict = {v: [] for v in vertices}
-    indeg: dict = {v: 0 for v in vertices}
-    for src, dst in edges:
-        succ[src].append(dst)
-        indeg[dst] += 1
-    queue = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(vertices)
-
-
 # ---------------------------------------------------------------------------
 # Block DAG
 # ---------------------------------------------------------------------------
@@ -317,23 +299,12 @@ class BlockDag:
                     stack.append(pred)
         return False
 
-    # -- oracles & export -------------------------------------------------------
+    # -- copies & export -------------------------------------------------------
 
     def copy(self) -> "BlockDag":
         dup = BlockDag(self.owner, self.registry)
         dup._vertices = dict(self._vertices)
         return dup
-
-    def self_check(self) -> None:
-        """Walk the DAG and assert closure and acyclicity; debug aid."""
-        for ref, block in self._vertices.items():
-            if block_ref(block) != ref:
-                raise BlockDagError("vertex keyed under a foreign ref")
-            for pred in block.distinct_preds():
-                if pred not in self._vertices:
-                    raise BlockDagError("closure violated: predecessor missing")
-        if not _is_acyclic(self.vertex_set(), self.edge_set()):
-            raise BlockDagError("cycle detected")
 
     def to_dot(self) -> str:
         """Deterministic DOT rendering: nodes labeled builder/seqno, parent

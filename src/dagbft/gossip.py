@@ -116,7 +116,6 @@ class GossipNode:
         fwd_interval: int = 5,
         max_requests_per_block: int = 8,
         pending_cap_per_builder: int = 1024,
-        debug_checks: bool = False,
     ) -> None:
         self.server = server
         self.dag = dag
@@ -126,7 +125,6 @@ class GossipNode:
         self.fwd_interval = fwd_interval
         self.max_requests_per_block = max_requests_per_block
         self.pending_cap_per_builder = pending_cap_per_builder
-        self.debug_checks = debug_checks
 
         self.next_seqno = 0
         self.draft_preds: dict[BlockRef, None] = {}  # ordered set
@@ -200,8 +198,6 @@ class GossipNode:
                 self.fwd_clock.pop(ref, None)
                 self._release(ref)
                 promoted.append(block)
-                if self.debug_checks:
-                    self.dag.self_check()
         return promoted
 
     def _release(self, ref: BlockRef) -> None:
@@ -262,8 +258,6 @@ class GossipNode:
         """Insert this server's own sealed block and restart the draft from
         it: the next block is its child and lists it as its parent."""
         ref = self.dag.insert(block)
-        if self.debug_checks:
-            self.dag.self_check()
         self.next_seqno = block.seqno + 1
         self.draft_preds = {ref: None}
         self._release(ref)  # content is predictable, e.g. an empty genesis block

@@ -7,7 +7,9 @@ the block's predecessors, in the fixed message order. Each interpreted block
 gets one slot holding its instances and its in- and out-buffer per label.
 Slots are write-once: after a block is interpreted its slot is never touched
 again, which is what lets independent machines (and re-runs over extended
-DAGs) agree byte-for-byte.
+DAGs) agree byte-for-byte. Among the blocks eligible at once, the least ref
+goes first; the result does not depend on that choice, and the tests check
+this by interpreting in seeded random orders (``tests/oracles.py``).
 
 Byzantine-crafted requests that fail protocol decoding are skipped per
 request and counted; a correct interpreter keeps going on mixed blocks.
@@ -18,7 +20,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import islice
-from random import Random
 
 from .blockdag import BlockDag, BlockRef, UnknownBlockError, block_ref
 from .crypto import content_digest, enc_bytes, enc_seq, enc_u8
@@ -82,31 +83,18 @@ class Interpreter:
     """Replays ``protocol`` over ``dag``; the DAG may keep growing between
     calls to :meth:`run_to_fixpoint`.
 
-    ``selection`` picks among simultaneously eligible blocks: "ref" (least
-    reference first, the default) or a seeded ``random.Random`` for the
-    order-independence checks. Instances are created lazily on first touch;
-    ``eager_labels`` forces instantiation of the given labels at genesis
-    blocks instead, which must be observationally identical.
+    Blocks are interpreted once each, least ref first among those whose
+    predecessors all are. An instance is created when its label is first
+    touched on a chain, so a block holds instances only for labels that
+    reached it. The interpreter takes no options.
     """
 
-    def __init__(
-        self,
-        dag: BlockDag,
-        protocol: Protocol,
-        *,
-        selection: str | Random = "ref",
-        eager_labels: tuple[Label, ...] = (),
-        debug_checks: bool = False,
-    ) -> None:
+    def __init__(self, dag: BlockDag, protocol: Protocol) -> None:
         self.dag = dag
         self.protocol = protocol
-        self.selection = selection
-        self.eager_labels = tuple(eager_labels)
-        self.debug_checks = debug_checks
 
         self._slots: dict[BlockRef, _Slot] = {}
         self._ingested = 0  # DAG refs seen so far; the DAG only appends
-        self._frozen_digest: dict[BlockRef, bytes] = {}
         self._indications: list[Indication] = []
         self.skipped_requests = 0
 
@@ -139,8 +127,7 @@ class Interpreter:
         """Digest over the instance state plus the sorted out-buffer for
         (block, label); the cross-interpreter equality oracle.
 
-        Labels never touched at the block digest as a fresh instance, which
-        makes lazy and eager instantiation indistinguishable here.
+        Labels never touched at the block digest as a fresh instance.
         """
         slot = self._slot(ref)
         inst = slot.instances.get(label)
@@ -162,15 +149,6 @@ class Interpreter:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _pop_ready(self, ready: list[BlockRef]) -> BlockRef:
-        if isinstance(self.selection, Random):
-            ordered = sorted(ready)
-            pick = ordered[self.selection.randrange(len(ordered))]
-            ready.remove(pick)
-            heapq.heapify(ready)
-            return pick
-        return heapq.heappop(ready)
-
     def run_to_fixpoint(self) -> list[BlockInterpretation]:
         """Interpret every block added to the DAG since the last call, each
         once all its predecessors are; returns per-block reports in
@@ -191,29 +169,21 @@ class Interpreter:
 
         reports: list[BlockInterpretation] = []
         while ready:
-            ref = self._pop_ready(ready)
+            ref = heapq.heappop(ready)
             reports.append(self._interpret_block(ref))
             for dep in dependents.pop(ref, ()):
                 missing[dep] -= 1
                 if missing[dep] == 0:
                     heapq.heappush(ready, dep)
-        if self.debug_checks:
-            self._check_immutability()
         return reports
 
     # -- core step ---------------------------------------------------------------
 
     def _interpret_block(self, ref: BlockRef) -> BlockInterpretation:
         block = self.dag.get(ref)
-        if self.debug_checks:
-            self._check_slots_empty(ref)
-
         parent = self.dag.parent_of(block)
-        if parent is None:
-            instances = {
-                label: self.protocol.spawn(label, block.builder) for label in self.eager_labels
-            }
-        else:
+        instances: dict[Label, ProcessInstance] = {}
+        if parent is not None:
             instances = {
                 label: inst.clone()
                 for label, inst in self._slots[block_ref(parent)].instances.items()
@@ -272,7 +242,7 @@ class Interpreter:
         slot = _Slot(instances, fed, {label: tuple(ms) for label, ms in out.items()})
         self._slots[ref] = slot
 
-        report = BlockInterpretation(
+        return BlockInterpretation(
             ref,
             block.builder,
             tuple(
@@ -286,29 +256,3 @@ class Interpreter:
                 for label in sorted(skipped.keys() | out.keys())
             ),
         )
-        if self.debug_checks:
-            self._frozen_digest[ref] = self._slot_fingerprint(ref)
-        return report
-
-    # -- debug assertions -----------------------------------------------------------
-
-    def _check_slots_empty(self, ref: BlockRef) -> None:
-        if ref in self._slots:
-            raise InterpretError(f"slot of uninterpreted {ref.hex()[:12]} already populated")
-
-    def _slot_fingerprint(self, ref: BlockRef) -> bytes:
-        slot = self._slots[ref]
-        parts = [ref]
-        for label in sorted(slot.instances):
-            parts.append(label.canonical_bytes())
-            parts.append(slot.instances[label].state_bytes())
-        for table in (slot.fed, slot.out):
-            for label in sorted(table):
-                parts.append(label.canonical_bytes())
-                parts.extend(m.canonical_bytes() for m in table[label])
-        return content_digest(b"".join(parts))
-
-    def _check_immutability(self) -> None:
-        for ref, frozen in self._frozen_digest.items():
-            if self._slot_fingerprint(ref) != frozen:
-                raise InterpretError(f"slot of interpreted {ref.hex()[:12]} was modified")

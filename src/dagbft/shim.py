@@ -26,7 +26,6 @@ class Shim:
         cadence: int = 3,
         fwd_interval: int = 5,
         max_requests_per_block: int = 8,
-        debug_checks: bool = False,
     ) -> None:
         if cadence < 1:
             raise ValueError("cadence must be at least 1")
@@ -39,9 +38,8 @@ class Shim:
             registry,
             fwd_interval=fwd_interval,
             max_requests_per_block=max_requests_per_block,
-            debug_checks=debug_checks,
         )
-        self.interpreter = Interpreter(self.dag, protocol, debug_checks=debug_checks)
+        self.interpreter = Interpreter(self.dag, protocol)
         self.dropped_indications = 0
 
     def request(self, label: Label, payload: bytes) -> None:

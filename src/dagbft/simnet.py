@@ -114,7 +114,6 @@ class Scenario:
     requests: tuple[RequestInjection, ...] = ()
     snapshot_steps: tuple[int, ...] = ()
     adversary_budget: int = 4
-    debug_checks: bool = False
 
     def validate(self) -> None:
         if self.n != 3 * self.f + 1:
@@ -397,7 +396,6 @@ class Simulation:
                     cadence=scenario.cadence,
                     fwd_interval=scenario.fwd_interval,
                     max_requests_per_block=scenario.max_requests_per_block,
-                    debug_checks=scenario.debug_checks,
                 )
         self.events: list[dict] = []
         self.inflight: dict[int, list[tuple[tuple, int, int, int, bytes]]] = {}

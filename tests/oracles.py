@@ -21,6 +21,11 @@ Four kinds live here, each independent of the code path it judges:
   rebuild each block's distinct predecessors wherever they need them and
   compare whole edge sets per snapshot pair. ``dagbft.checks`` computes
   each of those facts once; its reports must equal these.
+* ``debug_oracles`` lays structural checks over any run from outside:
+  every DAG stays predecessor-closed and acyclic, and every interpreter
+  slot is empty until its block is interpreted and never changes after.
+  ``interpret_in_random_order`` interprets a DAG in a seeded random
+  topological order, for the order-independence checks.
 
 Beside them sit the paper's definitions that only the tests evaluate: the
 generic directed graph with its insert, ``extends`` and ``union``, the
@@ -32,13 +37,16 @@ can hold state for.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable
+from random import Random
+from typing import Iterable, Iterator
 
-from dagbft.blockdag import Block, BlockDag, BlockDagError, BlockRef, _is_acyclic, block_ref
+from dagbft.blockdag import Block, BlockDag, BlockDagError, BlockRef, block_ref
 from dagbft.brb import ReliableBroadcast, decode_deliver, encode_broadcast, encode_payload
 from dagbft.checks import CheckReport
-from dagbft.crypto import UnknownServerError
+from dagbft.crypto import UnknownServerError, content_digest
+from dagbft.interpret import BlockInterpretation, Interpreter
 from dagbft.protocol import Label, Message, message_from_canonical, message_sort_key
 from dagbft.simnet import Scenario
 
@@ -260,7 +268,26 @@ class Digraph:
         return Digraph(self.vertices | {vertex}, self.edges | new_edges)
 
     def is_acyclic(self) -> bool:
-        return _is_acyclic(self.vertices, self.edges)
+        return is_acyclic(self.vertices, self.edges)
+
+
+def is_acyclic(vertices: set, edges: set) -> bool:
+    """Kahn's algorithm: every vertex can be peeled off at in-degree zero."""
+    succ: dict = {v: [] for v in vertices}
+    indeg: dict = {v: 0 for v in vertices}
+    for src, dst in edges:
+        succ[src].append(dst)
+        indeg[dst] += 1
+    queue = [v for v, d in indeg.items() if d == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == len(vertices)
 
 
 def extends(inner, outer) -> bool:
@@ -303,6 +330,123 @@ def message_less(m1: Message, m2: Message) -> bool:
     """Strict total order on messages: byte order of the canonical encoding,
     the order the interpreter sorts by."""
     return message_sort_key(m1) < message_sort_key(m2)
+
+
+# ---------------------------------------------------------------------------
+# Structural debug oracles and the random-order driver
+# ---------------------------------------------------------------------------
+
+
+def check_dag(dag: BlockDag) -> None:
+    """Every vertex is keyed under its own ref, the DAG is closed under
+    predecessors, and it is acyclic."""
+    for ref, block in dag._vertices.items():
+        if block_ref(block) != ref:
+            raise AssertionError("vertex keyed under a foreign ref")
+        if any(pred not in dag._vertices for pred in block.distinct_preds()):
+            raise AssertionError("closure violated: predecessor missing")
+    if not is_acyclic(dag.vertex_set(), dag.edge_set()):
+        raise AssertionError("cycle detected")
+
+
+def slot_fingerprint(interpreter: Interpreter, ref: BlockRef) -> bytes:
+    """Digest over everything a block's slot holds: each instance's state
+    and the in- and out-buffer per label."""
+    slot = interpreter._slots[ref]
+    parts = [ref]
+    for label in sorted(slot.instances):
+        parts.append(label.canonical_bytes())
+        parts.append(slot.instances[label].state_bytes())
+    for table in (slot.fed, slot.out):
+        for label in sorted(table):
+            parts.append(label.canonical_bytes())
+            parts.extend(m.canonical_bytes() for m in table[label])
+    return content_digest(b"".join(parts))
+
+
+@contextmanager
+def debug_oracles() -> Iterator[None]:
+    """Check every ``BlockDag`` and ``Interpreter`` used inside the block;
+    a violation raises ``AssertionError``, also under ``python -O``. Three
+    methods are wrapped and put back on exit:
+
+    * ``BlockDag.insert``: ``check_dag`` after every insert, which covers
+      gossip's commit and promotion and the equivocator's second fork.
+    * ``Interpreter._interpret_block``: the block's slot is empty before it
+      is interpreted and is fingerprinted right after.
+    * ``Interpreter.run_to_fixpoint``: after each call, every slot
+      fingerprinted so far is unchanged. Fingerprinting each slot as it is
+      written, not at the end of the call, is what catches a child that
+      mutates its parent's slot within the same call.
+    """
+    insert = BlockDag.insert
+    interpret_block = Interpreter._interpret_block
+    run_to_fixpoint = Interpreter.run_to_fixpoint
+    frozen: dict[Interpreter, dict[BlockRef, bytes]] = {}
+
+    def checked_insert(self: BlockDag, block: Block) -> BlockRef:
+        ref = insert(self, block)
+        check_dag(self)
+        return ref
+
+    def checked_interpret_block(self: Interpreter, ref: BlockRef) -> BlockInterpretation:
+        if ref in self._slots:
+            raise AssertionError(f"slot of uninterpreted {ref.hex()[:12]} already populated")
+        report = interpret_block(self, ref)
+        frozen.setdefault(self, {})[ref] = slot_fingerprint(self, ref)
+        return report
+
+    def checked_run_to_fixpoint(self: Interpreter) -> list[BlockInterpretation]:
+        reports = run_to_fixpoint(self)
+        for ref, fingerprint in frozen.get(self, {}).items():
+            if slot_fingerprint(self, ref) != fingerprint:
+                raise AssertionError(f"slot of interpreted {ref.hex()[:12]} was modified")
+        return reports
+
+    BlockDag.insert = checked_insert
+    Interpreter._interpret_block = checked_interpret_block
+    Interpreter.run_to_fixpoint = checked_run_to_fixpoint
+    try:
+        yield
+    finally:
+        BlockDag.insert = insert
+        Interpreter._interpret_block = interpret_block
+        Interpreter.run_to_fixpoint = run_to_fixpoint
+
+
+def interpret_in_random_order(
+    interpreter: Interpreter, rng: Random
+) -> list[BlockInterpretation]:
+    """Interpret every block of the interpreter's DAG that it has not yet,
+    each time picking by ``rng`` among the eligible blocks in ref order,
+    where ``run_to_fixpoint`` always takes the least ref. Returns the
+    reports in interpretation order; a later ``run_to_fixpoint`` starts
+    after these blocks."""
+    dag = interpreter.dag
+    ready: list[BlockRef] = []
+    missing: dict[BlockRef, int] = {}
+    dependents: dict[BlockRef, list[BlockRef]] = {}
+    for ref in dag.refs():
+        if interpreter.interpreted(ref):
+            continue
+        waiting = [p for p in dag.get(ref).distinct_preds() if not interpreter.interpreted(p)]
+        if waiting:
+            missing[ref] = len(waiting)
+            for pred in waiting:
+                dependents.setdefault(pred, []).append(ref)
+        else:
+            ready.append(ref)
+    reports: list[BlockInterpretation] = []
+    while ready:
+        ready.sort()
+        ref = ready.pop(rng.randrange(len(ready)))
+        reports.append(interpreter._interpret_block(ref))
+        for dep in dependents.pop(ref, ()):
+            missing[dep] -= 1
+            if not missing[dep]:
+                ready.append(dep)
+    interpreter._ingested = len(dag)
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ against its own budget, so the reported timings are conservative.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from itertools import combinations_with_replacement, permutations
 from random import Random
 
@@ -29,7 +28,15 @@ from dagbft.simnet import run
 
 from . import forgeries, oracles
 from .forgeries import forged_duplicate, forged_unsigned_origin
-from .oracles import Digraph, extends, feed_instance, live_labels, reference_outputs
+from .oracles import (
+    Digraph,
+    debug_oracles,
+    extends,
+    feed_instance,
+    interpret_in_random_order,
+    live_labels,
+    reference_outputs,
+)
 from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
 
 L1 = Label(0, 1)
@@ -174,8 +181,8 @@ class TestCriterion2InterpretationDeterminism:
                 continue
             base = Interpreter(final_dag, protocol)
             base.run_to_fixpoint()
-            shuffled = Interpreter(final_dag, protocol, selection=Random(i))
-            shuffled.run_to_fixpoint()
+            shuffled = Interpreter(final_dag, protocol)
+            interpret_in_random_order(shuffled, Random(i))
             for ref in final_dag.refs():
                 for label in live_labels(final_dag, ref):
                     if base.state_digest(ref, label) != shuffled.state_digest(ref, label):
@@ -316,16 +323,35 @@ class TestCriterion6StructuralLemmas:
                 if dupes:
                     failures.append(f"{name} {i}: server {dupes[0][0]} referenced a block twice")
 
-        # slot emptiness before interpretation and immutability after, checked
-        # by the built-in debug assertions on live runs
-        for i in (0, 1, 5):
-            scenario = replace(random_scenario(i), debug_checks=True)
+        # DAG closure and acyclicity after every insert, slot emptiness before
+        # interpretation and immutability after, laid over live runs; in
+        # adversarial 0 an equivocator's two forks share a parent
+        debugged = {
+            "fig": fig_broadcast_scenario(),
+            **{f"random {i}": random_scenario(i) for i in (0, 1, 5)},
+            "adversarial 0": adversarial_scenario(0),
+        }
+        for name, scenario in debugged.items():
             try:
-                run(scenario)
+                with debug_oracles():
+                    result = run(scenario)
             except Exception as exc:
-                failures.append(f"debug-checked run {i} raised: {exc}")
+                failures.append(f"debug-checked run {name} raised: {exc}")
+                continue
+            if name == "adversarial 0" and not _has_sibling_forks(result):
+                failures.append("adversarial 0: no correct server holds two sibling forks")
 
         _verdict("criterion 6: structural lemma suites", failures, time.perf_counter() - t0, 10.0)
+
+
+def _has_sibling_forks(result) -> bool:
+    """Whether some correct server's final DAG holds two blocks by one
+    builder at one sequence number past genesis: forks sharing a parent."""
+    for dag in result.final_dags.values():
+        slots = [(b.builder, b.seqno) for b in dag.blocks() if b.seqno > 0]
+        if len(slots) != len(set(slots)):
+            return True
+    return False
 
 
 class TestCriterion7CompressionCensus:

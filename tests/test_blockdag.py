@@ -9,7 +9,6 @@ import pytest
 from dagbft.blockdag import (
     Block,
     BlockDag,
-    BlockDagError,
     MalformedBlockError,
     RejectedInsertError,
     UnknownBlockError,
@@ -20,7 +19,7 @@ from dagbft.blockdag import (
 from dagbft.crypto import EncodingError, Signature, SignatureScheme
 from dagbft.protocol import Label
 
-from .oracles import Digraph, extends, union, union_dags
+from .oracles import Digraph, check_dag, debug_oracles, extends, union, union_dags
 from .util import fig_pair_dag, make_registry, signed_block
 
 
@@ -143,15 +142,17 @@ class TestInsert:
 
     def test_self_check_passes_after_inserts(self, registry):
         dag, _ = fig_pair_dag(registry)
-        dag.self_check()
+        check_dag(dag)
 
     def test_self_check_catches_a_deleted_predecessor(self, registry):
-        dag, (b1, _, _) = fig_pair_dag(registry)
+        dag, (b1, _, b3) = fig_pair_dag(registry)
         broken = dag.copy()
         del broken._vertices[block_ref(b1)]
-        with pytest.raises(BlockDagError, match="predecessor missing"):
-            broken.self_check()
-        dag.self_check()  # the copy's vertex map is its own
+        with pytest.raises(AssertionError, match="predecessor missing"):
+            check_dag(broken)
+        check_dag(dag)  # the copy's vertex map is its own
+        with debug_oracles(), pytest.raises(AssertionError, match="predecessor missing"):
+            broken.insert(b3)  # already present, so only the oracle can object
 
 
 class TestReaches:
@@ -312,7 +313,7 @@ class TestBlockDagInsertProperties:
         rng = Random(77)
         for _ in range(60):
             dag = _random_chain_dag(registry, rng)
-            dag.self_check()  # closure + acyclicity walk
+            check_dag(dag)  # closure + acyclicity walk
             assert extends(dag, dag)
 
 

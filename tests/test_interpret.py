@@ -15,10 +15,10 @@ from dagbft.brb import (
     encode_broadcast,
     encode_payload,
 )
-from dagbft.interpret import InterpretError, Interpreter
+from dagbft.interpret import InterpretError, Interpreter, _Slot
 from dagbft.protocol import Label, Message
 
-from .oracles import live_labels
+from .oracles import debug_oracles, interpret_in_random_order, live_labels
 from .util import fig_pair_dag, lockstep_dag, make_registry, signed_block
 
 N, F = 4, 1
@@ -200,22 +200,15 @@ class TestStateDigests:
         dag, _ = broadcast_fixture(registry, rounds=4)
         base = Interpreter(dag, protocol())
         base.run_to_fixpoint()
+        orders = set()
         for seed in range(5):
-            other = Interpreter(dag, protocol(), selection=Random(seed))
-            other.run_to_fixpoint()
+            other = Interpreter(dag, protocol())
+            orders.add(tuple(r.ref for r in interpret_in_random_order(other, Random(seed))))
+            assert other.run_to_fixpoint() == []
             for ref in dag.refs():
                 for label in live_labels(dag, ref):
                     assert base.state_digest(ref, label) == other.state_digest(ref, label)
-
-    def test_lazy_equals_eager_instantiation(self, registry):
-        dag, _ = broadcast_fixture(registry, rounds=3)
-        lazy = Interpreter(dag, protocol())
-        eager = Interpreter(dag, protocol(), eager_labels=(L1, Label(2, 9)))
-        lazy.run_to_fixpoint()
-        eager.run_to_fixpoint()
-        for ref in dag.refs():
-            for label in (L1, Label(2, 9)):
-                assert lazy.state_digest(ref, label) == eager.state_digest(ref, label)
+        assert len(orders) > 1
 
 
 class TestGrowingDag:
@@ -229,13 +222,14 @@ class TestGrowingDag:
             [(s, 4) for s in range(N)],
         ]
         dag = BlockDag(0, registry)
-        grown = Interpreter(dag, protocol(), debug_checks=True)
+        grown = Interpreter(dag, protocol())
         interpreted: list[object] = []
-        for batch in batches:
-            for key in batch:
-                dag.insert(blocks[key])
-            interpreted += [report.ref for report in grown.run_to_fixpoint()]
-            assert all(grown.interpreted(ref) for ref in dag.refs())
+        with debug_oracles():
+            for batch in batches:
+                for key in batch:
+                    dag.insert(blocks[key])
+                interpreted += [report.ref for report in grown.run_to_fixpoint()]
+                assert all(grown.interpreted(ref) for ref in dag.refs())
         assert sorted(interpreted) == sorted(final.refs())
 
         once = Interpreter(final, protocol())
@@ -295,12 +289,43 @@ class TestLiveLabelSoundness:
 class TestDebugChecks:
     def test_debug_assertions_hold_on_normal_runs(self, registry):
         dag, blocks = broadcast_fixture(registry, rounds=3)
-        it = Interpreter(dag, protocol(), debug_checks=True)
-        it.run_to_fixpoint()
-        # growing the dag and re-running keeps the frozen slots intact
-        nxt = signed_block(registry, 0, 3, (block_ref(blocks[(0, 2)]),))
-        dag.insert(nxt)
-        assert len(it.run_to_fixpoint()) == 1
+        with debug_oracles():
+            it = Interpreter(dag, protocol())
+            it.run_to_fixpoint()
+            # growing the dag and re-running keeps the frozen slots intact
+            nxt = signed_block(registry, 0, 3, (block_ref(blocks[(0, 2)]),))
+            dag.insert(nxt)
+            assert len(it.run_to_fixpoint()) == 1
+
+    def test_mutated_slot_is_caught(self, registry):
+        dag, blocks = broadcast_fixture(registry, rounds=3)
+        ref = block_ref(blocks[(1, 1)])
+        with debug_oracles():
+            it = Interpreter(dag, protocol())
+            it.run_to_fixpoint()
+            it._slots[ref].instances[L1].echo_senders[42].add(3)
+            dag.insert(signed_block(registry, 0, 3, (block_ref(blocks[(0, 2)]),)))
+            with pytest.raises(AssertionError, match=f"{ref.hex()[:12]} was modified"):
+                it.run_to_fixpoint()
+
+    def test_slot_written_before_its_block_is_caught(self, registry):
+        dag, (_, _, b3) = fig_pair_dag(registry)
+        ref = block_ref(b3)
+        with debug_oracles():
+            it = Interpreter(dag, protocol())
+            it._slots[ref] = _Slot({}, {}, {})
+            with pytest.raises(AssertionError, match=f"{ref.hex()[:12]} already populated"):
+                it.run_to_fixpoint()
+
+    def test_oracles_restore_the_methods_even_on_a_violation(self):
+        def wrapped():
+            return BlockDag.insert, Interpreter._interpret_block, Interpreter.run_to_fixpoint
+
+        originals = wrapped()
+        with pytest.raises(ZeroDivisionError), debug_oracles():
+            assert all(now is not was for now, was in zip(wrapped(), originals))
+            1 / 0
+        assert wrapped() == originals
 
     def test_indications_drain_once(self, registry):
         dag, _ = broadcast_fixture(registry, rounds=4)
