@@ -242,7 +242,9 @@ class Ed25519Registry:
     """Asymmetric backend with the :class:`KeyRegistry` surface.
 
     Keys are derived deterministically from the seed so that fixtures using
-    this backend stay reproducible.
+    this backend stay reproducible. The key stays inside the registry, so a
+    handle carries no secret; the registry issues one handle per server and
+    signs only for a handle it issued.
     """
 
     def __init__(self, private_keys: list) -> None:
@@ -250,6 +252,7 @@ class Ed25519Registry:
             raise CryptoError("cryptography is not installed; Ed25519 backend unavailable")
         self._private = tuple(private_keys)
         self._public = tuple(k.public_key() for k in self._private)
+        self._handles = tuple(SigningHandle(i, b"") for i in range(len(self._private)))
 
     @classmethod
     def generate(cls, count: int, seed: int) -> "Ed25519Registry":
@@ -267,13 +270,15 @@ class Ed25519Registry:
         return len(self._private)
 
     def handle(self, server: int) -> SigningHandle:
-        if not 0 <= server < len(self._private):
+        if not 0 <= server < len(self._handles):
             raise UnknownServerError(f"server {server} is not registered")
-        return SigningHandle(server, b"")
+        return self._handles[server]
 
     def sign(self, handle: SigningHandle, digest: bytes) -> Signature:
-        key = self._private[handle.server]
-        return Signature(SignatureScheme.ED25519, key.sign(digest))
+        server = handle.server
+        if not (0 <= server < len(self._handles) and self._handles[server] is handle):
+            raise UnknownServerError("this registry did not issue the handle")
+        return Signature(SignatureScheme.ED25519, self._private[server].sign(digest))
 
     def verify(self, server: int, digest: bytes, sig: Signature) -> bool:
         if not 0 <= server < len(self._public):

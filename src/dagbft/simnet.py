@@ -135,8 +135,15 @@ class Scenario:
             raise ScenarioError("delay bounds must satisfy 1 <= min <= max")
         if self.max_steps < 1:
             raise ScenarioError("max_steps must be positive")
-        if self.cadence < 1 or self.fwd_interval < 1 or self.adversary_budget < 1:
-            raise ScenarioError("cadence, fwd_interval, adversary_budget must be >= 1")
+        if (
+            self.cadence < 1
+            or self.fwd_interval < 1
+            or self.adversary_budget < 1
+            or self.max_requests_per_block < 1
+        ):
+            raise ScenarioError(
+                "cadence, fwd_interval, adversary_budget, max_requests_per_block must be >= 1"
+            )
         for req in self.requests:
             if not 0 <= req.server < self.n:
                 raise ScenarioError(f"request targets unknown server {req.server}")

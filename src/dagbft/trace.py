@@ -76,7 +76,7 @@ def parse_line(line: str, lineno: int) -> dict:
         raise TraceFormatError(f"unsupported schema {obj.get('schema')!r}", lineno)
     if not isinstance(obj.get("kind"), str) or obj["kind"] not in KINDS:
         raise TraceFormatError(f"unknown event kind {obj.get('kind')!r}", lineno)
-    if not isinstance(obj.get("step"), int):
+    if not conforms(obj.get("step"), int):
         raise TraceFormatError("missing integer step", lineno)
     _require(obj, FIELDS[obj["kind"]], obj["kind"], lineno)
     if obj["kind"] == "INTERPRET":

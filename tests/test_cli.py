@@ -76,10 +76,12 @@ class TestRun:
             {"requests": [{"step": 0, "server": 0, "label": [2**32, 1], "value": 1}]},
             {"requests": [{"step": 0, "server": 0, "label": [0, 2**64], "value": 1}]},
             {"seed": float("inf")},
+            {"max_requests_per_block": 0},
+            {"max_requests_per_block": -1},
         ],
         ids=[
             "byzantine-list", "value-too-big", "value-negative", "originator-too-big",
-            "nonce-too-big", "infinite-seed",
+            "nonce-too-big", "infinite-seed", "no-requests-per-block", "negative-requests-per-block",
         ],
     )
     def test_malformed_scenario_is_config_error(self, tmp_path, extra):
@@ -241,6 +243,7 @@ _MALFORMED_EVENTS = [
     '"on_behalf_of":0,"block":"aa","surfaced":true}',
     '{"schema":1,"step":0,"kind":"INTERPRET","server":0,"ref":"aa","builder":0,'
     '"labels":[{"label":[0,1],"fed":3,"emitted":[],"state":"11","skipped":0}]}',
+    '{"schema":1,"step":true,"kind":"PROMOTE","server":0,"ref":"aa"}',
 ]
 
 

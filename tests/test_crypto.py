@@ -14,6 +14,7 @@ from dagbft.crypto import (
     KeyRegistry,
     Signature,
     SignatureScheme,
+    SigningHandle,
     UnknownServerError,
     content_digest,
     ed25519_available,
@@ -220,6 +221,16 @@ class TestRestrictedSignerSurface:
 
     def test_server_count_is_the_registry_count(self, any_registry):
         assert any_registry.restricted(1).server_count == any_registry.server_count == 4
+
+    def test_hand_built_handle_never_signs(self, any_registry):
+        digest = content_digest(b"forged")
+        for server in range(4):
+            for secret in (b"", bytes(32)):
+                try:
+                    sig = any_registry.sign(SigningHandle(server, secret), digest)
+                except UnknownServerError:
+                    continue
+                assert not any(any_registry.verify(s, digest, sig) for s in range(4))
 
     def test_signature_never_verifies_as_another(self, any_registry):
         view = any_registry.restricted(2)

@@ -59,6 +59,11 @@ class TestScenarioValidation:
                 n=4, f=1, seed=0, max_steps=5, byzantine=((1, BehaviorSpec("EVIL")),)
             ).validate()
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_blocks_must_carry_a_request(self, cap):
+        with pytest.raises(ScenarioError, match="max_requests_per_block"):
+            Scenario(n=4, f=1, seed=0, max_steps=5, max_requests_per_block=cap).validate()
+
     def test_request_to_unknown_server(self):
         with pytest.raises(ScenarioError):
             Scenario(
