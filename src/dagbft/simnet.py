@@ -45,9 +45,29 @@ BEHAVIOR_KINDS = (
     "DUPLICATE_REFS",
 )
 
+# the one field beside ``kind`` that a behavior of each of these kinds reads
+_KIND_FIELDS = {"CRASH_AT": {"crash_step": int}, "SELECTIVE_SEND": {"targets": [int]}}
+
 
 class ScenarioError(Exception):
     """The scenario violates a configuration invariant."""
+
+
+def _fields(data, types: dict, what: str, required) -> dict:
+    """The entries of the JSON object ``data``. Each key must be one of
+    ``types`` and hold a value of its ``trace.conforms`` type, and every key
+    in ``required`` must be present."""
+    if type(data) is not dict:
+        raise ScenarioError(f"{what} must be a JSON object")
+    for key, value in data.items():
+        if key not in types:
+            raise ScenarioError(f"{what} has unknown key {key!r}")
+        if not trace.conforms(value, types[key]):
+            raise ScenarioError(f"{what} key {key!r} has the wrong type")
+    for key in required:
+        if key not in data:
+            raise ScenarioError(f"{what} lacks key {key!r}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -59,8 +79,14 @@ class BehaviorSpec:
     def validate(self, n: int) -> None:
         if self.kind not in BEHAVIOR_KINDS:
             raise ScenarioError(f"unknown behavior kind {self.kind!r}")
+        if self.crash_step and self.kind != "CRASH_AT":
+            raise ScenarioError(f"{self.kind} does not read crash_step")
+        if self.targets and self.kind != "SELECTIVE_SEND":
+            raise ScenarioError(f"{self.kind} does not read targets")
         if self.kind == "CRASH_AT" and self.crash_step < 0:
             raise ScenarioError("crash_step must be non-negative")
+        if self.kind == "SELECTIVE_SEND" and not self.targets:
+            raise ScenarioError("SELECTIVE_SEND needs at least one target")
         if any(not 0 <= t < n for t in self.targets):
             raise ScenarioError("behavior targets out of range")
 
@@ -74,11 +100,14 @@ class BehaviorSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BehaviorSpec":
-        return cls(
-            kind=data["kind"],
-            crash_step=int(data.get("crash_step", 0)),
-            targets=tuple(int(t) for t in data.get("targets", ())),
-        )
+        if type(data) is not dict:
+            raise ScenarioError("behavior must be a JSON object")
+        kind = data.get("kind")
+        if kind not in BEHAVIOR_KINDS:
+            raise ScenarioError(f"unknown behavior kind {kind!r}")
+        types = {"kind": str, **_KIND_FIELDS.get(kind, {})}
+        data = _fields(data, types, f"{kind} behavior", ("kind",))
+        return cls(kind, data.get("crash_step", 0), tuple(data.get("targets", ())))
 
 
 @dataclass(frozen=True)
@@ -152,6 +181,8 @@ class Scenario:
         for step in self.snapshot_steps:
             if not 0 <= step < self.max_steps:
                 raise ScenarioError("snapshot step must fall inside the run horizon")
+        if len(set(self.snapshot_steps)) != len(self.snapshot_steps):
+            raise ScenarioError("snapshot steps must be distinct")
 
     def byzantine_map(self) -> dict[int, BehaviorSpec]:
         return dict(self.byzantine)
@@ -189,42 +220,47 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        try:
-            scenario = cls(
-                n=int(data["n"]),
-                f=int(data["f"]),
-                seed=int(data["seed"]),
-                max_steps=int(data["max_steps"]),
-                delay_bounds=tuple(int(x) for x in data.get("delay_bounds", (1, 1))),
-                cadence=int(data.get("cadence", 3)),
-                fwd_interval=int(data.get("fwd_interval", 5)),
-                max_requests_per_block=int(data.get("max_requests_per_block", 8)),
-                drain=bool(data.get("drain", True)),
-                byzantine=tuple(
-                    sorted(
-                        (int(s), BehaviorSpec.from_dict(spec))
-                        for s, spec in data.get("byzantine", {}).items()
-                    )
-                ),
-                requests=tuple(
-                    RequestInjection(
-                        step=int(r["step"]),
-                        server=int(r["server"]),
-                        label=Label(int(r["label"][0]), int(r["label"][1])),
-                        value=int(r["value"]),
-                    )
-                    for r in data.get("requests", ())
-                ),
-                snapshot_steps=tuple(int(s) for s in data.get("snapshot_steps", ())),
-                adversary_budget=int(data.get("adversary_budget", 4)),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-            raise ScenarioError(f"malformed scenario: {exc}") from exc
+        """Parse and validate a scenario's JSON object. An unknown key, a
+        value of the wrong type (a bool is no int) or a field the behavior's
+        kind does not read raises ``ScenarioError``."""
+        data = _fields(data, _SCENARIO_FIELDS, "scenario", ("n", "f", "seed", "max_steps"))
+        fields = {key: tuple(v) if type(v) is list else v for key, v in data.items()}
+        byzantine = []
+        for key, spec in data.get("byzantine", {}).items():
+            if not (type(key) is str and key.isascii() and key.isdigit()):
+                raise ScenarioError(f"byzantine key {key!r} is not a server id")
+            byzantine.append((int(key), BehaviorSpec.from_dict(spec)))
+        fields["byzantine"] = tuple(sorted(byzantine, key=lambda item: item[0]))
+        requests = []
+        for entry in data.get("requests", ()):
+            r = _fields(entry, _REQUEST_FIELDS, "request", tuple(_REQUEST_FIELDS))
+            label = Label(*r["label"])
+            requests.append(RequestInjection(r["step"], r["server"], label, r["value"]))
+        fields["requests"] = tuple(requests)
+        scenario = cls(**fields)
         scenario.validate()
         return scenario
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
+
+
+_SCENARIO_FIELDS = {
+    "n": int,
+    "f": int,
+    "seed": int,
+    "max_steps": int,
+    "delay_bounds": (int, int),
+    "cadence": int,
+    "fwd_interval": int,
+    "max_requests_per_block": int,
+    "drain": bool,
+    "byzantine": dict,
+    "requests": [dict],
+    "snapshot_steps": [int],
+    "adversary_budget": int,
+}
+_REQUEST_FIELDS = {"step": int, "server": int, "label": (int, int), "value": int}
 
 
 @dataclass
@@ -309,9 +345,7 @@ class _Adversary:
         # so does the equivocator's first block, which has no parent to fork
         block = self._seal(requests, double_refs=kind == "DUPLICATE_REFS")
         self.node.commit(block)
-        targets = range(self.scenario.n)
-        if kind == "SELECTIVE_SEND" and self.spec.targets:
-            targets = self.spec.targets
+        targets = self.spec.targets if kind == "SELECTIVE_SEND" else range(self.scenario.n)
         self._post_block(block, targets)
 
     def drain_outbox(self, budget: int) -> list[tuple[int, bytes, Optional[str], Optional[str]]]:

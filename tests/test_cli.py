@@ -78,10 +78,45 @@ class TestRun:
             {"seed": float("inf")},
             {"max_requests_per_block": 0},
             {"max_requests_per_block": -1},
+            {"n": 4.9, "f": 1.2},
+            {"n": 4.0},
+            {"n": True, "f": False},
+            {"max_steps": True},
+            {"seed": "7"},
+            {"cadence": 3.0},
+            {"fwd_interval": True},
+            {"delay_bounds": [1, 2.5]},
+            {"delay_bounds": [1, 2, 3]},
+            {"snapshot_steps": ["1"]},
+            {"snapshot_steps": [3, 3]},
+            {"byzantine": {"1": {"kind": "SELECTIVE_SEND", "targets": [True]}}},
+            {"byzantine": {"1": {"kind": "CRASH_AT", "crash_step": 2.5}}},
+            {"requests": [{"step": 0.0, "server": 0, "label": [0, 1], "value": 1}]},
+            {"requests": [{"step": 0, "server": True, "label": [0, 1], "value": 1}]},
+            {"requests": [{"step": 0, "server": 0, "label": ["0", 1], "value": 1}]},
+            {"requests": [{"step": 0, "server": 0, "label": [0], "value": 1}]},
+            {"requests": [{"step": 0, "server": 0, "label": [0, 1], "value": 1.5}]},
+            {"requests": [{"step": 0, "server": 0, "label": [0, 1]}]},
+            {"requests": [[0, 0, [0, 1], 1]]},
+            {"byzantine": {"1": {"kind": "EQUIVOCATE", "targets": [1], "crash_step": 4}}},
+            {"byzantine": {"1": {"kind": "SILENT", "crash_step": 0}}},
+            {"byzantine": {"1": {"kind": "SELECTIVE_SEND"}}},
+            {"byzantine": {"1": {"kind": "SELECTIVE_SEND", "targets": []}}},
+            {"byzantine": {"x": {"kind": "SILENT"}}},
+            {"byzantine": {"+1": {"kind": "SILENT"}}},
+            {"byzantine": {"1": "SILENT"}},
         ],
         ids=[
             "byzantine-list", "value-too-big", "value-negative", "originator-too-big",
             "nonce-too-big", "infinite-seed", "no-requests-per-block", "negative-requests-per-block",
+            "float-n-and-f", "whole-float-n", "bool-n-and-f", "bool-max-steps", "string-seed",
+            "float-cadence", "bool-fwd-interval", "float-delay-bound", "delay-bounds-triple",
+            "string-snapshot-step", "duplicate-snapshot-steps", "bool-target", "float-crash-step",
+            "float-request-step", "bool-request-server", "string-label", "short-label",
+            "float-value", "request-lacks-value", "request-list", "fields-equivocate-ignores",
+            "crash-step-on-silent", "selective-send-without-targets",
+            "selective-send-empty-targets", "non-decimal-byzantine-key", "signed-byzantine-key",
+            "behavior-string",
         ],
     )
     def test_malformed_scenario_is_config_error(self, tmp_path, extra):
@@ -90,6 +125,36 @@ class TestRun:
         code, text = run_cli("run", "--scenario", bad, "--out", tmp_path / "t.jsonl")
         assert code == EXIT_CONFIG
         assert text.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ({"cadance": 1}, "cadance"),
+            ({"byzantine": {"1": {"kind": "SILENT", "budget": 1}}}, "budget"),
+            ({"byzantine": {"1": {"kind": "EQUIVOCATE", "targets": [1]}}}, "targets"),
+            (
+                {"requests": [{"step": 0, "server": 0, "label": [0, 1], "value": 1, "at": 0}]},
+                "at",
+            ),
+        ],
+        ids=[
+            "misspelled-cadence",
+            "behavior-key", "targets-on-equivocate", "request-key",
+        ],
+    )
+    def test_unknown_key_is_named(self, tmp_path, extra, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 4, "f": 1, "seed": 0, "max_steps": 4, **extra}))
+        code, text = run_cli("run", "--scenario", bad, "--out", tmp_path / "t.jsonl")
+        assert code == EXIT_CONFIG
+        assert text.startswith("error: ") and repr(key) in text
+
+    def test_repeated_snapshot_step_is_config_error(self, tmp_path, scenario_file):
+        code, text = run_cli(
+            "run", "--scenario", scenario_file, "--out", tmp_path / "t.jsonl", "--snapshots", "5,5"
+        )
+        assert code == EXIT_CONFIG
+        assert "distinct" in text
 
     def test_largest_value_at_an_equivocator_runs(self, tmp_path):
         scenario = {

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagbft.blockdag import block_ref
 from dagbft.brb import decode_deliver
@@ -21,6 +24,16 @@ from dagbft.simnet import (
 
 from .oracles import extends, perfect_network_deliveries, union_dags
 from .scenarios import adversarial_scenario, fig_broadcast_scenario
+from .test_trace_lock import corpus
+
+_SCENARIO_KEYS = set(fig_broadcast_scenario().to_dict()) | {"unknown"}
+# any JSON value, nested a little, with a few of each scalar type
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 10) | st.floats() | st.sampled_from(["1", "SILENT"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "targets", "crash_step", "step", "1"]), inner),
+    max_leaves=8,
+)
 
 
 def surfaced_deliveries(events) -> dict[tuple[int, tuple[int, int]], list[int]]:
@@ -84,17 +97,61 @@ class TestScenarioValidation:
             RequestInjection(0, 0, label, value)
 
     @pytest.mark.parametrize(
+        "spec",
+        [
+            BehaviorSpec("EQUIVOCATE", targets=(1,)),
+            BehaviorSpec("CRASH_AT", crash_step=4, targets=(1,)),
+            BehaviorSpec("SILENT", crash_step=4),
+            BehaviorSpec("SELECTIVE_SEND", crash_step=4, targets=(1,)),
+            BehaviorSpec("SELECTIVE_SEND"),
+        ],
+        ids=[
+            "targets-on-equivocate", "targets-on-crash", "crash-step-on-silent",
+            "crash-step-on-selective-send", "selective-send-without-targets",
+        ],
+    )
+    def test_behavior_fields_its_kind_does_not_read(self, spec):
+        with pytest.raises(ScenarioError):
+            Scenario(n=4, f=1, seed=0, max_steps=5, byzantine=((1, spec),)).validate()
+
+    def test_snapshot_steps_are_distinct(self):
+        with pytest.raises(ScenarioError, match="distinct"):
+            Scenario(n=4, f=1, seed=0, max_steps=5, snapshot_steps=(3, 3)).validate()
+
+    @pytest.mark.parametrize(
         "extra",
-        [{"byzantine": [1]}, {"seed": float("inf")}],
-        ids=["byzantine-list", "infinite-seed"],
+        [
+            {"byzantine": [1]},
+            {"seed": float("inf")},
+            {"byzantine": {1: {"kind": "SILENT"}}},
+            {"byzantine": {"1": {"kind": "SILENT"}, "01": {"kind": "GARBAGE"}}},
+        ],
+        ids=["byzantine-list", "infinite-seed", "int-byzantine-key", "byzantine-twice"],
     )
     def test_malformed_dict_is_scenario_error(self, extra):
         with pytest.raises(ScenarioError):
             Scenario.from_dict({"n": 4, "f": 1, "seed": 0, "max_steps": 5, **extra})
 
+    @pytest.mark.parametrize("data", [[4, 1, 0, 5], None, {"n": 4, "f": 1, "seed": 0}])
+    def test_scenario_must_be_a_complete_object(self, data):
+        with pytest.raises(ScenarioError):
+            Scenario.from_dict(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(sorted(_SCENARIO_KEYS)), _json_values))
+    def test_any_json_parses_or_is_scenario_error(self, extra):
+        try:
+            Scenario.from_dict({"n": 4, "f": 1, "seed": 0, "max_steps": 5, **extra})
+        except ScenarioError:
+            pass
+
     def test_json_round_trip(self):
         scenario = fig_broadcast_scenario()
         assert Scenario.from_dict(scenario.to_dict()) == scenario
+
+    @pytest.mark.parametrize("name, scenario", list(corpus()), ids=[n for n, _ in corpus()])
+    def test_strict_parser_reads_what_to_dict_writes(self, name, scenario):
+        assert Scenario.from_dict(json.loads(json.dumps(scenario.to_dict()))) == scenario
 
     def test_json_round_trip_with_byzantine(self):
         scenario = Scenario(
