@@ -164,8 +164,7 @@ def block_from_wire(data: bytes) -> Block:
 class BlockDag:
     """Acyclic, predecessor-closed store of validated blocks for one server."""
 
-    def __init__(self, owner: int, registry) -> None:
-        self.owner = owner
+    def __init__(self, registry) -> None:
         self.registry = registry
         self._vertices: dict[BlockRef, Block] = {}
 
@@ -302,7 +301,7 @@ class BlockDag:
     # -- copies & export -------------------------------------------------------
 
     def copy(self) -> "BlockDag":
-        dup = BlockDag(self.owner, self.registry)
+        dup = BlockDag(self.registry)
         dup._vertices = dict(self._vertices)
         return dup
 

@@ -49,6 +49,9 @@ from .protocol import Label
 BLOCK_ENVELOPE = 1
 FWD_ENVELOPE = 2
 
+MAX_REQUESTS_PER_BLOCK = 8
+"""Most requests one block carries; the rest wait in FIFO order for the next."""
+
 _KIND_NAMES = {BLOCK_ENVELOPE: "BLOCK", FWD_ENVELOPE: "FWD"}
 
 
@@ -104,26 +107,24 @@ class Disposition(Enum):
 
 
 class GossipNode:
-    """Per-server gossip state: the DAG, the pending buffer with its waiter
-    index, and the block under construction."""
+    """``GossipNode(server, registry)``: one server's gossip state, that is
+    the DAG it builds over ``registry`` (a restricted signer will do), the
+    pending buffer with its waiter index, and the block under construction."""
 
     def __init__(
         self,
         server: int,
-        dag: BlockDag,
         registry,
         *,
         fwd_interval: int = 5,
-        max_requests_per_block: int = 8,
         pending_cap_per_builder: int = 1024,
     ) -> None:
         self.server = server
-        self.dag = dag
+        self.dag = BlockDag(registry)
         self.requests: deque[tuple[Label, bytes]] = deque()  # FIFO drained into blocks
         self.registry = registry
         self.handle = registry.handle(server)
         self.fwd_interval = fwd_interval
-        self.max_requests_per_block = max_requests_per_block
         self.pending_cap_per_builder = pending_cap_per_builder
 
         self.next_seqno = 0
@@ -266,7 +267,7 @@ class GossipNode:
         """Seal the current block: drain buffered requests into it, sign it,
         commit it, and address it to every server."""
         drained: list[tuple[Label, bytes]] = []
-        while self.requests and len(drained) < self.max_requests_per_block:
+        while self.requests and len(drained) < MAX_REQUESTS_PER_BLOCK:
             drained.append(self.requests.popleft())
         core = Block(
             self.server, self.next_seqno, tuple(self.draft_preds), tuple(drained)

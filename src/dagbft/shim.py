@@ -8,7 +8,6 @@ the interpretation raised it on behalf of this very server.
 
 from __future__ import annotations
 
-from .blockdag import BlockDag
 from .gossip import GossipNode, WireEnvelope
 from .interpret import Indication, Interpreter
 from .protocol import Label, Protocol
@@ -25,20 +24,13 @@ class Shim:
         *,
         cadence: int = 3,
         fwd_interval: int = 5,
-        max_requests_per_block: int = 8,
     ) -> None:
         if cadence < 1:
             raise ValueError("cadence must be at least 1")
         self.server = server
         self.cadence = cadence
-        self.dag = BlockDag(server, registry)
-        self.gossip = GossipNode(
-            server,
-            self.dag,
-            registry,
-            fwd_interval=fwd_interval,
-            max_requests_per_block=max_requests_per_block,
-        )
+        self.gossip = GossipNode(server, registry, fwd_interval=fwd_interval)
+        self.dag = self.gossip.dag
         self.interpreter = Interpreter(self.dag, protocol)
         self.dropped_indications = 0
 

@@ -13,7 +13,7 @@ scripted behaviors on a ``GossipNode`` whose registry is a restricted signer
 that can only sign as their own id; their outbound traffic is throttled by a
 per-step envelope budget.
 
-The optional drain phase realizes "eventually" at a finite horizon: each
+The drain phase realizes "eventually" at a finite horizon: each
 correct server publishes its current block once more, then deliveries,
 promotions, and forced FWD recovery run to fixpoint with no new
 disseminations.
@@ -31,7 +31,14 @@ from . import trace
 from .blockdag import Block, BlockDag, block_ref
 from .brb import ReliableBroadcast, encode_broadcast
 from .crypto import EncodingError, KeyRegistry, RestrictedSigner, Signature, SignatureScheme
-from .gossip import BLOCK_ENVELOPE, FWD_ENVELOPE, Disposition, GossipNode, WireEnvelope
+from .gossip import (
+    BLOCK_ENVELOPE,
+    FWD_ENVELOPE,
+    MAX_REQUESTS_PER_BLOCK,
+    Disposition,
+    GossipNode,
+    WireEnvelope,
+)
 from .interpret import BlockInterpretation
 from .protocol import Label
 from .shim import Shim
@@ -47,6 +54,9 @@ BEHAVIOR_KINDS = (
 
 # the one field beside ``kind`` that a behavior of each of these kinds reads
 _KIND_FIELDS = {"CRASH_AT": {"crash_step": int}, "SELECTIVE_SEND": {"targets": [int]}}
+
+ADVERSARY_BUDGET = 4
+"""Envelopes a byzantine server may put on the wire per step."""
 
 
 class ScenarioError(Exception):
@@ -137,12 +147,9 @@ class Scenario:
     delay_bounds: tuple[int, int] = (1, 1)
     cadence: int = 3
     fwd_interval: int = 5
-    max_requests_per_block: int = 8
-    drain: bool = True
     byzantine: tuple[tuple[int, BehaviorSpec], ...] = ()
     requests: tuple[RequestInjection, ...] = ()
     snapshot_steps: tuple[int, ...] = ()
-    adversary_budget: int = 4
 
     def validate(self) -> None:
         if self.n != 3 * self.f + 1:
@@ -164,15 +171,8 @@ class Scenario:
             raise ScenarioError("delay bounds must satisfy 1 <= min <= max")
         if self.max_steps < 1:
             raise ScenarioError("max_steps must be positive")
-        if (
-            self.cadence < 1
-            or self.fwd_interval < 1
-            or self.adversary_budget < 1
-            or self.max_requests_per_block < 1
-        ):
-            raise ScenarioError(
-                "cadence, fwd_interval, adversary_budget, max_requests_per_block must be >= 1"
-            )
+        if self.cadence < 1 or self.fwd_interval < 1:
+            raise ScenarioError("cadence and fwd_interval must be >= 1")
         for req in self.requests:
             if not 0 <= req.server < self.n:
                 raise ScenarioError(f"request targets unknown server {req.server}")
@@ -202,8 +202,6 @@ class Scenario:
             "delay_bounds": list(self.delay_bounds),
             "cadence": self.cadence,
             "fwd_interval": self.fwd_interval,
-            "max_requests_per_block": self.max_requests_per_block,
-            "drain": self.drain,
             "byzantine": {str(s): spec.to_dict() for s, spec in self.byzantine},
             "requests": [
                 {
@@ -215,7 +213,6 @@ class Scenario:
                 for r in self.requests
             ],
             "snapshot_steps": list(self.snapshot_steps),
-            "adversary_budget": self.adversary_budget,
         }
 
     @classmethod
@@ -253,12 +250,9 @@ _SCENARIO_FIELDS = {
     "delay_bounds": (int, int),
     "cadence": int,
     "fwd_interval": int,
-    "max_requests_per_block": int,
-    "drain": bool,
     "byzantine": dict,
     "requests": [dict],
     "snapshot_steps": [int],
-    "adversary_budget": int,
 }
 _REQUEST_FIELDS = {"step": int, "server": int, "label": (int, int), "value": int}
 
@@ -298,7 +292,7 @@ class _Adversary:
         self.spec = spec
         self.scenario = scenario
         self.rng = rng
-        self.node = GossipNode(server, BlockDag(server, restricted), restricted)
+        self.node = GossipNode(server, restricted)
         self.pending_requests: list[tuple[Label, int]] = []
         self.outbox: deque[tuple[int, bytes, Optional[str], Optional[str]]] = deque()
         self._marker_nonce = 0
@@ -335,7 +329,7 @@ class _Adversary:
         self.node.try_promote()
         if now % self.scenario.cadence != 0:
             return
-        taken = self.pending_requests[: self.scenario.max_requests_per_block]
+        taken = self.pending_requests[:MAX_REQUESTS_PER_BLOCK]
         del self.pending_requests[: len(taken)]
         requests = tuple((label, encode_broadcast(v)) for label, v in taken)
         if kind == "EQUIVOCATE" and self.node.next_seqno > 0:
@@ -436,7 +430,6 @@ class Simulation:
                     self.registry,
                     cadence=scenario.cadence,
                     fwd_interval=scenario.fwd_interval,
-                    max_requests_per_block=scenario.max_requests_per_block,
                 )
         self.events: list[dict] = []
         self.inflight: dict[int, list[tuple[tuple, int, int, int, bytes]]] = {}
@@ -666,9 +659,7 @@ class Simulation:
             for server in sorted(self.adversaries):
                 adversary = self.adversaries[server]
                 adversary.on_step(now)
-                for receiver, wire, kind, ref_hex in adversary.drain_outbox(
-                    scenario.adversary_budget
-                ):
+                for receiver, wire, kind, ref_hex in adversary.drain_outbox(ADVERSARY_BUDGET):
                     self._schedule(now, server, receiver, wire, kind, ref_hex)
             for server in sorted(self.correct):
                 self._interpret_phase(now, self.correct[server])
@@ -676,9 +667,7 @@ class Simulation:
                 self.snapshots[now] = {
                     s: node.dag.copy() for s, node in self.correct.items()
                 }
-        now = scenario.max_steps
-        if scenario.drain:
-            now = self._drain(now)
+        self._drain(scenario.max_steps)
         final_dags = {s: node.dag.copy() for s, node in self.correct.items()}
         self.counters["pending_evicted"] = sum(
             node.gossip.evicted for node in self.correct.values()
@@ -692,7 +681,7 @@ class Simulation:
         self.counters["blocks_stored"] = sum(len(d) for d in final_dags.values())
         return RunResult(scenario, self.events, final_dags, self.snapshots, self.counters)
 
-    def _drain(self, start: int) -> int:
+    def _drain(self, start: int) -> None:
         """Continue the dissemination cadence with byzantine servers halted
         until the interpretation quiesces: a round whose blocks feed and emit
         nothing is a global fixpoint, so eventual-delivery obligations are
@@ -736,7 +725,7 @@ class Simulation:
                         quiet = False
                 self._emit_indications(now, node)
             if quiet:
-                return now
+                return
         raise RuntimeError("drain did not quiesce within the round bound")
 
 

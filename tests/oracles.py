@@ -318,7 +318,7 @@ def _graph_view(g) -> tuple[set, set]:
 def union_dags(g1: BlockDag, g2: BlockDag) -> BlockDag:
     """Vertex- and edge-wise union; it bypasses the insert validation path on
     purpose."""
-    out = BlockDag(g1.owner, g1.registry)
+    out = BlockDag(g1.registry)
     for src in (g1, g2):
         for ref, block in src._vertices.items():
             if ref not in out._vertices:

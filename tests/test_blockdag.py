@@ -38,7 +38,7 @@ class TestParent:
         assert dag.parent_of(b1) is None
 
     def test_two_distinct_parents_is_malformed(self, registry):
-        dag = BlockDag(0, registry)
+        dag = BlockDag(registry)
         g1 = signed_block(registry, 0, 0)
         g2 = signed_block(registry, 0, 0, requests=((Label(0, 1), b"x"),))
         dag.insert(g1)
@@ -49,7 +49,7 @@ class TestParent:
         assert not dag.is_valid(bad)
 
     def test_duplicated_parent_ref_counts_once(self, registry):
-        dag = BlockDag(0, registry)
+        dag = BlockDag(registry)
         g1 = signed_block(registry, 0, 0)
         dag.insert(g1)
         doubled = signed_block(registry, 0, 1, (block_ref(g1), block_ref(g1)))
@@ -71,23 +71,23 @@ class TestValid:
         assert len(dag) == 4
 
     def test_corrupted_signature_is_invalid(self, registry):
-        dag = BlockDag(0, registry)
+        dag = BlockDag(registry)
         block = signed_block(registry, 0, 0)
         forged = block.with_signature(Signature(SignatureScheme.HMAC_SHA256, b"\x00" * 32))
         assert not dag.is_valid(forged)
 
     def test_unknown_predecessor_is_invalid(self, registry):
-        dag = BlockDag(0, registry)
+        dag = BlockDag(registry)
         g1 = signed_block(registry, 0, 0)
         child = signed_block(registry, 0, 1, (block_ref(g1),))
         assert not dag.is_valid(child)  # predecessor not validated yet
 
     def test_unsigned_block_is_invalid(self, registry):
-        dag = BlockDag(0, registry)
+        dag = BlockDag(registry)
         assert not dag.is_valid(Block(0, 0, (), ()))
 
     def test_unregistered_builder_is_invalid(self, registry):
-        dag = BlockDag(0, registry)
+        dag = BlockDag(registry)
         block = Block(17, 0, (), ()).with_signature(
             Signature(SignatureScheme.HMAC_SHA256, b"\x00" * 32)
         )
@@ -95,7 +95,7 @@ class TestValid:
 
     def test_missing_parent_with_present_preds_is_invalid(self, registry):
         # preds resolve but none of them is a parent
-        dag = BlockDag(0, registry)
+        dag = BlockDag(registry)
         other = signed_block(registry, 1, 0)
         dag.insert(other)
         orphan = signed_block(registry, 0, 1, (block_ref(other),))
@@ -104,7 +104,7 @@ class TestValid:
 
 class TestInsert:
     def test_genesis_insert(self, registry):
-        dag = BlockDag(0, registry)
+        dag = BlockDag(registry)
         b1 = signed_block(registry, 0, 0)
         dag.insert(b1)
         assert len(dag) == 1
@@ -125,7 +125,7 @@ class TestInsert:
         assert (dag.vertex_set(), dag.edge_set()) == before
 
     def test_missing_pred_rejected_with_reason(self, registry):
-        dag = BlockDag(0, registry)
+        dag = BlockDag(registry)
         ghost = signed_block(registry, 0, 0, requests=((Label(0, 5), b"g"),))
         child = signed_block(registry, 0, 1, (block_ref(ghost),))
         with pytest.raises(RejectedInsertError) as err:
@@ -133,7 +133,7 @@ class TestInsert:
         assert "predecessor" in str(err.value)
 
     def test_invalid_block_rejected(self, registry):
-        dag = BlockDag(0, registry)
+        dag = BlockDag(registry)
         bad = Block(0, 0, (), ()).with_signature(
             Signature(SignatureScheme.HMAC_SHA256, b"\x01" * 32)
         )
@@ -182,7 +182,7 @@ class TestReaches:
         left = signed_block(registry, 1, 0, (block_ref(top),))
         right = signed_block(registry, 2, 0, (block_ref(top),))
         bottom = signed_block(registry, 3, 0, (block_ref(left), block_ref(right)))
-        diamond = BlockDag(0, registry)
+        diamond = BlockDag(registry)
         for block in (top, left, right, bottom):
             diamond.insert(block)
         assert diamond.reaches(block_ref(top), block_ref(bottom))
@@ -208,7 +208,7 @@ class TestExtends:
 
     def test_fresh_insert_extends(self, registry):
         dag, (b1, b2, b3) = fig_pair_dag(registry)
-        smaller = BlockDag(0, registry)
+        smaller = BlockDag(registry)
         smaller.insert(b1)
         smaller.insert(b2)
         assert extends(smaller, dag)
@@ -223,14 +223,14 @@ class TestExtends:
 class TestUnion:
     def test_identity(self, registry):
         dag, _ = fig_pair_dag(registry)
-        empty = BlockDag(0, registry)
+        empty = BlockDag(registry)
         merged = union_dags(dag, empty)
         assert merged.vertex_set() == dag.vertex_set()
         assert merged.edge_set() == dag.edge_set()
 
     def test_fork_union_has_both_branches(self, registry):
         dag, (b1, b2, b3) = fig_pair_dag(registry)
-        fork = BlockDag(1, registry)
+        fork = BlockDag(registry)
         fork.insert(b1)
         fork.insert(b2)
         b4 = signed_block(
@@ -254,7 +254,7 @@ class TestUnion:
 
 
 def _random_chain_dag(registry, rng: Random) -> BlockDag:
-    dag = BlockDag(0, registry)
+    dag = BlockDag(registry)
     tips = []
     for builder in range(rng.randrange(1, 4)):
         prev = None
@@ -396,7 +396,7 @@ class TestDot:
         registry4 = registry
         g = signed_block(registry4, 0, 0)
         child = signed_block(registry4, 0, 1, (block_ref(g),))
-        dag = BlockDag(0, registry4)
+        dag = BlockDag(registry4)
         dag.insert(g)
         dag.insert(child)
         assert "[style=bold];" in dag.to_dot()

@@ -129,6 +129,9 @@ class TestRun:
     @pytest.mark.parametrize(
         "extra, key",
         [
+            ({"drain": False}, "drain"),
+            ({"adversary_budget": 4}, "adversary_budget"),
+            ({"max_requests_per_block": 8}, "max_requests_per_block"),
             ({"cadance": 1}, "cadance"),
             ({"byzantine": {"1": {"kind": "SILENT", "budget": 1}}}, "budget"),
             ({"byzantine": {"1": {"kind": "EQUIVOCATE", "targets": [1]}}}, "targets"),
@@ -138,7 +141,7 @@ class TestRun:
             ),
         ],
         ids=[
-            "misspelled-cadence",
+            "drain", "adversary-budget", "max-requests-per-block", "misspelled-cadence",
             "behavior-key", "targets-on-equivocate", "request-key",
         ],
     )

@@ -173,7 +173,7 @@ class TestEd25519Registry:
         from dagbft.crypto import Ed25519Registry
 
         registry = Ed25519Registry.generate(4, seed=3)
-        dag = BlockDag(0, registry)
+        dag = BlockDag(registry)
         block = signed_block(registry, 0, 0)
         dag.insert(block)
         assert dag.is_valid(block)

@@ -13,6 +13,7 @@ from dagbft.crypto import EncodingError, Signature, SignatureScheme
 from dagbft.gossip import (
     BLOCK_ENVELOPE,
     FWD_ENVELOPE,
+    MAX_REQUESTS_PER_BLOCK,
     Disposition,
     GossipNode,
     WireEnvelope,
@@ -29,8 +30,7 @@ def registry():
 
 
 def make_node(registry, server=0, **kwargs) -> GossipNode:
-    dag = BlockDag(server, registry)
-    return GossipNode(server, dag, registry, **kwargs)
+    return GossipNode(server, registry, **kwargs)
 
 
 class TestReceive:
@@ -237,14 +237,14 @@ class TestDisseminate:
             assert node.dag.is_valid(block)
 
     def test_drain_respects_per_block_cap(self, registry):
-        node = make_node(registry, max_requests_per_block=8)
-        for i in range(10):
+        node = make_node(registry)
+        for i in range(MAX_REQUESTS_PER_BLOCK + 2):
             node.requests.append((Label(0, i), bytes(8)))
         first, _ = node.disseminate()
         second, _ = node.disseminate()
-        assert len(first.requests) == 8
+        assert len(first.requests) == MAX_REQUESTS_PER_BLOCK
         assert len(second.requests) == 2
-        assert [label.nonce for label, _ in first.requests] == list(range(8))
+        assert [label.nonce for label, _ in first.requests] == list(range(MAX_REQUESTS_PER_BLOCK))
 
     def test_empty_buffer_gives_empty_requests(self, registry):
         node = make_node(registry)
@@ -354,7 +354,7 @@ class TestPromotionMatchesRescan:
         cap = rng.choice((2, 3, 1024))
         # equal keys, two registry objects: the oracle verifies on its own
         node = make_node(make_registry(), pending_cap_per_builder=cap)
-        oracle = RescanPromoter(BlockDag(0, make_registry()), pending_cap_per_builder=cap)
+        oracle = RescanPromoter(BlockDag(make_registry()), pending_cap_per_builder=cap)
         pool = block_pool(rng, make_registry())
         forged = [
             b.with_signature(Signature(SignatureScheme.HMAC_SHA256, bytes(32)))

@@ -221,7 +221,7 @@ class TestGrowingDag:
             [(s, k) for k in (2, 3) for s in range(N)],
             [(s, 4) for s in range(N)],
         ]
-        dag = BlockDag(0, registry)
+        dag = BlockDag(registry)
         grown = Interpreter(dag, protocol())
         interpreted: list[object] = []
         with debug_oracles():
@@ -243,7 +243,7 @@ class TestGrowingDag:
 
 class TestByzantineInputs:
     def test_garbage_request_skipped_and_counted(self, registry):
-        dag = BlockDag(0, registry)
+        dag = BlockDag(registry)
         block = signed_block(
             registry, 0, 0, requests=((L1, b"\x01"), (L1, encode_broadcast(42)))
         )

@@ -22,13 +22,13 @@ def signed_block(
     return core.with_signature(registry.sign(registry.handle(builder), block_ref(core)))
 
 
-def fig_pair_dag(registry: KeyRegistry, owner: int = 1):
+def fig_pair_dag(registry: KeyRegistry):
     """The canonical 3-block picture: two genesis blocks and a third block by
     the first builder referencing both."""
     b1 = signed_block(registry, 0, 0)
     b2 = signed_block(registry, 1, 0)
     b3 = signed_block(registry, 0, 1, (block_ref(b1), block_ref(b2)))
-    dag = BlockDag(owner, registry)
+    dag = BlockDag(registry)
     dag.insert(b1)
     dag.insert(b2)
     dag.insert(b3)
@@ -45,7 +45,7 @@ def lockstep_dag(
     referencing its own round-(k-1) block first (the parent) and then every
     other server's round-(k-1) block. Round 0 blocks are genesis."""
     requests_at = requests_at or {}
-    dag = BlockDag(0, registry)
+    dag = BlockDag(registry)
     blocks: dict[tuple[int, int], Block] = {}
     for k in range(rounds):
         for s in range(n):
