@@ -185,19 +185,6 @@ class BlockDag:
     def refs(self) -> Iterator[BlockRef]:
         return iter(self._vertices)
 
-    def blocks(self) -> Iterator[Block]:
-        return iter(self._vertices.values())
-
-    def vertex_set(self) -> set[BlockRef]:
-        return set(self._vertices)
-
-    def edge_set(self) -> set[tuple[BlockRef, BlockRef]]:
-        return {
-            (pred, ref)
-            for ref, block in self._vertices.items()
-            for pred in block.distinct_preds()
-        }
-
     # -- structural predicates ----------------------------------------------
 
     def parent_of(self, block: Block) -> Optional[Block]:
@@ -276,27 +263,6 @@ class BlockDag:
             raise RejectedInsertError("block failed validation")
         self._vertices[ref] = block
         return ref
-
-    # -- reachability ---------------------------------------------------------
-
-    def reaches(self, a: BlockRef, b: BlockRef, *, reflexive: bool = False) -> bool:
-        """Whether ``b`` is reachable from ``a`` along DAG edges, found by
-        walking predecessors back from ``b``."""
-        for ref in (a, b):
-            if ref not in self._vertices:
-                raise UnknownBlockError(f"{ref.hex()[:12]} not in DAG")
-        if a == b:
-            return reflexive
-        stack = [b]
-        seen = {b}
-        while stack:
-            for pred in self._vertices[stack.pop()].distinct_preds():
-                if pred == a:
-                    return True
-                if pred not in seen:
-                    seen.add(pred)
-                    stack.append(pred)
-        return False
 
     # -- copies & export -------------------------------------------------------
 

@@ -96,7 +96,7 @@ def cmd_run(args, out) -> int:
         f"ran {scenario.max_steps} steps (n={scenario.n}, f={scenario.f}, seed={scenario.seed}): "
         f"{census.blocks_built} blocks, {census.block_envelopes} BLOCK + "
         f"{census.fwd_envelopes} FWD envelopes, "
-        f"{result.counters['indications_surfaced']} indications",
+        f"{census.deliveries_surfaced} indications",
         file=out,
     )
     return EXIT_OK

@@ -135,7 +135,6 @@ class GossipNode:
         self._waiters: dict[BlockRef, set[BlockRef]] = {}  # missing ref -> pending refs
         self._ready: set[BlockRef] = set()  # no pred missing, not yet validated
         self.fwd_clock: dict[BlockRef, dict[int, int]] = {}  # ref -> target -> step
-        self.evicted = 0
 
     # -- receiving ----------------------------------------------------------
 
@@ -178,7 +177,6 @@ class GossipNode:
                         waiters.discard(ref)
                         if not waiters:
                             del self._waiters[pred]
-                self.evicted += 1
                 return
 
     # -- promotion ------------------------------------------------------------

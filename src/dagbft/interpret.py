@@ -4,15 +4,16 @@ Interpretation walks the DAG in dependency order. Each block inherits a copy
 of its parent's process instances, feeds the block's embedded requests, then
 feeds every message addressed to the block's builder from the out-buffers of
 the block's predecessors, in the fixed message order. Each interpreted block
-gets one slot holding its instances and its in- and out-buffer per label.
-Slots are write-once: after a block is interpreted its slot is never touched
+gets one slot holding its instances and its out-buffer per label; what a
+block was fed is in its report. Slots are write-once: after a block is interpreted its slot is never touched
 again, which is what lets independent machines (and re-runs over extended
 DAGs) agree byte-for-byte. Among the blocks eligible at once, the least ref
 goes first; the result does not depend on that choice, and the tests check
 this by interpreting in seeded random orders (``tests/oracles.py``).
 
 Byzantine-crafted requests that fail protocol decoding are skipped per
-request and counted; a correct interpreter keeps going on mixed blocks.
+request, and the report counts them; a correct interpreter keeps going on
+mixed blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import islice
 
-from .blockdag import BlockDag, BlockRef, UnknownBlockError, block_ref
+from .blockdag import BlockDag, BlockRef, block_ref
 from .crypto import content_digest, enc_bytes, enc_seq, enc_u8
 from .protocol import (
     Label,
@@ -72,10 +73,9 @@ class BlockInterpretation:
 @dataclass(frozen=True, slots=True)
 class _Slot:
     """One interpreted block: the instances taken over from its parent and
-    advanced here, and the in- and out-buffer per label."""
+    advanced here, and the out-buffer per label."""
 
     instances: dict[Label, ProcessInstance]
-    fed: dict[Label, tuple[Message, ...]]
     out: dict[Label, tuple[Message, ...]]
 
 
@@ -96,27 +96,8 @@ class Interpreter:
         self._slots: dict[BlockRef, _Slot] = {}
         self._ingested = 0  # DAG refs seen so far; the DAG only appends
         self._indications: list[Indication] = []
-        self.skipped_requests = 0
 
     # -- observation ---------------------------------------------------------
-
-    def interpreted(self, ref: BlockRef) -> bool:
-        return ref in self._slots
-
-    def eligible(self, ref: BlockRef) -> bool:
-        """A block may be interpreted when it has not been yet and every
-        predecessor has been."""
-        if ref not in self.dag:
-            raise UnknownBlockError(f"{ref.hex()[:12]} not in DAG")
-        if ref in self._slots:
-            return False
-        return all(p in self._slots for p in self.dag.get(ref).distinct_preds())
-
-    def messages_out(self, ref: BlockRef, label: Label) -> tuple[Message, ...]:
-        return self._slot(ref).out.get(label, ())
-
-    def messages_in(self, ref: BlockRef, label: Label) -> tuple[Message, ...]:
-        return self._slot(ref).fed.get(label, ())
 
     def take_indications(self) -> list[Indication]:
         out = self._indications
@@ -214,7 +195,6 @@ class Interpreter:
                 if fresh:
                     del instances[label]  # state unchanged; keep the slot lazy
                 skipped[label] = skipped.get(label, 0) + 1
-                self.skipped_requests += 1
                 continue
             emit(label, outputs)
 
@@ -239,7 +219,7 @@ class Interpreter:
             for payload in instances[label].take_indications():
                 self._indications.append(Indication(ref, label, block.builder, payload))
 
-        slot = _Slot(instances, fed, {label: tuple(ms) for label, ms in out.items()})
+        slot = _Slot(instances, {label: tuple(ms) for label, ms in out.items()})
         self._slots[ref] = slot
 
         return BlockInterpretation(

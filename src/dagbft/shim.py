@@ -32,7 +32,6 @@ class Shim:
         self.gossip = GossipNode(server, registry, fwd_interval=fwd_interval)
         self.dag = self.gossip.dag
         self.interpreter = Interpreter(self.dag, protocol)
-        self.dropped_indications = 0
 
     def request(self, label: Label, payload: bytes) -> None:
         """Queue a user request; it will ride in a later block of this server
@@ -49,9 +48,6 @@ class Shim:
 
     def filter_indication(self, indication: Indication) -> bool:
         """Whether ``indication`` surfaces to this server's user: only those
-        raised on its own behalf do; foreign ones are dropped and counted.
-        The caller drains ``interpreter.take_indications()`` through it."""
-        if indication.on_behalf_of == self.server:
-            return True
-        self.dropped_indications += 1
-        return False
+        raised on its own behalf do; foreign ones are dropped. The caller
+        drains ``interpreter.take_indications()`` through it."""
+        return indication.on_behalf_of == self.server

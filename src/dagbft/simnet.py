@@ -263,7 +263,6 @@ class RunResult:
     events: list[dict]
     final_dags: dict[int, BlockDag]
     snapshots: dict[int, dict[int, BlockDag]]
-    counters: dict[str, int]
 
     def trace_text(self) -> str:
         return trace.dumps(self.events)
@@ -434,12 +433,6 @@ class Simulation:
         self.events: list[dict] = []
         self.inflight: dict[int, list[tuple[tuple, int, int, int, bytes]]] = {}
         self.snapshots: dict[int, dict[int, BlockDag]] = {}
-        self.counters = {
-            "sends": 0,
-            "delivers": 0,
-            "drops": 0,
-            "indications_surfaced": 0,
-        }
 
     # -- wire ------------------------------------------------------------------
 
@@ -456,7 +449,6 @@ class Simulation:
         due = now + delay
         key = (receiver, sender, now, hashlib.sha256(wire).digest())
         self.inflight.setdefault(due, []).append((key, sender, receiver, now, wire))
-        self.counters["sends"] += 1
         self.events.append(
             trace.event(
                 now,
@@ -500,7 +492,6 @@ class Simulation:
             try:
                 env = WireEnvelope.decode(wire)
             except EncodingError:
-                self.counters["drops"] += 1
                 self.events.append(
                     trace.event(
                         now, "DROP", server=receiver, reason="undecodable", frm=sender
@@ -510,7 +501,6 @@ class Simulation:
             ref_hex = (
                 block_ref(env.block).hex() if env.kind == BLOCK_ENVELOPE else env.ref.hex()
             )
-            self.counters["delivers"] += 1
             self.events.append(
                 trace.event(
                     now,
@@ -524,7 +514,6 @@ class Simulation:
             if env.kind == BLOCK_ENVELOPE:
                 disposition = node.gossip.on_receive_block(env.block)
                 if disposition == Disposition.BAD_SIGNATURE:
-                    self.counters["drops"] += 1
                     self.events.append(
                         trace.event(
                             now,
@@ -602,9 +591,6 @@ class Simulation:
 
     def _emit_indications(self, now: int, node: Shim) -> None:
         for ind in node.interpreter.take_indications():
-            surfaced = node.filter_indication(ind)
-            if surfaced:
-                self.counters["indications_surfaced"] += 1
             self.events.append(
                 trace.event(
                     now,
@@ -614,7 +600,7 @@ class Simulation:
                     indication=ind.payload.hex(),
                     on_behalf_of=ind.on_behalf_of,
                     block=ind.block.hex(),
-                    surfaced=surfaced,
+                    surfaced=node.filter_indication(ind),
                 )
             )
 
@@ -669,17 +655,7 @@ class Simulation:
                 }
         self._drain(scenario.max_steps)
         final_dags = {s: node.dag.copy() for s, node in self.correct.items()}
-        self.counters["pending_evicted"] = sum(
-            node.gossip.evicted for node in self.correct.values()
-        )
-        self.counters["indications_dropped"] = sum(
-            node.dropped_indications for node in self.correct.values()
-        )
-        self.counters["skipped_requests"] = sum(
-            node.interpreter.skipped_requests for node in self.correct.values()
-        )
-        self.counters["blocks_stored"] = sum(len(d) for d in final_dags.values())
-        return RunResult(scenario, self.events, final_dags, self.snapshots, self.counters)
+        return RunResult(scenario, self.events, final_dags, self.snapshots)
 
     def _drain(self, start: int) -> None:
         """Continue the dissemination cadence with byzantine servers halted

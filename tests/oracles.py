@@ -309,9 +309,16 @@ def union(g1: Digraph, g2: Digraph) -> Digraph:
     return Digraph(g1.vertices | g2.vertices, g1.edges | g2.edges)
 
 
+def dag_graph(dag: BlockDag) -> tuple[set, set]:
+    """The DAG's vertex set and its edge set, one (pred, ref) edge per
+    distinct predecessor."""
+    refs = set(dag.refs())
+    return refs, {(pred, ref) for ref in refs for pred in dag.get(ref).distinct_preds()}
+
+
 def _graph_view(g) -> tuple[set, set]:
     if isinstance(g, BlockDag):
-        return g.vertex_set(), g.edge_set()
+        return dag_graph(g)
     return set(g.vertices), set(g.edges)
 
 
@@ -345,22 +352,21 @@ def check_dag(dag: BlockDag) -> None:
             raise AssertionError("vertex keyed under a foreign ref")
         if any(pred not in dag._vertices for pred in block.distinct_preds()):
             raise AssertionError("closure violated: predecessor missing")
-    if not is_acyclic(dag.vertex_set(), dag.edge_set()):
+    if not is_acyclic(*dag_graph(dag)):
         raise AssertionError("cycle detected")
 
 
 def slot_fingerprint(interpreter: Interpreter, ref: BlockRef) -> bytes:
     """Digest over everything a block's slot holds: each instance's state
-    and the in- and out-buffer per label."""
+    and the out-buffer per label."""
     slot = interpreter._slots[ref]
     parts = [ref]
     for label in sorted(slot.instances):
         parts.append(label.canonical_bytes())
         parts.append(slot.instances[label].state_bytes())
-    for table in (slot.fed, slot.out):
-        for label in sorted(table):
-            parts.append(label.canonical_bytes())
-            parts.extend(m.canonical_bytes() for m in table[label])
+    for label in sorted(slot.out):
+        parts.append(label.canonical_bytes())
+        parts.extend(m.canonical_bytes() for m in slot.out[label])
     return content_digest(b"".join(parts))
 
 
@@ -427,9 +433,9 @@ def interpret_in_random_order(
     missing: dict[BlockRef, int] = {}
     dependents: dict[BlockRef, list[BlockRef]] = {}
     for ref in dag.refs():
-        if interpreter.interpreted(ref):
+        if ref in interpreter._slots:
             continue
-        waiting = [p for p in dag.get(ref).distinct_preds() if not interpreter.interpreted(p)]
+        waiting = [p for p in dag.get(ref).distinct_preds() if p not in interpreter._slots]
         if waiting:
             missing[ref] = len(waiting)
             for pred in waiting:

@@ -38,6 +38,7 @@ from .oracles import (
     reference_outputs,
 )
 from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
+from .util import buffers
 
 L1 = Label(0, 1)
 
@@ -125,15 +126,14 @@ class TestCriterion1BroadcastFixture:
         result = run(scenario)
 
         dag = result.final_dags[0]
-        by_pos = {(b.builder, b.seqno): b for b in dag.blocks()}
-        it = Interpreter(dag, ReliableBroadcast(4, 1))
-        it.run_to_fixpoint()
+        by_pos = {(dag.get(ref).builder, dag.get(ref).seqno): ref for ref in dag.refs()}
+        reports = Interpreter(dag, ReliableBroadcast(4, 1)).run_to_fixpoint()
 
         def out_set(pos):
-            return set(it.messages_out(block_ref(by_pos[pos]), L1))
+            return set(buffers(reports, by_pos[pos], L1)[1])
 
         def in_set(pos):
-            return set(it.messages_in(block_ref(by_pos[pos]), L1))
+            return set(buffers(reports, by_pos[pos], L1)[0])
 
         echo_to_all = {Message(0, r, encode_payload(ECHO, 42)) for r in range(4)}
         if out_set((0, 0)) != echo_to_all or in_set((0, 0)) != set():
@@ -348,7 +348,7 @@ def _has_sibling_forks(result) -> bool:
     """Whether some correct server's final DAG holds two blocks by one
     builder at one sequence number past genesis: forks sharing a parent."""
     for dag in result.final_dags.values():
-        slots = [(b.builder, b.seqno) for b in dag.blocks() if b.seqno > 0]
+        slots = [(b.builder, b.seqno) for b in map(dag.get, dag.refs()) if b.seqno > 0]
         if len(slots) != len(set(slots)):
             return True
     return False

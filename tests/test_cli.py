@@ -35,7 +35,9 @@ class TestRun:
         assert code == EXIT_OK
         assert "blocks" in text
         events = trace.read_jsonl(str(out_path))
-        assert events
+        surfaced = sum(1 for e in events if e["kind"] == "INDICATE" and e["surfaced"])
+        assert surfaced > 0
+        assert text.rstrip().endswith(f", {surfaced} indications")
 
     def test_repeat_runs_are_byte_identical(self, tmp_path, scenario_file):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

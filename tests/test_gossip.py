@@ -20,7 +20,7 @@ from dagbft.gossip import (
 )
 from dagbft.protocol import Label
 
-from .oracles import RescanPromoter
+from .oracles import RescanPromoter, dag_graph
 from .util import make_registry, signed_block
 
 
@@ -67,10 +67,11 @@ class TestReceive:
             signed_block(registry, 1, k + 1, (block_ref(signed_block(registry, 1, 0)),), ((Label(1, k), b"x"),))
             for k in range(3)
         ]
-        node.on_receive_block(blocks[0])
-        node.on_receive_block(blocks[1])
-        assert node.on_receive_block(blocks[2]) == Disposition.EVICTED_OLDEST
-        assert node.evicted == 1
+        assert [node.on_receive_block(b) for b in blocks] == [
+            Disposition.BUFFERED,
+            Disposition.BUFFERED,
+            Disposition.EVICTED_OLDEST,
+        ]
         assert len(node.pending) == 2
         assert block_ref(blocks[0]) not in node.pending
 
@@ -378,7 +379,7 @@ class TestPromotionMatchesRescan:
             block_ref(b) for b in oracle.try_promote()
         ]
         assert list(node.pending) == list(oracle.pending)
-        assert node.dag.vertex_set() == oracle.dag.vertex_set()
+        assert dag_graph(node.dag) == dag_graph(oracle.dag)
         assert node.missing_predecessors() == oracle.missing_predecessors()
         if cap == 2:
             assert evicted, "a cap of 2 must evict in this pool"

@@ -1,4 +1,4 @@
-"""Interpretation of the DAG: eligibility, buffer contents, determinism."""
+"""Interpretation of the DAG: order, buffer contents, determinism."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dagbft.interpret import InterpretError, Interpreter, _Slot
 from dagbft.protocol import Label, Message
 
 from .oracles import debug_oracles, interpret_in_random_order, live_labels
-from .util import fig_pair_dag, lockstep_dag, make_registry, signed_block
+from .util import buffers, fig_pair_dag, lockstep_dag, make_registry, signed_block
 
 N, F = 4, 1
 L1 = Label(0, 1)
@@ -41,74 +41,40 @@ def broadcast_fixture(registry, rounds: int):
     )
 
 
-class TestEligibility:
-    def test_genesis_eligible_when_fresh(self, registry):
-        dag, blocks = fig_pair_dag(registry)
-        it = Interpreter(dag, protocol())
-        assert it.eligible(block_ref(blocks[0]))
-
-    def test_blocked_until_all_preds_interpreted(self, registry):
-        dag, (b1, b2, b3) = fig_pair_dag(registry)
-        it = Interpreter(dag, protocol())
-        it._interpret_block(block_ref(b1))
-        assert not it.eligible(block_ref(b3))  # b2 still pending
-
-    def test_interpreted_block_not_eligible(self, registry):
-        dag, (b1, _, _) = fig_pair_dag(registry)
-        it = Interpreter(dag, protocol())
-        it.run_to_fixpoint()
-        assert not it.eligible(block_ref(b1))
-
-    def test_unknown_ref_eligible_errors(self, registry):
-        dag, _ = fig_pair_dag(registry)
-        it = Interpreter(dag, protocol())
-        ghost = block_ref(signed_block(registry, 3, 7))
-        with pytest.raises(Exception):
-            it.eligible(ghost)
-
-
 class TestBroadcastRounds:
     """The canonical buffer picture for a broadcast riding the first block."""
 
     def test_round_zero_emits_echo_to_all(self, registry):
         dag, blocks = broadcast_fixture(registry, rounds=1)
-        it = Interpreter(dag, protocol())
-        it.run_to_fixpoint()
-        ref = block_ref(blocks[(0, 0)])
-        assert it.messages_in(ref, L1) == ()
-        assert set(it.messages_out(ref, L1)) == {
-            Message(0, r, encode_payload(ECHO, 42)) for r in range(N)
-        }
+        reports = Interpreter(dag, protocol()).run_to_fixpoint()
+        fed, emitted = buffers(reports, block_ref(blocks[(0, 0)]), L1)
+        assert fed == ()
+        assert set(emitted) == {Message(0, r, encode_payload(ECHO, 42)) for r in range(N)}
 
     def test_round_one_receivers_relay_the_echo(self, registry):
         dag, blocks = broadcast_fixture(registry, rounds=2)
-        it = Interpreter(dag, protocol())
-        it.run_to_fixpoint()
+        reports = Interpreter(dag, protocol()).run_to_fixpoint()
         for server in (1, 2, 3):
-            ref = block_ref(blocks[(server, 1)])
-            assert it.messages_in(ref, L1) == (
-                Message(0, server, encode_payload(ECHO, 42)),
-            )
-            assert set(it.messages_out(ref, L1)) == {
+            fed, emitted = buffers(reports, block_ref(blocks[(server, 1)]), L1)
+            assert fed == (Message(0, server, encode_payload(ECHO, 42)),)
+            assert set(emitted) == {
                 Message(server, r, encode_payload(ECHO, 42)) for r in range(N)
             }
 
     def test_originator_round_one_hears_itself_but_stays_quiet(self, registry):
         # the echoed guard suppresses a second echo on the originator's chain
         dag, blocks = broadcast_fixture(registry, rounds=2)
-        it = Interpreter(dag, protocol())
-        it.run_to_fixpoint()
-        ref = block_ref(blocks[(0, 1)])
-        assert it.messages_in(ref, L1) == (Message(0, 0, encode_payload(ECHO, 42)),)
-        assert it.messages_out(ref, L1) == ()
+        reports = Interpreter(dag, protocol()).run_to_fixpoint()
+        fed, emitted = buffers(reports, block_ref(blocks[(0, 1)]), L1)
+        assert fed == (Message(0, 0, encode_payload(ECHO, 42)),)
+        assert emitted == ()
 
     def test_round_two_emits_ready_after_quorum(self, registry):
         dag, blocks = broadcast_fixture(registry, rounds=3)
-        it = Interpreter(dag, protocol())
-        it.run_to_fixpoint()
+        reports = Interpreter(dag, protocol()).run_to_fixpoint()
         for server in range(N):
-            ref = block_ref(blocks[(server, 2)])
-            assert set(it.messages_out(ref, L1)) == {
+            _, emitted = buffers(reports, block_ref(blocks[(server, 2)]), L1)
+            assert set(emitted) == {
                 Message(server, r, encode_payload(READY, 42)) for r in range(N)
             }
 
@@ -162,9 +128,9 @@ class TestEquivocationSplitsState:
         )
         dag.insert(fork)
         it = Interpreter(dag, protocol())
-        it.run_to_fixpoint()
-        assert it.messages_out(block_ref(fork), L1) != ()
-        assert it.messages_out(block_ref(b3), L1) == ()
+        reports = it.run_to_fixpoint()
+        assert buffers(reports, block_ref(fork), L1)[1] != ()
+        assert buffers(reports, block_ref(b3), L1)[1] == ()
         assert it.state_digest(block_ref(fork), L1) != it.state_digest(block_ref(b3), L1)
 
 
@@ -223,21 +189,21 @@ class TestGrowingDag:
         ]
         dag = BlockDag(registry)
         grown = Interpreter(dag, protocol())
-        interpreted: list[object] = []
+        grown_reports = []
         with debug_oracles():
             for batch in batches:
                 for key in batch:
                     dag.insert(blocks[key])
-                interpreted += [report.ref for report in grown.run_to_fixpoint()]
-                assert all(grown.interpreted(ref) for ref in dag.refs())
-        assert sorted(interpreted) == sorted(final.refs())
+                grown_reports += grown.run_to_fixpoint()
+                assert sorted(r.ref for r in grown_reports) == sorted(dag.refs())
+        assert sorted(r.ref for r in grown_reports) == sorted(final.refs())
 
         once = Interpreter(final, protocol())
-        once.run_to_fixpoint()
+        once_reports = once.run_to_fixpoint()
         for ref in final.refs():
             for label in live_labels(final, ref):
                 assert grown.state_digest(ref, label) == once.state_digest(ref, label)
-                assert grown.messages_in(ref, label) == once.messages_in(ref, label)
+                assert buffers(grown_reports, ref, label) == buffers(once_reports, ref, label)
         assert len(grown.take_indications()) == len(once.take_indications()) == 4
 
 
@@ -248,13 +214,12 @@ class TestByzantineInputs:
             registry, 0, 0, requests=((L1, b"\x01"), (L1, encode_broadcast(42)))
         )
         dag.insert(block)
-        it = Interpreter(dag, protocol())
-        reports = it.run_to_fixpoint()
-        assert it.skipped_requests == 1
-        assert it.interpreted(block_ref(block))
+        reports = Interpreter(dag, protocol()).run_to_fixpoint()
+        assert [r.ref for r in reports] == [block_ref(block)]
+        (act,) = reports[0].labels
+        assert act.skipped_requests == 1
         # the well-formed request still went through
-        assert it.messages_out(block_ref(block), L1) != ()
-        assert reports[0].labels[0].skipped_requests == 1
+        assert act.emitted != ()
 
     def test_duplicated_pred_refs_absorbed(self, registry):
         dag, blocks = broadcast_fixture(registry, rounds=1)
@@ -267,23 +232,20 @@ class TestByzantineInputs:
             (block_ref(g1), block_ref(g0), block_ref(g0)),
         )
         dag.insert(doubled)
-        it = Interpreter(dag, protocol())
-        it.run_to_fixpoint()
-        fed = it.messages_in(block_ref(doubled), L1)
+        reports = Interpreter(dag, protocol()).run_to_fixpoint()
+        fed, _ = buffers(reports, block_ref(doubled), L1)
         assert fed == (Message(0, 1, encode_payload(ECHO, 42)),)
 
 
 class TestLiveLabelSoundness:
     def test_nonempty_out_buffers_have_a_request_ancestor(self, registry):
-        dag, blocks = broadcast_fixture(registry, rounds=3)
-        it = Interpreter(dag, protocol())
-        it.run_to_fixpoint()
-        request_ref = block_ref(blocks[(0, 0)])
-        for ref in dag.refs():
-            for label in live_labels(dag, ref):
-                if it.messages_out(ref, label):
-                    assert label == L1
-                    assert ref == request_ref or dag.reaches(request_ref, ref)
+        dag, _ = broadcast_fixture(registry, rounds=3)
+        reports = Interpreter(dag, protocol()).run_to_fixpoint()
+        emitting = [(r.ref, act.label) for r in reports for act in r.labels if act.emitted]
+        assert emitting
+        for ref, label in emitting:
+            assert label == L1
+            assert label in live_labels(dag, ref)
 
 
 class TestDebugChecks:
@@ -313,7 +275,7 @@ class TestDebugChecks:
         ref = block_ref(b3)
         with debug_oracles():
             it = Interpreter(dag, protocol())
-            it._slots[ref] = _Slot({}, {}, {})
+            it._slots[ref] = _Slot({}, {})
             with pytest.raises(AssertionError, match=f"{ref.hex()[:12]} already populated"):
                 it.run_to_fixpoint()
 
@@ -334,10 +296,3 @@ class TestDebugChecks:
         assert len(it.take_indications()) == 4
         assert it.take_indications() == []
 
-
-def _last_block(dag: BlockDag, builder: int):
-    best = None
-    for block in dag.blocks():
-        if block.builder == builder and (best is None or block.seqno > best.seqno):
-            best = block
-    return best

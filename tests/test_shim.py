@@ -85,14 +85,12 @@ class TestIndicationFilter:
         ref = block_ref(shim.tick(0)[0].block)
         ind = Indication(ref, L1, 0, encode_broadcast(42))
         assert shim.filter_indication(ind)
-        assert shim.dropped_indications == 0
 
-    def test_foreign_indication_dropped_and_counted(self, registry):
+    def test_foreign_indication_dropped(self, registry):
         shim = make_shim(registry, server=0)
         ref = block_ref(shim.tick(0)[0].block)
         ind = Indication(ref, L1, 2, encode_broadcast(42))
         assert not shim.filter_indication(ind)
-        assert shim.dropped_indications == 1
 
     def test_poll_surfaces_only_own(self, registry):
         # single-node end to end: the shim's own broadcast comes back only on
@@ -103,15 +101,9 @@ class TestIndicationFilter:
             shim.tick(now)
             shim.gossip.try_promote()
             shim.interpreter.run_to_fixpoint()
-        surfaced = [
-            ind
-            for ind in shim.interpreter.take_indications()
-            if shim.filter_indication(ind)
-        ]
         # n=4 quorums cannot be met by one server alone: nothing delivers,
-        # nothing foreign leaks through
-        assert surfaced == []
-        assert shim.dropped_indications == 0
+        # so there is nothing to surface and nothing foreign to drop
+        assert shim.interpreter.take_indications() == []
 
     def test_pass_through_has_no_dedup(self, registry):
         shim = make_shim(registry, server=0)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dagbft.blockdag import Block, BlockDag, BlockRef, block_ref
 from dagbft.crypto import KeyRegistry
-from dagbft.protocol import Label
+from dagbft.interpret import BlockInterpretation
+from dagbft.protocol import Label, Message
 
 
 def make_registry(n: int = 4, seed: int = 1) -> KeyRegistry:
@@ -20,6 +21,18 @@ def signed_block(
 ) -> Block:
     core = Block(builder, seqno, preds, requests)
     return core.with_signature(registry.sign(registry.handle(builder), block_ref(core)))
+
+
+def buffers(
+    reports: list[BlockInterpretation], ref: BlockRef, label: Label
+) -> tuple[tuple[Message, ...], tuple[Message, ...]]:
+    """The messages ``label`` was fed and emitted at block ``ref``, read from
+    the one report on ``ref``; both empty when the block did not touch it."""
+    (report,) = [r for r in reports if r.ref == ref]
+    for act in report.labels:
+        if act.label == label:
+            return act.fed, act.emitted
+    return (), ()
 
 
 def fig_pair_dag(registry: KeyRegistry):
