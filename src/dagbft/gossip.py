@@ -18,7 +18,8 @@ references them (FWD), throttled per reference by a request interval.
 signs it, commits it (inserts it and restarts the draft from it), and
 addresses it to every server (the builder included, for wire uniformity;
 the duplicate arrival is absorbed by the already-in-DAG guard). Scripted
-adversaries seal their own blocks but share this intake and ``commit``.
+adversaries pick their own preds for ``seal`` but share this intake and
+``commit``.
 """
 
 from __future__ import annotations
@@ -261,17 +262,21 @@ class GossipNode:
         self.draft_preds = {ref: None}
         self._release(ref)  # content is predictable, e.g. an empty genesis block
 
+    def seal(
+        self, requests: tuple[tuple[Label, bytes], ...], preds: tuple[BlockRef, ...]
+    ) -> Block:
+        """Sign this server's next block over ``preds`` without committing
+        it; an adversary may seal twice (a fork) or list a ref twice."""
+        core = Block(self.server, self.next_seqno, preds, requests)
+        return core.with_signature(self.registry.sign(self.handle, block_ref(core)))
+
     def disseminate(self) -> tuple[Block, list[WireEnvelope]]:
         """Seal the current block: drain buffered requests into it, sign it,
         commit it, and address it to every server."""
         drained: list[tuple[Label, bytes]] = []
         while self.requests and len(drained) < MAX_REQUESTS_PER_BLOCK:
             drained.append(self.requests.popleft())
-        core = Block(
-            self.server, self.next_seqno, tuple(self.draft_preds), tuple(drained)
-        )
-        signature = self.registry.sign(self.handle, block_ref(core))
-        block = core.with_signature(signature)
+        block = self.seal(tuple(drained), tuple(self.draft_preds))
         self.commit(block)
         envelopes = [
             WireEnvelope(BLOCK_ENVELOPE, self.server, receiver, block=block)

@@ -275,9 +275,9 @@ class RunResult:
 
 class _Adversary:
     """One scripted byzantine server. Takes received blocks through the same
-    gossip intake as a correct server, seals its own blocks by hand, and
-    produces wire traffic into an outbox that the engine drains at the
-    per-step budget."""
+    gossip intake as a correct server, seals its own blocks on preds it
+    picks, and produces wire traffic into an outbox that the engine drains
+    at the per-step budget."""
 
     def __init__(
         self,
@@ -336,7 +336,10 @@ class _Adversary:
             return
         # SELECTIVE_SEND, DUPLICATE_REFS and CRASH_AT play a single chain, and
         # so does the equivocator's first block, which has no parent to fork
-        block = self._seal(requests, double_refs=kind == "DUPLICATE_REFS")
+        preds = tuple(self.node.draft_preds)
+        if kind == "DUPLICATE_REFS":
+            preds = tuple(p for p in preds for _ in range(2))
+        block = self.node.seal(requests, preds)
         self.node.commit(block)
         targets = self.spec.targets if kind == "SELECTIVE_SEND" else range(self.scenario.n)
         self._post_block(block, targets)
@@ -351,18 +354,6 @@ class _Adversary:
 
     def _dead(self, now: int) -> bool:
         return self.spec.kind == "CRASH_AT" and now >= self.spec.crash_step
-
-    def _seal(
-        self, requests: tuple[tuple[Label, bytes], ...], *, double_refs: bool = False
-    ) -> Block:
-        """Sign a block on the node's draft without committing it, so that a
-        behaviour can fork (seal twice) or list every ref twice."""
-        preds = tuple(self.node.draft_preds)
-        if double_refs:
-            preds = tuple(p for p in preds for _ in range(2))
-        core = Block(self.server, self.node.next_seqno, preds, requests)
-        signature = self.node.registry.sign(self.node.handle, block_ref(core))
-        return core.with_signature(signature)
 
     def _post_block(self, block: Block, receivers) -> None:
         ref_hex = block_ref(block).hex()
@@ -379,8 +370,9 @@ class _Adversary:
             self._marker_nonce += 1
             marker = Label(self.server, 1_000_000 + self._marker_nonce)
             rs_b = ((marker, b"\x00"),)  # undecodable filler; just forces a distinct ref
-        fork_a = self._seal(rs_a)
-        fork_b = self._seal(rs_b)
+        preds = tuple(self.node.draft_preds)
+        fork_a = self.node.seal(rs_a, preds)
+        fork_b = self.node.seal(rs_b, preds)
         self.node.commit(fork_a)
         self.node.dag.insert(fork_b)  # both forks are individually valid
         half = (self.scenario.n + 1) // 2
@@ -584,10 +576,12 @@ class Simulation:
             self._record_insert(now, node.server, envelopes[0].block)
             self._send_envelopes(now, envelopes)
 
-    def _interpret_phase(self, now: int, node: Shim) -> None:
-        for report in node.interpreter.run_to_fixpoint():
+    def _interpret_phase(self, now: int, node: Shim) -> list[BlockInterpretation]:
+        reports = node.interpreter.run_to_fixpoint()
+        for report in reports:
             self._record_interpretation(now, node.server, report)
         self._emit_indications(now, node)
+        return reports
 
     def _emit_indications(self, now: int, node: Shim) -> None:
         for ind in node.interpreter.take_indications():
@@ -694,12 +688,9 @@ class Simulation:
                 raise RuntimeError("drain delivery loop did not settle")
             quiet = True
             for server in sorted(self.correct):
-                node = self.correct[server]
-                for report in node.interpreter.run_to_fixpoint():
-                    self._record_interpretation(now, server, report)
+                for report in self._interpret_phase(now, self.correct[server]):
                     if any(act.fed or act.emitted for act in report.labels):
                         quiet = False
-                self._emit_indications(now, node)
             if quiet:
                 return
         raise RuntimeError("drain did not quiesce within the round bound")

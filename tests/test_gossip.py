@@ -252,6 +252,18 @@ class TestDisseminate:
         block, _ = node.disseminate()
         assert block.requests == ()
 
+    def test_seal_signs_without_committing(self, registry):
+        node = make_node(registry)
+        first, _ = node.disseminate()
+        preds = (block_ref(first), block_ref(first))
+        a = node.seal(((Label(0, 1), b"a"),), preds)
+        b = node.seal(((Label(0, 1), b"b"),), preds)
+        assert (a.seqno, a.preds) == (b.seqno, b.preds) == (1, preds)
+        assert block_ref(a) != block_ref(b)
+        assert node.dag.is_valid(a) and node.dag.is_valid(b)
+        assert block_ref(a) not in node.dag and block_ref(b) not in node.dag
+        assert (node.next_seqno, list(node.draft_preds)) == (1, [block_ref(first)])
+
 
 class TestEnvelopeCodec:
     def test_block_envelope_round_trip(self, registry):
