@@ -34,7 +34,7 @@ def _load_scenario(path: str, out) -> simnet.Scenario | None:
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=out)
         return None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         print(f"error: scenario is not valid JSON: {exc}", file=out)
         return None
     try:

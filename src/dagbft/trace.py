@@ -70,9 +70,11 @@ def parse_line(line: str, lineno: int) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"not valid JSON ({exc.msg})", lineno) from exc
+    except RecursionError as exc:
+        raise TraceFormatError("JSON nested too deeply", lineno) from exc
     if not isinstance(obj, dict):
         raise TraceFormatError("event is not an object", lineno)
-    if obj.get("schema") != SCHEMA_VERSION:
+    if not conforms(obj.get("schema"), int) or obj["schema"] != SCHEMA_VERSION:
         raise TraceFormatError(f"unsupported schema {obj.get('schema')!r}", lineno)
     if not isinstance(obj.get("kind"), str) or obj["kind"] not in KINDS:
         raise TraceFormatError(f"unknown event kind {obj.get('kind')!r}", lineno)
@@ -115,5 +117,10 @@ def loads(text: str) -> list[dict]:
 
 
 def read_jsonl(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"not UTF-8 text at byte {exc.start}") from exc
+    return loads(text)

@@ -173,11 +173,20 @@ class TestRun:
         assert code == EXIT_OK
         assert "ran 12 steps" in text
 
-    def test_unreadable_scenario_is_config_error(self, tmp_path):
-        code, _ = run_cli(
-            "run", "--scenario", tmp_path / "missing.json", "--out", tmp_path / "t.jsonl"
-        )
+    @pytest.mark.parametrize(
+        "content", [None, b"\xff\xfe", b"[" * 200_000], ids=["missing", "not-utf8", "too-deep"]
+    )
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_unreadable_scenario_is_config_error(self, tmp_path, command, content):
+        path = tmp_path / "scenario.json"
+        if content is not None:
+            path.write_bytes(content)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        extra = {"run": ["--out", tmp_path / "t.jsonl"], "check": ["--trace", empty]}[command]
+        code, text = run_cli(command, "--scenario", path, *extra)
         assert code == EXIT_CONFIG
+        assert text.startswith("error: ")
 
 
 class TestCheck:
@@ -314,6 +323,9 @@ _MALFORMED_EVENTS = [
     '{"schema":1,"step":0,"kind":"INTERPRET","server":0,"ref":"aa","builder":0,'
     '"labels":[{"label":[0,1],"fed":3,"emitted":[],"state":"11","skipped":0}]}',
     '{"schema":1,"step":true,"kind":"PROMOTE","server":0,"ref":"aa"}',
+    '{"schema":true,"step":0,"kind":"PROMOTE","server":0,"ref":"aa"}',
+    '{"schema":1.0,"step":0,"kind":"PROMOTE","server":0,"ref":"aa"}',
+    pytest.param("[" * 200_000, id="nested-too-deep"),
 ]
 
 
@@ -335,24 +347,34 @@ def _indicating(indication_hex: str) -> list[dict]:
 
 
 class TestMalformedEvents:
-    """A line that is valid JSON but lacks a field every event of its kind
-    carries, or gives one a wrong type, is malformed input: exit 2 with its
-    line number, for every subcommand that reads a trace, never a traceback
-    or a violation."""
+    """A line the JSON decoder cannot read, or one that lacks a field every
+    event of its kind carries or gives one a wrong type, is malformed input:
+    exit 2 with its line number, for every subcommand that reads a trace,
+    never a traceback or a violation. So is a file that is not UTF-8."""
 
-    @pytest.mark.parametrize("line", _MALFORMED_EVENTS)
-    @pytest.mark.parametrize("command", ["check", "export-dot", "census"])
-    def test_rejected_with_line_number(self, tmp_path, scenario_file, command, line):
+    @staticmethod
+    def _run_on(tmp_path, scenario_file, command, content: bytes):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(trace.dumps([_insert(0, 1, "aa" * 32, 0, 0, [])]) + line + "\n")
+        bad.write_bytes(trace.dumps([_insert(0, 1, "aa" * 32, 0, 0, [])]).encode() + content)
         extra = {
             "check": ["--scenario", scenario_file],
             "export-dot": ["--out", tmp_path / "o.dot"],
             "census": [],
         }[command]
-        code, text = run_cli(command, "--trace", bad, *extra)
+        return run_cli(command, "--trace", bad, *extra)
+
+    @pytest.mark.parametrize("line", _MALFORMED_EVENTS)
+    @pytest.mark.parametrize("command", ["check", "export-dot", "census"])
+    def test_rejected_with_line_number(self, tmp_path, scenario_file, command, line):
+        code, text = self._run_on(tmp_path, scenario_file, command, line.encode() + b"\n")
         assert code == EXIT_CONFIG
         assert "line 2" in text
+
+    @pytest.mark.parametrize("command", ["check", "export-dot", "census"])
+    def test_text_that_is_not_utf8_is_rejected(self, tmp_path, scenario_file, command):
+        code, text = self._run_on(tmp_path, scenario_file, command, b"\xff\xfe\n")
+        assert code == EXIT_CONFIG
+        assert "not UTF-8" in text
 
     @pytest.mark.parametrize(
         "scenario", [fig_broadcast_scenario(), adversarial_scenario(3)], ids=["fig", "adv3"]
