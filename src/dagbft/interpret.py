@@ -5,11 +5,12 @@ of its parent's process instances, feeds the block's embedded requests, then
 feeds every message addressed to the block's builder from the out-buffers of
 the block's predecessors, in the fixed message order. Each interpreted block
 gets one slot holding its instances and its out-buffer per label; what a
-block was fed is in its report. Slots are write-once: after a block is interpreted its slot is never touched
-again, which is what lets independent machines (and re-runs over extended
-DAGs) agree byte-for-byte. Among the blocks eligible at once, the least ref
-goes first; the result does not depend on that choice, and the tests check
-this by interpreting in seeded random orders (``tests/oracles.py``).
+block was fed is in its report. Slots are write-once: after a block is
+interpreted its slot is never touched again, which is what lets independent
+machines (and re-runs over extended DAGs) agree byte-for-byte. Among the
+blocks eligible at once, the least ref goes first; the result does not
+depend on that choice, and the tests check this by interpreting in seeded
+random orders (``tests/oracles.py``).
 
 Byzantine-crafted requests that fail protocol decoding are skipped per
 request, and the report counts them; a correct interpreter keeps going on

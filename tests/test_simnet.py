@@ -388,16 +388,16 @@ class TestSelectiveSendRecovery:
         assert fwd_requests, "starved servers should have requested the gap"
         # the byzantine blocks seen by server 0 end up everywhere
         byz_refs = {
-            ref.hex()
-            for ref in result.final_dags[0].refs()
-            if result.final_dags[0].get(ref).builder == 3
+            block_ref(b).hex()
+            for b in map(result.final_dags[0].get, result.final_dags[0].refs())
+            if b.builder == 3
         }
         assert byz_refs
         for server in (1, 2):
             have = {
-                ref.hex()
-                for ref in result.final_dags[server].refs()
-                if result.final_dags[server].get(ref).builder == 3
+                block_ref(b).hex()
+                for b in map(result.final_dags[server].get, result.final_dags[server].refs())
+                if b.builder == 3
             }
             assert byz_refs <= have
 
