@@ -5,7 +5,8 @@ of its parent's process instances, feeds the block's embedded requests, then
 feeds every message addressed to the block's builder from the out-buffers of
 the block's predecessors, in the fixed message order. Each interpreted block
 gets one slot holding its instances and its out-buffer per label; what a
-block was fed is in its report. Slots are write-once: after a block is
+block was fed and the indications it raised are in its report, the
+interpreter's only output. Slots are write-once: after a block is
 interpreted its slot is never touched again, which is what lets independent
 machines (and re-runs over extended DAGs) agree byte-for-byte. Among the
 blocks eligible at once, the least ref goes first; the result does not
@@ -42,26 +43,17 @@ class InterpretError(Exception):
 
 
 @dataclass(frozen=True)
-class Indication:
-    """One protocol indication surfaced during interpretation, tagged with the
-    server on whose behalf the instance ran."""
-
-    block: BlockRef
-    label: Label
-    on_behalf_of: int
-    payload: bytes
-
-
-@dataclass(frozen=True)
 class LabelActivity:
-    """What one label did at one block: messages fed, messages emitted, and
-    the post-state digest."""
+    """What one label did at one block: messages fed, messages emitted, the
+    post-state digest, and the indications its instance raised there, on
+    behalf of the block's builder."""
 
     label: Label
     fed: tuple[Message, ...]
     emitted: tuple[Message, ...]
     state_digest: bytes
     skipped_requests: int
+    indications: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -96,14 +88,8 @@ class Interpreter:
 
         self._slots: dict[BlockRef, _Slot] = {}
         self._ingested = 0  # DAG refs seen so far; the DAG only appends
-        self._indications: list[Indication] = []
 
     # -- observation ---------------------------------------------------------
-
-    def take_indications(self) -> list[Indication]:
-        out = self._indications
-        self._indications = []
-        return out
 
     def state_digest(self, ref: BlockRef, label: Label) -> bytes:
         """Digest over the instance state plus the sorted out-buffer for
@@ -216,9 +202,8 @@ class Interpreter:
             for m in fed[label]:
                 emit(label, inst.on_receive(m))
 
-        for label in sorted(out):
-            for payload in instances[label].take_indications():
-                self._indications.append(Indication(ref, label, block.builder, payload))
+        # drained before the digests below, which encode pending indications
+        indications = {label: tuple(instances[label].take_indications()) for label in out}
 
         slot = _Slot(instances, {label: tuple(ms) for label, ms in out.items()})
         self._slots[ref] = slot
@@ -233,6 +218,7 @@ class Interpreter:
                     slot.out.get(label, ()),
                     self.state_digest(ref, label),
                     skipped.get(label, 0),
+                    indications.get(label, ()),
                 )
                 for label in sorted(skipped.keys() | out.keys())
             ),

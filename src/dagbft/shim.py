@@ -2,14 +2,15 @@
 self-filter on indications.
 
 The shim queues requests on the gossip layer's FIFO, triggers dissemination
-on a fixed step cadence, and forwards an indication to the user only when
-the interpretation raised it on behalf of this very server.
+on a fixed step cadence, and surfaces a block's indications to the user
+only when the block is this very server's own: the interpretation raised
+them on its behalf.
 """
 
 from __future__ import annotations
 
 from .gossip import GossipNode, WireEnvelope
-from .interpret import Indication, Interpreter
+from .interpret import BlockInterpretation, Interpreter
 from .protocol import Label, Protocol
 
 
@@ -46,8 +47,8 @@ class Shim:
         _, envelopes = self.gossip.disseminate()
         return envelopes
 
-    def filter_indication(self, indication: Indication) -> bool:
-        """Whether ``indication`` surfaces to this server's user: only those
-        raised on its own behalf do; foreign ones are dropped. The caller
-        drains ``interpreter.take_indications()`` through it."""
-        return indication.on_behalf_of == self.server
+    def surfaces(self, report: BlockInterpretation) -> bool:
+        """Whether the indications in ``report`` surface to this server's
+        user: only those of its own blocks, raised on its own behalf, do;
+        foreign ones are dropped."""
+        return report.builder == self.server

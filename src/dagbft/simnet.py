@@ -580,23 +580,22 @@ class Simulation:
         reports = node.interpreter.run_to_fixpoint()
         for report in reports:
             self._record_interpretation(now, node.server, report)
-        self._emit_indications(now, node)
+        for report in reports:
+            for act in report.labels:
+                for payload in act.indications:
+                    self.events.append(
+                        trace.event(
+                            now,
+                            "INDICATE",
+                            server=node.server,
+                            label=[act.label.originator, act.label.nonce],
+                            indication=payload.hex(),
+                            on_behalf_of=report.builder,
+                            block=report.ref.hex(),
+                            surfaced=node.surfaces(report),
+                        )
+                    )
         return reports
-
-    def _emit_indications(self, now: int, node: Shim) -> None:
-        for ind in node.interpreter.take_indications():
-            self.events.append(
-                trace.event(
-                    now,
-                    "INDICATE",
-                    server=node.server,
-                    label=[ind.label.originator, ind.label.nonce],
-                    indication=ind.payload.hex(),
-                    on_behalf_of=ind.on_behalf_of,
-                    block=ind.block.hex(),
-                    surfaced=node.filter_indication(ind),
-                )
-            )
 
     def _record_interpretation(
         self, now: int, server: int, report: BlockInterpretation

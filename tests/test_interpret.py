@@ -19,7 +19,14 @@ from dagbft.interpret import InterpretError, Interpreter, _Slot
 from dagbft.protocol import Label, Message
 
 from .oracles import debug_oracles, interpret_in_random_order, live_labels
-from .util import buffers, fig_pair_dag, lockstep_dag, make_registry, signed_block
+from .util import (
+    buffers,
+    fig_pair_dag,
+    indications,
+    lockstep_dag,
+    make_registry,
+    signed_block,
+)
 
 N, F = 4, 1
 L1 = Label(0, 1)
@@ -80,12 +87,8 @@ class TestBroadcastRounds:
 
     def test_round_three_delivers_everywhere_once(self, registry):
         dag, _ = broadcast_fixture(registry, rounds=4)
-        it = Interpreter(dag, protocol())
-        it.run_to_fixpoint()
-        delivered = [
-            (ind.on_behalf_of, decode_deliver(ind.payload))
-            for ind in it.take_indications()
-        ]
+        reports = Interpreter(dag, protocol()).run_to_fixpoint()
+        delivered = [(server, decode_deliver(p)) for server, p in indications(reports)]
         assert sorted(delivered) == [(s, 42) for s in range(N)]
 
 
@@ -204,7 +207,8 @@ class TestGrowingDag:
             for label in live_labels(final, ref):
                 assert grown.state_digest(ref, label) == once.state_digest(ref, label)
                 assert buffers(grown_reports, ref, label) == buffers(once_reports, ref, label)
-        assert len(grown.take_indications()) == len(once.take_indications()) == 4
+        assert sorted(indications(grown_reports)) == sorted(indications(once_reports))
+        assert len(indications(once_reports)) == 4
 
 
 class TestByzantineInputs:
@@ -292,7 +296,17 @@ class TestDebugChecks:
     def test_indications_drain_once(self, registry):
         dag, _ = broadcast_fixture(registry, rounds=4)
         it = Interpreter(dag, protocol())
-        it.run_to_fixpoint()
-        assert len(it.take_indications()) == 4
-        assert it.take_indications() == []
+        assert len(indications(it.run_to_fixpoint())) == 4
+        assert it.run_to_fixpoint() == []
+
+    def test_reported_digest_is_taken_after_the_indications_drain(self, registry):
+        # state bytes encode pending indications: a report's digest must be
+        # the block's settled digest, also where the block delivers
+        dag, _ = broadcast_fixture(registry, rounds=4)
+        it = Interpreter(dag, protocol())
+        reports = it.run_to_fixpoint()
+        assert any(act.indications for r in reports for act in r.labels)
+        for report in reports:
+            for act in report.labels:
+                assert act.state_digest == it.state_digest(report.ref, act.label)
 

@@ -6,11 +6,11 @@ import pytest
 
 from dagbft.blockdag import block_ref
 from dagbft.brb import ReliableBroadcast, encode_broadcast
-from dagbft.interpret import Indication
+from dagbft.interpret import BlockInterpretation, LabelActivity
 from dagbft.protocol import Label
 from dagbft.shim import Shim
 
-from .util import make_registry
+from .util import indications, make_registry
 
 L1 = Label(0, 1)
 
@@ -79,35 +79,41 @@ class TestCadence:
             make_shim(registry, cadence=0)
 
 
+def delivery_report(ref, builder: int) -> BlockInterpretation:
+    """A report on block ``ref`` whose L1 instance delivered 42 there."""
+    activity = LabelActivity(L1, (), (), bytes(32), 0, (encode_broadcast(42),))
+    return BlockInterpretation(ref, builder, (activity,))
+
+
 class TestIndicationFilter:
     def test_own_indication_surfaces(self, registry):
         shim = make_shim(registry, server=0)
         ref = block_ref(shim.tick(0)[0].block)
-        ind = Indication(ref, L1, 0, encode_broadcast(42))
-        assert shim.filter_indication(ind)
+        assert shim.surfaces(delivery_report(ref, 0))
 
     def test_foreign_indication_dropped(self, registry):
         shim = make_shim(registry, server=0)
         ref = block_ref(shim.tick(0)[0].block)
-        ind = Indication(ref, L1, 2, encode_broadcast(42))
-        assert not shim.filter_indication(ind)
+        assert not shim.surfaces(delivery_report(ref, 2))
 
     def test_poll_surfaces_only_own(self, registry):
         # single-node end to end: the shim's own broadcast comes back only on
         # its own behalf
         shim = make_shim(registry, server=0)
         shim.request(L1, encode_broadcast(7))
+        reports = []
         for now in range(0, 13):
             shim.tick(now)
             shim.gossip.try_promote()
-            shim.interpreter.run_to_fixpoint()
+            reports += shim.interpreter.run_to_fixpoint()
         # n=4 quorums cannot be met by one server alone: nothing delivers,
         # so there is nothing to surface and nothing foreign to drop
-        assert shim.interpreter.take_indications() == []
+        assert reports
+        assert indications(reports) == []
 
     def test_pass_through_has_no_dedup(self, registry):
         shim = make_shim(registry, server=0)
         ref = block_ref(shim.tick(0)[0].block)
-        ind = Indication(ref, L1, 0, encode_broadcast(42))
-        assert shim.filter_indication(ind)
-        assert shim.filter_indication(ind)  # shim does not deduplicate
+        report = delivery_report(ref, 0)
+        assert shim.surfaces(report)
+        assert shim.surfaces(report)  # shim does not deduplicate

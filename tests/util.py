@@ -35,6 +35,17 @@ def buffers(
     return (), ()
 
 
+def indications(reports: list[BlockInterpretation]) -> list[tuple[int, bytes]]:
+    """(builder, payload) per indication the reports carry, in report and
+    label order: each is raised on behalf of its block's builder."""
+    return [
+        (report.builder, payload)
+        for report in reports
+        for act in report.labels
+        for payload in act.indications
+    ]
+
+
 def fig_pair_dag(registry: KeyRegistry):
     """The canonical 3-block picture: two genesis blocks and a third block by
     the first builder referencing both."""
