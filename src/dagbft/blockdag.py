@@ -264,21 +264,12 @@ class BlockDag:
         self._vertices[ref] = block
         return ref
 
-    # -- copies & export -------------------------------------------------------
+    # -- copies ----------------------------------------------------------------
 
     def copy(self) -> "BlockDag":
         dup = BlockDag(self.registry)
         dup._vertices = dict(self._vertices)
         return dup
-
-    def to_dot(self) -> str:
-        """Deterministic DOT rendering: nodes labeled builder/seqno, parent
-        edges drawn bold."""
-        summaries = [
-            (ref.hex(), block.builder, block.seqno, [p.hex() for p in block.preds])
-            for ref, block in self._vertices.items()
-        ]
-        return render_dot(summaries)
 
 
 def render_dot(summaries: list[tuple[str, int, int, list[str]]]) -> str:

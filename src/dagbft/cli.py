@@ -55,6 +55,20 @@ def _load_trace(path: str, out) -> list[dict] | None:
         return None
 
 
+def _inserted(
+    events: list[dict], server: int, last_step: int | None = None
+) -> list[tuple[str, int, int, list[str]]]:
+    """(ref, builder, seqno, preds) of each block that ``server`` inserted,
+    at or before ``last_step`` when one is given: its DAG at that step."""
+    seen: dict[str, tuple[str, int, int, list[str]]] = {}
+    for e in events:
+        if last_step is not None and e["step"] > last_step:
+            break
+        if e["kind"] == "INSERT" and e["server"] == server and e["ref"] not in seen:
+            seen[e["ref"]] = (e["ref"], e["builder"], e["seqno"], list(e["preds"]))
+    return list(seen.values())
+
+
 def cmd_run(args, out) -> int:
     scenario = _load_scenario(args.scenario, out)
     if scenario is None:
@@ -78,16 +92,16 @@ def cmd_run(args, out) -> int:
     except OSError as exc:
         print(f"error: cannot write trace: {exc}", file=out)
         return EXIT_IO
-    if result.snapshots:
+    if scenario.snapshot_steps:
         snap_dir = args.snapshot_dir or os.path.dirname(os.path.abspath(args.out))
         stem = os.path.splitext(os.path.basename(args.out))[0]
         try:
             os.makedirs(snap_dir, exist_ok=True)
-            for step in sorted(result.snapshots):
-                for server, dag in sorted(result.snapshots[step].items()):
+            for step in sorted(scenario.snapshot_steps):
+                for server in scenario.correct_servers():
                     path = os.path.join(snap_dir, f"{stem}.step{step}.s{server}.dot")
                     with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(dag.to_dot())
+                        fh.write(render_dot(_inserted(result.events, server, step)))
         except OSError as exc:
             print(f"error: cannot write snapshots: {exc}", file=out)
             return EXIT_IO
@@ -140,20 +154,17 @@ def cmd_export_dot(args, out) -> int:
         print("error: trace has no INSERT events to export", file=out)
         return EXIT_CONFIG
     server = args.server if args.server is not None else min(e["server"] for e in inserts)
-    seen: dict[str, tuple[str, int, int, list[str]]] = {}
-    for e in inserts:
-        if e["server"] == server and e["ref"] not in seen:
-            seen[e["ref"]] = (e["ref"], e["builder"], e["seqno"], list(e["preds"]))
-    if not seen:
+    summaries = _inserted(inserts, server)
+    if not summaries:
         print(f"error: no INSERT events for server {server}", file=out)
         return EXIT_CONFIG
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_dot(list(seen.values())))
+            fh.write(render_dot(summaries))
     except OSError as exc:
         print(f"error: cannot write DOT: {exc}", file=out)
         return EXIT_IO
-    print(f"wrote DOT for server {server}: {len(seen)} blocks", file=out)
+    print(f"wrote DOT for server {server}: {len(summaries)} blocks", file=out)
     return EXIT_OK
 
 

@@ -17,6 +17,9 @@ The drain phase realizes "eventually" at a finite horizon: each
 correct server publishes its current block once more, then deliveries,
 promotions, and forced FWD recovery run to fixpoint with no new
 disseminations.
+
+The trace is the record of a run: a server's DAG at a step is the blocks
+its INSERT events up to that step list, and the engine keeps no copies.
 """
 
 from __future__ import annotations
@@ -262,7 +265,6 @@ class RunResult:
     scenario: Scenario
     events: list[dict]
     final_dags: dict[int, BlockDag]
-    snapshots: dict[int, dict[int, BlockDag]]
 
     def trace_text(self) -> str:
         return trace.dumps(self.events)
@@ -424,7 +426,6 @@ class Simulation:
                 )
         self.events: list[dict] = []
         self.inflight: dict[int, list[tuple[tuple, int, int, int, bytes]]] = {}
-        self.snapshots: dict[int, dict[int, BlockDag]] = {}
 
     # -- wire ------------------------------------------------------------------
 
@@ -642,13 +643,9 @@ class Simulation:
                     self._schedule(now, server, receiver, wire, kind, ref_hex)
             for server in sorted(self.correct):
                 self._interpret_phase(now, self.correct[server])
-            if now in scenario.snapshot_steps:
-                self.snapshots[now] = {
-                    s: node.dag.copy() for s, node in self.correct.items()
-                }
         self._drain(scenario.max_steps)
-        final_dags = {s: node.dag.copy() for s, node in self.correct.items()}
-        return RunResult(scenario, self.events, final_dags, self.snapshots)
+        final_dags = {s: node.dag for s, node in self.correct.items()}
+        return RunResult(scenario, self.events, final_dags)
 
     def _drain(self, start: int) -> None:
         """Continue the dissemination cadence with byzantine servers halted

@@ -26,6 +26,8 @@ Four kinds live here, each independent of the code path it judges:
   slot is empty until its block is interpreted and never changes after.
   ``interpret_in_random_order`` interprets a DAG in a seeded random
   topological order, for the order-independence checks.
+* ``live_snapshots`` copies each correct server's live DAG at chosen steps
+  of a run, the view the trace's INSERT events must reproduce.
 
 Beside them sit the paper's definitions that only the tests evaluate: the
 generic directed graph with its insert, ``extends`` and ``union``, the
@@ -48,7 +50,7 @@ from dagbft.checks import CheckReport
 from dagbft.crypto import UnknownServerError, content_digest
 from dagbft.interpret import BlockInterpretation, Interpreter
 from dagbft.protocol import Label, Message, message_from_canonical, message_sort_key
-from dagbft.simnet import Scenario
+from dagbft.simnet import Scenario, Simulation
 
 # Input alphabet for the reference oracle:
 #   ("broadcast", value)          user request at the instance's server
@@ -418,6 +420,31 @@ def debug_oracles() -> Iterator[None]:
         BlockDag.insert = insert
         Interpreter._interpret_block = interpret_block
         Interpreter.run_to_fixpoint = run_to_fixpoint
+
+
+@contextmanager
+def live_snapshots(steps: Iterable[int]) -> Iterator[dict[int, dict[int, BlockDag]]]:
+    """Copies of every correct server's DAG at the end of each of ``steps``
+    (inside the horizon), as step -> server -> DAG, for the one simulation
+    run inside the block. ``Simulation._interpret_phase`` is wrapped and put
+    back on exit: interpretation leaves the DAG as it is, so a server's DAG
+    after its interpret phase at a step is its DAG at the end of that step.
+    """
+    steps = frozenset(steps)
+    interpret_phase = Simulation._interpret_phase
+    snapshots: dict[int, dict[int, BlockDag]] = {}
+
+    def snapshotting_phase(self: Simulation, now: int, node) -> list[BlockInterpretation]:
+        reports = interpret_phase(self, now, node)
+        if now in steps:
+            snapshots.setdefault(now, {})[node.server] = node.dag.copy()
+        return reports
+
+    Simulation._interpret_phase = snapshotting_phase
+    try:
+        yield snapshots
+    finally:
+        Simulation._interpret_phase = interpret_phase
 
 
 def interpret_in_random_order(

@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from dagbft.blockdag import block_ref
+from dagbft.blockdag import BlockDag, block_ref
 from dagbft.brb import ECHO, READY, ReliableBroadcast, encode_broadcast, encode_payload
 from dagbft.checks import (
     check_brb,
@@ -187,8 +187,17 @@ class TestCriterion2InterpretationDeterminism:
                 for label in live_labels(final_dag, ref):
                     if base.state_digest(ref, label) != shuffled.state_digest(ref, label):
                         failures.append(f"scenario {i}: selection-order mismatch at {ref!r}")
+            # the server's DAG at the snapshot step, from its INSERT events
             snap_step = scenario.snapshot_steps[0]
-            prefix_dag = result.snapshots[snap_step][server]
+            inserted = {
+                e["ref"]
+                for e in result.events
+                if e["kind"] == "INSERT" and e["server"] == server and e["step"] <= snap_step
+            }
+            prefix_dag = BlockDag(final_dag.registry)
+            for ref in final_dag.refs():  # insertion order is a topological order
+                if ref.hex() in inserted:
+                    prefix_dag.insert(final_dag.get(ref))
             prefix = Interpreter(prefix_dag, protocol)
             prefix.run_to_fixpoint()
             for ref in prefix_dag.refs():

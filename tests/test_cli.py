@@ -54,6 +54,13 @@ class TestRun:
         dots = sorted(tmp_path.glob("trace.step5.s*.dot"))
         assert len(dots) == 4
         assert dots[0].read_text().startswith("digraph blockdag")
+        # a snapshot is the DAG that export-dot draws from the trace cut after its step
+        cut = tmp_path / "cut.jsonl"
+        trace.write_jsonl([e for e in trace.read_jsonl(str(out_path)) if e["step"] <= 5], str(cut))
+        for server, dot in enumerate(dots):
+            code, _ = run_cli("export-dot", "--trace", cut, "--out", tmp_path / "cut.dot", "--server", server)
+            assert code == EXIT_OK
+            assert (tmp_path / "cut.dot").read_text() == dot.read_text()
 
     def test_bad_server_count_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,13 @@ from dagbft.simnet import (
     run,
 )
 
-from .oracles import dag_graph, extends, perfect_network_deliveries, union_dags
+from .oracles import (
+    dag_graph,
+    extends,
+    live_snapshots,
+    perfect_network_deliveries,
+    union_dags,
+)
 from .scenarios import adversarial_scenario, fig_broadcast_scenario
 from .test_trace_lock import corpus
 
@@ -178,6 +185,11 @@ class TestDeterminism:
             snapshot_steps=(7,),
         )
         assert run(scenario).trace_text() == run(scenario).trace_text()
+
+    @pytest.mark.parametrize("name, scenario", list(corpus()), ids=[n for n, _ in corpus()])
+    def test_trace_does_not_depend_on_snapshot_steps(self, name, scenario):
+        unsnapped = replace(scenario, snapshot_steps=())
+        assert run(scenario).trace_text() == run(unsnapped).trace_text()
 
     def test_different_seeds_differ(self):
         # jittered delays: the seed actually steers the schedule
@@ -360,10 +372,11 @@ class TestConvergenceAcrossBehaviors:
             requests=(RequestInjection(0, 0, Label(0, 1), 42),),
             snapshot_steps=(5, 10),
         )
-        result = run(scenario)
+        with live_snapshots(scenario.snapshot_steps) as snapshots:
+            result = run(scenario)
         correct = scenario.correct_servers()
         for t in (5, 10):
-            snaps = result.snapshots[t]
+            snaps = snapshots[t]
             for s1 in correct:
                 for s2 in correct:
                     joint = union_dags(snaps[s1], snaps[s2])
@@ -462,9 +475,11 @@ class TestEventualValidity:
             requests=(RequestInjection(0, 0, Label(0, 1), 42),),
             snapshot_steps=(6, 11),
         )
-        result = run(scenario)
+        with live_snapshots(scenario.snapshot_steps) as snapshots:
+            result = run(scenario)
         correct = scenario.correct_servers()
-        for step, snaps in result.snapshots.items():
+        assert set(snapshots) == {6, 11}
+        for step, snaps in snapshots.items():
             for server in correct:
                 validated = set(snaps[server].refs())
                 for target in correct:
@@ -546,3 +561,22 @@ class TestVerifyOnce:
         }
         assert stored <= set(per_correct)  # every stored block was verified
         assert max(per_correct.values()) == 1
+
+
+class TestInsertEventsAreTheLiveDag:
+    @pytest.mark.parametrize("name, scenario", list(corpus()), ids=[n for n, _ in corpus()])
+    def test_inserts_up_to_each_step_list_the_live_dag(self, name, scenario):
+        # the trace's INSERT events are the only snapshot: at every step,
+        # each correct server's DAG holds exactly the refs they list so far
+        with live_snapshots(range(scenario.max_steps)) as snapshots:
+            result = run(scenario)
+        inserted = {s: set() for s in scenario.correct_servers()}
+        events = iter(result.events)
+        event = next(events, None)
+        for step in range(scenario.max_steps):
+            while event is not None and event["step"] <= step:
+                if event["kind"] == "INSERT":
+                    inserted[event["server"]].add(event["ref"])
+                event = next(events, None)
+            live = {s: {ref.hex() for ref in dag.refs()} for s, dag in snapshots[step].items()}
+            assert live == inserted, step
