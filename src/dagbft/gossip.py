@@ -11,6 +11,8 @@ candidate that fails then can never pass and stays pending. Promotion runs
 in rounds: a round promotes, in ascending ref order, the valid candidates
 that were ready when it began; the blocks they unblock wait for the next
 round. A promoted ref is appended to the block the server is building.
+A builder has at most ``PENDING_CAP_PER_BUILDER`` blocks pending; one more
+evicts its oldest, and the intake returns the evicted ref.
 
 Missing predecessors are requested from the builder of the block that
 references them (FWD), throttled per reference by a request interval.
@@ -52,6 +54,10 @@ FWD_ENVELOPE = 2
 
 MAX_REQUESTS_PER_BLOCK = 8
 """Most requests one block carries; the rest wait in FIFO order for the next."""
+
+PENDING_CAP_PER_BUILDER = 1024
+"""Most blocks of one builder the pending buffer holds; one more evicts the
+oldest."""
 
 _KIND_NAMES = {BLOCK_ENVELOPE: "BLOCK", FWD_ENVELOPE: "FWD"}
 
@@ -104,7 +110,6 @@ class Disposition(Enum):
     BUFFERED = "buffered"
     ALREADY_KNOWN = "already_known"
     BAD_SIGNATURE = "bad_signature"
-    EVICTED_OLDEST = "evicted_oldest"
 
 
 class GossipNode:
@@ -118,7 +123,6 @@ class GossipNode:
         registry,
         *,
         fwd_interval: int = 5,
-        pending_cap_per_builder: int = 1024,
     ) -> None:
         self.server = server
         self.dag = BlockDag(registry)
@@ -126,7 +130,6 @@ class GossipNode:
         self.registry = registry
         self.handle = registry.handle(server)
         self.fwd_interval = fwd_interval
-        self.pending_cap_per_builder = pending_cap_per_builder
 
         self.next_seqno = 0
         self.draft_preds: dict[BlockRef, None] = {}  # ordered set
@@ -139,19 +142,19 @@ class GossipNode:
 
     # -- receiving ----------------------------------------------------------
 
-    def on_receive_block(self, block: Block) -> Disposition:
+    def on_receive_block(self, block: Block) -> Disposition | BlockRef:
         """Buffer a received block unless it is already known or its
-        signature does not verify, and index it by its missing predecessors."""
+        signature does not verify, and index it by its missing predecessors.
+        Returns the disposition or, when the builder's pending blocks were
+        at the cap, the ref of the oldest one, which was evicted."""
         ref = block_ref(block)
         if ref in self.dag or ref in self.pending:
             return Disposition.ALREADY_KNOWN
         if not self.dag.signature_verifies(block):
             return Disposition.BAD_SIGNATURE
-        disposition = Disposition.BUFFERED
-        count = self._pending_per_builder.get(block.builder, 0)
-        if count >= self.pending_cap_per_builder:
-            self._evict_oldest(block.builder)
-            disposition = Disposition.EVICTED_OLDEST
+        outcome: Disposition | BlockRef = Disposition.BUFFERED
+        if self._pending_per_builder.get(block.builder, 0) >= PENDING_CAP_PER_BUILDER:
+            outcome = self._evict_oldest(block.builder)
         self.pending[ref] = block
         self._pending_per_builder[block.builder] = (
             self._pending_per_builder.get(block.builder, 0) + 1
@@ -163,22 +166,24 @@ class GossipNode:
                 self._waiters.setdefault(pred, set()).add(ref)
         else:
             self._ready.add(ref)
-        return disposition
+        return outcome
 
-    def _evict_oldest(self, builder: int) -> None:
-        for ref, blk in self.pending.items():  # insertion order
-            if blk.builder == builder:
-                del self.pending[ref]
-                self._pending_per_builder[builder] -= 1
-                self._ready.discard(ref)
-                self._missing.pop(ref, None)
-                for pred in blk.distinct_preds():
-                    waiters = self._waiters.get(pred)
-                    if waiters is not None:
-                        waiters.discard(ref)
-                        if not waiters:
-                            del self._waiters[pred]
-                return
+    def _evict_oldest(self, builder: int) -> BlockRef:
+        """Drop ``builder``'s oldest pending block, and the FWD stamps of the
+        refs that nothing waits on any more; returns the dropped ref."""
+        ref = next(r for r, blk in self.pending.items() if blk.builder == builder)
+        blk = self.pending.pop(ref)
+        self._pending_per_builder[builder] -= 1
+        self._ready.discard(ref)
+        self._missing.pop(ref, None)
+        for pred in blk.distinct_preds():
+            waiters = self._waiters.get(pred)
+            if waiters is not None:
+                waiters.discard(ref)
+                if not waiters:
+                    del self._waiters[pred]
+                    self.fwd_clock.pop(pred, None)
+        return ref
 
     # -- promotion ------------------------------------------------------------
 

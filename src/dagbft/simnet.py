@@ -505,8 +505,8 @@ class Simulation:
                 )
             )
             if env.kind == BLOCK_ENVELOPE:
-                disposition = node.gossip.on_receive_block(env.block)
-                if disposition == Disposition.BAD_SIGNATURE:
+                outcome = node.gossip.on_receive_block(env.block)
+                if outcome == Disposition.BAD_SIGNATURE:
                     self.events.append(
                         trace.event(
                             now,
@@ -516,14 +516,14 @@ class Simulation:
                             ref=ref_hex,
                         )
                     )
-                elif disposition == Disposition.EVICTED_OLDEST:
+                elif isinstance(outcome, bytes):  # the evicted block's ref
                     self.events.append(
                         trace.event(
                             now,
                             "DROP",
                             server=receiver,
                             reason="pending_evicted",
-                            ref=ref_hex,
+                            ref=outcome.hex(),
                         )
                     )
             else:

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Iterable, Iterator
 
+from dagbft import gossip
 from dagbft.blockdag import Block, BlockDag, BlockDagError, BlockRef, block_ref
 from dagbft.brb import ReliableBroadcast, decode_deliver, encode_broadcast, encode_payload
 from dagbft.checks import CheckReport
@@ -173,17 +174,17 @@ def echo_quorums_possible(n: int, f: int) -> list[tuple[int, int]]:
 
 class RescanPromoter:
     """Reference pending buffer: receipt with signature check and a
-    per-builder cap that evicts the builder's oldest block, promotion by
-    rescanning, and the missing-predecessor listing."""
+    per-builder cap (``gossip.PENDING_CAP_PER_BUILDER``) that evicts the
+    builder's oldest block, promotion by rescanning, and the
+    missing-predecessor listing."""
 
-    def __init__(self, dag: BlockDag, *, pending_cap_per_builder: int = 1024) -> None:
+    def __init__(self, dag: BlockDag) -> None:
         self.dag = dag
-        self.cap = pending_cap_per_builder
         self.pending: dict[BlockRef, Block] = {}
 
-    def on_receive_block(self, block: Block) -> str:
-        """The disposition's value: buffered, already_known, bad_signature
-        or evicted_oldest."""
+    def on_receive_block(self, block: Block) -> str | BlockRef:
+        """The disposition's value (buffered, already_known or
+        bad_signature), or the ref of the block the cap evicted."""
         ref = block_ref(block)
         if ref in self.dag or ref in self.pending:
             return "already_known"
@@ -194,13 +195,13 @@ class RescanPromoter:
                 return "bad_signature"
         except UnknownServerError:
             return "bad_signature"
-        disposition = "buffered"
+        outcome: str | BlockRef = "buffered"
         same_builder = [r for r, b in self.pending.items() if b.builder == block.builder]
-        if len(same_builder) >= self.cap:
-            del self.pending[same_builder[0]]
-            disposition = "evicted_oldest"
+        if len(same_builder) >= gossip.PENDING_CAP_PER_BUILDER:
+            outcome = same_builder[0]
+            del self.pending[outcome]
         self.pending[ref] = block
-        return disposition
+        return outcome
 
     def try_promote(self) -> list[Block]:
         """Rounds until none promotes: each round promotes, in ascending ref

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagbft import gossip
 from dagbft.blockdag import BlockDag, block_ref
 from dagbft.crypto import EncodingError, Signature, SignatureScheme
 from dagbft.gossip import (
@@ -61,8 +62,9 @@ class TestReceive:
         assert node.on_receive_block(block) == Disposition.BAD_SIGNATURE
         assert not node.pending
 
-    def test_pending_cap_evicts_oldest(self, registry):
-        node = make_node(registry, pending_cap_per_builder=2)
+    def test_pending_cap_evicts_oldest_and_names_it(self, registry, monkeypatch):
+        monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", 2)
+        node = make_node(registry)
         blocks = [
             signed_block(registry, 1, k + 1, (block_ref(signed_block(registry, 1, 0)),), ((Label(1, k), b"x"),))
             for k in range(3)
@@ -70,10 +72,21 @@ class TestReceive:
         assert [node.on_receive_block(b) for b in blocks] == [
             Disposition.BUFFERED,
             Disposition.BUFFERED,
-            Disposition.EVICTED_OLDEST,
+            block_ref(blocks[0]),
         ]
-        assert len(node.pending) == 2
-        assert block_ref(blocks[0]) not in node.pending
+        assert list(node.pending) == [block_ref(b) for b in blocks[1:]]
+
+    def test_eviction_drops_the_stamps_nothing_waits_on(self, registry, monkeypatch):
+        # each block waits on a pred of its own and is requested; once it is
+        # evicted, nothing waits on that pred and its FWD stamps go too
+        monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", 2)
+        node = make_node(registry)
+        ghosts = [signed_block(registry, 2, 0, (), ((Label(2, k), b"g"),)) for k in range(6)]
+        for now, ghost in enumerate(ghosts):
+            node.on_receive_block(signed_block(registry, 1, 0, (block_ref(ghost),), ((Label(1, now), b"x"),)))
+            node.request_missing(now)
+            assert set(node.fwd_clock) <= set(node._waiters)
+        assert set(node.fwd_clock) == {block_ref(g) for g in ghosts[-2:]}
 
 
 class TestPromotion:
@@ -362,12 +375,13 @@ class TestPromotionMatchesRescan:
     buffer promotes, in the same order, after every call."""
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_shuffled_arrivals(self, seed):
+    def test_shuffled_arrivals(self, seed, monkeypatch):
         rng = Random(seed)
         cap = rng.choice((2, 3, 1024))
+        monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", cap)
         # equal keys, two registry objects: the oracle verifies on its own
-        node = make_node(make_registry(), pending_cap_per_builder=cap)
-        oracle = RescanPromoter(BlockDag(make_registry()), pending_cap_per_builder=cap)
+        node = make_node(make_registry())
+        oracle = RescanPromoter(BlockDag(make_registry()))
         pool = block_pool(rng, make_registry())
         forged = [
             b.with_signature(Signature(SignatureScheme.HMAC_SHA256, bytes(32)))
@@ -377,14 +391,16 @@ class TestPromotionMatchesRescan:
         rng.shuffle(arrivals)
         arrivals += pool  # re-delivers whatever was evicted
         evicted = set()
-        for block in arrivals:
-            disposition = node.on_receive_block(block)
-            assert disposition.value == oracle.on_receive_block(block)
-            if disposition == Disposition.EVICTED_OLDEST:
+        for now, block in enumerate(arrivals):
+            outcome = node.on_receive_block(block)
+            assert getattr(outcome, "value", outcome) == oracle.on_receive_block(block)
+            if isinstance(outcome, bytes):
                 evicted.add(block.builder)
             if rng.random() < 0.3:
                 promoted = [block_ref(b) for b in node.try_promote()]
                 assert promoted == [block_ref(b) for b in oracle.try_promote()]
+            node.request_missing(now)
+            assert set(node.fwd_clock) <= set(node._waiters)
             assert list(node.pending) == list(oracle.pending)
             assert node.missing_predecessors() == oracle.missing_predecessors()
         assert [block_ref(b) for b in node.try_promote()] == [

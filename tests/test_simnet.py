@@ -11,8 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagbft import gossip
 from dagbft.blockdag import block_ref
 from dagbft.brb import decode_deliver
+from dagbft.checks import (
+    check_brb,
+    check_convergence,
+    check_interpretation_agreement,
+    check_point_to_point,
+)
 from dagbft.crypto import KeyRegistry
 from dagbft.protocol import Label
 from dagbft.simnet import (
@@ -30,7 +37,7 @@ from .oracles import (
     perfect_network_deliveries,
     union_dags,
 )
-from .scenarios import adversarial_scenario, fig_broadcast_scenario
+from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
 from .test_trace_lock import corpus
 
 _SCENARIO_KEYS = set(fig_broadcast_scenario().to_dict()) | {"unknown"}
@@ -580,3 +587,35 @@ class TestInsertEventsAreTheLiveDag:
                 event = next(events, None)
             live = {s: {ref.hex() for ref in dag.refs()} for s, dag in snapshots[step].items()}
             assert live == inserted, step
+
+
+CHECKERS = (
+    check_point_to_point,
+    check_brb,
+    check_convergence,
+    check_interpretation_agreement,
+)
+
+
+class TestPendingEviction:
+    def test_runs_that_evict_stay_correct(self, monkeypatch):
+        # at a cap of 2, correct servers evict pending blocks in a seeded
+        # batch; each DROP names the evicted block, which reaches the DAG
+        # only if delivered again, and every checker stays clean
+        monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", 2)
+        evicting = 0
+        for scenario in [g(i) for g in (random_scenario, adversarial_scenario) for i in range(20)]:
+            result = run(scenario)
+            for check in CHECKERS:
+                report = check(result.events, scenario)
+                assert report.ok, report.violations[:3]
+            evicted: set[tuple[int, str]] = set()
+            for e in result.events:
+                if e["kind"] == "DROP" and e["reason"] == "pending_evicted":
+                    evicted.add((e["server"], e["ref"]))
+                elif e["kind"] == "DELIVER" and e["envelope"] == "BLOCK":
+                    evicted.discard((e["to"], e["ref"]))
+                elif e["kind"] == "PROMOTE":
+                    assert (e["server"], e["ref"]) not in evicted, e
+            evicting += any(e.get("reason") == "pending_evicted" for e in result.events)
+        assert evicting >= 5  # 10 of these 40 runs evict
