@@ -55,7 +55,8 @@ BEHAVIOR_KINDS = (
     "DUPLICATE_REFS",
 )
 
-# the one field beside ``kind`` that a behavior of each of these kinds reads
+# the one field beside ``kind`` that a behavior of each of these kinds reads:
+# the only one it parses, accepts set and writes
 _KIND_FIELDS = {"CRASH_AT": {"crash_step": int}, "SELECTIVE_SEND": {"targets": [int]}}
 
 ADVERSARY_BUDGET = 4
@@ -92,10 +93,9 @@ class BehaviorSpec:
     def validate(self, n: int) -> None:
         if self.kind not in BEHAVIOR_KINDS:
             raise ScenarioError(f"unknown behavior kind {self.kind!r}")
-        if self.crash_step and self.kind != "CRASH_AT":
-            raise ScenarioError(f"{self.kind} does not read crash_step")
-        if self.targets and self.kind != "SELECTIVE_SEND":
-            raise ScenarioError(f"{self.kind} does not read targets")
+        for name in ("crash_step", "targets"):
+            if getattr(self, name) and name not in _KIND_FIELDS.get(self.kind, {}):
+                raise ScenarioError(f"{self.kind} does not read {name}")
         if self.kind == "CRASH_AT" and self.crash_step < 0:
             raise ScenarioError("crash_step must be non-negative")
         if self.kind == "SELECTIVE_SEND" and not self.targets:
@@ -105,10 +105,9 @@ class BehaviorSpec:
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        if self.kind == "CRASH_AT":
-            out["crash_step"] = self.crash_step
-        if self.targets:
-            out["targets"] = list(self.targets)
+        for name in _KIND_FIELDS.get(self.kind, {}):
+            value = getattr(self, name)
+            out[name] = list(value) if type(value) is tuple else value
         return out
 
     @classmethod
