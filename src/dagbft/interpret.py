@@ -1,13 +1,16 @@
 """Deterministic replay of protocol instances over a block DAG.
 
-Interpretation walks the DAG in dependency order. Each block inherits a copy
-of its parent's process instances, feeds the block's embedded requests, then
-feeds every message addressed to the block's builder from the out-buffers of
-the block's predecessors, in the fixed message order. Each interpreted block
+Interpretation walks the DAG in dependency order. Each block shares its
+parent's process instances and clones one on first touch, the first time it
+feeds that instance's label, so a block costs what its own traffic costs,
+not what its history holds. It feeds the block's embedded requests, then
+every message addressed to the block's builder from the out-buffers of the
+block's predecessors, in the fixed message order. Each interpreted block
 gets one slot holding its instances and its out-buffer per label; what a
 block was fed and the indications it raised are in its report, the
 interpreter's only output. Slots are write-once: after a block is
-interpreted its slot is never touched again, which is what lets independent
+interpreted its slot, instances shared with later slots included, is never
+touched again, which is what lets independent
 machines (and re-runs over extended DAGs) agree byte-for-byte. Among the
 blocks eligible at once, the least ref goes first; the result does not
 depend on that choice, and the tests check this by interpreting in seeded
@@ -65,8 +68,9 @@ class BlockInterpretation:
 
 @dataclass(frozen=True, slots=True)
 class _Slot:
-    """One interpreted block: the instances taken over from its parent and
-    advanced here, and the out-buffer per label."""
+    """One interpreted block: its instances, which are its parent's objects
+    except for a private clone per label advanced here, and the out-buffer
+    per label."""
 
     instances: dict[Label, ProcessInstance]
     out: dict[Label, tuple[Message, ...]]
@@ -152,35 +156,36 @@ class Interpreter:
         parent = self.dag.parent_of(block)
         instances: dict[Label, ProcessInstance] = {}
         if parent is not None:
-            instances = {
-                label: inst.clone()
-                for label, inst in self._slots[block_ref(parent)].instances.items()
-            }
+            instances = dict(self._slots[block_ref(parent)].instances)
+        # this block's private instances: a clone of the shared one, or a
+        # fresh spawn, made the first time the block feeds a label
+        own: dict[Label, ProcessInstance] = {}
 
-        # out-buffers as ordered sets; a label gets one exactly when touched here
+        # out-buffers as ordered sets; a label gets one exactly when fed here
         out: dict[Label, dict[Message, None]] = {}
         fed: dict[Label, tuple[Message, ...]] = {}
         skipped: dict[Label, int] = {}
 
         def instance_for(label: Label) -> ProcessInstance:
-            inst = instances.get(label)
+            inst = own.get(label)
             if inst is None:
-                inst = self.protocol.spawn(label, block.builder)
-                instances[label] = inst
+                shared = instances.get(label)
+                if shared is None:
+                    inst = self.protocol.spawn(label, block.builder)
+                else:
+                    inst = shared.clone()
+                own[label] = inst
             return inst
 
         def emit(label: Label, messages: list[Message]) -> None:
             out.setdefault(label, {}).update(dict.fromkeys(messages))
 
-        # requests embedded in this block, in list order
+        # requests embedded in this block, in list order; a failed one leaves
+        # the private instance unchanged
         for label, payload in block.requests:
-            fresh = label not in instances
-            inst = instance_for(label)
             try:
-                outputs = inst.on_request(payload)
+                outputs = instance_for(label).on_request(payload)
             except ProtocolError:
-                if fresh:
-                    del instances[label]  # state unchanged; keep the slot lazy
                 skipped[label] = skipped.get(label, 0) + 1
                 continue
             emit(label, outputs)
@@ -202,8 +207,10 @@ class Interpreter:
             for m in fed[label]:
                 emit(label, inst.on_receive(m))
 
+        # a label whose requests all failed keeps its shared instance, or none
+        instances.update((label, own[label]) for label in out)
         # drained before the digests below, which encode pending indications
-        indications = {label: tuple(instances[label].take_indications()) for label in out}
+        indications = {label: tuple(own[label].take_indications()) for label in out}
 
         slot = _Slot(instances, {label: tuple(ms) for label, ms in out.items()})
         self._slots[ref] = slot

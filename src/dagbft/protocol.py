@@ -47,20 +47,33 @@ class Label:
         )
 
 
+_MESSAGE_PREFIX = enc_u8(ENCODING_VERSION) + enc_u8(_TAG_MESSAGE)
+
+
 @dataclass(frozen=True)
 class Message:
+    """A protocol message. Its canonical encoding is computed once, at
+    construction, into a plain attribute that is not a field, so equality,
+    hash and repr see only the three fields. An out-of-range sender or
+    receiver raises ``EncodingError`` here."""
+
     sender: int
     receiver: int
     payload: bytes
 
-    def canonical_bytes(self) -> bytes:
-        return (
-            enc_u8(ENCODING_VERSION)
-            + enc_u8(_TAG_MESSAGE)
+    def __post_init__(self) -> None:
+        # sorting, state digests and the trace all read these bytes
+        object.__setattr__(
+            self,
+            "_canonical",
+            _MESSAGE_PREFIX
             + enc_u32(self.sender)
             + enc_u32(self.receiver)
-            + enc_bytes(self.payload)
+            + enc_bytes(self.payload),
         )
+
+    def canonical_bytes(self) -> bytes:
+        return self._canonical
 
 
 def message_from_canonical(data: bytes) -> Message:
@@ -84,7 +97,7 @@ def message_sort_key(message: Message) -> bytes:
     Any fixed order works; bytes are stable across machines, which is what
     keeps independent interpreters feeding messages in the same sequence.
     """
-    return message.canonical_bytes()
+    return message._canonical
 
 
 class ProcessInstance(ABC):
@@ -93,6 +106,12 @@ class ProcessInstance(ABC):
     Implementations must be deterministic (same state + same inputs => same
     outputs and successor state), clonable, and expose a canonical state
     encoding for cross-interpreter equality checks.
+
+    An instance in an interpreted block's slot may be shared by the slots of
+    later blocks on the same chain. So only the interpreter's own calls may
+    mutate an instance, and only on the private clone it makes for the block
+    being interpreted, and ``clone`` must deep-copy: a clone that shares
+    mutable state with its original would let a child rewrite its parent.
     """
 
     def __init__(self, label: Label, server: int) -> None:
@@ -117,7 +136,8 @@ class ProcessInstance(ABC):
 
     @abstractmethod
     def clone(self) -> "ProcessInstance":
-        """Deep copy, observationally identical to the original."""
+        """Deep copy, observationally identical to the original and sharing
+        no mutable state with it."""
 
     @abstractmethod
     def state_bytes(self) -> bytes:

@@ -31,7 +31,7 @@ from random import Random
 from typing import Optional
 
 from . import trace
-from .blockdag import Block, BlockDag, block_ref
+from .blockdag import Block, BlockDag, BlockRef, block_ref
 from .brb import ReliableBroadcast, encode_broadcast
 from .crypto import EncodingError, KeyRegistry, RestrictedSigner, Signature, SignatureScheme
 from .gossip import (
@@ -425,6 +425,9 @@ class Simulation:
                 )
         self.events: list[dict] = []
         self.inflight: dict[int, list[tuple[tuple, int, int, int, bytes]]] = {}
+        # (server, ref) -> the peers the drain has asked for it; a server
+        # that evicts the ref forgets them, so the drain asks again
+        self._drain_asked: dict[tuple[int, BlockRef], set[int]] = {}
 
     # -- wire ------------------------------------------------------------------
 
@@ -516,6 +519,7 @@ class Simulation:
                         )
                     )
                 elif isinstance(outcome, bytes):  # the evicted block's ref
+                    self._drain_asked.pop((receiver, outcome), None)
                     self.events.append(
                         trace.event(
                             now,
@@ -652,7 +656,6 @@ class Simulation:
         nothing is a global fixpoint, so eventual-delivery obligations are
         settled at the horizon."""
         now = start
-        requested: set[tuple[int, str, int]] = set()
         for _round in range(64):
             for server in sorted(self.correct):
                 node = self.correct[server]
@@ -671,10 +674,10 @@ class Simulation:
                     if self._promote(now, node):
                         progressed = True
                     for env in node.gossip.request_missing(now, force=True):
-                        key = (server, env.ref.hex(), env.receiver)
-                        if key in requested:
+                        asked = self._drain_asked.setdefault((server, env.ref), set())
+                        if env.receiver in asked:
                             continue
-                        requested.add(key)
+                        asked.add(env.receiver)
                         self._send_fwd(now, env)
                         progressed = True
                 if not progressed and not self.inflight:

@@ -28,6 +28,10 @@ Four kinds live here, each independent of the code path it judges:
   topological order, for the order-independence checks.
 * ``live_snapshots`` copies each correct server's live DAG at chosen steps
   of a run, the view the trace's INSERT events must reproduce.
+* ``CloningInterpreter`` is the interpreter as first written: every block
+  deep-clones every instance its parent holds. ``Interpreter`` shares the
+  parent's instances and clones one only when the block feeds it; its
+  reports and slots must equal these.
 
 Beside them sit the paper's definitions that only the tests evaluate: the
 generic directed graph with its insert, ``extends`` and ``union``, the
@@ -49,8 +53,15 @@ from dagbft.blockdag import Block, BlockDag, BlockDagError, BlockRef, block_ref
 from dagbft.brb import ReliableBroadcast, decode_deliver, encode_broadcast, encode_payload
 from dagbft.checks import CheckReport
 from dagbft.crypto import UnknownServerError, content_digest
-from dagbft.interpret import BlockInterpretation, Interpreter
-from dagbft.protocol import Label, Message, message_from_canonical, message_sort_key
+from dagbft.interpret import BlockInterpretation, Interpreter, LabelActivity, _Slot
+from dagbft.protocol import (
+    Label,
+    Message,
+    ProcessInstance,
+    ProtocolError,
+    message_from_canonical,
+    message_sort_key,
+)
 from dagbft.simnet import Scenario, Simulation
 
 # Input alphabet for the reference oracle:
@@ -481,6 +492,88 @@ def interpret_in_random_order(
                 ready.append(dep)
     interpreter._ingested = len(dag)
     return reports
+
+
+class CloningInterpreter(Interpreter):
+    """Reference interpreter: each block starts from a deep clone of every
+    instance its parent holds, so no two slots share an instance."""
+
+    def _interpret_block(self, ref: BlockRef) -> BlockInterpretation:
+        block = self.dag.get(ref)
+        parent = self.dag.parent_of(block)
+        instances: dict[Label, ProcessInstance] = {}
+        if parent is not None:
+            instances = {
+                label: inst.clone()
+                for label, inst in self._slots[block_ref(parent)].instances.items()
+            }
+
+        # out-buffers as ordered sets; a label gets one exactly when touched here
+        out: dict[Label, dict[Message, None]] = {}
+        fed: dict[Label, tuple[Message, ...]] = {}
+        skipped: dict[Label, int] = {}
+
+        def instance_for(label: Label) -> ProcessInstance:
+            inst = instances.get(label)
+            if inst is None:
+                inst = self.protocol.spawn(label, block.builder)
+                instances[label] = inst
+            return inst
+
+        def emit(label: Label, messages: list[Message]) -> None:
+            out.setdefault(label, {}).update(dict.fromkeys(messages))
+
+        # requests embedded in this block, in list order
+        for label, payload in block.requests:
+            fresh = label not in instances
+            inst = instance_for(label)
+            try:
+                outputs = inst.on_request(payload)
+            except ProtocolError:
+                if fresh:
+                    del instances[label]  # state unchanged; keep the slot lazy
+                skipped[label] = skipped.get(label, 0) + 1
+                continue
+            emit(label, outputs)
+
+        # messages materialized by edges from predecessors: only labels some
+        # predecessor has an out-buffer for can carry one
+        preds = [self._slots[p] for p in block.distinct_preds()]
+        for label in sorted(set().union(*(pred.out for pred in preds))):
+            incoming = {
+                m
+                for pred in preds
+                for m in pred.out.get(label, ())
+                if m.receiver == block.builder
+            }
+            if not incoming:
+                continue
+            fed[label] = tuple(sorted(incoming, key=message_sort_key))
+            inst = instance_for(label)
+            for m in fed[label]:
+                emit(label, inst.on_receive(m))
+
+        # drained before the digests below, which encode pending indications
+        indications = {label: tuple(instances[label].take_indications()) for label in out}
+
+        slot = _Slot(instances, {label: tuple(ms) for label, ms in out.items()})
+        self._slots[ref] = slot
+
+        return BlockInterpretation(
+            ref,
+            block.builder,
+            tuple(
+                LabelActivity(
+                    label,
+                    fed.get(label, ()),
+                    slot.out.get(label, ()),
+                    self.state_digest(ref, label),
+                    skipped.get(label, 0),
+                    indications.get(label, ()),
+                )
+                for label in sorted(skipped.keys() | out.keys())
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from dagbft.blockdag import BlockDag, block_ref
 from dagbft.brb import (
     ECHO,
     READY,
+    BrbInstance,
     ReliableBroadcast,
     decode_deliver,
     encode_broadcast,
@@ -17,8 +18,16 @@ from dagbft.brb import (
 )
 from dagbft.interpret import InterpretError, Interpreter, _Slot
 from dagbft.protocol import Label, Message
+from dagbft.simnet import run
 
-from .oracles import debug_oracles, interpret_in_random_order, live_labels
+from .oracles import (
+    CloningInterpreter,
+    debug_oracles,
+    interpret_in_random_order,
+    live_labels,
+    slot_fingerprint,
+)
+from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
 from .util import (
     buffers,
     fig_pair_dag,
@@ -310,3 +319,112 @@ class TestDebugChecks:
             for act in report.labels:
                 assert act.state_digest == it.state_digest(report.ref, act.label)
 
+
+def assert_same_as_cloning(dag, proto, seed=None):
+    """``Interpreter`` and the full-clone reference give equal reports and
+    equal slots, untouched labels included, on every block of ``dag``; in
+    ref order, or in the random order ``seed`` picks."""
+    ours = Interpreter(dag, proto)
+    reference = CloningInterpreter(dag, proto)
+    if seed is None:
+        assert ours.run_to_fixpoint() == reference.run_to_fixpoint()
+    else:
+        got = interpret_in_random_order(ours, Random(seed))
+        assert got == interpret_in_random_order(reference, Random(seed))
+    for ref in dag.refs():
+        assert slot_fingerprint(ours, ref) == slot_fingerprint(reference, ref)
+
+
+class TestCopyOnWrite:
+    """A block shares its parent's instances and clones a label only when
+    it feeds it; the result must be the full-clone interpreter's."""
+
+    def test_matches_the_cloning_interpreter_on_the_broadcast_fixture(self, registry):
+        dag, _ = broadcast_fixture(registry, rounds=5)
+        assert_same_as_cloning(dag, protocol())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_cloning_interpreter_in_random_orders(self, registry, seed):
+        dag, _ = broadcast_fixture(registry, rounds=5)
+        assert_same_as_cloning(dag, protocol(), seed)
+
+    @pytest.mark.parametrize("index", range(10))
+    @pytest.mark.parametrize("make", [random_scenario, adversarial_scenario])
+    def test_matches_the_cloning_interpreter_on_final_dags(self, make, index):
+        scenario = make(index)
+        for dag in run(scenario).final_dags.values():
+            assert_same_as_cloning(dag, ReliableBroadcast(scenario.n, scenario.f))
+
+    def chain(self, registry, requests=()):
+        """Server 0's chain g0 <- b1 <- b2: g0 broadcasts on L1, b1 hears
+        its own echo and emits nothing, so b2 is fed nothing on L1."""
+        dag, blocks = broadcast_fixture(registry, rounds=1)
+        g0 = blocks[(0, 0)]
+        b1 = signed_block(registry, 0, 1, (block_ref(g0),))
+        b2 = signed_block(registry, 0, 2, (block_ref(b1),), requests)
+        for block in (b1, b2):
+            dag.insert(block)
+        it = Interpreter(dag, protocol())
+        reports = it.run_to_fixpoint()
+        return it, reports, [block_ref(b) for b in (g0, b1, b2)]
+
+    def test_untouched_label_shares_the_parent_instance(self, registry):
+        it, reports, (_, r1, r2) = self.chain(registry)
+        (report,) = [r for r in reports if r.ref == r2]
+        assert report.labels == ()
+        assert it._slots[r2].instances[L1] is it._slots[r1].instances[L1]
+
+    def test_touched_label_gets_its_own_clone(self, registry):
+        it, reports, (r0, r1, _) = self.chain(registry)
+        assert buffers(reports, r1, L1)[0] == (Message(0, 0, encode_payload(ECHO, 42)),)
+        assert it._slots[r1].instances[L1] is not it._slots[r0].instances[L1]
+
+    def test_skipped_request_keeps_the_shared_instance(self, registry):
+        it, reports, (_, r1, r2) = self.chain(registry, ((L1, b"\x01"),))
+        (report,) = [r for r in reports if r.ref == r2]
+        (act,) = report.labels
+        assert (act.label, act.skipped_requests, act.fed, act.emitted) == (L1, 1, (), ())
+        assert it._slots[r2].instances[L1] is it._slots[r1].instances[L1]
+        assert act.state_digest == it.state_digest(r1, L1)
+
+    def test_mutation_through_a_shared_instance_is_caught(self, registry):
+        with debug_oracles():
+            it, _, (_, r1, r2) = self.chain(registry)
+            assert it._slots[r2].instances[L1] is it._slots[r1].instances[L1]
+            # written through the child's slot, so the parent's changes too
+            it._slots[r2].instances[L1].echo_senders[42].add(3)
+            it.dag.insert(signed_block(registry, 0, 3, (r2,)))
+            with pytest.raises(AssertionError, match=f"{r1.hex()[:12]} was modified"):
+                it.run_to_fixpoint()
+
+
+class TestCloneCount:
+    """A block clones at most once per label its report lists, however many
+    labels its history holds."""
+
+    @pytest.mark.parametrize(
+        "scenario", [fig_broadcast_scenario(), random_scenario(0)], ids=["fig", "random0"]
+    )
+    def test_clones_per_block_are_bounded_by_its_report(self, monkeypatch, scenario):
+        clones = 0
+        clone = BrbInstance.clone
+        interpret_block = Interpreter._interpret_block
+        checked = 0
+
+        def counting_clone(self):
+            nonlocal clones
+            clones += 1
+            return clone(self)
+
+        def counted_interpret_block(self, ref):
+            nonlocal clones, checked
+            clones = 0
+            report = interpret_block(self, ref)
+            assert clones <= len(report.labels), (ref.hex()[:12], clones, report.labels)
+            checked += 1
+            return report
+
+        monkeypatch.setattr(BrbInstance, "clone", counting_clone)
+        monkeypatch.setattr(Interpreter, "_interpret_block", counted_interpret_block)
+        run(scenario)
+        assert checked

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 from random import Random
 
 import pytest
 
 from dagbft.brb import ReliableBroadcast, encode_broadcast, encode_payload
+from dagbft.crypto import EncodingError
 from dagbft.protocol import (
     ContractError,
     Label,
@@ -60,6 +62,31 @@ class TestMessageOrder:
         for _ in range(200):
             m = random_message(rng)
             assert message_from_canonical(m.canonical_bytes()) == m
+
+
+class TestMessageValue:
+    """A message is its three fields: the canonical bytes it keeps are not
+    one of them."""
+
+    def test_three_fields(self):
+        assert [f.name for f in dataclasses.fields(Message)] == ["sender", "receiver", "payload"]
+
+    def test_equality_hash_and_repr_see_only_the_fields(self):
+        m = Message(1, 2, b"\xab")
+        assert m == Message(1, 2, b"\xab")
+        assert m != Message(1, 3, b"\xab") and m != Message(1, 2, b"\xac")
+        assert hash(m) == hash((1, 2, b"\xab"))
+        assert repr(m) == "Message(sender=1, receiver=2, payload=b'\\xab')"
+
+    def test_canonical_bytes_are_the_field_encoding(self):
+        m = Message(1, 2, b"\xab")
+        assert m.canonical_bytes() == bytes.fromhex("0111" "00000001" "00000002" "00000001" "ab")
+        assert message_from_canonical(m.canonical_bytes()) == m
+
+    @pytest.mark.parametrize("fields", [(2**32, 0, b""), (0, 2**32, b""), (-1, 0, b"")])
+    def test_out_of_range_endpoint_raises_at_construction(self, fields):
+        with pytest.raises(EncodingError):
+            Message(*fields)
 
 
 class TestLabel:

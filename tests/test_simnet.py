@@ -619,3 +619,14 @@ class TestPendingEviction:
                     assert (e["server"], e["ref"]) not in evicted, e
             evicting += any(e.get("reason") == "pending_evicted" for e in result.events)
         assert evicting >= 5  # 10 of these 40 runs evict
+
+    def test_drain_asks_again_for_an_evicted_block(self, monkeypatch):
+        # at a cap of 1 the drain's FWD answers evict each other; a server
+        # must ask again for a block it evicted, or its DAG stays short
+        monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", 1)
+        scenario = random_scenario(0)
+        result = run(scenario)
+        assert any(e.get("reason") == "pending_evicted" for e in result.events)
+        for check in CHECKERS:
+            report = check(result.events, scenario)
+            assert report.ok, report.violations[:3]
