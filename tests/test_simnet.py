@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dagbft import gossip
 from dagbft.blockdag import block_ref
-from dagbft.brb import decode_deliver
+from dagbft.brb import decode_broadcast, decode_deliver
 from dagbft.checks import (
     check_brb,
     check_convergence,
@@ -467,6 +467,19 @@ class TestTraceShape:
             if ev["kind"] == "INDICATE" and ev["surfaced"]:
                 assert decode_deliver(bytes.fromhex(ev["indication"])) == 42
 
+    @pytest.mark.parametrize("name, scenario", list(corpus()), ids=[n for n, _ in corpus()])
+    def test_adversaries_send_nothing_in_the_drain(self, name, scenario):
+        # byzantine servers still receive in the drain, but their outboxes
+        # are never flushed there
+        byzantine = {server for server, _ in scenario.byzantine}
+        drained = [
+            e
+            for e in run(scenario).events
+            if e["kind"] == "SEND" and e["step"] >= scenario.max_steps
+        ]
+        assert drained
+        assert not [e for e in drained if e["frm"] in byzantine]
+
 
 class TestEventualValidity:
     def test_snapshot_blocks_reach_every_correct_server(self):
@@ -525,6 +538,37 @@ class TestRequestRouting:
         delivered = surfaced_deliveries(result.events)
         # the pre-crash byzantine originator behaves honestly: everyone delivers
         assert {s: vs[0] for (s, _), vs in delivered.items()} == {0: 99, 1: 99, 3: 99}
+
+    def test_adversary_blocks_take_requests_oldest_first(self):
+        # an adversary's block carries at most MAX_REQUESTS_PER_BLOCK of its
+        # requests, oldest first, as a correct server's does; the equivocator
+        # seals the rest into both forks of its next block, the second fork
+        # with every value one higher
+        values = [100 + i for i in range(10)]
+        result = run(
+            Scenario(
+                n=4,
+                f=1,
+                seed=5,
+                max_steps=9,
+                byzantine=((3, BehaviorSpec("EQUIVOCATE")),),
+                requests=tuple(
+                    RequestInjection(0, 3, Label(3, i), v) for i, v in enumerate(values)
+                ),
+            )
+        )
+        carried: dict[int, dict[str, list]] = {}
+        for ev in result.events:
+            if ev["kind"] == "INSERT" and ev["builder"] == 3 and ev["seqno"] < 2:
+                carried.setdefault(ev["seqno"], {})[ev["ref"]] = [
+                    ((originator, nonce), decode_broadcast(bytes.fromhex(payload)))
+                    for originator, nonce, payload in ev["requests"]
+                ]
+        cap = gossip.MAX_REQUESTS_PER_BLOCK
+        oldest = [((3, i), v) for i, v in enumerate(values)]
+        assert list(carried[0].values()) == [oldest[:cap]]
+        forks = sorted(carried[1].values())
+        assert forks == [oldest[cap:], [(label, v + 1) for label, v in oldest[cap:]]]
 
 
 class TestVerifyOnce:

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from dagbft import simnet
+from dagbft import gossip, simnet
 from dagbft.simnet import BehaviorSpec
 
 from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
@@ -79,3 +79,28 @@ def test_corpus_covers_every_behaviour_at_both_sizes():
 def test_trace_bytes_are_pinned(name):
     text = simnet.run(dict(corpus())[name]).trace_text()
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
+
+
+# runs that evict pending blocks at a cap of 2 blocks per builder; no run of
+# the corpus above evicts at the real cap. random_0 evicts only before the
+# drain, random_12 only in it, and adversarial_3 (n=7) both ways.
+EVICTING_AT_CAP_2 = {
+    "random_0": (random_scenario, 0),
+    "random_12": (random_scenario, 12),
+    "adversarial_3": (adversarial_scenario, 3),
+}
+EVICTION_DIGESTS = {
+    "random_0": "7b7314980466c9630cf4a0f38a3847013b320b8130dd58b8b8d8aada9bb4e900",
+    "random_12": "5581e75e50581853b855f56b67165624f4edefd89941da7163778b832c81b1db",
+    "adversarial_3": "ea56bfda5e41af671d621b2edf66726515af698a6e85560b9c4f32fa5d1182ce",
+}
+
+
+@pytest.mark.parametrize("name", list(EVICTION_DIGESTS))
+def test_evicting_trace_bytes_are_pinned(name, monkeypatch):
+    monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", 2)
+    generate, index = EVICTING_AT_CAP_2[name]
+    result = simnet.run(generate(index))
+    assert any(e.get("reason") == "pending_evicted" for e in result.events)
+    text = result.trace_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == EVICTION_DIGESTS[name]
