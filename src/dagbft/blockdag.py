@@ -32,7 +32,7 @@ from .crypto import (
     enc_u64,
     reader,
 )
-from .protocol import Label
+from .protocol import Label, read_label
 
 _TAG_BLOCK_CORE = 0x01
 
@@ -140,12 +140,7 @@ def block_from_wire(data: bytes) -> Block:
     builder = r.u32()
     seqno = r.u64()
     preds = tuple(r.take(DIGEST_SIZE) for _ in range(r.u32()))
-    requests = []
-    for _ in range(r.u32()):
-        if r.u8() != ENCODING_VERSION or r.u8() != 0x10:
-            raise EncodingError("bad label encoding")
-        label = Label(r.u32(), r.u64())
-        requests.append((label, r.raw_bytes()))
+    requests = tuple((read_label(r), r.raw_bytes()) for _ in range(r.u32()))
     scheme = r.u8()
     try:
         sig = Signature(SignatureScheme(scheme), r.raw_bytes())
@@ -153,7 +148,7 @@ def block_from_wire(data: bytes) -> Block:
         raise EncodingError(f"unknown signature scheme {scheme}") from exc
     if not r.done():
         raise EncodingError("trailing bytes after block encoding")
-    return Block(builder, seqno, preds, tuple(requests), sig)
+    return Block(builder, seqno, preds, requests, sig)
 
 
 # ---------------------------------------------------------------------------

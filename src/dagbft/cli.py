@@ -7,6 +7,7 @@ or malformed input, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -82,7 +83,7 @@ def cmd_run(args, out) -> int:
             print("error: --snapshots expects a comma-separated list of steps", file=out)
             return EXIT_CONFIG
         try:
-            scenario = simnet.Scenario.from_dict({**scenario.to_dict(), "snapshot_steps": steps})
+            scenario = dataclasses.replace(scenario, snapshot_steps=tuple(steps))
         except simnet.ScenarioError as exc:
             print(f"error: {exc}", file=out)
             return EXIT_CONFIG

@@ -16,12 +16,12 @@ evicts its oldest, and the intake returns the evicted ref.
 
 Missing predecessors are requested from the builder of the block that
 references them (FWD), throttled per reference by a request interval.
-``disseminate`` seals the current block with the drained request buffer,
-signs it, commits it (inserts it and restarts the draft from it), and
-addresses it to every server (the builder included, for wire uniformity;
-the duplicate arrival is absorbed by the already-in-DAG guard). Scripted
-adversaries pick their own preds for ``seal`` but share this intake and
-``commit``.
+``disseminate`` seals the current block with the requests ``take_requests``
+drains from the FIFO, signs it, commits it (inserts it and restarts the
+draft from it), and addresses it to every server (the builder included, for
+wire uniformity; the duplicate arrival is absorbed by the already-in-DAG
+guard). Scripted adversaries pick their own preds for ``seal`` but share
+this intake, the request FIFO and ``commit``.
 """
 
 from __future__ import annotations
@@ -275,13 +275,16 @@ class GossipNode:
         core = Block(self.server, self.next_seqno, preds, requests)
         return core.with_signature(self.registry.sign(self.handle, block_ref(core)))
 
+    def take_requests(self) -> tuple[tuple[Label, bytes], ...]:
+        """Drain the requests one block carries: at most
+        ``MAX_REQUESTS_PER_BLOCK``, oldest first."""
+        queue = self.requests
+        return tuple(queue.popleft() for _ in range(min(len(queue), MAX_REQUESTS_PER_BLOCK)))
+
     def disseminate(self) -> tuple[Block, list[WireEnvelope]]:
         """Seal the current block: drain buffered requests into it, sign it,
         commit it, and address it to every server."""
-        drained: list[tuple[Label, bytes]] = []
-        while self.requests and len(drained) < MAX_REQUESTS_PER_BLOCK:
-            drained.append(self.requests.popleft())
-        block = self.seal(tuple(drained), tuple(self.draft_preds))
+        block = self.seal(self.take_requests(), tuple(self.draft_preds))
         self.commit(block)
         envelopes = [
             WireEnvelope(BLOCK_ENVELOPE, self.server, receiver, block=block)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .crypto import ENCODING_VERSION, enc_bytes, enc_u8, enc_u32, enc_u64
+from .crypto import ENCODING_VERSION, EncodingError, enc_bytes, enc_u8, enc_u32, enc_u64, reader
 
 _TAG_LABEL = 0x10
 _TAG_MESSAGE = 0x11
@@ -76,10 +76,16 @@ class Message:
         return self._canonical
 
 
+def read_label(r) -> Label:
+    """Read one :meth:`Label.canonical_bytes` encoding from the reader ``r``;
+    the block codec uses it for each request's label."""
+    if r.u8() != ENCODING_VERSION or r.u8() != _TAG_LABEL:
+        raise EncodingError("bad label encoding")
+    return Label(r.u32(), r.u64())
+
+
 def message_from_canonical(data: bytes) -> Message:
     """Inverse of :meth:`Message.canonical_bytes`; used by trace checkers."""
-    from .crypto import EncodingError, reader
-
     r = reader(data)
     if r.u8() != ENCODING_VERSION or r.u8() != _TAG_MESSAGE:
         raise EncodingError("not a message encoding")

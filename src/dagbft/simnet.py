@@ -11,12 +11,14 @@ Correct servers are ``Shim`` instances: the full stack of gossip,
 interpretation and the self-filter on indications. Byzantine servers run
 scripted behaviors on a ``GossipNode`` whose registry is a restricted signer
 that can only sign as their own id; their outbound traffic is throttled by a
-per-step envelope budget.
+per-step envelope budget. Both kinds take requests through the node's FIFO
+and receive each envelope, decoded once, the same way.
 
 The drain phase realizes "eventually" at a finite horizon: each
 correct server publishes its current block once more, then deliveries,
-promotions, and forced FWD recovery run to fixpoint with no new
-disseminations.
+promotions, and forced FWD recovery run until the wire is empty, with no new
+disseminations. Byzantine servers still receive in the drain, but their
+outboxes are never flushed there, so they send nothing.
 
 The trace is the record of a run: a server's DAG at a step is the blocks
 its INSERT events up to that step list, and the engine keeps no copies.
@@ -32,12 +34,11 @@ from typing import Optional
 
 from . import trace
 from .blockdag import Block, BlockDag, BlockRef, block_ref
-from .brb import ReliableBroadcast, encode_broadcast
+from .brb import ReliableBroadcast, decode_broadcast, encode_broadcast
 from .crypto import EncodingError, KeyRegistry, RestrictedSigner, Signature, SignatureScheme
 from .gossip import (
     BLOCK_ENVELOPE,
     FWD_ENVELOPE,
-    MAX_REQUESTS_PER_BLOCK,
     Disposition,
     GossipNode,
     WireEnvelope,
@@ -86,11 +87,14 @@ def _fields(data, types: dict, what: str, required) -> dict:
 
 @dataclass(frozen=True)
 class BehaviorSpec:
+    """A byzantine server's script; building an invalid one raises
+    ``ScenarioError``. That its targets are servers is ``Scenario``'s check."""
+
     kind: str
     crash_step: int = 0
     targets: tuple[int, ...] = ()
 
-    def validate(self, n: int) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in BEHAVIOR_KINDS:
             raise ScenarioError(f"unknown behavior kind {self.kind!r}")
         for name in ("crash_step", "targets"):
@@ -100,8 +104,6 @@ class BehaviorSpec:
             raise ScenarioError("crash_step must be non-negative")
         if self.kind == "SELECTIVE_SEND" and not self.targets:
             raise ScenarioError("SELECTIVE_SEND needs at least one target")
-        if any(not 0 <= t < n for t in self.targets):
-            raise ScenarioError("behavior targets out of range")
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -124,9 +126,9 @@ class BehaviorSpec:
 
 @dataclass(frozen=True)
 class RequestInjection:
-    """A broadcast of ``value`` requested at ``server`` on ``step``. That the
-    label and value fit their encodings is checked here, at construction,
-    rather than in ``Scenario.validate``, which every ``Simulation`` runs."""
+    """A broadcast of ``value`` requested at ``server`` on ``step``; one
+    whose label or value does not fit its encoding raises ``ScenarioError``.
+    That the server and step exist is ``Scenario``'s check."""
 
     step: int
     server: int
@@ -142,6 +144,9 @@ class RequestInjection:
 
 @dataclass(frozen=True)
 class Scenario:
+    """Everything a run depends on; building an invalid one raises
+    ``ScenarioError``, so every ``Scenario`` is a runnable one."""
+
     n: int
     f: int
     seed: int
@@ -153,7 +158,7 @@ class Scenario:
     requests: tuple[RequestInjection, ...] = ()
     snapshot_steps: tuple[int, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n != 3 * self.f + 1:
             raise ScenarioError(f"need n = 3f + 1 servers, got n={self.n}, f={self.f}")
         if len(self.byzantine) > self.f:
@@ -165,7 +170,8 @@ class Scenario:
             if server in seen:
                 raise ScenarioError(f"server {server} listed byzantine twice")
             seen.add(server)
-            spec.validate(self.n)
+            if any(not 0 <= t < self.n for t in spec.targets):
+                raise ScenarioError("behavior targets out of range")
         if len(self.delay_bounds) != 2:
             raise ScenarioError("delay_bounds must be a (min, max) pair")
         lo, hi = self.delay_bounds
@@ -185,9 +191,6 @@ class Scenario:
                 raise ScenarioError("snapshot step must fall inside the run horizon")
         if len(set(self.snapshot_steps)) != len(self.snapshot_steps):
             raise ScenarioError("snapshot steps must be distinct")
-
-    def byzantine_map(self) -> dict[int, BehaviorSpec]:
-        return dict(self.byzantine)
 
     def correct_servers(self) -> list[int]:
         byz = {s for s, _ in self.byzantine}
@@ -219,7 +222,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """Parse and validate a scenario's JSON object. An unknown key, a
+        """Parse a scenario's JSON object. An unknown key, a
         value of the wrong type (a bool is no int) or a field the behavior's
         kind does not read raises ``ScenarioError``."""
         data = _fields(data, _SCENARIO_FIELDS, "scenario", ("n", "f", "seed", "max_steps"))
@@ -236,9 +239,7 @@ class Scenario:
             label = Label(*r["label"])
             requests.append(RequestInjection(r["step"], r["server"], label, r["value"]))
         fields["requests"] = tuple(requests)
-        scenario = cls(**fields)
-        scenario.validate()
-        return scenario
+        return cls(**fields)
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
@@ -293,14 +294,14 @@ class _Adversary:
         self.scenario = scenario
         self.rng = rng
         self.node = GossipNode(server, restricted)
-        self.pending_requests: list[tuple[Label, int]] = []
         self.outbox: deque[tuple[int, bytes, Optional[str], Optional[str]]] = deque()
         self._marker_nonce = 0
 
     # -- engine hooks ---------------------------------------------------------
 
-    def enqueue_request(self, label: Label, value: int) -> None:
-        self.pending_requests.append((label, value))
+    def request(self, label: Label, payload: bytes) -> None:
+        """Queue a request on the node's FIFO, as ``Shim.request`` does."""
+        self.node.requests.append((label, payload))
 
     def on_deliver(self, now: int, envelope: Optional[WireEnvelope]) -> None:
         if envelope is None or self._dead(now):
@@ -329,11 +330,9 @@ class _Adversary:
         self.node.try_promote()
         if now % self.scenario.cadence != 0:
             return
-        taken = self.pending_requests[:MAX_REQUESTS_PER_BLOCK]
-        del self.pending_requests[: len(taken)]
-        requests = tuple((label, encode_broadcast(v)) for label, v in taken)
+        requests = self.node.take_requests()
         if kind == "EQUIVOCATE" and self.node.next_seqno > 0:
-            self._emit_equivocation(taken, requests)
+            self._emit_equivocation(requests)
             return
         # SELECTIVE_SEND, DUPLICATE_REFS and CRASH_AT play a single chain, and
         # so does the equivocator's first block, which has no parent to fork
@@ -362,11 +361,11 @@ class _Adversary:
             env = WireEnvelope(BLOCK_ENVELOPE, self.server, receiver, block=block)
             self.outbox.append((receiver, env.encode(), "BLOCK", ref_hex))
 
-    def _emit_equivocation(
-        self, taken: list[tuple[Label, int]], rs_a: tuple[tuple[Label, bytes], ...]
-    ) -> None:
-        if taken:
-            rs_b = tuple((label, encode_broadcast((v + 1) % 2**64)) for label, v in taken)
+    def _emit_equivocation(self, rs_a: tuple[tuple[Label, bytes], ...]) -> None:
+        if rs_a:
+            rs_b = tuple(
+                (label, encode_broadcast((decode_broadcast(p) + 1) % 2**64)) for label, p in rs_a
+            )
         else:
             self._marker_nonce += 1
             marker = Label(self.server, 1_000_000 + self._marker_nonce)
@@ -399,11 +398,10 @@ class _Adversary:
 
 class Simulation:
     def __init__(self, scenario: Scenario) -> None:
-        scenario.validate()
         self.scenario = scenario
         self.registry = KeyRegistry.generate(scenario.n, seed=scenario.seed)
         self.delay_rng = Random(scenario.seed ^ 0x5E11A5ED)
-        byz = scenario.byzantine_map()
+        byz = dict(scenario.byzantine)
         self.correct: dict[int, Shim] = {}
         self.adversaries: dict[int, _Adversary] = {}
         for server in range(scenario.n):
@@ -469,30 +467,21 @@ class Simulation:
         )
         self._send_envelopes(now, [env])
 
-    def _deliver_due(self, now: int, *, drain: bool = False) -> int:
+    def _deliver_due(self, now: int) -> None:
         batch = self.inflight.pop(now, [])
         batch.sort(key=lambda item: item[0])
-        delivered = 0
         for _key, sender, receiver, _send_step, wire in batch:
-            delivered += 1
-            if receiver in self.adversaries:
-                if not drain:
-                    try:
-                        env = WireEnvelope.decode(wire)
-                    except EncodingError:
-                        env = None
-                    self.adversaries[receiver].on_deliver(now, env)
-                continue
-            node = self.correct[receiver]
             try:
                 env = WireEnvelope.decode(wire)
             except EncodingError:
-                self.events.append(
-                    trace.event(
-                        now, "DROP", server=receiver, reason="undecodable", frm=sender
-                    )
-                )
+                env = None
+            if receiver in self.adversaries:
+                self.adversaries[receiver].on_deliver(now, env)
                 continue
+            if env is None:
+                self._drop(now, receiver, "undecodable", frm=sender)
+                continue
+            node = self.correct[receiver]
             ref_hex = (
                 block_ref(env.block).hex() if env.kind == BLOCK_ENVELOPE else env.ref.hex()
             )
@@ -509,40 +498,20 @@ class Simulation:
             if env.kind == BLOCK_ENVELOPE:
                 outcome = node.gossip.on_receive_block(env.block)
                 if outcome == Disposition.BAD_SIGNATURE:
-                    self.events.append(
-                        trace.event(
-                            now,
-                            "DROP",
-                            server=receiver,
-                            reason="bad_signature",
-                            ref=ref_hex,
-                        )
-                    )
+                    self._drop(now, receiver, "bad_signature", ref=ref_hex)
                 elif isinstance(outcome, bytes):  # the evicted block's ref
                     self._drain_asked.pop((receiver, outcome), None)
-                    self.events.append(
-                        trace.event(
-                            now,
-                            "DROP",
-                            server=receiver,
-                            reason="pending_evicted",
-                            ref=outcome.hex(),
-                        )
-                    )
+                    self._drop(now, receiver, "pending_evicted", ref=outcome.hex())
             else:
                 reply = node.gossip.on_fwd_request(env.ref, env.sender)
                 if reply is not None:
                     self.events.append(
-                        trace.event(
-                            now,
-                            "FWD_RESP",
-                            server=receiver,
-                            to=env.sender,
-                            ref=env.ref.hex(),
-                        )
+                        trace.event(now, "FWD_RESP", server=receiver, to=env.sender, ref=ref_hex)
                     )
                     self._send_envelopes(now, [reply])
-        return delivered
+
+    def _drop(self, now: int, server: int, reason: str, **fields) -> None:
+        self.events.append(trace.event(now, "DROP", server=server, reason=reason, **fields))
 
     # -- per-node recording -------------------------------------------------------
 
@@ -563,13 +532,11 @@ class Simulation:
             )
         )
 
-    def _promote(self, now: int, node: Shim) -> bool:
-        promoted = node.gossip.try_promote()
-        for block in promoted:
+    def _promote(self, now: int, node: Shim) -> None:
+        for block in node.gossip.try_promote():
             ref_hex = block_ref(block).hex()
             self.events.append(trace.event(now, "PROMOTE", server=node.server, ref=ref_hex))
             self._record_insert(now, node.server, block)
-        return bool(promoted)
 
     def _gossip_phase(self, now: int, node: Shim) -> None:
         self._promote(now, node)
@@ -630,12 +597,9 @@ class Simulation:
         scenario = self.scenario
         for now in range(scenario.max_steps):
             for req in scenario.requests:
-                if req.step != now:
-                    continue
-                if req.server in self.correct:
-                    self.correct[req.server].request(req.label, encode_broadcast(req.value))
-                else:
-                    self.adversaries[req.server].enqueue_request(req.label, req.value)
+                if req.step == now:
+                    node = self.correct.get(req.server) or self.adversaries[req.server]
+                    node.request(req.label, encode_broadcast(req.value))
             self._deliver_due(now)
             for server in sorted(self.correct):
                 self._gossip_phase(now, self.correct[server])
@@ -662,26 +626,22 @@ class Simulation:
                 block, envelopes = node.gossip.disseminate()
                 self._record_insert(now, server, block)
                 self._send_envelopes(now, envelopes)
-            # deliver, promote, and recover missing predecessors to fixpoint
+            # deliver, promote, and recover missing predecessors until the
+            # wire is empty: promotion only shrinks what is missing, so a pass
+            # that delivers nothing can ask for nothing new
             for _ in range(100_000):
-                progressed = False
-                if self.inflight:
-                    now = min(self.inflight)
-                    if self._deliver_due(now, drain=True):
-                        progressed = True
+                if not self.inflight:
+                    break
+                now = min(self.inflight)
+                self._deliver_due(now)
                 for server in sorted(self.correct):
                     node = self.correct[server]
-                    if self._promote(now, node):
-                        progressed = True
+                    self._promote(now, node)
                     for env in node.gossip.request_missing(now, force=True):
                         asked = self._drain_asked.setdefault((server, env.ref), set())
-                        if env.receiver in asked:
-                            continue
-                        asked.add(env.receiver)
-                        self._send_fwd(now, env)
-                        progressed = True
-                if not progressed and not self.inflight:
-                    break
+                        if env.receiver not in asked:
+                            asked.add(env.receiver)
+                            self._send_fwd(now, env)
             else:  # pragma: no cover - defensive bound
                 raise RuntimeError("drain delivery loop did not settle")
             quiet = True

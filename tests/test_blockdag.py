@@ -16,7 +16,7 @@ from dagbft.blockdag import (
     block_to_wire,
     render_dot,
 )
-from dagbft.crypto import EncodingError, Signature, SignatureScheme
+from dagbft.crypto import ENCODING_VERSION, EncodingError, Signature, SignatureScheme
 from dagbft.protocol import Label
 
 from .oracles import Digraph, check_dag, dag_graph, debug_oracles, extends, union, union_dags
@@ -294,6 +294,19 @@ class TestWireCodec:
             registry, 2, 7, (), ((Label(2, 1), b"\x00\x01"), (Label(0, 2), b""))
         )
         assert block_from_wire(block_to_wire(block)) == block
+
+    @pytest.mark.parametrize(
+        "head",
+        [bytes([ENCODING_VERSION, 0x11]), bytes([ENCODING_VERSION + 1, 0x10])],
+        ids=["message-tag", "wrong-version"],
+    )
+    def test_request_label_must_be_a_label_encoding(self, registry, head):
+        label = Label(2, 1)
+        encoded = label.canonical_bytes()
+        wire = block_to_wire(signed_block(registry, 2, 7, (), ((label, b"\x00"),)))
+        assert wire.count(encoded) == 1
+        with pytest.raises(EncodingError, match="bad label encoding"):
+            block_from_wire(wire.replace(encoded, head + encoded[2:]))
 
     def test_unsigned_block_refuses_wire(self):
         with pytest.raises(EncodingError):

@@ -60,9 +60,11 @@ def surfaced_deliveries(events) -> dict[tuple[int, tuple[int, int]], list[int]]:
 
 
 class TestScenarioValidation:
+    # a Scenario or BehaviorSpec is valid by construction: each invalid
+    # case below is built inside pytest.raises
     def test_server_count_must_match_fault_bound(self):
         with pytest.raises(ScenarioError):
-            Scenario(n=5, f=1, seed=0, max_steps=5).validate()
+            Scenario(n=5, f=1, seed=0, max_steps=5)
 
     def test_too_many_byzantine(self):
         with pytest.raises(ScenarioError):
@@ -72,19 +74,17 @@ class TestScenarioValidation:
                 seed=0,
                 max_steps=5,
                 byzantine=((1, BehaviorSpec("SILENT")), (2, BehaviorSpec("SILENT"))),
-            ).validate()
+            )
 
     def test_delay_bounds_sanity(self):
         with pytest.raises(ScenarioError):
-            Scenario(n=4, f=1, seed=0, max_steps=5, delay_bounds=(0, 2)).validate()
+            Scenario(n=4, f=1, seed=0, max_steps=5, delay_bounds=(0, 2))
         with pytest.raises(ScenarioError):
-            Scenario(n=4, f=1, seed=0, max_steps=5, delay_bounds=(3, 2)).validate()
+            Scenario(n=4, f=1, seed=0, max_steps=5, delay_bounds=(3, 2))
 
     def test_unknown_behavior_kind(self):
         with pytest.raises(ScenarioError):
-            Scenario(
-                n=4, f=1, seed=0, max_steps=5, byzantine=((1, BehaviorSpec("EVIL")),)
-            ).validate()
+            Scenario(n=4, f=1, seed=0, max_steps=5, byzantine=((1, BehaviorSpec("EVIL")),))
 
     def test_request_to_unknown_server(self):
         with pytest.raises(ScenarioError):
@@ -94,7 +94,7 @@ class TestScenarioValidation:
                 seed=0,
                 max_steps=5,
                 requests=(RequestInjection(0, 9, Label(9, 1), 1),),
-            ).validate()
+            )
 
     @pytest.mark.parametrize(
         "label, value",
@@ -108,11 +108,11 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "spec",
         [
-            BehaviorSpec("EQUIVOCATE", targets=(1,)),
-            BehaviorSpec("CRASH_AT", crash_step=4, targets=(1,)),
-            BehaviorSpec("SILENT", crash_step=4),
-            BehaviorSpec("SELECTIVE_SEND", crash_step=4, targets=(1,)),
-            BehaviorSpec("SELECTIVE_SEND"),
+            {"kind": "EQUIVOCATE", "targets": (1,)},
+            {"kind": "CRASH_AT", "crash_step": 4, "targets": (1,)},
+            {"kind": "SILENT", "crash_step": 4},
+            {"kind": "SELECTIVE_SEND", "crash_step": 4, "targets": (1,)},
+            {"kind": "SELECTIVE_SEND"},
         ],
         ids=[
             "targets-on-equivocate", "targets-on-crash", "crash-step-on-silent",
@@ -121,11 +121,21 @@ class TestScenarioValidation:
     )
     def test_behavior_fields_its_kind_does_not_read(self, spec):
         with pytest.raises(ScenarioError):
-            Scenario(n=4, f=1, seed=0, max_steps=5, byzantine=((1, spec),)).validate()
+            BehaviorSpec(**spec)
+
+    def test_behavior_targets_must_be_servers(self):
+        spec = BehaviorSpec("SELECTIVE_SEND", targets=(0, 4))
+        with pytest.raises(ScenarioError, match="targets out of range"):
+            Scenario(n=4, f=1, seed=0, max_steps=5, byzantine=((1, spec),))
 
     def test_snapshot_steps_are_distinct(self):
         with pytest.raises(ScenarioError, match="distinct"):
-            Scenario(n=4, f=1, seed=0, max_steps=5, snapshot_steps=(3, 3)).validate()
+            Scenario(n=4, f=1, seed=0, max_steps=5, snapshot_steps=(3, 3))
+
+    def test_replace_is_validated_too(self):
+        scenario = Scenario(n=4, f=1, seed=0, max_steps=5)
+        with pytest.raises(ScenarioError, match="distinct"):
+            replace(scenario, snapshot_steps=(3, 3))
 
     @pytest.mark.parametrize(
         "extra",
