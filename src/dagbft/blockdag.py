@@ -162,6 +162,7 @@ class BlockDag:
     def __init__(self, registry) -> None:
         self.registry = registry
         self._vertices: dict[BlockRef, Block] = {}
+        self._order: list[BlockRef] = []  # refs in insertion order; append-only
 
     # -- resolution ---------------------------------------------------------
 
@@ -179,6 +180,10 @@ class BlockDag:
 
     def refs(self) -> Iterator[BlockRef]:
         return iter(self._vertices)
+
+    def refs_since(self, start: int) -> list[BlockRef]:
+        """The refs inserted after the first ``start``, in insertion order."""
+        return self._order[start:]
 
     # -- structural predicates ----------------------------------------------
 
@@ -257,6 +262,7 @@ class BlockDag:
         if not self.is_valid(block):
             raise RejectedInsertError("block failed validation")
         self._vertices[ref] = block
+        self._order.append(ref)
         return ref
 
     # -- copies ----------------------------------------------------------------
@@ -264,6 +270,7 @@ class BlockDag:
     def copy(self) -> "BlockDag":
         dup = BlockDag(self.registry)
         dup._vertices = dict(self._vertices)
+        dup._order = list(self._order)
         return dup
 
 

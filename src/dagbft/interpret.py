@@ -16,6 +16,14 @@ blocks eligible at once, the least ref goes first; the result does not
 depend on that choice, and the tests check this by interpreting in seeded
 random orders (``tests/oracles.py``).
 
+A block's ref fixes its whole down-closure and the protocol is
+deterministic, so its slot and report are functions of the ref alone.
+Interpreters of equal protocols may therefore share one store of (slot,
+report) per ref and reuse what another computed: the simulator's correct
+servers share one, so a run interprets each block once, and a real server
+keeps its own. Each interpreter still schedules by the blocks it has
+reached, so its reports keep their order.
+
 Byzantine-crafted requests that fail protocol decoding are skipped per
 request, and the report counts them; a correct interpreter keeps going on
 mixed blocks.
@@ -25,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import islice
 
 from .blockdag import BlockDag, BlockRef, block_ref
 from .crypto import content_digest, enc_bytes, enc_seq, enc_u8
@@ -83,15 +90,17 @@ class Interpreter:
     Blocks are interpreted once each, least ref first among those whose
     predecessors all are. An instance is created when its label is first
     touched on a chain, so a block holds instances only for labels that
-    reached it. The interpreter takes no options.
+    reached it. ``shared`` is the store of (slot, report) per ref that
+    interpreters of equal protocols may share; None keeps a private one.
     """
 
-    def __init__(self, dag: BlockDag, protocol: Protocol) -> None:
+    def __init__(self, dag: BlockDag, protocol: Protocol, shared: dict | None = None) -> None:
         self.dag = dag
         self.protocol = protocol
 
-        self._slots: dict[BlockRef, _Slot] = {}
-        self._ingested = 0  # DAG refs seen so far; the DAG only appends
+        self._slots: dict[BlockRef, _Slot] = {}  # the blocks this interpreter reached
+        self._shared = {} if shared is None else shared  # ref -> (slot, report)
+        self._ingested = 0  # cursor into the DAG's refs; the DAG only appends
 
     # -- observation ---------------------------------------------------------
 
@@ -129,7 +138,7 @@ class Interpreter:
         ready: list[BlockRef] = []
         missing: dict[BlockRef, int] = {}
         dependents: dict[BlockRef, list[BlockRef]] = {}
-        for ref in islice(self.dag.refs(), self._ingested, None):
+        for ref in self.dag.refs_since(self._ingested):
             waiting = [p for p in self.dag.get(ref).distinct_preds() if p not in self._slots]
             if waiting:
                 missing[ref] = len(waiting)
@@ -142,7 +151,11 @@ class Interpreter:
         reports: list[BlockInterpretation] = []
         while ready:
             ref = heapq.heappop(ready)
-            reports.append(self._interpret_block(ref))
+            if ref not in self._shared:
+                report = self._interpret_block(ref)
+                self._shared[ref] = (self._slots[ref], report)
+            self._slots[ref], report = self._shared[ref]
+            reports.append(report)
             for dep in dependents.pop(ref, ()):
                 missing[dep] -= 1
                 if missing[dep] == 0:

@@ -25,6 +25,7 @@ class Shim:
         *,
         cadence: int = 3,
         fwd_interval: int = 5,
+        shared: dict | None = None,
     ) -> None:
         if cadence < 1:
             raise ValueError("cadence must be at least 1")
@@ -32,7 +33,7 @@ class Shim:
         self.cadence = cadence
         self.gossip = GossipNode(server, registry, fwd_interval=fwd_interval)
         self.dag = self.gossip.dag
-        self.interpreter = Interpreter(self.dag, protocol)
+        self.interpreter = Interpreter(self.dag, protocol, shared)
 
     def request(self, label: Label, payload: bytes) -> None:
         """Queue a user request; it will ride in a later block of this server

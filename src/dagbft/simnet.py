@@ -17,8 +17,8 @@ and receive each envelope, decoded once, the same way.
 The drain phase realizes "eventually" at a finite horizon: each
 correct server publishes its current block once more, then deliveries,
 promotions, and forced FWD recovery run until the wire is empty, with no new
-disseminations. Byzantine servers still receive in the drain, but their
-outboxes are never flushed there, so they send nothing.
+disseminations. Byzantine servers are halted there: envelopes to them are
+not decoded and their outboxes are never flushed, so they send nothing.
 
 The trace is the record of a run: a server's DAG at a step is the blocks
 its INSERT events up to that step list, and the engine keeps no copies.
@@ -402,6 +402,7 @@ class Simulation:
         self.registry = KeyRegistry.generate(scenario.n, seed=scenario.seed)
         self.delay_rng = Random(scenario.seed ^ 0x5E11A5ED)
         byz = dict(scenario.byzantine)
+        interpreted: dict = {}  # one interpreter store for all correct servers
         self.correct: dict[int, Shim] = {}
         self.adversaries: dict[int, _Adversary] = {}
         for server in range(scenario.n):
@@ -420,6 +421,7 @@ class Simulation:
                     self.registry,
                     cadence=scenario.cadence,
                     fwd_interval=scenario.fwd_interval,
+                    shared=interpreted,
                 )
         self.events: list[dict] = []
         self.inflight: dict[int, list[tuple[tuple, int, int, int, bytes]]] = {}
@@ -467,10 +469,12 @@ class Simulation:
         )
         self._send_envelopes(now, [env])
 
-    def _deliver_due(self, now: int) -> None:
+    def _deliver_due(self, now: int, halted=()) -> None:
         batch = self.inflight.pop(now, [])
         batch.sort(key=lambda item: item[0])
         for _key, sender, receiver, _send_step, wire in batch:
+            if receiver in halted:
+                continue  # a halted adversary would buffer it and never use it
             try:
                 env = WireEnvelope.decode(wire)
             except EncodingError:
@@ -633,7 +637,7 @@ class Simulation:
                 if not self.inflight:
                     break
                 now = min(self.inflight)
-                self._deliver_due(now)
+                self._deliver_due(now, halted=self.adversaries)
                 for server in sorted(self.correct):
                     node = self.correct[server]
                     self._promote(now, node)

@@ -23,7 +23,10 @@ Four kinds live here, each independent of the code path it judges:
   each of those facts once; its reports must equal these.
 * ``debug_oracles`` lays structural checks over any run from outside:
   every DAG stays predecessor-closed and acyclic, and every interpreter
-  slot is empty until its block is interpreted and never changes after.
+  slot is empty until its block is interpreted and never changes after,
+  also where simulated servers share slots. ``private_interpreters`` gives
+  every simulated server its own interpreter store: the reference whose
+  traces the shared store's must equal.
   ``interpret_in_random_order`` interprets a DAG in a seeded random
   topological order, for the order-independence checks.
 * ``live_snapshots`` copies each correct server's live DAG at chosen steps
@@ -62,6 +65,7 @@ from dagbft.protocol import (
     message_from_canonical,
     message_sort_key,
 )
+from dagbft.shim import Shim
 from dagbft.simnet import Scenario, Simulation
 
 # Input alphabet for the reference oracle:
@@ -344,6 +348,7 @@ def union_dags(g1: BlockDag, g2: BlockDag) -> BlockDag:
         for ref, block in src._vertices.items():
             if ref not in out._vertices:
                 out._vertices[ref] = block
+                out._order.append(ref)
     return out
 
 
@@ -393,16 +398,22 @@ def debug_oracles() -> Iterator[None]:
     * ``BlockDag.insert``: ``check_dag`` after every insert, which covers
       gossip's commit and promotion and the equivocator's second fork.
     * ``Interpreter._interpret_block``: the block's slot is empty before it
-      is interpreted and is fingerprinted right after.
-    * ``Interpreter.run_to_fixpoint``: after each call, every slot
-      fingerprinted so far is unchanged. Fingerprinting each slot as it is
-      written, not at the end of the call, is what catches a child that
-      mutates its parent's slot within the same call.
+      is interpreted, and the slot is fingerprinted right after, under its
+      ref, the first time any interpreter computes that ref.
+    * ``Interpreter.run_to_fixpoint``: after each call, every slot the
+      interpreter holds, computed or taken from a shared store, still has
+      the fingerprint its ref was first computed with. Fingerprinting each
+      slot as it is written, not at the end of the call, is what catches a
+      child that mutates its parent's slot within the same call; keying by
+      ref across interpreters catches a slot that one server computed and a
+      later server mutated, and an interpreter that computes a ref anew but
+      differently. All interpreters inside the block must therefore run
+      equal protocols.
     """
     insert = BlockDag.insert
     interpret_block = Interpreter._interpret_block
     run_to_fixpoint = Interpreter.run_to_fixpoint
-    frozen: dict[Interpreter, dict[BlockRef, bytes]] = {}
+    frozen: dict[BlockRef, bytes] = {}
 
     def checked_insert(self: BlockDag, block: Block) -> BlockRef:
         ref = insert(self, block)
@@ -413,13 +424,14 @@ def debug_oracles() -> Iterator[None]:
         if ref in self._slots:
             raise AssertionError(f"slot of uninterpreted {ref.hex()[:12]} already populated")
         report = interpret_block(self, ref)
-        frozen.setdefault(self, {})[ref] = slot_fingerprint(self, ref)
+        frozen.setdefault(ref, slot_fingerprint(self, ref))
         return report
 
     def checked_run_to_fixpoint(self: Interpreter) -> list[BlockInterpretation]:
         reports = run_to_fixpoint(self)
-        for ref, fingerprint in frozen.get(self, {}).items():
-            if slot_fingerprint(self, ref) != fingerprint:
+        for ref in self._slots:
+            fingerprint = frozen.get(ref)
+            if fingerprint is not None and slot_fingerprint(self, ref) != fingerprint:
                 raise AssertionError(f"slot of interpreted {ref.hex()[:12]} was modified")
         return reports
 
@@ -432,6 +444,26 @@ def debug_oracles() -> Iterator[None]:
         BlockDag.insert = insert
         Interpreter._interpret_block = interpret_block
         Interpreter.run_to_fixpoint = run_to_fixpoint
+
+
+@contextmanager
+def private_interpreters() -> Iterator[None]:
+    """Give every ``Shim`` built inside the block a private interpreter
+    store, as a real deployment has, where ``Simulation`` hands all its
+    correct servers one. Each simulated server then interprets every block
+    itself, which is what gives ``check_interpretation_agreement`` separate
+    computations to compare. ``Shim.__init__`` is wrapped and put back on
+    exit."""
+    init = Shim.__init__
+
+    def private_init(self: Shim, *args, shared=None, **kwargs) -> None:
+        init(self, *args, **kwargs)
+
+    Shim.__init__ = private_init
+    try:
+        yield
+    finally:
+        Shim.__init__ = init
 
 
 @contextmanager

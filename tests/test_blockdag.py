@@ -155,6 +155,24 @@ class TestInsert:
             broken.insert(b3)  # already present, so only the oracle can object
 
 
+class TestInsertionOrder:
+    def test_refs_since_reads_the_insertion_order(self, registry):
+        dag, blocks = fig_pair_dag(registry)
+        refs = [block_ref(b) for b in blocks]
+        assert list(dag.refs()) == dag.refs_since(0) == refs
+        assert dag.refs_since(2) == refs[2:]
+        assert dag.refs_since(3) == []
+
+    def test_a_copy_keeps_its_own_order(self, registry):
+        dag, (_, b2, b3) = fig_pair_dag(registry)
+        dup = dag.copy()
+        b4 = signed_block(registry, 1, 1, (block_ref(b2), block_ref(b3)))
+        dup.insert(b4)
+        dup.insert(b4)  # idempotent: the ref is listed once
+        assert dup.refs_since(3) == [block_ref(b4)]
+        assert dag.refs_since(3) == []
+
+
 class TestExtends:
     def test_reflexive(self, registry):
         dag, _ = fig_pair_dag(registry)

@@ -292,6 +292,21 @@ class TestDebugChecks:
             with pytest.raises(AssertionError, match=f"{ref.hex()[:12]} already populated"):
                 it.run_to_fixpoint()
 
+    def test_mutated_slot_taken_from_a_shared_store_is_caught(self, registry):
+        # the later interpreter computes nothing itself: every slot it holds
+        # comes from the store, fingerprinted when the first one computed it
+        dag, blocks = broadcast_fixture(registry, rounds=3)
+        ref = block_ref(blocks[(1, 1)])
+        store: dict = {}
+        with debug_oracles():
+            Interpreter(dag, protocol(), store).run_to_fixpoint()
+            later = Interpreter(dag.copy(), protocol(), store)
+            later.run_to_fixpoint()
+            later._slots[ref].instances[L1].echo_senders[42].add(3)
+            later.dag.insert(signed_block(registry, 0, 3, (block_ref(blocks[(0, 2)]),)))
+            with pytest.raises(AssertionError, match=f"{ref.hex()[:12]} was modified"):
+                later.run_to_fixpoint()
+
     def test_oracles_restore_the_methods_even_on_a_violation(self):
         def wrapped():
             return BlockDag.insert, Interpreter._interpret_block, Interpreter.run_to_fixpoint
@@ -428,3 +443,40 @@ class TestCloneCount:
         monkeypatch.setattr(Interpreter, "_interpret_block", counted_interpret_block)
         run(scenario)
         assert checked
+
+
+class TestSharedStore:
+    """Interpreters of equal protocols may share one store of (slot,
+    report) per ref: each block is computed once, and every interpreter
+    reports what a private one would, in its own order."""
+
+    def test_sharing_interpreters_reuse_slots_and_reports(self, registry):
+        dag, _ = broadcast_fixture(registry, rounds=4)
+        store: dict = {}
+        first = Interpreter(dag, protocol(), store)
+        later = Interpreter(dag.copy(), protocol(), store)
+        private = Interpreter(dag, protocol())
+        computed = first.run_to_fixpoint()
+        assert len(store) == len(dag) == len(computed)
+        assert later.run_to_fixpoint() == computed == private.run_to_fixpoint()
+        for ref in dag.refs():
+            assert later._slots[ref] is first._slots[ref] is store[ref][0]
+            assert slot_fingerprint(later, ref) == slot_fingerprint(private, ref)
+        assert private._shared is not store
+
+    def test_each_interpreter_schedules_by_its_own_blocks(self, registry):
+        # the later server's DAG grows in batches; the store already holds
+        # every block, yet its reports come as a private interpreter's do
+        dag, _ = broadcast_fixture(registry, rounds=5)
+        store: dict = {}
+        Interpreter(dag, protocol(), store).run_to_fixpoint()
+        grown, grown_private = BlockDag(registry), BlockDag(registry)
+        later = Interpreter(grown, protocol(), store)
+        private = Interpreter(grown_private, protocol())
+        refs = list(dag.refs())
+        for start in range(0, len(refs), 6):
+            for ref in refs[start : start + 6]:
+                grown.insert(dag.get(ref))
+                grown_private.insert(dag.get(ref))
+            assert later.run_to_fixpoint() == private.run_to_fixpoint()
+        assert len(store) == len(refs)

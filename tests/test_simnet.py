@@ -21,12 +21,15 @@ from dagbft.checks import (
     check_point_to_point,
 )
 from dagbft.crypto import KeyRegistry
+from dagbft.gossip import WireEnvelope
+from dagbft.interpret import Interpreter
 from dagbft.protocol import Label
 from dagbft.simnet import (
     BehaviorSpec,
     RequestInjection,
     Scenario,
     ScenarioError,
+    Simulation,
     run,
 )
 
@@ -35,6 +38,7 @@ from .oracles import (
     extends,
     live_snapshots,
     perfect_network_deliveries,
+    private_interpreters,
     union_dags,
 )
 from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
@@ -479,8 +483,8 @@ class TestTraceShape:
 
     @pytest.mark.parametrize("name, scenario", list(corpus()), ids=[n for n, _ in corpus()])
     def test_adversaries_send_nothing_in_the_drain(self, name, scenario):
-        # byzantine servers still receive in the drain, but their outboxes
-        # are never flushed there
+        # byzantine servers are halted in the drain: their outboxes are
+        # never flushed there
         byzantine = {server for server, _ in scenario.byzantine}
         drained = [
             e
@@ -489,6 +493,36 @@ class TestTraceShape:
         ]
         assert drained
         assert not [e for e in drained if e["frm"] in byzantine]
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_adversaries_take_nothing_in_the_drain(self, monkeypatch, index):
+        # envelopes to a halted adversary stay on the wire but are not even
+        # decoded: every decode in the drain is a correct server's delivery
+        scenario = adversarial_scenario(index)
+        draining = False
+        decoded = 0
+        decode = WireEnvelope.decode.__func__
+        drain = Simulation._drain
+
+        def counting_decode(cls, data):
+            nonlocal decoded
+            decoded += draining
+            return decode(cls, data)
+
+        def flagged_drain(self, start):
+            nonlocal draining
+            draining = True
+            return drain(self, start)
+
+        monkeypatch.setattr(WireEnvelope, "decode", classmethod(counting_decode))
+        monkeypatch.setattr(Simulation, "_drain", flagged_drain)
+        byzantine = {server for server, _ in scenario.byzantine}
+        drained = [e for e in run(scenario).events if e["step"] >= scenario.max_steps]
+        assert any(e["kind"] == "SEND" and e["to"] in byzantine for e in drained)
+        received = [
+            e for e in drained if e["kind"] == "DELIVER" or e.get("reason") == "undecodable"
+        ]
+        assert decoded == len(received) > 0
 
 
 class TestEventualValidity:
@@ -684,3 +718,56 @@ class TestPendingEviction:
         for check in CHECKERS:
             report = check(result.events, scenario)
             assert report.ok, report.violations[:3]
+
+
+# the trace-lock corpus and the first ten scenarios of each generator
+DIFFERENTIAL = {
+    **dict(corpus()),
+    **{f"random_{i}": random_scenario(i) for i in range(10)},
+    **{f"adversarial_{i}": adversarial_scenario(i) for i in range(10)},
+}
+
+
+class TestSharedInterpretation:
+    """A simulation's correct servers share one interpreter store, so each
+    block is interpreted once per run. Private stores, one per server, are
+    the reference: they must give the same trace bytes."""
+
+    @pytest.mark.parametrize("name", list(DIFFERENTIAL))
+    def test_private_stores_give_the_same_trace(self, name):
+        scenario = DIFFERENTIAL[name]
+        shared = run(scenario).trace_text()
+        with private_interpreters():
+            private = run(scenario).trace_text()
+        assert shared == private
+
+    def test_private_interpreters_give_each_server_its_own_store(self):
+        scenario = fig_broadcast_scenario()
+
+        def stores(sim):
+            return {id(node.interpreter._shared) for node in sim.correct.values()}
+
+        assert len(stores(Simulation(scenario))) == 1
+        with private_interpreters():
+            assert len(stores(Simulation(scenario))) == len(scenario.correct_servers())
+        assert len(stores(Simulation(scenario))) == 1  # put back on exit
+
+    def test_each_block_is_interpreted_once_per_run(self, monkeypatch):
+        computed: Counter = Counter()
+        interpret_block = Interpreter._interpret_block
+
+        def counting_interpret_block(self, ref):
+            computed[ref.hex()] += 1
+            return interpret_block(self, ref)
+
+        monkeypatch.setattr(Interpreter, "_interpret_block", counting_interpret_block)
+        scenario = adversarial_scenario(1)
+        events = run(scenario).events
+        interpreted = Counter(e["ref"] for e in events if e["kind"] == "INTERPRET")
+        assert computed.keys() == interpreted.keys()
+        assert set(computed.values()) == {1}
+        assert max(interpreted.values()) == len(scenario.correct_servers())
+        computed.clear()
+        with private_interpreters():
+            run(scenario)
+        assert computed == interpreted
