@@ -9,10 +9,16 @@ The DAG stores only blocks the owning server has validated, which makes its
 invariants unconditional: acyclic, closed under predecessors, every vertex
 valid at insertion time. Blocks whose predecessors are still missing live in
 the gossip layer's pending buffer, never here.
+
+A decoded block keeps the bytes it arrived in, and its ref hashes their core
+prefix. That is exact because the codec is canonical: integers are
+fixed-width, length and count prefixes exact, and version and tag bytes
+checked, so bytes that decode at all are the one encoding of their block.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
@@ -35,6 +41,7 @@ from .crypto import (
 from .protocol import Label, read_label
 
 _TAG_BLOCK_CORE = 0x01
+_BLOCK_HEAD = struct.Struct(">BBIQI")  # version, tag, builder, seqno, pred count
 
 
 class BlockDagError(Exception):
@@ -65,9 +72,10 @@ BlockRef = bytes
 class Block:
     """Content-addressed vertex carrying requests and predecessor hashes.
 
-    A block object is immutable, so facts derived from it are kept on it:
-    its ref is hashed on first use, and a signature check that passed is
-    remembered per registry (see :meth:`BlockDag.signature_verifies`).
+    A block object is immutable, so facts derived from it are kept on it,
+    outside its fields: its ref and wire bytes, made on first use unless
+    it was decoded, and a passed signature check per registry (see
+    :meth:`BlockDag.signature_verifies`). A re-signed copy keeps the ref.
     """
 
     builder: int
@@ -122,25 +130,30 @@ def block_ref(block: Block) -> BlockRef:
 
 
 def block_to_wire(block: Block) -> bytes:
-    if block.signature is None:
-        raise EncodingError("refusing to encode an unsigned block for the wire")
-    return (
-        block.core_bytes()
-        + enc_u8(int(block.signature.scheme))
-        + enc_bytes(block.signature.data)
-    )
+    """The block's wire bytes, built on first use and kept on the block."""
+    wire = block.__dict__.get("_wire")
+    if wire is None:
+        sig = block.signature
+        if sig is None:
+            raise EncodingError("refusing to encode an unsigned block for the wire")
+        wire = block.__dict__["_wire"] = (
+            block.core_bytes() + enc_u8(int(sig.scheme)) + enc_bytes(sig.data)
+        )
+    return wire
 
 
 def block_from_wire(data: bytes) -> Block:
+    """Decode a block that keeps ``data`` as its wire bytes and hashes its core."""
     r = reader(data)
-    if r.u8() != ENCODING_VERSION:
+    version, tag, builder, seqno, count = r.fields(_BLOCK_HEAD)
+    if version != ENCODING_VERSION:
         raise EncodingError("unsupported encoding version")
-    if r.u8() != _TAG_BLOCK_CORE:
+    if tag != _TAG_BLOCK_CORE:
         raise EncodingError("not a block encoding")
-    builder = r.u32()
-    seqno = r.u64()
-    preds = tuple(r.take(DIGEST_SIZE) for _ in range(r.u32()))
+    packed = r.take(DIGEST_SIZE * count)
+    preds = tuple(packed[i : i + DIGEST_SIZE] for i in range(0, len(packed), DIGEST_SIZE))
     requests = tuple((read_label(r), r.raw_bytes()) for _ in range(r.u32()))
+    core_end = r.pos
     scheme = r.u8()
     try:
         sig = Signature(SignatureScheme(scheme), r.raw_bytes())
@@ -148,7 +161,10 @@ def block_from_wire(data: bytes) -> Block:
         raise EncodingError(f"unknown signature scheme {scheme}") from exc
     if not r.done():
         raise EncodingError("trailing bytes after block encoding")
-    return Block(builder, seqno, preds, requests, sig)
+    block = Block(builder, seqno, preds, requests, sig)
+    block.__dict__["ref"] = content_digest(memoryview(data)[:core_end])
+    block.__dict__["_wire"] = data
+    return block
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ self-authenticating inside a simulation.
 
 from __future__ import annotations
 
-from .crypto import enc_bytes, enc_seq, enc_u32, enc_u64, enc_u8
+from .crypto import enc_bytes, enc_seq, enc_u32, enc_u32s, enc_u64, enc_u8
 from .protocol import ContractError, Label, Message, ProcessInstance, Protocol, ProtocolError
 
 ECHO = 1
@@ -64,6 +64,7 @@ class BrbInstance(ProcessInstance):
         super().__init__(label, server)
         self.server_count = server_count
         self.fault_bound = fault_bound
+        self._identity = b""  # the state encoding's constant prefix, kept by clones
         self.echoed = False
         self.readied = False
         self.delivered = False
@@ -133,6 +134,7 @@ class BrbInstance(ProcessInstance):
 
     def clone(self) -> "BrbInstance":
         dup = BrbInstance(self.label, self.server, self.server_count, self.fault_bound)
+        dup._identity = self._identity
         dup.echoed = self.echoed
         dup.readied = self.readied
         dup.delivered = self.delivered
@@ -144,19 +146,17 @@ class BrbInstance(ProcessInstance):
     def state_bytes(self) -> bytes:
         def sender_sets(table: dict[int, set[int]]) -> bytes:
             return enc_seq(
-                enc_u64(value) + enc_seq(enc_u32(s) for s in sorted(senders))
+                enc_u64(value) + enc_u32s(sorted(senders))
                 for value, senders in sorted(table.items())
                 if senders
             )
 
+        if not self._identity:
+            ids = (self.server, self.server_count, self.fault_bound)
+            self._identity = self.label.canonical_bytes() + b"".join(map(enc_u32, ids))
         return (
-            self.label.canonical_bytes()
-            + enc_u32(self.server)
-            + enc_u32(self.server_count)
-            + enc_u32(self.fault_bound)
-            + enc_u8(self.echoed)
-            + enc_u8(self.readied)
-            + enc_u8(self.delivered)
+            self._identity
+            + bytes((self.echoed, self.readied, self.delivered))  # one u8 per flag
             + sender_sets(self.echo_senders)
             + sender_sets(self.ready_senders)
             + enc_seq(enc_bytes(i) for i in self._pending_indications)

@@ -22,7 +22,7 @@ import hmac
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 DIGEST_SIZE = 32
 ENCODING_VERSION = 1
@@ -78,6 +78,14 @@ def enc_seq(items: Iterable[bytes]) -> bytes:
     return enc_u32(len(chunks)) + b"".join(chunks)
 
 
+def enc_u32s(values: Sequence[int]) -> bytes:
+    """``enc_seq(enc_u32(v) for v in values)`` packed in one ``struct`` call."""
+    try:
+        return struct.pack(f">{len(values) + 1}I", len(values), *values)
+    except struct.error:
+        raise EncodingError(f"u32 out of range in {list(values)}") from None
+
+
 class _Reader:
     """Cursor over canonical bytes; decoding counterpart of the encoders."""
 
@@ -94,14 +102,23 @@ class _Reader:
         self.pos += n
         return out
 
+    def fields(self, layout: struct.Struct) -> tuple:
+        """Read the fixed-width fields ``layout`` packs, checked like ``take``."""
+        end = self.pos + layout.size
+        if end > len(self.data):
+            raise EncodingError("truncated encoding")
+        out = layout.unpack_from(self.data, self.pos)
+        self.pos = end
+        return out
+
     def u8(self) -> int:
-        return _U8.unpack(self.take(1))[0]
+        return self.fields(_U8)[0]
 
     def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
+        return self.fields(_U32)[0]
 
     def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
+        return self.fields(_U64)[0]
 
     def raw_bytes(self) -> bytes:
         return self.take(self.u32())

@@ -26,6 +26,7 @@ this intake, the request FIFO and ``commit``.
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -60,6 +61,7 @@ PENDING_CAP_PER_BUILDER = 1024
 oldest."""
 
 _KIND_NAMES = {BLOCK_ENVELOPE: "BLOCK", FWD_ENVELOPE: "FWD"}
+_ENVELOPE_HEAD = struct.Struct(">BBII")  # version, kind, sender, receiver
 
 
 @dataclass(frozen=True)
@@ -88,11 +90,9 @@ class WireEnvelope:
     @classmethod
     def decode(cls, data: bytes) -> "WireEnvelope":
         r = reader(data)
-        if r.u8() != ENCODING_VERSION:
+        version, kind, sender, receiver = r.fields(_ENVELOPE_HEAD)
+        if version != ENCODING_VERSION:
             raise EncodingError("unsupported envelope version")
-        kind = r.u8()
-        sender = r.u32()
-        receiver = r.u32()
         if kind == BLOCK_ENVELOPE:
             block = block_from_wire(data[r.pos :])
             return cls(kind, sender, receiver, block=block)

@@ -9,6 +9,7 @@ every server and relies on equal inputs producing equal states.
 
 from __future__ import annotations
 
+import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ from .crypto import ENCODING_VERSION, EncodingError, enc_bytes, enc_u8, enc_u32,
 
 _TAG_LABEL = 0x10
 _TAG_MESSAGE = 0x11
+_LABEL_LAYOUT = struct.Struct(">BBIQ")  # version, tag, originator, nonce
 
 
 class ProtocolError(Exception):
@@ -79,9 +81,10 @@ class Message:
 def read_label(r) -> Label:
     """Read one :meth:`Label.canonical_bytes` encoding from the reader ``r``;
     the block codec uses it for each request's label."""
-    if r.u8() != ENCODING_VERSION or r.u8() != _TAG_LABEL:
+    version, tag, originator, nonce = r.fields(_LABEL_LAYOUT)
+    if version != ENCODING_VERSION or tag != _TAG_LABEL:
         raise EncodingError("bad label encoding")
-    return Label(r.u32(), r.u64())
+    return Label(originator, nonce)
 
 
 def message_from_canonical(data: bytes) -> Message:

@@ -428,6 +428,9 @@ class Simulation:
         # (server, ref) -> the peers the drain has asked for it; a server
         # that evicts the ref forgets them, so the drain asks again
         self._drain_asked: dict[tuple[int, BlockRef], set[int]] = {}
+        # ref -> (report, INTERPRET labels): the servers sharing a report share
+        # its labels list, so events are read-only
+        self._interpret_labels: dict[BlockRef, tuple[BlockInterpretation, list[dict]]] = {}
 
     # -- wire ------------------------------------------------------------------
 
@@ -478,12 +481,14 @@ class Simulation:
             try:
                 env = WireEnvelope.decode(wire)
             except EncodingError:
-                env = None
+                env, reason = None, "undecodable"
+            if env is not None and (env.sender, env.receiver) != (sender, receiver):
+                env, reason = None, "misaddressed"  # a reply goes to the header's sender
             if receiver in self.adversaries:
                 self.adversaries[receiver].on_deliver(now, env)
                 continue
             if env is None:
-                self._drop(now, receiver, "undecodable", frm=sender)
+                self._drop(now, receiver, reason, frm=sender)
                 continue
             node = self.correct[receiver]
             ref_hex = (
@@ -575,6 +580,19 @@ class Simulation:
     def _record_interpretation(
         self, now: int, server: int, report: BlockInterpretation
     ) -> None:
+        built, labels = self._interpret_labels.get(report.ref, (None, None))
+        if built is not report:  # a report from a private store gets its own list
+            labels = [
+                {
+                    "label": [act.label.originator, act.label.nonce],
+                    "fed": [m.canonical_bytes().hex() for m in act.fed],
+                    "emitted": [m.canonical_bytes().hex() for m in act.emitted],
+                    "state": act.state_digest.hex(),
+                    "skipped": act.skipped_requests,
+                }
+                for act in report.labels
+            ]
+            self._interpret_labels[report.ref] = (report, labels)
         self.events.append(
             trace.event(
                 now,
@@ -582,16 +600,7 @@ class Simulation:
                 server=server,
                 ref=report.ref.hex(),
                 builder=report.builder,
-                labels=[
-                    {
-                        "label": [act.label.originator, act.label.nonce],
-                        "fed": [m.canonical_bytes().hex() for m in act.fed],
-                        "emitted": [m.canonical_bytes().hex() for m in act.emitted],
-                        "state": act.state_digest.hex(),
-                        "skipped": act.skipped_requests,
-                    }
-                    for act in report.labels
-                ],
+                labels=labels,
             )
         )
 

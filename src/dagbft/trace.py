@@ -54,10 +54,13 @@ def event(step: int, kind: str, **fields) -> dict:
     return out
 
 
+# events hold no reference cycles, so the encoder need not look for them
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def dumps(events: Iterable[dict]) -> str:
-    return "".join(
-        json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in events
-    )
+    encode = _ENCODER.encode
+    return "".join(encode(e) + "\n" for e in events)
 
 
 def write_jsonl(events: Iterable[dict], path: str) -> None:

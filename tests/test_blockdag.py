@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from random import Random
 
 import pytest
@@ -299,6 +300,30 @@ class TestMutualRefExclusion:
             )
             assert block_ref(attack) != block_ref(b1)
             assert block_ref(attack) not in {p for p in b2.preds}
+
+
+class TestBlockValue:
+    """A block is its five fields: the ref, wire bytes and signature check it
+    keeps are not among them."""
+
+    def test_five_fields(self):
+        names = [f.name for f in dataclasses.fields(Block)]
+        assert names == ["builder", "seqno", "preds", "requests", "signature"]
+
+    def test_equality_hash_and_repr_ignore_kept_facts(self, registry):
+        block = signed_block(registry, 1, 2, (bytes(32),), ((Label(1, 1), b"zz"),))
+        bare = Block(block.builder, block.seqno, block.preds, block.requests, block.signature)
+        decoded = block_from_wire(block_to_wire(block))
+        assert BlockDag(registry).signature_verifies(decoded)
+
+        def kept(b):
+            return set(b.__dict__) - {f.name for f in dataclasses.fields(Block)}
+
+        assert (kept(bare), kept(block), kept(decoded)) == (
+            set(), {"ref", "_wire"}, {"ref", "_wire", "_verified_by"}
+        )
+        for other in (block, decoded):
+            assert other == bare and hash(other) == hash(bare) and repr(other) == repr(bare)
 
 
 class TestWireCodec:

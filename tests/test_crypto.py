@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from random import Random
 
 import pytest
@@ -19,8 +20,10 @@ from dagbft.crypto import (
     content_digest,
     ed25519_available,
     enc_bytes,
+    enc_seq,
     enc_u8,
     enc_u32,
+    enc_u32s,
     enc_u64,
     reader,
 )
@@ -52,6 +55,23 @@ class TestEncoders:
     def test_reader_truncation(self):
         with pytest.raises(EncodingError):
             reader(b"\x00\x00").u32()
+
+    @pytest.mark.parametrize("values", [[], [0], [3, 1, 2], [0xFFFFFFFF, 7]])
+    def test_packed_u32s_are_the_sequence_encoding(self, values):
+        assert enc_u32s(values) == enc_seq(enc_u32(v) for v in values)
+
+    @pytest.mark.parametrize("values", [[-1], [1, 1 << 32]])
+    def test_packed_u32s_range_checked(self, values):
+        with pytest.raises(EncodingError):
+            enc_u32s(values)
+
+    def test_reader_fields(self):
+        r = reader(enc_u8(3) + enc_u32(7) + enc_u64(9) + b"x")
+        assert r.fields(struct.Struct(">BIQ")) == (3, 7, 9)
+        assert r.pos == 13
+        with pytest.raises(EncodingError, match="truncated"):
+            r.fields(struct.Struct(">H"))
+        assert r.take(1) == b"x" and r.done()
 
 
 class TestBlockEncoding:

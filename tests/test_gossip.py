@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagbft import gossip
-from dagbft.blockdag import BlockDag, block_ref
-from dagbft.crypto import EncodingError, Signature, SignatureScheme
+from dagbft.blockdag import Block, BlockDag, block_from_wire, block_ref, block_to_wire
+from dagbft.crypto import EncodingError, Signature, SignatureScheme, content_digest
 from dagbft.gossip import (
     BLOCK_ENVELOPE,
     FWD_ENVELOPE,
@@ -28,6 +28,9 @@ from .util import make_registry, signed_block
 @pytest.fixture
 def registry():
     return make_registry()
+
+
+ENVELOPE_HEAD_SIZE = 10  # version, kind, sender, receiver
 
 
 def make_node(registry, server=0, **kwargs) -> GossipNode:
@@ -215,6 +218,16 @@ class TestForwardRequests:
         assert reply.receiver == 2
         assert reply.block == own
 
+    def test_fwd_reply_carries_the_bytes_that_arrived(self, registry):
+        node = make_node(registry, server=0)
+        sent = WireEnvelope(BLOCK_ENVELOPE, 1, 0, block=signed_block(registry, 1, 0)).encode()
+        arrived = WireEnvelope.decode(sent).block
+        node.on_receive_block(arrived)
+        assert node.try_promote() == [arrived]
+        reply = node.on_fwd_request(block_ref(arrived), 2)
+        assert reply.block is arrived
+        assert reply.encode()[ENVELOPE_HEAD_SIZE:] == sent[ENVELOPE_HEAD_SIZE:]
+
     def test_fwd_for_unknown_ref_unanswered(self, registry):
         node = make_node(registry)
         ghost = block_ref(signed_block(registry, 3, 0))
@@ -290,6 +303,15 @@ class TestEnvelopeCodec:
         env = WireEnvelope(FWD_ENVELOPE, 0, 2, ref=ref)
         assert WireEnvelope.decode(env.encode()) == env
 
+    def test_resigned_block_encodes_its_own_signature(self, registry):
+        block = signed_block(registry, 1, 0, requests=((Label(1, 1), b"zz"),))
+        wire = block_to_wire(block)  # kept on the block from here on
+        forged = block.with_signature(Signature(SignatureScheme.HMAC_SHA256, bytes(32)))
+        assert forged.ref == block.ref
+        assert block_to_wire(forged) != wire
+        assert block_from_wire(block_to_wire(forged)).signature == forged.signature
+        assert block_to_wire(block) == wire
+
     def test_garbage_rejected(self):
         with pytest.raises(EncodingError):
             WireEnvelope.decode(b"\x01\x09\x00\x00")
@@ -333,9 +355,18 @@ class TestEnvelopeCodec:
         mutants.append(bytes(scrambled))
         for mutant in mutants:
             try:
-                WireEnvelope.decode(mutant)
+                decoded = WireEnvelope.decode(mutant)
             except EncodingError:
-                pass
+                continue
+            # the codec is canonical: what decodes re-encodes to itself, so
+            # hashing the received core bytes gives the ref a fresh copy has
+            assert decoded.encode() == mutant
+            if decoded.kind == BLOCK_ENVELOPE:
+                got = decoded.block
+                fresh = Block(got.builder, got.seqno, got.preds, got.requests)
+                assert got.ref == content_digest(fresh.core_bytes())
+                assert block_to_wire(got) == mutant[ENVELOPE_HEAD_SIZE:]
+                assert block_to_wire(fresh.with_signature(got.signature)) == block_to_wire(got)
 
 
 def block_pool(rng: Random, registry, n: int = 4, size: int = 28):

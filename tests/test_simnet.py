@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagbft import gossip
-from dagbft.blockdag import block_ref
+from dagbft.blockdag import Block, block_ref
 from dagbft.brb import decode_broadcast, decode_deliver
 from dagbft.checks import (
     check_brb,
@@ -20,8 +21,8 @@ from dagbft.checks import (
     check_interpretation_agreement,
     check_point_to_point,
 )
-from dagbft.crypto import KeyRegistry
-from dagbft.gossip import WireEnvelope
+from dagbft.crypto import KeyRegistry, Signature, SignatureScheme
+from dagbft.gossip import FWD_ENVELOPE, WireEnvelope
 from dagbft.interpret import Interpreter
 from dagbft.protocol import Label
 from dagbft.simnet import (
@@ -296,6 +297,20 @@ class TestEquivocation:
         a, b = sorted(refs)[:2]
         assert a != b
 
+    def test_each_fork_goes_out_with_its_own_signature(self):
+        sim = Simulation(self._scenario())
+        adversary = sim.adversaries[3]
+        adversary.on_step(0)  # the genesis block: a single chain
+        adversary.outbox.clear()
+        adversary.on_step(3)  # the next cadence step seals two forks
+        forks = {}
+        for receiver, wire, _kind, ref_hex in adversary.outbox:
+            block = WireEnvelope.decode(wire).block
+            assert block_ref(block).hex() == ref_hex
+            assert sim.registry.verify(3, block_ref(block), block.signature)
+            forks[ref_hex] = block.signature
+        assert len(forks) == 2 and len(set(forks.values())) == 2
+
     def test_forks_cannot_be_joined(self):
         # a block listing both forks as predecessors has two parents: invalid
         result = run(self._scenario())
@@ -566,6 +581,54 @@ class TestGarbageHandling:
         delivered = surfaced_deliveries(result.events)
         assert {s for (s, _) in delivered} == {0, 2, 3}
 
+    def test_bogus_block_goes_out_with_its_zero_signature(self):
+        garbage = ((1, BehaviorSpec("GARBAGE")),)
+        scenario = Scenario(n=4, f=1, seed=23, max_steps=12, byzantine=garbage)
+        adversary = Simulation(scenario).adversaries[1]
+        adversary.on_step(0)
+        wires = [wire for _, wire, kind, _ in adversary.outbox if kind == "BLOCK"]
+        bogus = [WireEnvelope.decode(wire).block for wire in wires]
+        assert len(bogus) == 4
+        assert {b.signature for b in bogus} == {Signature(SignatureScheme.HMAC_SHA256, bytes(32))}
+
+
+class TestMisaddressedEnvelopes:
+    """The link, not the envelope header, names who sent an envelope and to
+    whom: one whose header says otherwise is dropped before a reply can go
+    to the server the header names."""
+
+    def _run_with_fwd(self, byzantine, link, header):
+        scenario = Scenario(
+            n=4,
+            f=1,
+            seed=5,
+            max_steps=12,
+            byzantine=byzantine,
+            requests=(RequestInjection(0, 1, Label(1, 1), 7),),
+        )
+        sim = Simulation(scenario)
+        genesis = block_ref(Block(0, 0, (), ()))  # server 0 seals it at step 0
+        wire = WireEnvelope(FWD_ENVELOPE, *header, ref=genesis).encode()
+        sender, receiver = link
+        key = (receiver, sender, 3, hashlib.sha256(wire).digest())
+        sim.inflight[4] = [(key, sender, receiver, 3, wire)]  # due at step 4
+        return [e for e in sim.run().events if e["step"] == 4]
+
+    @pytest.mark.parametrize("header", [(99, 0), (2, 0), (3, 1)], ids=["unknown", "third", "receiver"])
+    def test_correct_server_drops_it(self, header):
+        events = self._run_with_fwd((), (3, 0), header)
+        drops = [e for e in events if e["kind"] == "DROP"]
+        assert drops == [
+            {"schema": 1, "step": 4, "kind": "DROP", "server": 0, "reason": "misaddressed", "frm": 3}
+        ]
+        assert not [e for e in events if e["kind"] == "FWD_RESP"]
+
+    def test_adversary_ignores_it(self):
+        crash = ((3, BehaviorSpec("CRASH_AT", crash_step=100)),)
+        events = self._run_with_fwd(crash, (0, 3), (99, 3))
+        assert not [e for e in events if e["kind"] == "DROP"]
+        assert not [e for e in events if e["kind"] == "SEND" and e["frm"] == 3 and e["to"] == 99]
+
 
 class TestRequestRouting:
     def test_requests_to_byzantine_originator_are_embedded(self):
@@ -740,6 +803,24 @@ class TestSharedInterpretation:
         with private_interpreters():
             private = run(scenario).trace_text()
         assert shared == private
+
+    def test_interpret_entries_come_from_each_servers_own_report(self):
+        # one labels list per report: shared by every server on the shared
+        # store, so that each private store's own computation is recorded
+        def lists_per_ref(events):
+            out: dict[str, set[int]] = {}
+            for e in events:
+                if e["kind"] == "INTERPRET":
+                    out.setdefault(e["ref"], set()).add(id(e["labels"]))
+            return out
+
+        scenario = fig_broadcast_scenario()
+        shared = run(scenario).events
+        with private_interpreters():
+            private = run(scenario).events
+        servers = len(scenario.correct_servers())
+        assert {len(ids) for ids in lists_per_ref(shared).values()} == {1}
+        assert {len(ids) for ids in lists_per_ref(private).values()} == {servers}
 
     def test_private_interpreters_give_each_server_its_own_store(self):
         scenario = fig_broadcast_scenario()
