@@ -57,9 +57,23 @@ def _decode_label(raw) -> Label:
     return Label(int(raw[0]), int(raw[1]))
 
 
+def server_dags(events: list[dict]) -> dict[int, dict[str, dict]]:
+    """Each server's DAG as the trace records it: ref -> the first INSERT
+    event of that ref at that server, in insertion order. The DAG at a step
+    is the entries whose event is at or before that step."""
+    dags: dict[int, dict[str, dict]] = {}
+    for ev in events:
+        if ev["kind"] == "INSERT":
+            dags.setdefault(ev["server"], {}).setdefault(ev["ref"], ev)
+    return dags
+
+
 def server_views(events: list[dict]) -> dict[int, _ServerView]:
     """Each server's view, with every distinct message encoding decoded once."""
     views: dict[int, _ServerView] = {}
+    for server, dag in server_dags(events).items():
+        preds = {ref: list(dict.fromkeys(ev["preds"])) for ref, ev in dag.items()}
+        views[server] = _ServerView(inserts=dag, preds=preds)
     messages: dict[str, Message] = {}
 
     def decode(hexes: list[str], server: int, ref: str) -> tuple[Message, ...]:
@@ -73,14 +87,7 @@ def server_views(events: list[dict]) -> dict[int, _ServerView]:
         return tuple(messages[h] for h in hexes)
 
     for ev in events:
-        kind = ev["kind"]
-        if kind == "INSERT":
-            view = views.setdefault(ev["server"], _ServerView())
-            ref = ev["ref"]
-            if ref not in view.inserts:
-                view.inserts[ref] = ev
-                view.preds[ref] = list(dict.fromkeys(ev["preds"]))
-        elif kind == "INTERPRET":
+        if ev["kind"] == "INTERPRET":
             server, ref = ev["server"], ev["ref"]
             view = views.setdefault(server, _ServerView())
             view.interpreted.append(ref)
@@ -369,7 +376,6 @@ class Census:
     fwd_envelopes: int = 0
     noise_envelopes: int = 0
     other_envelopes: int = 0
-    wire_protocol_messages: int = 0  # structurally zero: no such envelope kind
     materialized_messages: int = 0
     blocks_built: int = 0
     deliveries_surfaced: int = 0
@@ -383,7 +389,7 @@ def message_census(events: list[dict]) -> Census:
     inside an interpretation; the compression the framework buys."""
     census = Census()
     refs_built: set[str] = set()
-    interpreting: int | None = None
+    emitted: dict[int, int] = {}  # server -> messages its interpretation emitted
     for ev in events:
         kind = ev["kind"]
         if kind == "SEND":
@@ -399,14 +405,11 @@ def message_census(events: list[dict]) -> Census:
         elif kind == "INSERT":
             refs_built.add(ev["ref"])
         elif kind == "INTERPRET":
-            if interpreting is None or ev["server"] < interpreting:
-                interpreting = ev["server"]
+            count = sum(len(act["emitted"]) for act in ev["labels"])
+            emitted[ev["server"]] = emitted.get(ev["server"], 0) + count
         elif kind == "INDICATE" and ev["surfaced"]:
             census.deliveries_surfaced += 1
-    if interpreting is not None:
-        for ev in events:
-            if ev["kind"] == "INTERPRET" and ev["server"] == interpreting:
-                for act in ev["labels"]:
-                    census.materialized_messages += len(act["emitted"])
+    if emitted:
+        census.materialized_messages = emitted[min(emitted)]
     census.blocks_built = len(refs_built)
     return census

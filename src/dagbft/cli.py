@@ -56,18 +56,14 @@ def _load_trace(path: str, out) -> list[dict] | None:
         return None
 
 
-def _inserted(
-    events: list[dict], server: int, last_step: int | None = None
-) -> list[tuple[str, int, int, list[str]]]:
-    """(ref, builder, seqno, preds) of each block that ``server`` inserted,
-    at or before ``last_step`` when one is given: its DAG at that step."""
-    seen: dict[str, tuple[str, int, int, list[str]]] = {}
-    for e in events:
-        if last_step is not None and e["step"] > last_step:
-            break
-        if e["kind"] == "INSERT" and e["server"] == server and e["ref"] not in seen:
-            seen[e["ref"]] = (e["ref"], e["builder"], e["seqno"], list(e["preds"]))
-    return list(seen.values())
+def _summaries(dag: dict[str, dict], last_step: float = float("inf")) -> list[tuple]:
+    """``render_dot``'s (ref, builder, seqno, preds) of each block of a
+    ``checks.server_dags`` DAG inserted at or before ``last_step``."""
+    return [
+        (ref, ev["builder"], ev["seqno"], ev["preds"])
+        for ref, ev in dag.items()
+        if ev["step"] <= last_step
+    ]
 
 
 def cmd_run(args, out) -> int:
@@ -96,13 +92,14 @@ def cmd_run(args, out) -> int:
     if scenario.snapshot_steps:
         snap_dir = args.snapshot_dir or os.path.dirname(os.path.abspath(args.out))
         stem = os.path.splitext(os.path.basename(args.out))[0]
+        dags = checks.server_dags(result.events)
         try:
             os.makedirs(snap_dir, exist_ok=True)
             for step in sorted(scenario.snapshot_steps):
                 for server in scenario.correct_servers():
                     path = os.path.join(snap_dir, f"{stem}.step{step}.s{server}.dot")
                     with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(render_dot(_inserted(result.events, server, step)))
+                        fh.write(render_dot(_summaries(dags.get(server, {}), step)))
         except OSError as exc:
             print(f"error: cannot write snapshots: {exc}", file=out)
             return EXIT_IO
@@ -150,12 +147,12 @@ def cmd_export_dot(args, out) -> int:
     events = _load_trace(args.trace, out)
     if events is None:
         return EXIT_CONFIG
-    inserts = [e for e in events if e["kind"] == "INSERT"]
-    if not inserts:
+    dags = checks.server_dags(events)
+    if not dags:
         print("error: trace has no INSERT events to export", file=out)
         return EXIT_CONFIG
-    server = args.server if args.server is not None else min(e["server"] for e in inserts)
-    summaries = _inserted(inserts, server)
+    server = args.server if args.server is not None else min(dags)
+    summaries = _summaries(dags.get(server, {}))
     if not summaries:
         print(f"error: no INSERT events for server {server}", file=out)
         return EXIT_CONFIG

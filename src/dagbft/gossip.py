@@ -15,7 +15,13 @@ A builder has at most ``PENDING_CAP_PER_BUILDER`` blocks pending; one more
 evicts its oldest, and the intake returns the evicted ref.
 
 Missing predecessors are requested from the builder of the block that
-references them (FWD), throttled per reference by a request interval.
+references them (FWD); this module alone decides every request. Two tables
+of one shape, ref -> target -> step, hold the asks, as their lifetimes
+differ. Timed asks are stamped in ``fwd_clock``, repeat after a request
+interval and lose their stamps once nothing waits on the ref. The drain's
+forced asks go once per pair into ``_forced``, which forgets a ref only
+when the asked block itself is evicted. Folding them into ``fwd_clock``
+changed 12 of 178 corpus traces, all evicting runs at pending caps 1 and 2.
 ``disseminate`` seals the current block with the requests ``take_requests``
 drains from the FIFO, signs it, commits it (inserts it and restarts the
 draft from it), and addresses it to every server (the builder included, for
@@ -134,11 +140,12 @@ class GossipNode:
         self.next_seqno = 0
         self.draft_preds: dict[BlockRef, None] = {}  # ordered set
         self.pending: dict[BlockRef, Block] = {}  # arrival order
-        self._pending_per_builder: dict[int, int] = {}
+        self._by_builder: dict[int, dict[BlockRef, None]] = {}  # each builder's pending
         self._missing: dict[BlockRef, int] = {}  # pending ref -> preds not in DAG
         self._waiters: dict[BlockRef, set[BlockRef]] = {}  # missing ref -> pending refs
         self._ready: set[BlockRef] = set()  # no pred missing, not yet validated
         self.fwd_clock: dict[BlockRef, dict[int, int]] = {}  # ref -> target -> step
+        self._forced: dict[BlockRef, dict[int, int]] = {}  # the same, for forced asks
 
     # -- receiving ----------------------------------------------------------
 
@@ -153,12 +160,11 @@ class GossipNode:
         if not self.dag.signature_verifies(block):
             return Disposition.BAD_SIGNATURE
         outcome: Disposition | BlockRef = Disposition.BUFFERED
-        if self._pending_per_builder.get(block.builder, 0) >= PENDING_CAP_PER_BUILDER:
-            outcome = self._evict_oldest(block.builder)
+        of_builder = self._by_builder.setdefault(block.builder, {})
+        if len(of_builder) >= PENDING_CAP_PER_BUILDER:
+            outcome = self._evict_oldest(of_builder)
         self.pending[ref] = block
-        self._pending_per_builder[block.builder] = (
-            self._pending_per_builder.get(block.builder, 0) + 1
-        )
+        of_builder[ref] = None
         missing = [p for p in block.distinct_preds() if p not in self.dag]
         if missing:
             self._missing[ref] = len(missing)
@@ -168,12 +174,13 @@ class GossipNode:
             self._ready.add(ref)
         return outcome
 
-    def _evict_oldest(self, builder: int) -> BlockRef:
-        """Drop ``builder``'s oldest pending block, and the FWD stamps of the
-        refs that nothing waits on any more; returns the dropped ref."""
-        ref = next(r for r, blk in self.pending.items() if blk.builder == builder)
+    def _evict_oldest(self, of_builder: dict[BlockRef, None]) -> BlockRef:
+        """Drop one builder's oldest pending block with its forced asks, and
+        the FWD stamps of the refs nothing waits on any more; returns its ref."""
+        ref = next(iter(of_builder))
+        del of_builder[ref]
         blk = self.pending.pop(ref)
-        self._pending_per_builder[builder] -= 1
+        self._forced.pop(ref, None)
         self._ready.discard(ref)
         self._missing.pop(ref, None)
         for pred in blk.distinct_preds():
@@ -197,10 +204,11 @@ class GossipNode:
             self._ready = set()
             for ref in [r for r in batch if self.dag.is_valid(self.pending[r])]:
                 block = self.pending.pop(ref)
-                self._pending_per_builder[block.builder] -= 1
+                del self._by_builder[block.builder][ref]
                 self.dag.insert(block)
                 self.draft_preds[ref] = None
                 self.fwd_clock.pop(ref, None)
+                self._forced.pop(ref, None)
                 self._release(ref)
                 promoted.append(block)
         return promoted
@@ -219,29 +227,27 @@ class GossipNode:
         """(missing ref, builder to ask) pairs. Every distinct referencing
         builder is a candidate responder (a single unresponsive builder must
         not wedge recovery); repeats from the same builder collapse."""
-        out: list[tuple[BlockRef, int]] = []
-        seen: set[tuple[BlockRef, int]] = set()
+        out: dict[tuple[BlockRef, int], None] = {}  # ordered set
         for ref in sorted(self._missing):
             block = self.pending[ref]
             for pred in block.distinct_preds():
-                if pred in self.dag or pred in self.pending:
-                    continue
-                key = (pred, block.builder)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(key)
-        return out
+                if pred not in self.dag and pred not in self.pending:
+                    out[(pred, block.builder)] = None
+        return list(out)
 
     def request_missing(self, now: int, *, force: bool = False) -> list[WireEnvelope]:
-        """Issue FWD requests for missing predecessors. A (reference, target)
-        pair is re-requested only after ``fwd_interval`` steps (``force``
-        bypasses the timer; the drain phase uses it)."""
+        """Issue FWD requests for missing predecessors. A timed (reference,
+        target) pair is asked again after ``fwd_interval`` steps, and its
+        ``fwd_clock`` stamps go once nothing waits on the reference. A forced
+        pair (``force``, the drain's) is asked once, until the asked block is
+        evicted; ``_forced`` keeps it, as folding it into ``fwd_clock``
+        changed 12 of 178 corpus traces."""
+        clock = self._forced if force else self.fwd_clock
         envelopes: list[WireEnvelope] = []
         for missing, target in self.missing_predecessors():
-            stamps = self.fwd_clock.setdefault(missing, {})
+            stamps = clock.setdefault(missing, {})
             stamp = stamps.get(target)
-            if not force and stamp is not None and now - stamp < self.fwd_interval:
+            if stamp is not None and (force or now - stamp < self.fwd_interval):
                 continue
             stamps[target] = now
             envelopes.append(

@@ -425,9 +425,6 @@ class Simulation:
                 )
         self.events: list[dict] = []
         self.inflight: dict[int, list[tuple[tuple, int, int, int, bytes]]] = {}
-        # (server, ref) -> the peers the drain has asked for it; a server
-        # that evicts the ref forgets them, so the drain asks again
-        self._drain_asked: dict[tuple[int, BlockRef], set[int]] = {}
         # ref -> (report, INTERPRET labels): the servers sharing a report share
         # its labels list, so events are read-only
         self._interpret_labels: dict[BlockRef, tuple[BlockInterpretation, list[dict]]] = {}
@@ -466,11 +463,12 @@ class Simulation:
             )
             self._schedule(now, env.sender, env.receiver, env.encode(), env.kind_name, ref_hex)
 
-    def _send_fwd(self, now: int, env: WireEnvelope) -> None:
-        self.events.append(
-            trace.event(now, "FWD_REQ", server=env.sender, ref=env.ref.hex(), to=env.receiver)
-        )
-        self._send_envelopes(now, [env])
+    def _send_fwds(self, now: int, envelopes: list[WireEnvelope]) -> None:
+        for env in envelopes:
+            self.events.append(
+                trace.event(now, "FWD_REQ", server=env.sender, ref=env.ref.hex(), to=env.receiver)
+            )
+            self._send_envelopes(now, [env])
 
     def _deliver_due(self, now: int, halted=()) -> None:
         batch = self.inflight.pop(now, [])
@@ -509,7 +507,6 @@ class Simulation:
                 if outcome == Disposition.BAD_SIGNATURE:
                     self._drop(now, receiver, "bad_signature", ref=ref_hex)
                 elif isinstance(outcome, bytes):  # the evicted block's ref
-                    self._drain_asked.pop((receiver, outcome), None)
                     self._drop(now, receiver, "pending_evicted", ref=outcome.hex())
             else:
                 reply = node.gossip.on_fwd_request(env.ref, env.sender)
@@ -549,8 +546,7 @@ class Simulation:
 
     def _gossip_phase(self, now: int, node: Shim) -> None:
         self._promote(now, node)
-        for env in node.gossip.request_missing(now):
-            self._send_fwd(now, env)
+        self._send_fwds(now, node.gossip.request_missing(now))
         envelopes = node.tick(now)
         if envelopes:
             self._record_insert(now, node.server, envelopes[0].block)
@@ -650,11 +646,7 @@ class Simulation:
                 for server in sorted(self.correct):
                     node = self.correct[server]
                     self._promote(now, node)
-                    for env in node.gossip.request_missing(now, force=True):
-                        asked = self._drain_asked.setdefault((server, env.ref), set())
-                        if env.receiver not in asked:
-                            asked.add(env.receiver)
-                            self._send_fwd(now, env)
+                    self._send_fwds(now, node.gossip.request_missing(now, force=True))
             else:  # pragma: no cover - defensive bound
                 raise RuntimeError("drain delivery loop did not settle")
             quiet = True

@@ -309,7 +309,6 @@ class TestCensus:
         result = run(fig_broadcast_scenario())
         census = message_census(result.events)
         assert census.other_envelopes == 0
-        assert census.wire_protocol_messages == 0
         assert census.noise_envelopes == 0
         assert census.block_envelopes > 0
         assert census.fwd_envelopes == 0  # lockstep run loses nothing
@@ -325,3 +324,8 @@ class TestCensus:
         census = message_census(result.events)
         assert census.materialized_messages >= 20
         assert census.deliveries_surfaced == 4
+        # the messages the lowest interpreting server's interpretation emitted
+        interprets = [e for e in result.events if e["kind"] == "INTERPRET"]
+        lowest = min(e["server"] for e in interprets)
+        acts = [a for e in interprets if e["server"] == lowest for a in e["labels"]]
+        assert census.materialized_messages == sum(len(a["emitted"]) for a in acts)

@@ -441,8 +441,15 @@ class TestCensus:
         run_cli("run", "--scenario", scenario_file, "--out", trace_path)
         code, text = run_cli("census", "--trace", trace_path)
         assert code == EXIT_OK
-        assert "block_envelopes:" in text
-        assert "wire_protocol_messages: 0" in text
+        assert [line.split(":")[0] for line in text.splitlines()] == [
+            "block_envelopes",
+            "fwd_envelopes",
+            "noise_envelopes",
+            "other_envelopes",
+            "materialized_messages",
+            "blocks_built",
+            "deliveries_surfaced",
+        ]
 
     def test_missing_subcommand_is_usage_error(self):
         code, _ = run_cli()

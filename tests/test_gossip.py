@@ -79,6 +79,24 @@ class TestReceive:
         ]
         assert list(node.pending) == [block_ref(b) for b in blocks[1:]]
 
+    def test_eviction_takes_the_builders_own_oldest(self, registry, monkeypatch):
+        # another builder's block arrived first and stays; each builder's
+        # cap counts and evicts only its own blocks
+        monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", 2)
+        node = make_node(registry)
+        ones = [signed_block(registry, 1, 0, (), ((Label(1, k), b"x"),)) for k in range(3)]
+        twos = [signed_block(registry, 2, 0, (), ((Label(2, k), b"y"),)) for k in range(3)]
+        arrivals = [twos[0], ones[0], ones[1], twos[1], ones[2], twos[2]]
+        assert [node.on_receive_block(b) for b in arrivals] == [
+            Disposition.BUFFERED,
+            Disposition.BUFFERED,
+            Disposition.BUFFERED,
+            Disposition.BUFFERED,
+            block_ref(ones[0]),
+            block_ref(twos[0]),
+        ]
+        assert list(node.pending) == [block_ref(b) for b in (ones[1], twos[1], ones[2], twos[2])]
+
     def test_eviction_drops_the_stamps_nothing_waits_on(self, registry, monkeypatch):
         # each block waits on a pred of its own and is requested; once it is
         # evicted, nothing waits on that pred and its FWD stamps go too
@@ -185,6 +203,51 @@ class TestForwardRequests:
         node.on_receive_block(child)
         node.request_missing(now=0)
         assert len(node.request_missing(now=1, force=True)) == 1
+
+    def test_interval_ignores_forced_asks(self, registry):
+        node = make_node(registry, fwd_interval=5)
+        parent = signed_block(registry, 1, 0)
+        child = signed_block(registry, 1, 1, (block_ref(parent),))
+        node.on_receive_block(child)
+        node.request_missing(now=0, force=True)
+        assert len(node.request_missing(now=1)) == 1
+        assert node.request_missing(now=2) == []
+
+    def test_forced_ask_is_sent_once(self, registry):
+        node = make_node(registry, fwd_interval=5)
+        parent = signed_block(registry, 1, 0)
+        missing = signed_block(registry, 3, 0)
+        node.on_receive_block(signed_block(registry, 1, 1, (block_ref(parent),)))
+        assert len(node.request_missing(now=0, force=True)) == 1
+        node.on_receive_block(signed_block(registry, 2, 0, (block_ref(missing),)))
+        envs = node.request_missing(now=1, force=True)  # only the new pair
+        assert [(e.ref, e.receiver) for e in envs] == [(block_ref(missing), 2)]
+        for now in (2, 5, 6, 1_000):
+            assert node.request_missing(now=now, force=True) == []
+
+    def test_forced_ask_rearmed_only_when_the_asked_block_is_evicted(
+        self, registry, monkeypatch
+    ):
+        monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", 1)
+        node = make_node(registry)
+        asked = signed_block(registry, 1, 0, (), ((Label(1, 0), b"a"),))
+        fork = signed_block(registry, 1, 0, (), ((Label(1, 0), b"b"),))
+        w1, w2 = (
+            signed_block(registry, 2, 0, (block_ref(asked),), ((Label(2, k), b"w"),))
+            for k in range(2)
+        )
+        node.on_receive_block(w1)
+        assert [e.ref for e in node.request_missing(now=0, force=True)] == [block_ref(asked)]
+        # the waiter is evicted and another waits on the same ref: no new ask
+        assert node.on_receive_block(w2) == block_ref(w1)
+        assert node.request_missing(now=1, force=True) == []
+        # the asked block arrives, so nothing is missing, and then is evicted
+        node.on_receive_block(asked)
+        assert node.request_missing(now=2, force=True) == []
+        assert node.on_receive_block(fork) == block_ref(asked)
+        envs = node.request_missing(now=3, force=True)
+        assert [(e.ref, e.receiver) for e in envs] == [(block_ref(asked), 2)]
+        assert node.request_missing(now=4, force=True) == []
 
     def test_shared_missing_pred_requested_once_per_interval(self, registry):
         node = make_node(registry)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -86,6 +87,9 @@ class TestScenarioValidation:
             Scenario(n=4, f=1, seed=0, max_steps=5, delay_bounds=(0, 2))
         with pytest.raises(ScenarioError):
             Scenario(n=4, f=1, seed=0, max_steps=5, delay_bounds=(3, 2))
+        # from JSON the (int, int) type check comes first; this rule guards Python callers
+        with pytest.raises(ScenarioError, match="delay_bounds must be a"):
+            Scenario(n=4, f=1, seed=0, max_steps=5, delay_bounds=(1, 2, 3))
 
     def test_unknown_behavior_kind(self):
         with pytest.raises(ScenarioError):
@@ -143,17 +147,37 @@ class TestScenarioValidation:
             replace(scenario, snapshot_steps=(3, 3))
 
     @pytest.mark.parametrize(
-        "extra",
+        "extra, rule",
         [
-            {"byzantine": [1]},
-            {"seed": float("inf")},
-            {"byzantine": {1: {"kind": "SILENT"}}},
-            {"byzantine": {"1": {"kind": "SILENT"}, "01": {"kind": "GARBAGE"}}},
+            ({"byzantine": [1]}, "'byzantine' has the wrong type"),
+            ({"seed": float("inf")}, "'seed' has the wrong type"),
+            ({"byzantine": {1: {"kind": "SILENT"}}}, "is not a server id"),
+            (
+                {"byzantine": {"1": {"kind": "SILENT"}, "01": {"kind": "GARBAGE"}}},
+                "more byzantine servers than the fault bound",
+            ),
+            ({"byzantine": {"1": {"kind": "CRASH_AT", "crash_step": -1}}}, "crash_step must be"),
+            ({"byzantine": {"1": {"kind": "EVIL"}}}, "unknown behavior kind 'EVIL'"),
+            ({"byzantine": {"9": {"kind": "SILENT"}}}, "byzantine server 9 out of range"),
+            (
+                {"n": 7, "f": 2, "byzantine": {"3": {"kind": "SILENT"}, "03": {"kind": "SILENT"}}},
+                "server 3 listed byzantine twice",
+            ),
+            ({"max_steps": 0}, "max_steps must be positive"),
+            ({"cadence": 0}, "cadence and fwd_interval must be"),
+            (
+                {"requests": [{"step": 5, "server": 0, "label": [0, 1], "value": 1}]},
+                "request step must fall inside the run horizon",
+            ),
         ],
-        ids=["byzantine-list", "infinite-seed", "int-byzantine-key", "byzantine-twice"],
+        ids=[
+            "byzantine-list", "infinite-seed", "int-byzantine-key", "byzantine-twice",
+            "negative-crash-step", "unknown-kind", "byzantine-out-of-range",
+            "byzantine-twice-at-n7", "no-steps", "no-cadence", "request-past-horizon",
+        ],
     )
-    def test_malformed_dict_is_scenario_error(self, extra):
-        with pytest.raises(ScenarioError):
+    def test_malformed_dict_is_scenario_error(self, extra, rule):
+        with pytest.raises(ScenarioError, match=re.escape(rule)):
             Scenario.from_dict({"n": 4, "f": 1, "seed": 0, "max_steps": 5, **extra})
 
     @pytest.mark.parametrize("data", [[4, 1, 0, 5], None, {"n": 4, "f": 1, "seed": 0}])
