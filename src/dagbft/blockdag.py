@@ -74,8 +74,9 @@ class Block:
 
     A block object is immutable, so facts derived from it are kept on it,
     outside its fields: its ref and wire bytes, made on first use unless
-    it was decoded, and a passed signature check per registry (see
-    :meth:`BlockDag.signature_verifies`). A re-signed copy keeps the ref.
+    it was decoded, its distinct preds, made on first use, and a passed
+    signature check per registry (see :meth:`BlockDag.signature_verifies`).
+    A re-signed copy keeps the ref and the distinct preds.
     """
 
     builder: int
@@ -100,8 +101,12 @@ class Block:
         )
 
     def distinct_preds(self) -> tuple[BlockRef, ...]:
-        """Predecessor refs with byzantine repetitions removed, first-seen order."""
-        return tuple(dict.fromkeys(self.preds))
+        """Predecessor refs with byzantine repetitions removed, first-seen
+        order; built on first use and kept on the block."""
+        distinct = self.__dict__.get("_distinct_preds")
+        if distinct is None:
+            distinct = self.__dict__["_distinct_preds"] = tuple(dict.fromkeys(self.preds))
+        return distinct
 
     def is_genesis(self) -> bool:
         return self.seqno == 0
@@ -113,8 +118,9 @@ class Block:
 
     def with_signature(self, signature: Signature) -> "Block":
         signed = Block(self.builder, self.seqno, self.preds, self.requests, signature)
-        if "ref" in self.__dict__:  # the ref excludes the signature
-            signed.__dict__["ref"] = self.ref
+        for kept in ("ref", "_distinct_preds"):  # neither depends on the signature
+            if kept in self.__dict__:
+                signed.__dict__[kept] = self.__dict__[kept]
         return signed
 
 

@@ -3,15 +3,25 @@
 The base trace is consistent: server 0's genesis block emits one echo and
 server 1's chain consumes it. Each forgery perturbs exactly one thing so the
 corresponding checker must flag exactly one violation. The convergence
-forgeries at the end pin the pair semantics and the report order.
+forgeries at the end pin the pair semantics and the report order, and each
+breaks one of the two conditions under which ``check_convergence`` decides a
+pair per snapshot (C1: one distinct-preds set per ref across the correct
+servers; C2: every snapshot holds the preds of its refs).
+
+``seeded_mutants`` derives traces from simulated runs by one such
+perturbation each, for the differential test against the reference checkers.
 """
 
 from __future__ import annotations
 
+from random import Random
+
 from dagbft import trace
 from dagbft.brb import encode_payload
 from dagbft.protocol import Label, Message
-from dagbft.simnet import BehaviorSpec, RequestInjection, Scenario
+from dagbft.simnet import BehaviorSpec, RequestInjection, Scenario, run
+
+from .scenarios import adversarial_scenario, random_scenario
 
 X, Y, Z, W, V = "aa" * 32, "bb" * 32, "cc" * 32, "dd" * 32, "ee" * 32
 
@@ -199,3 +209,81 @@ def forged_partitioned() -> tuple[Scenario, list[dict]]:
         _insert(2, 1, X, 0, []),
     ]
     return scenario, events
+
+
+def forged_conflicting_preds() -> tuple[Scenario, list[dict]]:
+    """Server 1 records block Y without its pred X, which servers 0 and 2
+    record (C1 fails): unions that hold a snapshot with the edge X -> Y fail
+    at server 1, and server 1's snapshot alone fails at servers 0 and 2."""
+    scenario = Scenario(n=4, f=1, seed=0, max_steps=3, snapshot_steps=(1,))
+    events = [
+        _insert(0, 0, X, 0, []),
+        _insert(0, 0, Y, 1, [X]),
+        _insert(0, 1, X, 0, []),
+        _insert(0, 1, Y, 1, []),
+        _insert(0, 2, X, 0, []),
+        _insert(0, 2, Y, 1, [X]),
+    ]
+    return scenario, events
+
+
+def forged_unclosed_snapshot() -> tuple[Scenario, list[dict]]:
+    """Server 0 inserts Y at a step before Y's pred X (C2 fails): its
+    snapshot {Y} and server 2's snapshot {X} each pass, but their union lacks
+    the edge X -> Y that every final DAG has."""
+    scenario = Scenario(n=4, f=1, seed=0, max_steps=3, snapshot_steps=(1,))
+    events = [
+        _insert(0, 0, Y, 1, [X]),
+        _insert(0, 1, X, 0, []),
+        _insert(0, 1, Y, 1, [X]),
+        _insert(0, 2, X, 0, []),
+        _insert(2, 0, X, 0, []),
+        _insert(2, 2, Y, 1, [X]),
+    ]
+    return scenario, events
+
+
+def _mutate(scenario: Scenario, events: list[dict], kind: str, rng: Random) -> list[dict]:
+    """A copy of ``events`` with one INSERT of a correct server changed:
+    ``drop`` removes one pred, ``add`` adds one, ``early`` moves the INSERT
+    to the first snapshot step, before the INSERT of one of its preds."""
+    correct = set(scenario.correct_servers())
+    first: dict[tuple[int, str], int] = {}  # (server, ref) -> index of its first INSERT
+    for i, ev in enumerate(events):
+        if ev["kind"] == "INSERT" and ev["server"] in correct:
+            first.setdefault((ev["server"], ev["ref"]), i)
+    cut = min(scenario.snapshot_steps)
+    candidates = []
+    for (server, ref), i in first.items():
+        preds = events[i]["preds"]
+        if kind == "early":
+            if any(events[first[server, p]]["step"] > cut for p in preds if (server, p) in first):
+                candidates.append(i)
+        elif preds or kind == "add":
+            candidates.append(i)
+    i = rng.choice(candidates)
+    ev = events[i]
+    if kind == "drop":
+        victim = rng.choice(ev["preds"])
+        changed = dict(ev, preds=[p for p in ev["preds"] if p != victim])
+    elif kind == "add":
+        extra = [r for (s, r) in first if s == ev["server"] and r != ev["ref"] and r not in ev["preds"]]
+        changed = dict(ev, preds=ev["preds"] + [rng.choice(extra)])
+    else:
+        changed = dict(ev, step=cut)
+    return events[:i] + [changed] + events[i + 1 :]
+
+
+def seeded_mutants() -> list[tuple[str, Scenario, list[dict]]]:
+    """Forty traces: the runs of ``random_scenario`` and
+    ``adversarial_scenario`` 0-19 (n=4 and n=7 alternately), each with one
+    INSERT perturbed by ``_mutate``, the kinds taken in turn."""
+    kinds = ("drop", "add", "early")
+    mutants = []
+    for name, make in (("random", random_scenario), ("adversarial", adversarial_scenario)):
+        for index in range(20):
+            scenario = make(index)
+            kind = kinds[len(mutants) % len(kinds)]
+            events = _mutate(scenario, run(scenario).events, kind, Random(f"{name}-{index}"))
+            mutants.append((f"{name} {index} {kind}", scenario, events))
+    return mutants

@@ -13,6 +13,7 @@ from random import Random
 
 import pytest
 
+from dagbft import checks
 from dagbft.blockdag import BlockDag, block_ref
 from dagbft.brb import ECHO, READY, ReliableBroadcast, encode_broadcast, encode_payload
 from dagbft.checks import (
@@ -108,6 +109,28 @@ class TestCheckersMatchReference:
         assert len(cases) >= 7
         failures = [m for name, sc, events in cases for m in _report_mismatches(name, events, sc)]
         assert not failures, failures
+
+    def test_seeded_mutants(self, monkeypatch):
+        # each mutant breaks C1 or C2, so convergence is judged pair by pair
+        # on every one, and the point-to-point checker sees changed preds
+        mutants = forgeries.seeded_mutants()
+        assert len(mutants) == 40
+        calls = []
+        edges_within = checks._edges_within
+
+        def counting(preds, refs):
+            calls.append(len(refs))
+            return edges_within(preds, refs)
+
+        monkeypatch.setattr(checks, "_edges_within", counting)
+        failures, per_snapshot = [], []
+        for name, scenario, events in mutants:
+            before = len(calls)
+            failures += _report_mismatches(name, events, scenario)
+            if len(calls) == before:
+                per_snapshot.append(name)
+        assert not failures, failures
+        assert not per_snapshot, per_snapshot
 
     def test_scenario_batches(self, mixed_batch, adversarial_batch):
         t0 = time.perf_counter()

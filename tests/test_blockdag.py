@@ -325,6 +325,19 @@ class TestBlockValue:
         for other in (block, decoded):
             assert other == bare and hash(other) == hash(bare) and repr(other) == repr(bare)
 
+    def test_distinct_preds_kept_on_the_block_and_on_a_resigned_copy(self, registry):
+        a, b = bytes(32), bytes([1]) * 32
+        block = signed_block(registry, 1, 2, (a, b, a))
+        bare = Block(block.builder, block.seqno, block.preds, block.requests, block.signature)
+        distinct = block.distinct_preds()
+        assert distinct == (a, b)
+        assert block.distinct_preds() is distinct
+        assert block.__dict__["_distinct_preds"] is distinct
+        assert block == bare and hash(block) == hash(bare) and repr(block) == repr(bare)
+        resigned = block.with_signature(Signature(SignatureScheme.HMAC_SHA256, b"\x00" * 32))
+        assert resigned.distinct_preds() is distinct
+        assert resigned.ref == block.ref
+
 
 class TestWireCodec:
     def test_round_trip(self, registry):

@@ -24,9 +24,11 @@ from .forgeries import (
     Z,
     forged_base,
     forged_byzantine_refeed,
+    forged_conflicting_preds,
     forged_cross_edge,
     forged_duplicate,
     forged_partitioned,
+    forged_unclosed_snapshot,
     forged_unsigned_origin,
     msg_hex,
 )
@@ -283,6 +285,55 @@ class TestConvergenceChecker:
         assert len(pairs) == 16
         assert pairs == sorted(pairs, key=lambda p: (p[0], p[2], p[1], p[3], p[4]))
         assert {p[4] for p in pairs} == {0, 1}
+
+    def test_conflicting_preds_judged_pair_by_pair(self):
+        # server 1 records Y without its pred X: its snapshot alone fails at
+        # the servers that have the edge, and every union with a snapshot
+        # holding the edge fails at server 1
+        scenario, events = forged_conflicting_preds()
+        report = check_convergence(events, scenario)
+        assert report.checked == 27
+        failing = [
+            (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 1, 0),
+            (1, 1, 2), (1, 2, 1), (2, 0, 1), (2, 1, 1), (2, 2, 1),
+        ]  # (s1, s2, target)
+        assert report.violations == [
+            f"convergence: union of snapshots ({a}@1, {b}@1) is not extended by the final DAG of server {t}"
+            for a, b, t in failing
+        ]
+
+    def test_unclosed_snapshot_fails_only_its_union_with_the_pred(self):
+        # server 0's snapshot holds Y but not its pred X, server 2's holds X
+        # alone: only their union lacks the edge X -> Y every final DAG has
+        scenario, events = forged_unclosed_snapshot()
+        report = check_convergence(events, scenario)
+        assert report.checked == 27
+        assert report.violations == [
+            f"convergence: union of snapshots ({a}@1, {b}@1) is not extended by the final DAG of server {t}"
+            for a, b in ((0, 2), (2, 0))
+            for t in (0, 1, 2)
+        ]
+
+    def test_pairs_compared_edge_by_edge_only_when_a_condition_fails(self, monkeypatch):
+        # C1 (one distinct-preds set per ref) and C2 (closed snapshots) hold
+        # on simulated traces, which are then judged per snapshot; each of
+        # the three forgeries breaks one, and is judged pair by pair
+        calls = []
+        edges_within = checks._edges_within
+
+        def counting(preds, refs):
+            calls.append(len(refs))
+            return edges_within(preds, refs)
+
+        monkeypatch.setattr(checks, "_edges_within", counting)
+        scenario = fig_broadcast_scenario()
+        assert check_convergence(run(scenario).events, scenario).ok
+        assert calls == []
+        for forged in (forged_cross_edge, forged_conflicting_preds, forged_unclosed_snapshot):
+            calls.clear()
+            scenario, events = forged()
+            check_convergence(events, scenario)
+            assert calls, forged.__name__
 
     def test_no_snapshots_is_vacuous(self):
         scenario = Scenario(n=4, f=1, seed=0, max_steps=6)
