@@ -76,7 +76,9 @@ class Block:
     outside its fields: its ref and wire bytes, made on first use unless
     it was decoded, its distinct preds, made on first use, and a passed
     signature check per registry (see :meth:`BlockDag.signature_verifies`).
-    A re-signed copy keeps the ref and the distinct preds.
+    Servers that decode a byte string to one shared object, as a
+    simulation's correct servers do, share these facts. A re-signed copy
+    keeps the ref and the distinct preds.
     """
 
     builder: int
@@ -234,8 +236,9 @@ class BlockDag:
 
         A pass is kept on the block object for this DAG's registry, so each
         received or sealed block is verified once and every later check
-        reuses the answer. A copy with another signature is a new object
-        and is checked afresh."""
+        reuses the answer, in every DAG over the same registry object that
+        holds the same block object. A failed check is not kept. A copy
+        with another signature is a new object and is checked afresh."""
         if block.__dict__.get("_verified_by") is self.registry:
             return True
         if block.signature is None:

@@ -1,16 +1,20 @@
 """Block exchange: one intake per block, promotion, FWD recovery.
 
 One node per server. A received block is hashed and its signature verified
-once, at receipt; a bad signature is dropped there, since nothing downstream
-could ever validate it. The block then waits in the pending buffer, indexed
-by the predecessors it still misses: each missing ref maps to the blocks
-waiting on it, and each block counts what it misses. When the count reaches
-zero the block is a candidate, and ``try_promote`` validates it once with
-``BlockDag.is_valid``, which reuses the receipt-time signature check. A
-candidate that fails then can never pass and stays pending. Promotion runs
-in rounds: a round promotes, in ascending ref order, the valid candidates
-that were ready when it began; the blocks they unblock wait for the next
-round. A promoted ref is appended to the block the server is building.
+at receipt, once per block object: the check's pass is kept on the block,
+and a simulation's correct servers decode through one table that gives
+them one object per distinct wire byte string, so one hash and one check
+serve them all. A bad signature is dropped at receipt, since nothing
+downstream could ever validate it. The block then waits in the pending
+buffer, indexed by the predecessors it still misses: each missing ref maps
+to the blocks waiting on it, and each block counts what it misses. When the
+count reaches zero the block is a candidate, and ``try_promote`` validates
+it once with ``BlockDag.is_valid``, which reuses the receipt-time signature
+check. A candidate that fails then can never pass and stays pending.
+Promotion runs in rounds: a round promotes, in ascending ref order, the
+valid candidates that were ready when it began; the blocks they unblock
+wait for the next round. A promoted ref is appended to the block the
+server is building.
 A builder has at most ``PENDING_CAP_PER_BUILDER`` blocks pending; one more
 evicts its oldest, and the intake returns the evicted ref.
 
@@ -36,7 +40,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import MutableMapping, Optional
 
 from .blockdag import (
     Block,
@@ -94,13 +98,23 @@ class WireEnvelope:
         return head + self.ref
 
     @classmethod
-    def decode(cls, data: bytes) -> "WireEnvelope":
+    def decode(
+        cls, data: bytes, blocks: Optional[MutableMapping[bytes, Block]] = None
+    ) -> "WireEnvelope":
+        """Decode ``data``. ``blocks``, when given, maps block wire bytes to
+        the block decoded from them: a block already there is returned as
+        that same object, and a new one is added once it decodes."""
         r = reader(data)
         version, kind, sender, receiver = r.fields(_ENVELOPE_HEAD)
         if version != ENCODING_VERSION:
             raise EncodingError("unsupported envelope version")
         if kind == BLOCK_ENVELOPE:
-            block = block_from_wire(data[r.pos :])
+            body = data[r.pos :]
+            block = None if blocks is None else blocks.get(body)
+            if block is None:
+                block = block_from_wire(body)
+                if blocks is not None:
+                    blocks[body] = block
             return cls(kind, sender, receiver, block=block)
         if kind == FWD_ENVELOPE:
             ref = r.take(DIGEST_SIZE)
@@ -146,6 +160,7 @@ class GossipNode:
         self._ready: set[BlockRef] = set()  # no pred missing, not yet validated
         self.fwd_clock: dict[BlockRef, dict[int, int]] = {}  # ref -> target -> step
         self._forced: dict[BlockRef, dict[int, int]] = {}  # the same, for forced asks
+        self._asks: Optional[list[tuple[BlockRef, int]]] = None  # missing_predecessors
 
     # -- receiving ----------------------------------------------------------
 
@@ -165,6 +180,7 @@ class GossipNode:
             outcome = self._evict_oldest(of_builder)
         self.pending[ref] = block
         of_builder[ref] = None
+        self._asks = None
         missing = [p for p in block.distinct_preds() if p not in self.dag]
         if missing:
             self._missing[ref] = len(missing)
@@ -226,14 +242,21 @@ class GossipNode:
     def missing_predecessors(self) -> list[tuple[BlockRef, int]]:
         """(missing ref, builder to ask) pairs. Every distinct referencing
         builder is a candidate responder (a single unresponsive builder must
-        not wedge recovery); repeats from the same builder collapse."""
-        out: dict[tuple[BlockRef, int], None] = {}  # ordered set
-        for ref in sorted(self._missing):
-            block = self.pending[ref]
-            for pred in block.distinct_preds():
-                if pred not in self.dag and pred not in self.pending:
-                    out[(pred, block.builder)] = None
-        return list(out)
+        not wedge recovery); repeats from the same builder collapse.
+
+        The list is kept, and callers must not modify it, until a block is
+        buffered (which may also evict one) or committed. Promotion changes
+        no pair: the promoted ref was pending, so it was no pair's missing
+        ref, and a block it releases missed only that ref."""
+        if self._asks is None:
+            out: dict[tuple[BlockRef, int], None] = {}  # ordered set
+            for ref in sorted(self._missing):
+                block = self.pending[ref]
+                for pred in block.distinct_preds():
+                    if pred not in self.dag and pred not in self.pending:
+                        out[(pred, block.builder)] = None
+            self._asks = list(out)
+        return self._asks
 
     def request_missing(self, now: int, *, force: bool = False) -> list[WireEnvelope]:
         """Issue FWD requests for missing predecessors. A timed (reference,
@@ -269,6 +292,7 @@ class GossipNode:
         """Insert this server's own sealed block and restart the draft from
         it: the next block is its child and lists it as its parent."""
         ref = self.dag.insert(block)
+        self._asks = None
         self.next_seqno = block.seqno + 1
         self.draft_preds = {ref: None}
         self._release(ref)  # content is predictable, e.g. an empty genesis block

@@ -55,9 +55,10 @@ _MESSAGE_PREFIX = enc_u8(ENCODING_VERSION) + enc_u8(_TAG_MESSAGE)
 @dataclass(frozen=True)
 class Message:
     """A protocol message. Its canonical encoding is computed once, at
-    construction, into a plain attribute that is not a field, so equality,
-    hash and repr see only the three fields. An out-of-range sender or
-    receiver raises ``EncodingError`` here."""
+    construction, or kept from the bytes it was decoded from (see
+    :func:`message_from_canonical`), in a plain attribute that is not a
+    field, so equality, hash and repr see only the three fields. An
+    out-of-range sender or receiver raises ``EncodingError`` here."""
 
     sender: int
     receiver: int
@@ -88,7 +89,11 @@ def read_label(r) -> Label:
 
 
 def message_from_canonical(data: bytes) -> Message:
-    """Inverse of :meth:`Message.canonical_bytes`; used by trace checkers."""
+    """Inverse of :meth:`Message.canonical_bytes`; used by trace checkers.
+
+    The message keeps ``data`` as its canonical bytes rather than encoding
+    its fields again. That is exact because the codec is canonical: bytes
+    that decode at all are the one encoding of their message."""
     r = reader(data)
     if r.u8() != ENCODING_VERSION or r.u8() != _TAG_MESSAGE:
         raise EncodingError("not a message encoding")
@@ -97,7 +102,9 @@ def message_from_canonical(data: bytes) -> Message:
     payload = r.raw_bytes()
     if not r.done():
         raise EncodingError("trailing bytes after message encoding")
-    return Message(sender, receiver, payload)
+    message = Message.__new__(Message)  # skips __post_init__'s encoding
+    message.__dict__.update(sender=sender, receiver=receiver, payload=payload, _canonical=data)
+    return message
 
 
 def message_sort_key(message: Message) -> bytes:

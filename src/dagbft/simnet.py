@@ -12,7 +12,12 @@ interpretation and the self-filter on indications. Byzantine servers run
 scripted behaviors on a ``GossipNode`` whose registry is a restricted signer
 that can only sign as their own id; their outbound traffic is throttled by a
 per-step envelope budget. Both kinds take requests through the node's FIFO
-and receive each envelope, decoded once, the same way.
+and receive each envelope, decoded once, the same way. Correct receivers
+decode through one table per run from block wire bytes to the block, so
+they share one object per distinct byte string, and with it one hash and
+one signature check. Adversaries decode on their own: their restricted
+signers are other registry objects, whose passes would replace the shared
+one on the block.
 
 The drain phase realizes "eventually" at a finite horizon: each
 correct server publishes its current block once more, then deliveries,
@@ -29,8 +34,10 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from random import Random
 from typing import Optional
+from weakref import WeakValueDictionary
 
 from . import trace
 from .blockdag import Block, BlockDag, BlockRef, block_ref
@@ -429,6 +436,14 @@ class Simulation:
         # its labels list, so events are read-only
         self._interpret_labels: dict[BlockRef, tuple[BlockInterpretation, list[dict]]] = {}
 
+    @cached_property
+    def _blocks(self) -> WeakValueDictionary[bytes, Block]:
+        """Block wire bytes -> the block decoded from them, shared by the
+        correct receivers. An entry lives only while some server holds its
+        block. Made on first use: building it costs a few percent of the
+        setup of a small simulation."""
+        return WeakValueDictionary()
+
     # -- wire ------------------------------------------------------------------
 
     def _schedule(
@@ -477,7 +492,7 @@ class Simulation:
             if receiver in halted:
                 continue  # a halted adversary would buffer it and never use it
             try:
-                env = WireEnvelope.decode(wire)
+                env = WireEnvelope.decode(wire, self._blocks if receiver in self.correct else None)
             except EncodingError:
                 env, reason = None, "undecodable"
             if env is not None and (env.sender, env.receiver) != (sender, receiver):

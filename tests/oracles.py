@@ -25,8 +25,10 @@ Four kinds live here, each independent of the code path it judges:
   every DAG stays predecessor-closed and acyclic, and every interpreter
   slot is empty until its block is interpreted and never changes after,
   also where simulated servers share slots. ``private_interpreters`` gives
-  every simulated server its own interpreter store: the reference whose
-  traces the shared store's must equal.
+  every simulated server its own interpreter store, and ``private_decoding``
+  makes every correct receiver decode, hash and verify each block itself:
+  the references whose traces the shared store's and the shared decoded
+  blocks' must equal.
   ``interpret_in_random_order`` interprets a DAG in a seeded random
   topological order, for the order-independence checks.
 * ``live_snapshots`` copies each correct server's live DAG at chosen steps
@@ -56,6 +58,7 @@ from dagbft.blockdag import Block, BlockDag, BlockDagError, BlockRef, block_ref
 from dagbft.brb import ReliableBroadcast, decode_deliver, encode_broadcast, encode_payload
 from dagbft.checks import CheckReport
 from dagbft.crypto import UnknownServerError, content_digest
+from dagbft.gossip import WireEnvelope
 from dagbft.interpret import BlockInterpretation, Interpreter, LabelActivity, _Slot
 from dagbft.protocol import (
     Label,
@@ -464,6 +467,25 @@ def private_interpreters() -> Iterator[None]:
         yield
     finally:
         Shim.__init__ = init
+
+
+@contextmanager
+def private_decoding() -> Iterator[None]:
+    """Make every correct receiver decode each envelope on its own, as a
+    real deployment does, where ``Simulation`` hands its correct receivers
+    one table of decoded blocks. Each server then decodes, hashes and
+    verifies every block it receives itself. ``WireEnvelope.decode`` is
+    wrapped to ignore the table and put back on exit."""
+    decode = WireEnvelope.__dict__["decode"]
+
+    def private_decode(cls, data: bytes, blocks=None) -> WireEnvelope:
+        return decode.__func__(cls, data)
+
+    WireEnvelope.decode = classmethod(private_decode)
+    try:
+        yield
+    finally:
+        WireEnvelope.decode = decode
 
 
 @contextmanager

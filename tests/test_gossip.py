@@ -187,6 +187,23 @@ class TestForwardRequests:
         assert envs[0].receiver == 1  # builder of the referencing block
         assert envs[0].ref == block_ref(parent)
 
+    def test_missing_list_is_kept_until_a_commit_or_a_buffered_block(self, registry):
+        # an empty genesis block's ref is known before it is sealed, so a
+        # commit can fill a missing pred
+        node = make_node(registry)
+        genesis = block_ref(signed_block(registry, 0, 0))
+        parent = signed_block(registry, 2, 0)
+        node.on_receive_block(signed_block(registry, 1, 0, (genesis,)))
+        node.on_receive_block(signed_block(registry, 2, 1, (block_ref(parent),)))
+        asks = node.missing_predecessors()
+        assert sorted(asks) == sorted([(genesis, 1), (block_ref(parent), 2)])
+        node.request_missing(now=0)
+        assert node.missing_predecessors() is asks
+        node.disseminate()  # the empty genesis block
+        assert node.missing_predecessors() == [(block_ref(parent), 2)]
+        node.on_receive_block(parent)
+        assert node.missing_predecessors() == []
+
     def test_within_interval_suppressed(self, registry):
         node = make_node(registry, fwd_interval=5)
         parent = signed_block(registry, 1, 0)

@@ -83,6 +83,26 @@ class TestMessageValue:
         assert m.canonical_bytes() == bytes.fromhex("0111" "00000001" "00000002" "00000001" "ab")
         assert message_from_canonical(m.canonical_bytes()) == m
 
+    @pytest.mark.parametrize("payload", [b"", b"\xab", encode_payload(1, 42)])
+    def test_decoded_message_keeps_the_bytes_it_came_from(self, payload):
+        # a decoded message keeps its input as its canonical bytes, which is
+        # exact only if no other bytes decode to it: every byte mutant that
+        # decodes must re-encode to itself, also when rebuilt field by field
+        original = Message(3, 5, payload).canonical_bytes()
+        decoded = 0
+        for i in range(len(original)):
+            for value in range(256):
+                mutant = original[:i] + bytes([value]) + original[i + 1 :]
+                try:
+                    m = message_from_canonical(mutant)
+                except EncodingError:
+                    continue
+                decoded += 1
+                rebuilt = Message(m.sender, m.receiver, m.payload)
+                assert m.canonical_bytes() == mutant
+                assert rebuilt.canonical_bytes() == mutant and rebuilt == m
+        assert decoded >= 8 * 256  # every value of every sender and receiver byte
+
     @pytest.mark.parametrize("fields", [(2**32, 0, b""), (0, 2**32, b""), (-1, 0, b"")])
     def test_out_of_range_endpoint_raises_at_construction(self, fields):
         with pytest.raises(EncodingError):

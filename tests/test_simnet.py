@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import re
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagbft import gossip
-from dagbft.blockdag import Block, block_ref
+from dagbft import gossip, simnet
+from dagbft.blockdag import Block, block_ref, block_to_wire
 from dagbft.brb import decode_broadcast, decode_deliver
 from dagbft.checks import (
     check_brb,
@@ -22,8 +23,14 @@ from dagbft.checks import (
     check_interpretation_agreement,
     check_point_to_point,
 )
-from dagbft.crypto import KeyRegistry, Signature, SignatureScheme
-from dagbft.gossip import FWD_ENVELOPE, WireEnvelope
+from dagbft.crypto import (
+    Ed25519Registry,
+    KeyRegistry,
+    Signature,
+    SignatureScheme,
+    ed25519_available,
+)
+from dagbft.gossip import BLOCK_ENVELOPE, FWD_ENVELOPE, WireEnvelope
 from dagbft.interpret import Interpreter
 from dagbft.protocol import Label
 from dagbft.simnet import (
@@ -40,11 +47,12 @@ from .oracles import (
     extends,
     live_snapshots,
     perfect_network_deliveries,
+    private_decoding,
     private_interpreters,
     union_dags,
 )
 from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
-from .test_trace_lock import corpus
+from .test_trace_lock import EVICTING_AT_CAP_2, corpus
 
 _SCENARIO_KEYS = set(fig_broadcast_scenario().to_dict()) | {"unknown"}
 # any JSON value, nested a little, with a few of each scalar type
@@ -543,10 +551,10 @@ class TestTraceShape:
         decode = WireEnvelope.decode.__func__
         drain = Simulation._drain
 
-        def counting_decode(cls, data):
+        def counting_decode(cls, data, blocks=None):
             nonlocal decoded
             decoded += draining
-            return decode(cls, data)
+            return decode(cls, data, blocks)
 
         def flagged_drain(self, start):
             nonlocal draining
@@ -717,7 +725,7 @@ class TestVerifyOnce:
                 if isinstance(asker, int):
                     break
                 frame = frame.f_back
-            calls[(asker, digest)] += 1
+            calls[(asker, server, digest, sig)] += 1
             return verify(self, server, digest, sig)
 
         monkeypatch.setattr(KeyRegistry, "verify", counting_verify)
@@ -737,11 +745,20 @@ class TestVerifyOnce:
         )
         result = run(scenario)
         correct = set(scenario.correct_servers())
-        per_correct = {key: count for key, count in calls.items() if key[0] in correct}
-        stored = {
-            (server, ref) for server, dag in result.final_dags.items() for ref in dag.refs()
-        }
-        assert stored <= set(per_correct)  # every stored block was verified
+        per_correct: Counter = Counter()
+        per_signed: Counter = Counter()
+        for (asker, builder, digest, sig), count in calls.items():
+            if asker in correct:
+                per_correct[(asker, digest)] += count
+                per_signed[(builder, digest, sig)] += count
+        # every stored block object passed a check under its DAG's registry:
+        # only a verify that returned True sets the mark
+        for dag in result.final_dags.values():
+            for ref in dag.refs():
+                assert dag.get(ref).__dict__.get("_verified_by") is dag.registry
+        # correct servers share a decoded block and its check: a signed block
+        # is verified at its builder's commit and at its first decode, no more
+        assert max(per_signed.values()) <= 2
         assert max(per_correct.values()) == 1
 
 
@@ -876,3 +893,194 @@ class TestSharedInterpretation:
         with private_interpreters():
             run(scenario)
         assert computed == interpreted
+
+
+def intake_corpus():
+    """(name, scenario, pending cap) of the 178 runs the block intake is
+    checked on: the trace-lock corpus and both generators 0-39 at the real
+    cap, and both generators 0-19 at caps 1 and 2, where runs evict."""
+    generators = (("random", random_scenario), ("adversarial", adversarial_scenario))
+    for name, scenario in corpus():
+        yield f"lock_{name}", scenario, gossip.PENDING_CAP_PER_BUILDER
+    for prefix, generate in generators:
+        for i in range(40):
+            yield f"{prefix}_{i}", generate(i), gossip.PENDING_CAP_PER_BUILDER
+    for cap in (1, 2):
+        for prefix, generate in generators:
+            for i in range(20):
+                yield f"cap{cap}_{prefix}_{i}", generate(i), cap
+
+
+INTAKE = {name: (scenario, cap) for name, scenario, cap in intake_corpus()}
+
+
+def held_blocks(sim: Simulation):
+    """(server, block) for every block object a correct server holds, in its
+    DAG or pending buffer."""
+    for server, node in sim.correct.items():
+        for block in (*map(node.dag.get, node.dag.refs()), *node.gossip.pending.values()):
+            yield server, block
+
+
+class TestSharedDecoding:
+    """A simulation's correct receivers decode through one table, so each
+    distinct block byte string is decoded, hashed and verified once per run
+    while some server holds its block. Private decoding, each receiver on
+    its own, is the reference: it must give the same trace bytes."""
+
+    def test_corpus_has_178_runs(self):
+        assert len(INTAKE) == 178
+
+    @pytest.mark.parametrize("name", list(INTAKE))
+    def test_private_decoding_gives_the_same_trace(self, name, monkeypatch):
+        scenario, cap = INTAKE[name]
+        monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", cap)
+        shared = run(scenario).trace_text()
+        with private_decoding():
+            private = run(scenario).trace_text()
+        assert shared == private
+
+    def test_correct_servers_share_one_object_per_block(self):
+        scenario = adversarial_scenario(1)
+
+        def objects_per_ref(result):
+            # a builder holds its own blocks as the objects it sealed
+            out: dict[bytes, list[int]] = {}
+            for server, dag in result.final_dags.items():
+                for ref in dag.refs():
+                    if dag.get(ref).builder != server:
+                        out.setdefault(ref, []).append(id(dag.get(ref)))
+            return out
+
+        def distinct(held):
+            return Counter(len(set(ids)) for ids in held.values())
+
+        shared = objects_per_ref(run(scenario))
+        with private_decoding():
+            private = objects_per_ref(run(scenario))
+        assert distinct(shared) == Counter({1: len(shared)})
+        assert distinct(private) == Counter(len(ids) for ids in private.values())
+        assert max(distinct(private)) > 1
+        assert distinct(objects_per_ref(run(scenario))) == distinct(shared)  # put back
+
+    def test_a_copy_with_other_signature_bytes_is_checked_on_its_own(self):
+        # the table is keyed by the whole wire bytes: a copy of a good block
+        # with zeroed signature bytes is its own object and fails its own
+        # check, even after the good copy passed at another receiver
+        sim = Simulation(fig_broadcast_scenario())  # unit delay
+        good = sim.correct[0].gossip.seal((), ())
+        sig = good.signature
+        forged = good.with_signature(Signature(sig.scheme, bytes(len(sig.data))))
+        ref_hex = block_ref(good).hex()
+        for now, (block, receiver) in enumerate(((good, 1), (forged, 2), (good, 2))):
+            wire = WireEnvelope(BLOCK_ENVELOPE, 0, receiver, block=block).encode()
+            sim._schedule(now, 0, receiver, wire, "BLOCK", ref_hex)
+            sim._deliver_due(now + 1)
+        drops = [(e["server"], e["reason"]) for e in sim.events if e["kind"] == "DROP"]
+        assert drops == [(2, "bad_signature")]
+        at_1 = sim.correct[1].gossip.pending[block_ref(good)]
+        at_2 = sim.correct[2].gossip.pending[block_ref(good)]
+        assert at_1 is at_2 and at_1.signature == sig
+        assert at_1.__dict__["_verified_by"] is sim.registry
+        wire = WireEnvelope(BLOCK_ENVELOPE, 0, 3, block=forged).encode()
+        copy = WireEnvelope.decode(wire, sim._blocks).block
+        assert copy is not at_1 and copy == forged
+        assert "_verified_by" not in copy.__dict__
+
+    @pytest.mark.parametrize("name", list(EVICTING_AT_CAP_2))
+    def test_table_keeps_only_blocks_a_server_holds(self, name, monkeypatch):
+        # evicted pending blocks must not stay alive through the table
+        monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", 2)
+        generate, index = EVICTING_AT_CAP_2[name]
+        sim = Simulation(generate(index))
+        result = sim.run()
+        assert any(e.get("reason") == "pending_evicted" for e in result.events)
+        gc.collect()
+        held = {id(block) for _, block in held_blocks(sim)}
+        assert sim._blocks
+        assert {id(block) for block in sim._blocks.values()} <= held
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "lock_random_9",
+            "lock_adversarial_4",
+            "lock_adversarial_2_GARBAGE",
+            *(f"cap2_{name}" for name in EVICTING_AT_CAP_2),
+        ],
+    )
+    def test_a_held_block_is_not_decoded_again(self, name, monkeypatch):
+        # block_from_wire runs for a correct receiver only when no correct
+        # server holds a block decoded from the same bytes. A builder holds
+        # its own blocks as the objects it sealed, so a block whose first
+        # copy went back to its builder is decoded twice; with no evicted
+        # and no forged block, no byte string is decoded more often
+        scenario, cap = INTAKE[name]
+        monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", cap)
+        sim = Simulation(scenario)
+        receiver = None  # of the envelope being decoded, if a correct one
+        received: set[bytes] = set()
+        decoded: dict[bytes, list[int]] = {}  # block bytes -> receivers decoding them
+        decode = WireEnvelope.decode.__func__
+        from_wire = gossip.block_from_wire
+
+        def flagged_decode(cls, data, blocks=None):
+            nonlocal receiver
+            # the envelope head is version, kind, sender, receiver (>BBII)
+            receiver = int.from_bytes(data[6:10], "big") if blocks is not None else None
+            envelope = decode(cls, data, blocks)
+            if receiver is not None and envelope.kind == BLOCK_ENVELOPE:
+                received.add(block_to_wire(envelope.block))
+            return envelope
+
+        def counting_from_wire(data):
+            if receiver is not None:
+                held = {block_to_wire(b) for server, b in held_blocks(sim) if b.builder != server}
+                assert data not in held
+            block = from_wire(data)
+            if receiver is not None:
+                decoded.setdefault(data, []).append(receiver)
+            return block
+
+        monkeypatch.setattr(WireEnvelope, "decode", classmethod(flagged_decode))
+        monkeypatch.setattr(gossip, "block_from_wire", counting_from_wire)
+        events = sim.run().events
+        assert set(decoded) == received
+        if not any(e.get("reason") in ("pending_evicted", "bad_signature") for e in events):
+            builders = {data: from_wire(data).builder for data in decoded}
+            for data, receivers in decoded.items():
+                assert receivers[:-1] in ([], [builders[data]])
+            assert any(len(receivers) == 1 for receivers in decoded.values())
+
+
+@pytest.mark.skipif(not ed25519_available(), reason="cryptography not installed")
+class TestEd25519EndToEnd:
+    def test_checks_clean_and_each_block_verified_at_most_twice(self, monkeypatch):
+        # the backend is swapped as the benchmark swaps it: the scenario has
+        # no field for it
+        verified: Counter = Counter()
+        verify = Ed25519Registry.verify
+
+        def counting_verify(self, server, digest, sig):
+            verified[(server, digest, sig)] += 1
+            return verify(self, server, digest, sig)
+
+        monkeypatch.setattr(simnet, "KeyRegistry", Ed25519Registry)
+        monkeypatch.setattr(Ed25519Registry, "verify", counting_verify)
+        scenario = Scenario(
+            n=7,
+            f=2,
+            seed=5,
+            max_steps=24,
+            delay_bounds=(1, 4),
+            requests=tuple(RequestInjection(2 * i, i, Label(i, 1), 40 + i) for i in range(7)),
+            snapshot_steps=(8, 16),
+        )
+        result = run(scenario)
+        for check in CHECKERS:
+            report = check(result.events, scenario)
+            assert report.ok and not report.vacuous, (check.__name__, report.violations[:3])
+        blocks = {e["ref"] for e in result.events if e["kind"] == "INSERT"}
+        assert {sig.scheme for _, _, sig in verified} == {SignatureScheme.ED25519}
+        assert len(verified) == len(blocks)
+        assert max(verified.values()) <= 2
