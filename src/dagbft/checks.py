@@ -7,17 +7,13 @@ of which is derivable from the trace alone). Violations are report entries,
 never exceptions, so a checker can enumerate everything wrong with a forged
 trace in one pass.
 
-Each checker reads its own :func:`server_views`, in which every distinct
-INTERPRET ``labels`` list is decoded once. The point-to-point checker
-indexes a server's DAG by builder, so a message visits only its receiver's
-children of the emitting block, and a fed message only its sender's preds
-of the feeding block. Convergence is decided per snapshot when two
-conditions hold: (C1) every ref has one distinct-preds set in every correct
-server's final view, and (C2) every snapshot holds the preds of its refs.
-Then a final DAG that holds the union of two snapshots has, among its refs,
-exactly the edges the two snapshots have, so a pair passes exactly when the
-final DAG holds each snapshot. When C1 or C2 fails, as only in a forged
-trace, every pair's union is compared edge by edge against every final DAG.
+Each checker reads only the trace facts its property names: BRB the
+surfaced indications, convergence the INSERT events, agreement the
+INTERPRET state digests, and the link properties (point-to-point) the fed
+and emitted messages, decoded by :func:`server_views`, its only caller.
+Point-to-point indexes a server's DAG by builder, so a message visits only
+its receiver's children of the emitting block, and a fed message only its
+sender's preds of the feeding block.
 """
 
 from __future__ import annotations
@@ -66,13 +62,12 @@ class _LabelKey(NamedTuple):
 
 @dataclass
 class _ServerView:
-    """One server's recorded perspective: its inserts and its interpretation."""
+    """One server's recorded perspective: its inserts and its fed and emitted messages."""
 
     inserts: dict[str, dict] = field(default_factory=dict)  # ref -> INSERT event
     preds: dict[str, list[str]] = field(default_factory=dict)  # ref -> distinct preds
     out: dict[tuple[str, _LabelKey], tuple[Message, ...]] = field(default_factory=dict)
     fed: dict[tuple[str, _LabelKey], tuple[Message, ...]] = field(default_factory=dict)
-    state: dict[tuple[str, _LabelKey], str] = field(default_factory=dict)
     interpreted: list[str] = field(default_factory=list)
 
 
@@ -91,14 +86,17 @@ def server_dags(events: list[dict]) -> dict[int, dict[str, dict]]:
     return dags
 
 
+def _distinct_preds(dag: dict[str, dict]) -> dict[str, list[str]]:
+    """ref -> the distinct preds, in order, of a :func:`server_dags` DAG's refs."""
+    return {ref: list(dict.fromkeys(ev["preds"])) for ref, ev in dag.items()}
+
+
 def server_views(events: list[dict]) -> dict[int, _ServerView]:
-    """Each server's view, with every distinct message encoding decoded once
-    and every INTERPRET ``labels`` list decoded once: servers that share one
-    list object (a shared report) share its decoded buffers."""
-    views: dict[int, _ServerView] = {}
-    for server, dag in server_dags(events).items():
-        preds = {ref: list(dict.fromkeys(ev["preds"])) for ref, ev in dag.items()}
-        views[server] = _ServerView(inserts=dag, preds=preds)
+    """Each server's view for the link properties, with every distinct
+    message encoding decoded once and every INTERPRET ``labels`` list decoded
+    once: servers that share one list object (a shared report, never in a
+    trace read from a file) share its decoded buffers."""
+    views = {s: _ServerView(dag, _distinct_preds(dag)) for s, dag in server_dags(events).items()}
     messages: dict[str, Message] = {}
     bodies: dict[int, tuple[list, list]] = {}  # id(labels) -> (labels, decoded)
 
@@ -124,16 +122,13 @@ def server_views(events: list[dict]) -> dict[int, _ServerView]:
                         _LabelKey(int(act["label"][0]), int(act["label"][1])),
                         decode(act["fed"], server, ref),
                         decode(act["emitted"], server, ref),
-                        act["state"],
                     )
                     for act in labels
                 ]
                 body = bodies[id(labels)] = (labels, decoded)  # the list kept keeps its id
-            for label, fed, out, state in body[1]:
-                key = (ref, label)
-                view.fed[key] = fed
-                view.out[key] = out
-                view.state[key] = state
+            for label, fed, out in body[1]:
+                view.fed[ref, label] = fed
+                view.out[ref, label] = out
     return views
 
 
@@ -341,7 +336,7 @@ def _edges_within(preds: dict[str, list[str]], refs: set[str]) -> set[tuple[str,
 
 
 def _one_preds_set(finals: dict[int, dict[str, list[str]]]) -> bool:
-    """C1: every ref has one distinct-preds set in every final view."""
+    """C1: every ref has one distinct-preds set in every final DAG."""
     merged: dict[str, list[str]] = {}
     for preds in finals.values():
         merged.update(preds)
@@ -354,14 +349,12 @@ def _one_preds_set(finals: dict[int, dict[str, list[str]]]) -> bool:
     return True
 
 
-def _snapshots(
-    view: _ServerView, steps: tuple[int, ...]
-) -> tuple[dict[int, set[str]], bool]:
-    """The view's snapshot sets ``{ref : INSERT step <= t}`` per step ``t``,
+def _snapshots(dag: dict[str, dict], steps: tuple[int, ...]) -> tuple[dict[int, set[str]], bool]:
+    """The DAG's snapshot sets ``{ref : INSERT step <= t}`` per step ``t``,
     and C2: whether each of them holds the preds of its refs."""
     cuts = sorted(set(steps))
     layers: list[list[str]] = [[] for _ in cuts]  # refs by the first cut that holds them
-    for ref, ev in view.inserts.items():
+    for ref, ev in dag.items():
         i = bisect_left(cuts, ev["step"])
         if i < len(cuts):
             layers[i].append(ref)
@@ -369,7 +362,7 @@ def _snapshots(
     for t, layer in zip(cuts, layers):
         held = held.union(layer)
         snaps[t] = held
-        closed = closed and held.issuperset(chain.from_iterable(map(view.preds.__getitem__, layer)))
+        closed = closed and held.issuperset(chain.from_iterable(dag[ref]["preds"] for ref in layer))
     return snaps, closed
 
 
@@ -380,7 +373,7 @@ def check_convergence(events: list[dict], scenario: Scenario) -> CheckReport:
 
     A snapshot is the set ``{ref : INSERT step <= t}`` of one server. The
     pair test is decided per snapshot when two conditions hold: (C1) every
-    ref has one distinct-preds set in every correct server's final view, and
+    ref has one distinct-preds set in every correct server's final DAG, and
     (C2) every snapshot holds the preds of its refs. Then, for a target that
     holds ``v1 | v2``, the edges it has among them are exactly ``e1 | e2``,
     so a pair passes exactly when the target holds ``v1`` and holds ``v2``.
@@ -391,8 +384,12 @@ def check_convergence(events: list[dict], scenario: Scenario) -> CheckReport:
     """
     report = CheckReport("convergence")
     steps = tuple(scenario.snapshot_steps)
-    views = server_views(events)
-    finals = {s: views[s].preds for s in sorted(set(scenario.correct_servers())) if s in views}
+    correct = set(scenario.correct_servers())
+    dags = server_dags(events)
+    if correct - dags.keys():  # a correct server that only interpreted has an empty DAG
+        interpreters = (ev["server"] for ev in events if ev["kind"] == "INTERPRET")
+        dags.update((s, {}) for s in interpreters if s not in dags)
+    finals = {s: _distinct_preds(dags[s]) for s in sorted(correct) if s in dags}
     if not steps or not finals:
         report.vacuous = True
         return report
@@ -400,7 +397,7 @@ def check_convergence(events: list[dict], scenario: Scenario) -> CheckReport:
     snaps: dict[tuple[int, int], set[str]] = {}
     closed = True
     for s in finals:
-        per_step, ok = _snapshots(views[s], steps)
+        per_step, ok = _snapshots(dags[s], steps)
         closed = closed and ok
         snaps.update(((s, t), refs) for t, refs in per_step.items())
 
@@ -448,13 +445,15 @@ def check_interpretation_agreement(events: list[dict], scenario: Scenario) -> Ch
     state digests must coincide."""
     report = CheckReport("interpretation-agreement")
     correct = set(scenario.correct_servers())
-    views = server_views(events)
-    by_key: dict[tuple[str, _LabelKey], dict[str, list[int]]] = {}
-    for server, view in views.items():
-        if server not in correct:
-            continue
-        for (ref, label), digest in view.state.items():
-            by_key.setdefault((ref, label), {}).setdefault(digest, []).append(server)
+    states: dict[tuple[int, str, _LabelKey], str] = {}  # a repeated entry overwrites
+    for ev in events:
+        if ev["kind"] == "INTERPRET" and ev["server"] in correct:
+            for act in ev["labels"]:
+                raw = act["label"]
+                states[ev["server"], ev["ref"], _LabelKey(int(raw[0]), int(raw[1]))] = act["state"]
+    by_key: dict[tuple[str, _LabelKey], set[str]] = {}
+    for (_, ref, label), digest in states.items():
+        by_key.setdefault((ref, label), set()).add(digest)
     if not by_key:
         report.vacuous = True
         return report

@@ -115,6 +115,11 @@ def cmd_run(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
+    names = args.props.split(",") if args.props else list(_CHECKERS)
+    bad = [n for n in names if n not in _CHECKERS]
+    if bad:
+        print(f"error: unknown checker(s) {','.join(bad)}; known: {','.join(_CHECKERS)}", file=out)
+        return EXIT_CONFIG
     events = _load_trace(args.trace, out)
     if events is None:
         return EXIT_CONFIG
@@ -124,11 +129,6 @@ def cmd_check(args, out) -> int:
     if not events:
         print("trace is empty: all checks vacuously clean", file=out)
         return EXIT_OK
-    names = args.props.split(",") if args.props else list(_CHECKERS)
-    bad = [n for n in names if n not in _CHECKERS]
-    if bad:
-        print(f"error: unknown checker(s) {','.join(bad)}; known: {','.join(_CHECKERS)}", file=out)
-        return EXIT_CONFIG
     failed = False
     for name in names:
         try:

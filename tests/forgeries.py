@@ -7,6 +7,9 @@ forgeries at the end pin the pair semantics and the report order, and each
 breaks one of the two conditions under which ``check_convergence`` decides a
 pair per snapshot (C1: one distinct-preds set per ref across the correct
 servers; C2: every snapshot holds the preds of its refs).
+``forged_interpret_only_server`` pins two edge cases of the trace facts
+themselves: a correct server that interpreted but never inserted is a
+convergence target, and a repeated INTERPRET entry overwrites the earlier one.
 
 ``seeded_mutants`` derives traces from simulated runs by one such
 perturbation each, for the differential test against the reference checkers.
@@ -14,6 +17,7 @@ perturbation each, for the differential test against the reference checkers.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
 
 from dagbft import trace
@@ -171,6 +175,20 @@ def forged_byzantine_refeed() -> tuple[Scenario, list[dict]]:
         trace.event(2, "INSERT", server=1, ref=W, builder=1, seqno=1, preds=[Z, V], requests=[]),
         trace.event(2, "INTERPRET", server=1, ref=W, builder=1, labels=[echo]),
     ]
+    return scenario, events
+
+
+def forged_interpret_only_server() -> tuple[Scenario, list[dict]]:
+    """Correct server 2 interprets block X but inserts nothing, and server 1
+    interprets X a second time with server 2's state digest. Server 2 is a
+    convergence target with an empty DAG, so every union holding one of
+    server 1's snapshots fails there (12 violations of 32 checks); agreement
+    passes, since a server's last entry for a (ref, label) counts."""
+    scenario, events = forged_base()
+    scenario = replace(scenario, snapshot_steps=(0, 1))
+    entry = dict(events[2]["labels"][0], state="55" * 32)
+    for server in (2, 1):
+        events.append(trace.event(2, "INTERPRET", server=server, ref=X, builder=0, labels=[entry]))
     return scenario, events
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import re
 
-from dagbft import checks, trace
+import pytest
+
+from dagbft import checks, cli, trace
 from dagbft.brb import encode_deliver
 from dagbft.checks import (
     check_brb,
@@ -27,12 +29,13 @@ from .forgeries import (
     forged_conflicting_preds,
     forged_cross_edge,
     forged_duplicate,
+    forged_interpret_only_server,
     forged_partitioned,
     forged_unclosed_snapshot,
     forged_unsigned_origin,
     msg_hex,
 )
-from .scenarios import fig_broadcast_scenario
+from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
 
 ALL_CHECKERS = (
     check_point_to_point,
@@ -191,6 +194,70 @@ class TestServerViews:
         view = checks.server_views(events)[1]
         assert view.preds == {X: [], Y: [], Z: [Y, X], W: [X, Z]}
         assert view.inserts[W]["step"] == 2
+
+
+def _report(report: checks.CheckReport) -> tuple:
+    return report.violations, report.checked, report.vacuous
+
+
+class TestReadPaths:
+    """Each checker reads only the trace facts its property names: only the
+    link properties decode messages, through the one per-server view."""
+
+    def test_convergence_and_agreement_decode_no_message(self, monkeypatch):
+        scenario = fig_broadcast_scenario()
+        events = run(scenario).events
+        checkers = (check_convergence, check_interpretation_agreement)
+        want = [_report(checker(events, scenario)) for checker in checkers]
+
+        def refuse(*args):
+            raise AssertionError("read the messages")
+
+        monkeypatch.setattr(checks, "server_views", refuse)
+        monkeypatch.setattr(checks, "message_from_canonical", refuse)
+        assert [_report(checker(events, scenario)) for checker in checkers] == want
+        assert all(checked for _, checked, _ in want)
+
+    def test_a_check_pass_builds_the_views_once(self, monkeypatch):
+        # the order `dagbft check` runs the checkers in by default, and the
+        # benchmark's check pass too
+        scenario = fig_broadcast_scenario()
+        events = run(scenario).events
+        calls = []
+        server_views = checks.server_views
+
+        def counting(events):
+            calls.append(len(events))
+            return server_views(events)
+
+        monkeypatch.setattr(checks, "server_views", counting)
+        for checker in cli._CHECKERS.values():
+            assert checker(events, scenario).ok
+        assert calls == [len(events)]
+
+    def test_interpret_only_server_and_repeated_entry(self):
+        scenario, events = forged_interpret_only_server()
+        convergence = check_convergence(events, scenario)
+        assert (len(convergence.violations), convergence.checked) == (12, 32)
+        assert all(v.endswith("final DAG of server 2") for v in convergence.violations)
+        assert _report(check_interpretation_agreement(events, scenario)) == ([], 2, False)
+
+
+_FILE_CORPUS = {"fig_broadcast": fig_broadcast_scenario()} | {
+    f"{make.__name__} {i}": make(i) for make in (random_scenario, adversarial_scenario) for i in range(20)
+}
+
+
+@pytest.mark.parametrize("scenario", list(_FILE_CORPUS.values()), ids=list(_FILE_CORPUS))
+def test_file_and_memory_traces_give_equal_reports(scenario):
+    # in memory the correct servers' INTERPRET events share one labels list
+    # per block, which the views decode once; read from a file, every event
+    # has its own list and is decoded on its own
+    events = run(scenario).events
+    loaded = trace.loads(trace.dumps(events))
+    for checker in ALL_CHECKERS:
+        assert _report(checker(loaded, scenario)) == _report(checker(events, scenario)), checker
+    assert message_census(loaded) == message_census(events)
 
 
 class TestBrbChecker:

@@ -255,6 +255,16 @@ class TestCheck:
         )
         assert code == EXIT_CONFIG
 
+    def test_unknown_prop_rejected_on_an_empty_trace(self, tmp_path, scenario_file):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, text = run_cli(
+            "check", "--trace", empty, "--scenario", scenario_file, "--props", "bogus"
+        )
+        assert code == EXIT_CONFIG
+        assert "unknown checker(s) bogus" in text
+        assert "vacuous" not in text
+
 
 def _insert(step, server, ref, builder, seqno, preds):
     return trace.event(
@@ -419,6 +429,17 @@ class TestMalformedEvents:
         code, text = run_cli("check", "--trace", bad_trace, "--scenario", scenario_file)
         assert code == EXIT_CONFIG
         assert f"malformed trace: {named}" in text
+
+    def test_only_the_link_properties_read_messages(self, tmp_path, scenario_file):
+        # convergence reads the INSERT events and agreement the state
+        # digests; the default props still reject the trace, as ppl runs first
+        bad_trace = tmp_path / "bad.jsonl"
+        trace.write_jsonl(_interpret_emitting("zz"), str(bad_trace))
+        code, text = run_cli(
+            "check", "--trace", bad_trace, "--scenario", scenario_file, "--props", "conv,agree"
+        )
+        assert code == EXIT_OK
+        assert text.count("PASS") == 2
 
     def test_message_fed_to_a_block_never_inserted_is_one_violation(self, tmp_path, scenario_file):
         entry = {"label": [0, 1], "fed": [msg_hex(0, 1)], "emitted": [], "state": "11", "skipped": 0}
