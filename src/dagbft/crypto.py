@@ -7,12 +7,13 @@ length-prefixed byte/sequence encoders, and the 32-byte content digest.
 Two signature backends share one surface:
 
 * ``KeyRegistry`` -- HMAC-SHA256 over per-server secrets. This is the
-  simulator backend; it is fast, deterministic from a seed, and the
-  adversary model is enforced by handing byzantine parties a
-  ``RestrictedSigner``: a view with the same surface whose ``handle`` and
-  ``sign`` work only for its own server.
+  simulator backend; it is fast and deterministic from a seed.
 * ``Ed25519Registry`` -- a real asymmetric scheme (requires the optional
   ``cryptography`` dependency) with the same methods.
+
+Both sign by server id, ``sign(server, digest)``. The adversary model is
+enforced in one place: byzantine parties get only a ``RestrictedSigner``,
+a view with the same surface whose ``sign`` works only for its own server.
 """
 
 from __future__ import annotations
@@ -157,17 +158,9 @@ class Signature:
     data: bytes
 
 
-class SigningHandle:
-    """Capability to sign as one server; obtainable only from its registry."""
-
-    __slots__ = ("server", "_secret")
-
-    def __init__(self, server: int, secret: bytes) -> None:
-        self.server = server
-        self._secret = secret
-
-    def __repr__(self) -> str:  # never leak the secret
-        return f"SigningHandle(server={self.server})"
+def _check_registered(server: int, count: int) -> None:
+    if not 0 <= server < count:
+        raise UnknownServerError(f"server {server} is not registered")
 
 
 class KeyRegistry:
@@ -191,15 +184,11 @@ class KeyRegistry:
         return len(self._secrets)
 
     def _secret(self, server: int) -> bytes:
-        if not 0 <= server < len(self._secrets):
-            raise UnknownServerError(f"server {server} is not registered")
+        _check_registered(server, len(self._secrets))
         return self._secrets[server]
 
-    def handle(self, server: int) -> SigningHandle:
-        return SigningHandle(server, self._secret(server))
-
-    def sign(self, handle: SigningHandle, digest: bytes) -> Signature:
-        mac = hmac.new(handle._secret, digest, hashlib.sha256).digest()
+    def sign(self, server: int, digest: bytes) -> Signature:
+        mac = hmac.new(self._secret(server), digest, hashlib.sha256).digest()
         return Signature(SignatureScheme.HMAC_SHA256, mac)
 
     def verify(self, server: int, digest: bytes, sig: Signature) -> bool:
@@ -217,31 +206,27 @@ class RestrictedSigner:
     """Registry view that verifies anyone but signs only as ``server``.
 
     It has the registry surface that ``BlockDag`` and ``GossipNode`` use
-    (``server_count``, ``handle``, ``sign``, ``verify``), so byzantine code
-    runs the same stack as a correct server on it; ``handle`` refuses every
-    id but its own.
+    (``server_count``, ``sign``, ``verify``), so byzantine code runs the same
+    stack as a correct server on it. It is the one guard on who signs:
+    ``sign`` refuses every id but its own, and an unregistered ``server`` is
+    refused at construction.
     """
 
-    __slots__ = ("_registry", "server", "_handle")
+    __slots__ = ("_registry", "server")
 
     def __init__(self, registry: KeyRegistry, server: int) -> None:
+        _check_registered(server, registry.server_count)
         self._registry = registry
         self.server = server
-        self._handle = registry.handle(server)
 
     @property
     def server_count(self) -> int:
         return self._registry.server_count
 
-    def handle(self, server: int) -> SigningHandle:
+    def sign(self, server: int, digest: bytes) -> Signature:
         if server != self.server:
-            raise UnknownServerError(f"this view holds only the key of server {self.server}")
-        return self._handle
-
-    def sign(self, handle: SigningHandle, digest: bytes) -> Signature:
-        if handle is not self._handle:
             raise UnknownServerError(f"this view signs only as server {self.server}")
-        return self._registry.sign(handle, digest)
+        return self._registry.sign(server, digest)
 
     def verify(self, server: int, digest: bytes, sig: Signature) -> bool:
         return self._registry.verify(server, digest, sig)
@@ -259,9 +244,8 @@ class Ed25519Registry:
     """Asymmetric backend with the :class:`KeyRegistry` surface.
 
     Keys are derived deterministically from the seed so that fixtures using
-    this backend stay reproducible. The key stays inside the registry, so a
-    handle carries no secret; the registry issues one handle per server and
-    signs only for a handle it issued.
+    this backend stay reproducible. Like :class:`KeyRegistry` it signs as
+    any registered id; byzantine code gets a :class:`RestrictedSigner`.
     """
 
     def __init__(self, private_keys: list) -> None:
@@ -269,7 +253,6 @@ class Ed25519Registry:
             raise CryptoError("cryptography is not installed; Ed25519 backend unavailable")
         self._private = tuple(private_keys)
         self._public = tuple(k.public_key() for k in self._private)
-        self._handles = tuple(SigningHandle(i, b"") for i in range(len(self._private)))
 
     @classmethod
     def generate(cls, count: int, seed: int) -> "Ed25519Registry":
@@ -286,20 +269,12 @@ class Ed25519Registry:
     def server_count(self) -> int:
         return len(self._private)
 
-    def handle(self, server: int) -> SigningHandle:
-        if not 0 <= server < len(self._handles):
-            raise UnknownServerError(f"server {server} is not registered")
-        return self._handles[server]
-
-    def sign(self, handle: SigningHandle, digest: bytes) -> Signature:
-        server = handle.server
-        if not (0 <= server < len(self._handles) and self._handles[server] is handle):
-            raise UnknownServerError("this registry did not issue the handle")
+    def sign(self, server: int, digest: bytes) -> Signature:
+        _check_registered(server, len(self._private))
         return Signature(SignatureScheme.ED25519, self._private[server].sign(digest))
 
     def verify(self, server: int, digest: bytes, sig: Signature) -> bool:
-        if not 0 <= server < len(self._public):
-            raise UnknownServerError(f"server {server} is not registered")
+        _check_registered(server, len(self._public))
         if sig.scheme != SignatureScheme.ED25519:
             return False
         try:

@@ -134,8 +134,10 @@ class Disposition(Enum):
 
 class GossipNode:
     """``GossipNode(server, registry)``: one server's gossip state, that is
-    the DAG it builds over ``registry`` (a restricted signer will do), the
-    pending buffer with its waiter index, and the block under construction."""
+    the DAG it builds over ``registry``, the pending buffer with its waiter
+    index, and the block under construction. It signs by its id and holds no
+    key; an adversary's ``registry`` is a restricted signer, the one guard
+    on who signs."""
 
     def __init__(
         self,
@@ -148,7 +150,6 @@ class GossipNode:
         self.dag = BlockDag(registry)
         self.requests: deque[tuple[Label, bytes]] = deque()  # FIFO drained into blocks
         self.registry = registry
-        self.handle = registry.handle(server)
         self.fwd_interval = fwd_interval
 
         self.next_seqno = 0
@@ -303,7 +304,7 @@ class GossipNode:
         """Sign this server's next block over ``preds`` without committing
         it; an adversary may seal twice (a fork) or list a ref twice."""
         core = Block(self.server, self.next_seqno, preds, requests)
-        return core.with_signature(self.registry.sign(self.handle, block_ref(core)))
+        return core.with_signature(self.registry.sign(self.server, block_ref(core)))
 
     def take_requests(self) -> tuple[tuple[Label, bytes], ...]:
         """Drain the requests one block carries: at most

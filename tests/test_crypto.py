@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+from collections import deque
 from random import Random
 
 import pytest
@@ -15,7 +16,6 @@ from dagbft.crypto import (
     KeyRegistry,
     Signature,
     SignatureScheme,
-    SigningHandle,
     UnknownServerError,
     content_digest,
     ed25519_available,
@@ -27,6 +27,7 @@ from dagbft.crypto import (
     enc_u64,
     reader,
 )
+from dagbft.gossip import GossipNode
 from dagbft.protocol import Label
 
 from .util import make_registry, signed_block
@@ -87,14 +88,14 @@ class TestBlockEncoding:
     def test_signature_excluded_from_core(self):
         registry = make_registry()
         core = Block(0, 0, (), ())
-        sig1 = registry.sign(registry.handle(0), block_ref(core))
+        sig1 = registry.sign(0, block_ref(core))
         sig2 = Signature(SignatureScheme.HMAC_SHA256, b"\x11" * 32)
         assert core.with_signature(sig1).core_bytes() == core.with_signature(sig2).core_bytes()
 
     def test_ref_stable_across_signing(self):
         registry = make_registry()
         core = Block(2, 5, (), ())
-        signed = core.with_signature(registry.sign(registry.handle(2), block_ref(core)))
+        signed = core.with_signature(registry.sign(2, block_ref(core)))
         assert block_ref(core) == block_ref(signed)
 
     def test_refs_differ_between_builders(self):
@@ -131,46 +132,39 @@ class TestHmacRegistry:
     def test_sign_verify_round_trip(self):
         registry = make_registry()
         digest = content_digest(b"payload")
-        sig = registry.sign(registry.handle(1), digest)
+        sig = registry.sign(1, digest)
         assert registry.verify(1, digest, sig)
 
     def test_wrong_server_rejected(self):
         registry = make_registry()
         digest = content_digest(b"payload")
-        sig = registry.sign(registry.handle(1), digest)
+        sig = registry.sign(1, digest)
         assert not registry.verify(2, digest, sig)
 
     def test_wrong_digest_rejected(self):
         registry = make_registry()
-        sig = registry.sign(registry.handle(1), content_digest(b"a"))
+        sig = registry.sign(1, content_digest(b"a"))
         assert not registry.verify(1, content_digest(b"b"), sig)
 
     def test_unknown_server_is_an_error_not_false(self):
         registry = make_registry()
-        sig = registry.sign(registry.handle(0), content_digest(b"x"))
+        sig = registry.sign(0, content_digest(b"x"))
         with pytest.raises(UnknownServerError):
             registry.verify(99, content_digest(b"x"), sig)
         with pytest.raises(UnknownServerError):
-            registry.handle(99)
+            registry.sign(99, content_digest(b"x"))
 
     def test_generation_is_deterministic(self):
         d = content_digest(b"m")
-        s1 = KeyRegistry.generate(4, 9).sign(KeyRegistry.generate(4, 9).handle(2), d)
-        s2 = KeyRegistry.generate(4, 9).sign(KeyRegistry.generate(4, 9).handle(2), d)
+        s1 = KeyRegistry.generate(4, 9).sign(2, d)
+        s2 = KeyRegistry.generate(4, 9).sign(2, d)
         assert s1 == s2
-
-    def test_restricted_view_signs_only_itself(self):
-        registry = make_registry()
-        view = registry.restricted(2)
-        digest = content_digest(b"z")
-        assert registry.verify(2, digest, view.sign(view.handle(2), digest))
-        assert view.verify(0, digest, registry.sign(registry.handle(0), digest))
 
     def test_all_servers_self_verify(self):
         registry = make_registry(7, seed=4)
         for s in range(7):
             d = content_digest(bytes([s]))
-            assert registry.verify(s, d, registry.sign(registry.handle(s), d))
+            assert registry.verify(s, d, registry.sign(s, d))
 
 
 @pytest.mark.skipif(not ed25519_available(), reason="cryptography not installed")
@@ -180,7 +174,7 @@ class TestEd25519Registry:
 
         registry = Ed25519Registry.generate(4, seed=3)
         digest = content_digest(b"real scheme")
-        sig = registry.sign(registry.handle(1), digest)
+        sig = registry.sign(1, digest)
         assert sig.scheme == SignatureScheme.ED25519
         assert registry.verify(1, digest, sig)
         assert not registry.verify(2, digest, sig)
@@ -217,46 +211,75 @@ def any_registry(request):
 
 class TestRestrictedSignerSurface:
     """A restricted view is a registry for ``BlockDag`` and ``GossipNode``:
-    it hands out and signs with its own handle only."""
+    it verifies as any server and signs as its own id only."""
 
-    def test_own_handle_signs_as_own(self, any_registry):
+    def test_restricted_view_signs_only_itself(self, any_registry):
         view = any_registry.restricted(2)
-        handle = view.handle(2)
+        digest = content_digest(b"z")
+        assert any_registry.verify(2, digest, view.sign(2, digest))
+        assert view.verify(0, digest, any_registry.sign(0, digest))
+
+    def test_own_id_signs_as_own(self, any_registry):
+        view = any_registry.restricted(2)
         for i in range(4):
             digest = content_digest(bytes([i]))
-            sig = view.sign(handle, digest)
+            sig = view.sign(2, digest)
             assert any_registry.verify(2, digest, sig)
             assert view.verify(2, digest, sig)
 
-    def test_other_handle_is_unknown(self, any_registry):
+    def test_other_ids_do_not_sign(self, any_registry):
         view = any_registry.restricted(2)
         for other in (0, 1, 3, 4, -1):
             with pytest.raises(UnknownServerError):
-                view.handle(other)
+                view.sign(other, content_digest(b"x"))
 
-    def test_foreign_handle_does_not_sign(self, any_registry):
-        view = any_registry.restricted(2)
+    def test_unregistered_id_is_refused(self, any_registry):
         with pytest.raises(UnknownServerError):
-            view.sign(any_registry.handle(0), content_digest(b"x"))
+            any_registry.restricted(99)
+        with pytest.raises(UnknownServerError):
+            any_registry.sign(4, content_digest(b"x"))
 
     def test_server_count_is_the_registry_count(self, any_registry):
         assert any_registry.restricted(1).server_count == any_registry.server_count == 4
-
-    def test_hand_built_handle_never_signs(self, any_registry):
-        digest = content_digest(b"forged")
-        for server in range(4):
-            for secret in (b"", bytes(32)):
-                try:
-                    sig = any_registry.sign(SigningHandle(server, secret), digest)
-                except UnknownServerError:
-                    continue
-                assert not any(any_registry.verify(s, digest, sig) for s in range(4))
 
     def test_signature_never_verifies_as_another(self, any_registry):
         view = any_registry.restricted(2)
         for i in range(4):
             digest = content_digest(bytes([i]))
-            sig = view.sign(view.handle(2), digest)
+            sig = view.sign(2, digest)
             for other in (0, 1, 3):
                 assert not any_registry.verify(other, digest, sig)
                 assert not view.verify(other, digest, sig)
+
+
+def _reachable(root, skip):
+    """Every object reachable from ``root`` through containers and the
+    fields of dagbft objects, without entering ``skip``."""
+    seen, stack = {id(skip)}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("dagbft."):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                slots = getattr(cls, "__slots__", ())
+                stack.extend(getattr(obj, name) for name in slots if hasattr(obj, name))
+
+
+def test_a_correct_node_holds_no_secret_outside_its_registry():
+    registry = make_registry()
+    node = GossipNode(1, registry)
+    node.requests.append((Label(1, 1), b"\x01"))
+    for _ in range(2):
+        node.disseminate()
+    node.on_receive_block(signed_block(registry, 0, 0))
+    secrets = set(registry._secrets)
+    assert not [obj for obj in _reachable(node, registry) if type(obj) is bytes and obj in secrets]

@@ -364,7 +364,7 @@ class TestEquivocation:
             (),
         )
         joiner = joiner_core.with_signature(
-            registry.sign(registry.handle(3), block_ref(joiner_core))
+            registry.sign(3, block_ref(joiner_core))
         )
         assert not dag.is_valid(joiner)
 

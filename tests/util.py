@@ -20,7 +20,7 @@ def signed_block(
     requests: tuple[tuple[Label, bytes], ...] = (),
 ) -> Block:
     core = Block(builder, seqno, preds, requests)
-    return core.with_signature(registry.sign(registry.handle(builder), block_ref(core)))
+    return core.with_signature(registry.sign(builder, block_ref(core)))
 
 
 def buffers(
