@@ -21,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple
 
 from .brb import decode_deliver
 from .crypto import EncodingError
@@ -52,27 +51,15 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-class _LabelKey(NamedTuple):
-    """A label in a view's keys: a tuple, so it hashes and orders in C, in
-    :class:`Label`'s order."""
-
-    originator: int
-    nonce: int
-
-
 @dataclass
 class _ServerView:
     """One server's recorded perspective: its inserts and its fed and emitted messages."""
 
     inserts: dict[str, dict] = field(default_factory=dict)  # ref -> INSERT event
     preds: dict[str, list[str]] = field(default_factory=dict)  # ref -> distinct preds
-    out: dict[tuple[str, _LabelKey], tuple[Message, ...]] = field(default_factory=dict)
-    fed: dict[tuple[str, _LabelKey], tuple[Message, ...]] = field(default_factory=dict)
+    out: dict[tuple[str, Label], tuple[Message, ...]] = field(default_factory=dict)
+    fed: dict[tuple[str, Label], tuple[Message, ...]] = field(default_factory=dict)
     interpreted: list[str] = field(default_factory=list)
-
-
-def _decode_label(raw) -> Label:
-    return Label(int(raw[0]), int(raw[1]))
 
 
 def server_dags(events: list[dict]) -> dict[int, dict[str, dict]]:
@@ -119,7 +106,7 @@ def server_views(events: list[dict]) -> dict[int, _ServerView]:
             if body is None:
                 decoded = [
                     (
-                        _LabelKey(int(act["label"][0]), int(act["label"][1])),
+                        Label(int(act["label"][0]), int(act["label"][1])),
                         decode(act["fed"], server, ref),
                         decode(act["emitted"], server, ref),
                     )
@@ -181,7 +168,7 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
 
         # no duplication: one send is fed at most once along a correct
         # receiver's chain; for correct senders the message itself is unique
-        deliveries: dict[tuple[_LabelKey, int, Message], list[str]] = {}
+        deliveries: dict[tuple[Label, int, Message], list[str]] = {}
         for (ref2, label), fed in view.fed.items():
             receiver = builder_of.get(ref2)
             if receiver not in correct:
@@ -260,7 +247,7 @@ def check_brb(events: list[dict], scenario: Scenario) -> CheckReport:
         server = ev["server"]
         if server not in correct:
             continue
-        label = _decode_label(ev["label"])
+        label = Label(int(ev["label"][0]), int(ev["label"][1]))
         try:
             value = decode_deliver(bytes.fromhex(ev["indication"]))
         except (ValueError, ProtocolError) as exc:
@@ -445,13 +432,13 @@ def check_interpretation_agreement(events: list[dict], scenario: Scenario) -> Ch
     state digests must coincide."""
     report = CheckReport("interpretation-agreement")
     correct = set(scenario.correct_servers())
-    states: dict[tuple[int, str, _LabelKey], str] = {}  # a repeated entry overwrites
+    states: dict[tuple[int, str, Label], str] = {}  # a repeated entry overwrites
     for ev in events:
         if ev["kind"] == "INTERPRET" and ev["server"] in correct:
             for act in ev["labels"]:
                 raw = act["label"]
-                states[ev["server"], ev["ref"], _LabelKey(int(raw[0]), int(raw[1]))] = act["state"]
-    by_key: dict[tuple[str, _LabelKey], set[str]] = {}
+                states[ev["server"], ev["ref"], Label(int(raw[0]), int(raw[1]))] = act["state"]
+    by_key: dict[tuple[str, Label], set[str]] = {}
     for (_, ref, label), digest in states.items():
         by_key.setdefault((ref, label), set()).add(digest)
     if not by_key:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .crypto import ENCODING_VERSION, EncodingError, enc_bytes, enc_u8, enc_u32, enc_u64, reader
 
@@ -28,13 +29,13 @@ class ContractError(Exception):
     """A caller violated the process-instance contract (e.g. wrong receiver)."""
 
 
-@dataclass(frozen=True, order=True)
-class Label:
+class Label(NamedTuple):
     """Identity of one protocol instance running over the shared DAG.
 
     ``originator`` names the server entitled to issue the instance's
     authenticated requests; ``nonce`` distinguishes instances of the same
-    originator.
+    originator. A tuple, so it hashes, compares and sorts in C as the
+    ``(originator, nonce)`` pair.
     """
 
     originator: int

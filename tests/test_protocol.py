@@ -117,6 +117,17 @@ class TestLabel:
     def test_canonical_bytes_distinct(self):
         assert Label(0, 1).canonical_bytes() != Label(1, 0).canonical_bytes()
 
+    def test_hashes_compares_and_sorts_as_the_pair(self):
+        rng = Random(5)
+        pairs = [(rng.randrange(4), rng.randrange(1 << 64)) for _ in range(60)]
+        pairs += [(0, 0), (0, 0), (3, 2**64 - 1)]
+        labels = [Label(*pair) for pair in pairs]
+        assert [hash(label) for label in labels] == [hash(pair) for pair in pairs]
+        assert labels == pairs and sorted(labels) == sorted(pairs)
+        assert list(set(labels)) == list(set(pairs))  # set order is the pair's
+        for a, b in zip(labels, labels[1:]):
+            assert (a < b, a == b) == (tuple(a) < tuple(b), tuple(a) == tuple(b))
+
 
 class TestInstanceContract:
     """Replay determinism and sender stamping, exercised on the reference
