@@ -88,6 +88,11 @@ class WireEnvelope:
     def kind_name(self) -> str:
         return _KIND_NAMES[self.kind]
 
+    @property
+    def named_ref(self) -> BlockRef:
+        """The ref the envelope names: its block's, or the one a FWD asks for."""
+        return block_ref(self.block) if self.kind == BLOCK_ENVELOPE else self.ref
+
     def encode(self) -> bytes:
         head = enc_u8(ENCODING_VERSION) + enc_u8(self.kind)
         head += enc_u32(self.sender) + enc_u32(self.receiver)

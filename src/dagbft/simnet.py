@@ -473,17 +473,12 @@ class Simulation:
 
     def _send_envelopes(self, now: int, envelopes: list[WireEnvelope]) -> None:
         for env in envelopes:
-            ref_hex = (
-                block_ref(env.block).hex() if env.kind == BLOCK_ENVELOPE else env.ref.hex()
-            )
+            ref_hex = env.named_ref.hex()
+            if env.kind == FWD_ENVELOPE:
+                self.events.append(
+                    trace.event(now, "FWD_REQ", server=env.sender, ref=ref_hex, to=env.receiver)
+                )
             self._schedule(now, env.sender, env.receiver, env.encode(), env.kind_name, ref_hex)
-
-    def _send_fwds(self, now: int, envelopes: list[WireEnvelope]) -> None:
-        for env in envelopes:
-            self.events.append(
-                trace.event(now, "FWD_REQ", server=env.sender, ref=env.ref.hex(), to=env.receiver)
-            )
-            self._send_envelopes(now, [env])
 
     def _deliver_due(self, now: int, halted=()) -> None:
         batch = self.inflight.pop(now, [])
@@ -504,9 +499,7 @@ class Simulation:
                 self._drop(now, receiver, reason, frm=sender)
                 continue
             node = self.correct[receiver]
-            ref_hex = (
-                block_ref(env.block).hex() if env.kind == BLOCK_ENVELOPE else env.ref.hex()
-            )
+            ref_hex = env.named_ref.hex()
             self.events.append(
                 trace.event(
                     now,
@@ -561,7 +554,7 @@ class Simulation:
 
     def _gossip_phase(self, now: int, node: Shim) -> None:
         self._promote(now, node)
-        self._send_fwds(now, node.gossip.request_missing(now))
+        self._send_envelopes(now, node.gossip.request_missing(now))
         envelopes = node.tick(now)
         if envelopes:
             self._record_insert(now, node.server, envelopes[0].block)
@@ -661,7 +654,7 @@ class Simulation:
                 for server in sorted(self.correct):
                     node = self.correct[server]
                     self._promote(now, node)
-                    self._send_fwds(now, node.gossip.request_missing(now, force=True))
+                    self._send_envelopes(now, node.gossip.request_missing(now, force=True))
             else:  # pragma: no cover - defensive bound
                 raise RuntimeError("drain delivery loop did not settle")
             quiet = True
