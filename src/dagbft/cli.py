@@ -115,7 +115,7 @@ def cmd_run(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
-    names = args.props.split(",") if args.props else list(_CHECKERS)
+    names = list(dict.fromkeys(args.props.split(","))) if args.props else list(_CHECKERS)
     bad = [n for n in names if n not in _CHECKERS]
     if bad:
         print(f"error: unknown checker(s) {','.join(bad)}; known: {','.join(_CHECKERS)}", file=out)

@@ -213,6 +213,18 @@ class TestCheck:
         assert code == EXIT_OK
         assert text.count("PASS") == 1
 
+    def test_repeated_props_run_once_in_first_seen_order(self, tmp_path, scenario_file):
+        out_path = tmp_path / "trace.jsonl"
+        run_cli("run", "--scenario", scenario_file, "--out", out_path)
+        code, text = run_cli(
+            "check", "--trace", out_path, "--scenario", scenario_file, "--props", "ppl,brb,ppl"
+        )
+        assert code == EXIT_OK
+        assert [line.split(":")[0] for line in text.splitlines()] == [
+            "PASS point-to-point",
+            "PASS brb",
+        ]
+
     def test_violations_exit_one_and_name_the_problem(self, tmp_path, scenario_file):
         forged = tmp_path / "forged.jsonl"
         events = [
