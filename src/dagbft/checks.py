@@ -11,15 +11,16 @@ Each checker reads only the trace facts its property names: BRB the
 surfaced indications, convergence the INSERT events, agreement the
 INTERPRET state digests, and the link properties (point-to-point) the fed
 and emitted messages, decoded by :func:`server_views`, its only caller.
-Point-to-point indexes a server's DAG by builder, so a message visits only
-its receiver's children of the emitting block, and a fed message only its
-sender's preds of the feeding block.
+Point-to-point decides each distinct block once per pass, from the block's
+body, its preds and their bodies and builders, and every server that holds
+that block reuses the verdict.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 from .brb import decode_deliver
@@ -51,15 +52,64 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
+_Buffers = tuple[tuple[Message, ...], tuple[Message, ...]]  # (fed, emitted) of one label
+
+
+class _Body:
+    """One INTERPRET ``labels`` list, decoded: label -> (fed, emitted).
+    Bodies are interned by content, so equal bodies are one object, and the
+    verdict keys of :func:`check_point_to_point` hold bodies by identity."""
+
+    __slots__ = ("acts", "repeats", "_sent")
+
+    def __init__(self, acts: dict[Label, _Buffers], repeats: bool):
+        self.acts = acts
+        self.repeats = repeats  # a label appears twice in the list; the last entry holds
+        self._sent: dict[int, tuple[list[Label], list[Message]]] | None = None
+
+    def sent_to(self, receiver: int) -> tuple[list[Label], list[Message]]:
+        """The messages emitted to ``receiver``, in body order, and the label
+        of each: two lists, not a pair per message, as a pass keeps them."""
+        if self._sent is None:
+            self._sent = {}
+            for label, (_, out) in self.acts.items():
+                for m in out:
+                    sent = self._sent.get(m.receiver)
+                    if sent is None:
+                        sent = self._sent[m.receiver] = ([], [])
+                    sent[0].append(label)
+                    sent[1].append(m)
+        return self._sent.get(receiver, ([], []))
+
+
 @dataclass
 class _ServerView:
-    """One server's recorded perspective: its inserts and its fed and emitted messages."""
+    """One server's recorded perspective: its inserts, and the ref and the
+    decoded body of each of its INTERPRET events. Its fed and emitted
+    messages by (ref, label) are built from the bodies when first read."""
 
     inserts: dict[str, dict] = field(default_factory=dict)  # ref -> INSERT event
     preds: dict[str, list[str]] = field(default_factory=dict)  # ref -> distinct preds
-    out: dict[tuple[str, Label], tuple[Message, ...]] = field(default_factory=dict)
-    fed: dict[tuple[str, Label], tuple[Message, ...]] = field(default_factory=dict)
-    interpreted: list[str] = field(default_factory=list)
+    interpreted: list[str] = field(default_factory=list)  # refs in INTERPRET order
+    bodies: list[_Body] = field(default_factory=list)  # the body of each, in that order
+
+    @cached_property
+    def fed(self) -> dict[tuple[str, Label], tuple[Message, ...]]:
+        """(ref, label) -> the messages the ref's last entry for the label fed."""
+        return {
+            (ref, label): fed
+            for ref, body in zip(self.interpreted, self.bodies)
+            for label, (fed, _) in body.acts.items()
+        }
+
+    @cached_property
+    def out(self) -> dict[tuple[str, Label], tuple[Message, ...]]:
+        """(ref, label) -> the messages the ref's last entry for the label emitted."""
+        return {
+            (ref, label): out
+            for ref, body in zip(self.interpreted, self.bodies)
+            for label, (_, out) in body.acts.items()
+        }
 
 
 def server_dags(events: list[dict]) -> dict[int, dict[str, dict]]:
@@ -80,14 +130,16 @@ def _distinct_preds(dag: dict[str, dict]) -> dict[str, list[str]]:
 
 def server_views(events: list[dict]) -> dict[int, _ServerView]:
     """Each server's view for the link properties, with every distinct
-    message encoding decoded once and every INTERPRET ``labels`` list decoded
-    once: servers that share one list object (a shared report, never in a
-    trace read from a file) share its decoded buffers."""
+    message encoding decoded once and every distinct INTERPRET body, keyed by
+    its labels' fed and emitted encodings, decoded once. Servers that share
+    one ``labels`` list object (a shared report, in memory) find its body
+    by the list's id; a trace read from a file finds it by content."""
     views = {s: _ServerView(dag, _distinct_preds(dag)) for s, dag in server_dags(events).items()}
     messages: dict[str, Message] = {}
-    bodies: dict[int, tuple[list, list]] = {}  # id(labels) -> (labels, decoded)
+    by_list: dict[int, tuple[list, _Body]] = {}  # id(labels) -> (labels, body)
+    by_content: dict[tuple, _Body] = {}
 
-    def decode(hexes: list[str], server: int, ref: str) -> tuple[Message, ...]:
+    def decode(hexes: tuple[str, ...], server: int, ref: str) -> tuple[Message, ...]:
         for h in hexes:
             if h not in messages:
                 try:
@@ -100,22 +152,27 @@ def server_views(events: list[dict]) -> dict[int, _ServerView]:
     for ev in events:
         if ev["kind"] == "INTERPRET":
             server, ref, labels = ev["server"], ev["ref"], ev["labels"]
-            view = views.setdefault(server, _ServerView())
+            view = views.get(server)
+            if view is None:  # a server that interpreted but never inserted
+                view = views[server] = _ServerView()
             view.interpreted.append(ref)
-            body = bodies.get(id(labels))
-            if body is None:
-                decoded = [
-                    (
-                        Label(int(act["label"][0]), int(act["label"][1])),
-                        decode(act["fed"], server, ref),
-                        decode(act["emitted"], server, ref),
-                    )
-                    for act in labels
-                ]
-                body = bodies[id(labels)] = (labels, decoded)  # the list kept keeps its id
-            for label, fed, out in body[1]:
-                view.fed[ref, label] = fed
-                view.out[ref, label] = out
+            shared = by_list.get(id(labels))
+            if shared is None:
+                content = tuple(
+                    [(tuple(act["label"]), tuple(act["fed"]), tuple(act["emitted"])) for act in labels]
+                )
+                body = by_content.get(content)
+                if body is None:
+                    acts = {
+                        Label(int(raw[0]), int(raw[1])): (
+                            decode(fed, server, ref),
+                            decode(out, server, ref),
+                        )
+                        for raw, fed, out in content
+                    }
+                    body = by_content[content] = _Body(acts, len(acts) < len(content))
+                shared = by_list[id(labels)] = (labels, body)  # the list kept keeps its id
+            view.bodies.append(shared[1])
     return views
 
 
@@ -123,13 +180,177 @@ def server_views(events: list[dict]) -> dict[int, _ServerView]:
 # Point-to-point link properties over interpretation
 # ---------------------------------------------------------------------------
 
+# A block's node at a server is (ref, builder, body), the builder as the
+# server's INSERT records it and the body None if the server did not
+# interpret the ref. Its verdict key is (node, the nodes of its distinct preds).
+_Node = tuple[str, "int | None", "_Body | None"]
+_Key = tuple[_Node, tuple[_Node, ...]]
+_NO_ACT: _Buffers = ((), ())
+
+
+def _block_keys(view: _ServerView) -> list[_Key] | None:
+    """The verdict key of each block the server inserted, or None if the
+    server's view is one a key does not describe: a ref it interpreted
+    twice, a label repeated within one body, or an interpreted ref it never
+    inserted."""
+    body_of = dict(zip(view.interpreted, view.bodies))  # the last body of each ref
+    if (
+        len(body_of) != len(view.interpreted)
+        or not body_of.keys() <= view.inserts.keys()
+        or any(body.repeats for body in body_of.values())
+    ):
+        return None
+    nodes = {ref: (ref, ev["builder"], body_of.get(ref)) for ref, ev in view.inserts.items()}
+    return [
+        (nodes[ref], tuple([nodes.get(p) or (p, None, None) for p in preds]))
+        for ref, preds in view.preds.items()
+    ]
+
+
+def _decide_block(key: _Key, correct: set[int]) -> int | None:
+    """Reliable delivery on a block's in-edges and authenticity of its fed
+    messages, decided from the block's verdict key alone: the number of
+    checks, or None if one fails."""
+    (_, builder, body), preds = key
+    acts = body.acts if body is not None else {}
+    checked = 0
+    if builder in correct:
+        for _, pred_builder, pred_body in preds:
+            if pred_body is None or pred_builder not in correct:
+                continue
+            for label, m in zip(*pred_body.sent_to(builder)):
+                checked += 1
+                if m not in acts.get(label, _NO_ACT)[0]:
+                    return None
+    origins: dict[int, list[_Body]] = {}  # builder -> the bodies of its preds
+    for _, pred_builder, pred_body in preds:
+        if pred_body is not None:
+            origins.setdefault(pred_builder, []).append(pred_body)
+    for label, (fed, _) in acts.items():
+        for m in fed:
+            if m.sender not in correct:
+                continue
+            checked += 1
+            if not any(m in pb.acts.get(label, _NO_ACT)[1] for pb in origins.get(m.sender, ())):
+                return None
+    return checked
+
+
+def _no_duplication(
+    server: int, view: _ServerView, builder_of: dict[str, int], correct: set[int]
+) -> tuple[int, list[str]]:
+    """No duplication at one server: one send is fed at most once along a
+    correct receiver's chain; for correct senders the message itself is
+    unique. The number of checks, and the violations in delivery order."""
+    first: dict[tuple[Label, int], dict[Message, str]] = {}  # message -> its first feeding block
+    repeats: dict[tuple[Label, int, Message], list[str]] = {}  # every feeding block, if several
+    for (ref2, label), fed in view.fed.items():
+        receiver = builder_of.get(ref2)
+        if receiver not in correct:
+            continue
+        seen = first.setdefault((label, receiver), {})
+        for m in fed:
+            if m in seen:
+                repeats.setdefault((label, receiver, m), [seen[m]]).append(ref2)
+            else:
+                seen[m] = ref2
+    violations = []
+    for (label, receiver, m), feeds in sorted(
+        repeats.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].canonical_bytes())
+    ):
+        if m.sender in correct:
+            violations.append(
+                f"no-duplication: interpreter {server}: message {m.sender}->{receiver} "
+                f"(label {label.originator}/{label.nonce}) fed {len(feeds)} times "
+                f"across blocks of server {receiver}"
+            )
+            continue
+        # a byzantine sender may send equal messages from several blocks;
+        # only one origin block contributing it twice is a duplication
+        origin_count: dict[str, int] = {}
+        for ref2 in feeds:
+            for p in view.preds[ref2]:
+                if m in view.out.get((p, label), ()):
+                    origin_count[p] = origin_count.get(p, 0) + 1
+        repeated = sorted(p for p, c in origin_count.items() if c > 1)
+        if repeated:
+            violations.append(
+                f"no-duplication: interpreter {server}: origin block {repeated[0][:12]} "
+                f"contributed the same message twice to server {receiver} "
+                f"(label {label.originator}/{label.nonce})"
+            )
+    return sum(map(len, first.values())), violations
+
+
+def _check_edges(report: CheckReport, server: int, view: _ServerView, correct: set[int]) -> None:
+    """The three link properties at one server, edge by edge, with every
+    violation named: the path of a server whose blocks do not all pass."""
+    builder_of = {ref: ev["builder"] for ref, ev in view.inserts.items()}
+    # (ref, builder) -> the ref's children, and its preds, by that builder
+    children: dict[tuple[str, int], list[str]] = {}
+    preds_by: dict[tuple[str, int | None], list[str]] = {}
+    for ref, preds in view.preds.items():
+        builder = builder_of[ref]
+        for p in preds:
+            children.setdefault((p, builder), []).append(ref)
+            preds_by.setdefault((ref, builder_of.get(p)), []).append(p)
+
+    # reliable delivery: an emitted message appears in the in-buffer of
+    # every block by its (correct) receiver that references the emitting block
+    for (ref1, label), messages in sorted(view.out.items()):
+        if builder_of.get(ref1) not in correct:
+            continue
+        for m in messages:
+            if m.receiver not in correct:
+                continue
+            for ref2 in children.get((ref1, m.receiver), ()):
+                report.checked += 1
+                if m not in view.fed.get((ref2, label), ()):
+                    report.violations.append(
+                        f"reliable-delivery: interpreter {server}: message "
+                        f"{m.sender}->{m.receiver} from block {ref1[:12]} missing in "
+                        f"in-buffer of {ref2[:12]} (label {label.originator}/{label.nonce})"
+                    )
+
+    checked, violations = _no_duplication(server, view, builder_of, correct)
+    report.checked += checked
+    report.violations += violations
+
+    # authenticity: a fed message with a correct sender exists in the
+    # out-buffer of a referenced block built by that sender
+    for (ref2, label), fed in sorted(view.fed.items()):
+        for m in fed:
+            if m.sender not in correct:
+                continue
+            report.checked += 1
+            if not any(
+                m in view.out.get((p, label), ()) for p in preds_by.get((ref2, m.sender), ())
+            ):
+                report.violations.append(
+                    f"authenticity: interpreter {server}: message claiming sender "
+                    f"{m.sender} in in-buffer of {ref2[:12]} has no signed origin block "
+                    f"(label {label.originator}/{label.nonce})"
+                )
+
 
 def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
     """Reliable delivery, no duplication, and authenticity, restated over the
-    interpretation events of every correct server."""
+    interpretation events of every correct server.
+
+    Reliable delivery on a block's in-edges and authenticity of its fed
+    messages read only the block's verdict key (see :func:`_block_keys`), so
+    a pass decides each distinct key once and every server holding it reuses
+    the verdict. A server whose blocks all pass adds up their counts; one
+    with a failing block, or a view no key describes, is checked edge by
+    edge, so its violations keep their text and order. No duplication spans
+    a receiver's chain and stays per server; a clean result is shared by
+    servers with the same correct-built blocks.
+    """
     report = CheckReport("point-to-point")
     correct = set(scenario.correct_servers())
     views = server_views(events)
+    verdicts: dict[_Key, int | None] = {}  # check count, None if one fails
+    clean_no_dup: dict[frozenset[_Key], int] = {}  # correct-built blocks -> check count
     seen_any = False
 
     for server in sorted(views):
@@ -139,85 +360,25 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
         if not view.interpreted:
             continue
         seen_any = True
-        builder_of = {ref: ev["builder"] for ref, ev in view.inserts.items()}
-        # (ref, builder) -> the ref's children, and its preds, by that builder
-        children: dict[tuple[str, int], list[str]] = {}
-        preds_by: dict[tuple[str, int | None], list[str]] = {}
-        for ref, preds in view.preds.items():
-            builder = builder_of[ref]
-            for p in preds:
-                children.setdefault((p, builder), []).append(ref)
-                preds_by.setdefault((ref, builder_of.get(p)), []).append(p)
-
-        # reliable delivery: an emitted message appears in the in-buffer of
-        # every block by its (correct) receiver that references the emitting block
-        for (ref1, label), messages in sorted(view.out.items()):
-            if builder_of.get(ref1) not in correct:
-                continue
-            for m in messages:
-                if m.receiver not in correct:
-                    continue
-                for ref2 in children.get((ref1, m.receiver), ()):
-                    report.checked += 1
-                    if m not in view.fed.get((ref2, label), ()):
-                        report.violations.append(
-                            f"reliable-delivery: interpreter {server}: message "
-                            f"{m.sender}->{m.receiver} from block {ref1[:12]} missing in "
-                            f"in-buffer of {ref2[:12]} (label {label.originator}/{label.nonce})"
-                        )
-
-        # no duplication: one send is fed at most once along a correct
-        # receiver's chain; for correct senders the message itself is unique
-        deliveries: dict[tuple[Label, int, Message], list[str]] = {}
-        for (ref2, label), fed in view.fed.items():
-            receiver = builder_of.get(ref2)
-            if receiver not in correct:
-                continue
-            for m in fed:
-                deliveries.setdefault((label, receiver, m), []).append(ref2)
-        for (label, receiver, m), feeds in sorted(
-            deliveries.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].canonical_bytes())
-        ):
-            report.checked += 1
-            if len(feeds) <= 1:
-                continue
-            if m.sender in correct:
-                report.violations.append(
-                    f"no-duplication: interpreter {server}: message {m.sender}->{receiver} "
-                    f"(label {label.originator}/{label.nonce}) fed {len(feeds)} times "
-                    f"across blocks of server {receiver}"
-                )
-                continue
-            # a byzantine sender may send equal messages from several blocks;
-            # only one origin block contributing it twice is a duplication
-            origin_count: dict[str, int] = {}
-            for ref2 in feeds:
-                for p in view.preds[ref2]:
-                    if m in view.out.get((p, label), ()):
-                        origin_count[p] = origin_count.get(p, 0) + 1
-            repeated = sorted(p for p, c in origin_count.items() if c > 1)
-            if repeated:
-                report.violations.append(
-                    f"no-duplication: interpreter {server}: origin block {repeated[0][:12]} "
-                    f"contributed the same message twice to server {receiver} "
-                    f"(label {label.originator}/{label.nonce})"
-                )
-
-        # authenticity: a fed message with a correct sender exists in the
-        # out-buffer of a referenced block built by that sender
-        for (ref2, label), fed in sorted(view.fed.items()):
-            for m in fed:
-                if m.sender not in correct:
-                    continue
-                report.checked += 1
-                if not any(
-                    m in view.out.get((p, label), ()) for p in preds_by.get((ref2, m.sender), ())
-                ):
-                    report.violations.append(
-                        f"authenticity: interpreter {server}: message claiming sender "
-                        f"{m.sender} in in-buffer of {ref2[:12]} has no signed origin block "
-                        f"(label {label.originator}/{label.nonce})"
-                    )
+        keys = _block_keys(view)
+        if keys is not None:
+            for key in keys:
+                if key not in verdicts:
+                    verdicts[key] = _decide_block(key, correct)
+            counts = [verdicts[key] for key in keys]
+        if keys is None or None in counts:
+            _check_edges(report, server, view, correct)
+            continue
+        own = frozenset(key for key in keys if key[0][1] in correct)
+        no_dup = clean_no_dup.get(own)
+        if no_dup is None:
+            builder_of = {ref: ev["builder"] for ref, ev in view.inserts.items()}
+            no_dup, violations = _no_duplication(server, view, builder_of, correct)
+            if violations:
+                report.violations += violations
+            else:
+                clean_no_dup[own] = no_dup
+        report.checked += sum(counts) + no_dup
 
     report.vacuous = not seen_any
     return report

@@ -4,12 +4,12 @@ Everything that must be byte-identical across independent machines funnels
 through this module: the fixed-width big-endian integer encoders, the
 length-prefixed byte/sequence encoders, and the 32-byte content digest.
 
-Two signature backends share one surface:
+Two signature backends share one base, ``SignatureRegistry``:
 
 * ``KeyRegistry`` -- HMAC-SHA256 over per-server secrets. This is the
   simulator backend; it is fast and deterministic from a seed.
 * ``Ed25519Registry`` -- a real asymmetric scheme (requires the optional
-  ``cryptography`` dependency) with the same methods.
+  ``cryptography`` dependency).
 
 Both sign by server id, ``sign(server, digest)``. The adversary model is
 enforced in one place: byzantine parties get only a ``RestrictedSigner``,
@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -163,7 +164,27 @@ def _check_registered(server: int, count: int) -> None:
         raise UnknownServerError(f"server {server} is not registered")
 
 
-class KeyRegistry:
+class SignatureRegistry(ABC):
+    """The surface ``BlockDag`` and ``GossipNode`` sign and verify through:
+    one key per registered server id, ``0 <= server < server_count``. Each
+    backend signs as any registered id; byzantine code gets a
+    :meth:`restricted` view instead."""
+
+    @property
+    @abstractmethod
+    def server_count(self) -> int: ...
+
+    @abstractmethod
+    def sign(self, server: int, digest: bytes) -> Signature: ...
+
+    @abstractmethod
+    def verify(self, server: int, digest: bytes, sig: Signature) -> bool: ...
+
+    def restricted(self, server: int) -> "RestrictedSigner":
+        return RestrictedSigner(self, server)
+
+
+class KeyRegistry(SignatureRegistry):
     """HMAC-SHA256 signatures over deterministic per-server secrets.
 
     Security here is a modelling device, not computational hardness: whoever
@@ -198,9 +219,6 @@ class KeyRegistry:
         expected = hmac.new(secret, digest, hashlib.sha256).digest()
         return hmac.compare_digest(expected, sig.data)
 
-    def restricted(self, server: int) -> "RestrictedSigner":
-        return RestrictedSigner(self, server)
-
 
 class RestrictedSigner:
     """Registry view that verifies anyone but signs only as ``server``.
@@ -214,7 +232,7 @@ class RestrictedSigner:
 
     __slots__ = ("_registry", "server")
 
-    def __init__(self, registry: KeyRegistry, server: int) -> None:
+    def __init__(self, registry: SignatureRegistry, server: int) -> None:
         _check_registered(server, registry.server_count)
         self._registry = registry
         self.server = server
@@ -240,13 +258,9 @@ except Exception:  # pragma: no cover - environment without cryptography
     _HAVE_ED25519 = False
 
 
-class Ed25519Registry:
-    """Asymmetric backend with the :class:`KeyRegistry` surface.
-
-    Keys are derived deterministically from the seed so that fixtures using
-    this backend stay reproducible. Like :class:`KeyRegistry` it signs as
-    any registered id; byzantine code gets a :class:`RestrictedSigner`.
-    """
+class Ed25519Registry(SignatureRegistry):
+    """Asymmetric backend. Keys are derived deterministically from the seed
+    so that fixtures using this backend stay reproducible."""
 
     def __init__(self, private_keys: list) -> None:
         if not _HAVE_ED25519:
@@ -282,9 +296,6 @@ class Ed25519Registry:
             return True
         except Exception:
             return False
-
-    def restricted(self, server: int) -> RestrictedSigner:
-        return RestrictedSigner(self, server)  # type: ignore[arg-type]
 
 
 def ed25519_available() -> bool:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import struct
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .crypto import ENCODING_VERSION, EncodingError, enc_bytes, enc_u8, enc_u32, enc_u64, reader
+from .crypto import ENCODING_VERSION, EncodingError, enc_bytes, enc_u8, enc_u32, enc_u64
 
 _TAG_LABEL = 0x10
 _TAG_MESSAGE = 0x11
 _LABEL_LAYOUT = struct.Struct(">BBIQ")  # version, tag, originator, nonce
+_MESSAGE_HEAD = struct.Struct(">BBIII")  # version, tag, sender, receiver, payload length
 
 
 class ProtocolError(Exception):
@@ -53,28 +53,25 @@ class Label(NamedTuple):
 _MESSAGE_PREFIX = enc_u8(ENCODING_VERSION) + enc_u8(_TAG_MESSAGE)
 
 
-@dataclass(frozen=True)
-class Message:
-    """A protocol message. Its canonical encoding is computed once, at
-    construction, or kept from the bytes it was decoded from (see
-    :func:`message_from_canonical`), in a plain attribute that is not a
-    field, so equality, hash and repr see only the three fields. An
-    out-of-range sender or receiver raises ``EncodingError`` here."""
-
+class _MessageFields(NamedTuple):
     sender: int
     receiver: int
     payload: bytes
 
-    def __post_init__(self) -> None:
+
+class Message(_MessageFields):
+    """A protocol message. A tuple of its three fields, so it hashes and
+    compares in C as ``(sender, receiver, payload)``. Its canonical encoding
+    is computed once, at construction, or kept from the bytes it was decoded
+    from (see :func:`message_from_canonical`), in the one attribute beyond
+    the fields, which equality, hash and repr do not see. An out-of-range
+    sender or receiver raises ``EncodingError`` here."""
+
+    def __new__(cls, sender: int, receiver: int, payload: bytes) -> "Message":
+        self = tuple.__new__(cls, (sender, receiver, payload))
         # sorting, state digests and the trace all read these bytes
-        object.__setattr__(
-            self,
-            "_canonical",
-            _MESSAGE_PREFIX
-            + enc_u32(self.sender)
-            + enc_u32(self.receiver)
-            + enc_bytes(self.payload),
-        )
+        self._canonical = _MESSAGE_PREFIX + enc_u32(sender) + enc_u32(receiver) + enc_bytes(payload)
+        return self
 
     def canonical_bytes(self) -> bytes:
         return self._canonical
@@ -95,16 +92,18 @@ def message_from_canonical(data: bytes) -> Message:
     The message keeps ``data`` as its canonical bytes rather than encoding
     its fields again. That is exact because the codec is canonical: bytes
     that decode at all are the one encoding of their message."""
-    r = reader(data)
-    if r.u8() != ENCODING_VERSION or r.u8() != _TAG_MESSAGE:
+    head = _MESSAGE_HEAD.size
+    if len(data) < head:
+        raise EncodingError("truncated encoding")
+    version, tag, sender, receiver, size = _MESSAGE_HEAD.unpack_from(data)
+    if version != ENCODING_VERSION or tag != _TAG_MESSAGE:
         raise EncodingError("not a message encoding")
-    sender = r.u32()
-    receiver = r.u32()
-    payload = r.raw_bytes()
-    if not r.done():
+    if len(data) < head + size:
+        raise EncodingError("truncated encoding")
+    if len(data) > head + size:
         raise EncodingError("trailing bytes after message encoding")
-    message = Message.__new__(Message)  # skips __post_init__'s encoding
-    message.__dict__.update(sender=sender, receiver=receiver, payload=payload, _canonical=data)
+    message = tuple.__new__(Message, (sender, receiver, data[head:]))  # skips the encoding
+    message._canonical = data
     return message
 
 

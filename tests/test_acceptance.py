@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from dagbft import checks
+from dagbft import checks, trace
 from dagbft.blockdag import BlockDag, block_ref
 from dagbft.brb import ECHO, READY, ReliableBroadcast, encode_broadcast, encode_payload
 from dagbft.checks import (
@@ -93,10 +93,20 @@ def _report_mismatches(name: str, events: list[dict], scenario) -> list[str]:
     return mismatches
 
 
+def _mismatches_in_memory_and_read_back(name: str, events: list[dict], scenario) -> list[str]:
+    """:func:`_report_mismatches` on the events and on the same trace read
+    back from its text, where no two INTERPRET events share a labels list."""
+    read_back = trace.loads(trace.dumps(events))
+    return _report_mismatches(name, events, scenario) + _report_mismatches(
+        f"{name} (read back)", read_back, scenario
+    )
+
+
 class TestCheckersMatchReference:
     """Every checker gives the report its reference copy gives: the same
     violations in the same order, the same count of checks and the same
-    vacuity."""
+    vacuity. The forgeries, the broadcast fixture and the mutants are also
+    checked as read back from their trace text."""
 
     def test_forgeries_and_broadcast_fixture(self):
         cases = [
@@ -107,7 +117,11 @@ class TestCheckersMatchReference:
         scenario = fig_broadcast_scenario()
         cases.append(("fig_broadcast", scenario, run(scenario).events))
         assert len(cases) >= 7
-        failures = [m for name, sc, events in cases for m in _report_mismatches(name, events, sc)]
+        failures = [
+            mismatch
+            for name, sc, events in cases
+            for mismatch in _mismatches_in_memory_and_read_back(name, events, sc)
+        ]
         assert not failures, failures
 
     def test_seeded_mutants(self, monkeypatch):
@@ -126,7 +140,7 @@ class TestCheckersMatchReference:
         failures, per_snapshot = [], []
         for name, scenario, events in mutants:
             before = len(calls)
-            failures += _report_mismatches(name, events, scenario)
+            failures += _mismatches_in_memory_and_read_back(name, events, scenario)
             if len(calls) == before:
                 per_snapshot.append(name)
         assert not failures, failures

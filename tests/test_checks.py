@@ -18,6 +18,7 @@ from dagbft.checks import (
 from dagbft.protocol import Label, message_from_canonical
 from dagbft.simnet import BehaviorSpec, RequestInjection, Scenario, run
 
+from . import oracles
 from .forgeries import (
     V,
     W,
@@ -36,6 +37,7 @@ from .forgeries import (
     msg_hex,
 )
 from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
+from .test_trace_lock import corpus as trace_lock_corpus
 
 ALL_CHECKERS = (
     check_point_to_point,
@@ -243,6 +245,79 @@ class TestReadPaths:
         assert _report(check_interpretation_agreement(events, scenario)) == ([], 2, False)
 
 
+def _interpret_twice(events: list[dict]) -> None:
+    events.append(dict(events[5], step=2))  # Z's INTERPRET event again
+
+
+def _repeat_a_label(events: list[dict]) -> None:
+    entry = events[5]["labels"][0]  # Z's only entry; the last entry for a label holds
+    events[5]["labels"].insert(0, dict(entry, fed=[]))
+
+
+def _interpret_without_insert(events: list[dict]) -> None:
+    events.append(trace.event(2, "INTERPRET", server=1, ref=W, builder=1, labels=[]))
+
+
+_SCENARIO_CORPUS = dict(trace_lock_corpus()) | {
+    f"{make.__name__} {i}": make(i) for make in (random_scenario, adversarial_scenario) for i in range(40)
+}
+
+
+class TestPerBlockVerdicts:
+    """A clean view is checked by per-block verdicts; one that a verdict key
+    does not describe is checked edge by edge, and each reports what the
+    reference checker reports, in memory and read back from text."""
+
+    @pytest.mark.parametrize(
+        "edit, fallbacks",
+        [
+            (lambda events: None, []),
+            (_interpret_twice, [1, 1]),
+            (_repeat_a_label, [1, 1]),
+            (_interpret_without_insert, [1, 1]),
+        ],
+        ids=["clean", "interpreted twice", "label repeated in a body", "interpreted, not inserted"],
+    )
+    def test_views_no_key_describes_are_checked_edge_by_edge(self, edit, fallbacks, monkeypatch):
+        scenario, events = forged_base()
+        edit(events)
+        servers = []
+        check_edges = checks._check_edges
+
+        def counting(report, server, view, correct):
+            servers.append(server)
+            check_edges(report, server, view, correct)
+
+        monkeypatch.setattr(checks, "_check_edges", counting)
+        for pass_events in (events, trace.loads(trace.dumps(events))):
+            got = _report(check_point_to_point(pass_events, scenario))
+            assert got == _report(oracles.check_point_to_point(pass_events, scenario))
+            assert got[0] == [] and got[1] > 0
+        assert servers == fallbacks
+
+    @pytest.mark.parametrize("scenario", list(_SCENARIO_CORPUS.values()), ids=list(_SCENARIO_CORPUS))
+    def test_clean_runs_decide_each_block_once(self, scenario, monkeypatch):
+        # every correct server of a clean run sums per-block verdicts, never
+        # falling back to the edge-by-edge loop, and a pass decides each
+        # distinct block key once, in memory and read back from text alike
+        decided, fallbacks = [], []
+        decide = checks._decide_block
+
+        def counting(key, correct):
+            decided.append(key)
+            return decide(key, correct)
+
+        monkeypatch.setattr(checks, "_decide_block", counting)
+        monkeypatch.setattr(checks, "_check_edges", lambda report, server, *_: fallbacks.append(server))
+        events = run(scenario).events
+        for pass_events in (events, trace.loads(trace.dumps(events))):
+            decided.clear()
+            report = check_point_to_point(pass_events, scenario)
+            assert report.ok and not report.vacuous
+            assert fallbacks == []
+            assert decided and len(decided) == len(set(decided))
+
+
 _FILE_CORPUS = {"fig_broadcast": fig_broadcast_scenario()} | {
     f"{make.__name__} {i}": make(i) for make in (random_scenario, adversarial_scenario) for i in range(20)
 }
@@ -252,7 +327,7 @@ _FILE_CORPUS = {"fig_broadcast": fig_broadcast_scenario()} | {
 def test_file_and_memory_traces_give_equal_reports(scenario):
     # in memory the correct servers' INTERPRET events share one labels list
     # per block, which the views decode once; read from a file, every event
-    # has its own list and is decoded on its own
+    # has its own list, and the views find its decoded body by content
     events = run(scenario).events
     loaded = trace.loads(trace.dumps(events))
     for checker in ALL_CHECKERS:
@@ -447,3 +522,4 @@ class TestCensus:
         lowest = min(e["server"] for e in interprets)
         acts = [a for e in interprets if e["server"] == lowest for a in e["labels"]]
         assert census.materialized_messages == sum(len(a["emitted"]) for a in acts)
+

@@ -14,7 +14,9 @@ from dagbft.crypto import (
     Ed25519Registry,
     EncodingError,
     KeyRegistry,
+    RestrictedSigner,
     Signature,
+    SignatureRegistry,
     SignatureScheme,
     UnknownServerError,
     content_digest,
@@ -212,6 +214,11 @@ def any_registry(request):
 class TestRestrictedSignerSurface:
     """A restricted view is a registry for ``BlockDag`` and ``GossipNode``:
     it verifies as any server and signs as its own id only."""
+
+    def test_both_backends_share_one_base(self, any_registry):
+        assert isinstance(any_registry, SignatureRegistry)
+        assert type(any_registry).restricted is SignatureRegistry.restricted
+        assert type(any_registry.restricted(2)) is RestrictedSigner
 
     def test_restricted_view_signs_only_itself(self, any_registry):
         view = any_registry.restricted(2)

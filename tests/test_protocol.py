@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from random import Random
 
 import pytest
@@ -69,7 +68,16 @@ class TestMessageValue:
     one of them."""
 
     def test_three_fields(self):
-        assert [f.name for f in dataclasses.fields(Message)] == ["sender", "receiver", "payload"]
+        assert list(Message._fields) == ["sender", "receiver", "payload"]
+
+    def test_hash_is_the_field_tuple_hash(self):
+        # sets and dicts of messages keep the order the field tuple gives them,
+        # for built and for decoded messages alike
+        rng = Random(29)
+        for _ in range(200):
+            m = random_message(rng)
+            decoded = message_from_canonical(m.canonical_bytes())
+            assert hash(m) == hash(decoded) == hash((m.sender, m.receiver, m.payload))
 
     def test_equality_hash_and_repr_see_only_the_fields(self):
         m = Message(1, 2, b"\xab")
