@@ -12,15 +12,15 @@ surfaced indications, convergence the INSERT events, agreement the
 INTERPRET state digests, and the link properties (point-to-point) the fed
 and emitted messages, decoded by :func:`server_views`, its only caller.
 Point-to-point decides each distinct block once per pass, from the block's
-body, its preds and their bodies and builders, and every server that holds
-that block reuses the verdict.
+body, its preds and their bodies and builders, into a check count and the
+failed checks, and every server that holds that block reuses the verdict
+and sorts the failures into its own report.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 from .brb import decode_deliver
@@ -53,63 +53,48 @@ class CheckReport:
 
 
 _Buffers = tuple[tuple[Message, ...], tuple[Message, ...]]  # (fed, emitted) of one label
+_Sent = tuple[list[Label], list[Message], list[int]]
+_NOT_SENT: _Sent = ([], [], [])
 
 
 class _Body:
-    """One INTERPRET ``labels`` list, decoded: label -> (fed, emitted).
-    Bodies are interned by content, so equal bodies are one object, and the
-    verdict keys of :func:`check_point_to_point` hold bodies by identity."""
+    """One INTERPRET ``labels`` list, decoded: label -> (fed, emitted), the
+    last entry for a label holding. Bodies are interned by content, so equal
+    bodies are one object, and the verdict keys of
+    :func:`check_point_to_point` hold bodies by identity."""
 
-    __slots__ = ("acts", "repeats", "_sent")
+    __slots__ = ("acts", "_sent")
 
-    def __init__(self, acts: dict[Label, _Buffers], repeats: bool):
+    def __init__(self, acts: dict[Label, _Buffers]):
         self.acts = acts
-        self.repeats = repeats  # a label appears twice in the list; the last entry holds
-        self._sent: dict[int, tuple[list[Label], list[Message]]] | None = None
+        self._sent: dict[int, _Sent] | None = None
 
-    def sent_to(self, receiver: int) -> tuple[list[Label], list[Message]]:
-        """The messages emitted to ``receiver``, in body order, and the label
-        of each: two lists, not a pair per message, as a pass keeps them."""
+    def sent_to(self, receiver: int) -> _Sent:
+        """The messages emitted to ``receiver``, in body order, with the label
+        of each and its index in that label's emitted list: three lists, not
+        a triple per message, as a pass keeps them."""
         if self._sent is None:
             self._sent = {}
             for label, (_, out) in self.acts.items():
-                for m in out:
+                for i, m in enumerate(out):
                     sent = self._sent.get(m.receiver)
                     if sent is None:
-                        sent = self._sent[m.receiver] = ([], [])
+                        sent = self._sent[m.receiver] = ([], [], [])
                     sent[0].append(label)
                     sent[1].append(m)
-        return self._sent.get(receiver, ([], []))
+                    sent[2].append(i)
+        return self._sent.get(receiver, _NOT_SENT)
 
 
 @dataclass
 class _ServerView:
     """One server's recorded perspective: its inserts, and the ref and the
-    decoded body of each of its INTERPRET events. Its fed and emitted
-    messages by (ref, label) are built from the bodies when first read."""
+    decoded body of each of its INTERPRET events."""
 
     inserts: dict[str, dict] = field(default_factory=dict)  # ref -> INSERT event
     preds: dict[str, list[str]] = field(default_factory=dict)  # ref -> distinct preds
     interpreted: list[str] = field(default_factory=list)  # refs in INTERPRET order
     bodies: list[_Body] = field(default_factory=list)  # the body of each, in that order
-
-    @cached_property
-    def fed(self) -> dict[tuple[str, Label], tuple[Message, ...]]:
-        """(ref, label) -> the messages the ref's last entry for the label fed."""
-        return {
-            (ref, label): fed
-            for ref, body in zip(self.interpreted, self.bodies)
-            for label, (fed, _) in body.acts.items()
-        }
-
-    @cached_property
-    def out(self) -> dict[tuple[str, Label], tuple[Message, ...]]:
-        """(ref, label) -> the messages the ref's last entry for the label emitted."""
-        return {
-            (ref, label): out
-            for ref, body in zip(self.interpreted, self.bodies)
-            for label, (_, out) in body.acts.items()
-        }
 
 
 def server_dags(events: list[dict]) -> dict[int, dict[str, dict]]:
@@ -170,7 +155,7 @@ def server_views(events: list[dict]) -> dict[int, _ServerView]:
                         )
                         for raw, fed, out in content
                     }
-                    body = by_content[content] = _Body(acts, len(acts) < len(content))
+                    body = by_content[content] = _Body(acts)
                 shared = by_list[id(labels)] = (labels, body)  # the list kept keeps its id
             view.bodies.append(shared[1])
     return views
@@ -180,80 +165,95 @@ def server_views(events: list[dict]) -> dict[int, _ServerView]:
 # Point-to-point link properties over interpretation
 # ---------------------------------------------------------------------------
 
-# A block's node at a server is (ref, builder, body), the builder as the
-# server's INSERT records it and the body None if the server did not
-# interpret the ref. Its verdict key is (node, the nodes of its distinct preds).
+# A block's node at a server is (ref, builder, body): the builder as the
+# server's INSERT records it, None if it never inserted the ref, and the
+# body None if it never interpreted the ref. Its verdict key is (node, the
+# nodes of its distinct preds).
 _Node = tuple[str, "int | None", "_Body | None"]
 _Key = tuple[_Node, tuple[_Node, ...]]
+# A failed check: (section, ref, label, index, receiving ref, property,
+# detail). Reliable delivery is section 0: the emitting ref, the message's
+# index in that label's emitted list, and the receiving ref. Authenticity is
+# section 2: the feeding ref, the message's index in that label's fed list,
+# and no receiving ref. A server sorts its failures by the first five.
+_Failure = tuple[int, str, Label, int, "str | None", str, str]
 _NO_ACT: _Buffers = ((), ())
 
 
-def _block_keys(view: _ServerView) -> list[_Key] | None:
-    """The verdict key of each block the server inserted, or None if the
-    server's view is one a key does not describe: a ref it interpreted
-    twice, a label repeated within one body, or an interpreted ref it never
-    inserted."""
-    body_of = dict(zip(view.interpreted, view.bodies))  # the last body of each ref
-    if (
-        len(body_of) != len(view.interpreted)
-        or not body_of.keys() <= view.inserts.keys()
-        or any(body.repeats for body in body_of.values())
-    ):
-        return None
-    nodes = {ref: (ref, ev["builder"], body_of.get(ref)) for ref, ev in view.inserts.items()}
+def _block_keys(view: _ServerView) -> list[_Key]:
+    """The verdict key of each block the server inserted or interpreted. A
+    ref interpreted twice has one body, the last entry for each label
+    holding; a ref interpreted but never inserted has no builder and no
+    preds."""
+    body_of: dict[str, _Body] = {}
+    for ref, body in zip(view.interpreted, view.bodies):
+        earlier = body_of.get(ref)
+        body_of[ref] = body if earlier is None else _Body({**earlier.acts, **body.acts})
+    nodes: dict[str, _Node] = {ref: (ref, None, body) for ref, body in body_of.items()}
+    nodes.update((ref, (ref, ev["builder"], body_of.get(ref))) for ref, ev in view.inserts.items())
     return [
-        (nodes[ref], tuple([nodes.get(p) or (p, None, None) for p in preds]))
-        for ref, preds in view.preds.items()
+        (node, tuple([nodes.get(p) or (p, None, None) for p in view.preds.get(ref, ())]))
+        for ref, node in nodes.items()
     ]
 
 
-def _decide_block(key: _Key, correct: set[int]) -> int | None:
+def _decide_block(key: _Key, correct: set[int]) -> tuple[int, tuple[_Failure, ...]]:
     """Reliable delivery on a block's in-edges and authenticity of its fed
     messages, decided from the block's verdict key alone: the number of
-    checks, or None if one fails."""
-    (_, builder, body), preds = key
+    checks and the failed ones, which name no server."""
+    (ref, builder, body), preds = key
     acts = body.acts if body is not None else {}
-    checked = 0
+    checked, failures = 0, []
     if builder in correct:
-        for _, pred_builder, pred_body in preds:
+        for pred_ref, pred_builder, pred_body in preds:
             if pred_body is None or pred_builder not in correct:
                 continue
-            for label, m in zip(*pred_body.sent_to(builder)):
-                checked += 1
+            labels, messages, indices = pred_body.sent_to(builder)
+            checked += len(labels)
+            for label, m, i in zip(labels, messages, indices):
                 if m not in acts.get(label, _NO_ACT)[0]:
-                    return None
-    origins: dict[int, list[_Body]] = {}  # builder -> the bodies of its preds
+                    detail = (
+                        f"message {m.sender}->{m.receiver} from block {pred_ref[:12]} missing in "
+                        f"in-buffer of {ref[:12]} (label {label.originator}/{label.nonce})"
+                    )
+                    failures.append((0, pred_ref, label, i, ref, "reliable-delivery", detail))
+    origins: dict[int | None, list[_Body]] = {}  # builder -> the bodies of its preds
     for _, pred_builder, pred_body in preds:
         if pred_body is not None:
             origins.setdefault(pred_builder, []).append(pred_body)
     for label, (fed, _) in acts.items():
-        for m in fed:
+        for i, m in enumerate(fed):
             if m.sender not in correct:
                 continue
             checked += 1
             if not any(m in pb.acts.get(label, _NO_ACT)[1] for pb in origins.get(m.sender, ())):
-                return None
-    return checked
+                detail = (
+                    f"message claiming sender {m.sender} in in-buffer of {ref[:12]} has no "
+                    f"signed origin block (label {label.originator}/{label.nonce})"
+                )
+                failures.append((2, ref, label, i, None, "authenticity", detail))
+    return checked, tuple(failures)  # a clean verdict holds the one empty tuple
 
 
-def _no_duplication(
-    server: int, view: _ServerView, builder_of: dict[str, int], correct: set[int]
-) -> tuple[int, list[str]]:
-    """No duplication at one server: one send is fed at most once along a
-    correct receiver's chain; for correct senders the message itself is
-    unique. The number of checks, and the violations in delivery order."""
-    first: dict[tuple[Label, int], dict[Message, str]] = {}  # message -> its first feeding block
-    repeats: dict[tuple[Label, int, Message], list[str]] = {}  # every feeding block, if several
-    for (ref2, label), fed in view.fed.items():
-        receiver = builder_of.get(ref2)
-        if receiver not in correct:
+def _no_duplication(server: int, keys: list[_Key], correct: set[int]) -> tuple[int, list[str]]:
+    """No duplication at one server, from its verdict keys: one send is fed
+    at most once along a correct receiver's chain; for correct senders the
+    message itself is unique. The number of checks, and the violations in
+    (label, receiver, message) order."""
+    # (label, receiver) -> message -> the preds of its first feeding block
+    first: dict[tuple[Label, int], dict[Message, tuple[_Node, ...]]] = {}
+    # (label, receiver, message) -> the preds of every feeding block, if several
+    repeats: dict[tuple[Label, int, Message], list[tuple[_Node, ...]]] = {}
+    for (_, receiver, body), preds in keys:
+        if receiver not in correct or body is None:
             continue
-        seen = first.setdefault((label, receiver), {})
-        for m in fed:
-            if m in seen:
-                repeats.setdefault((label, receiver, m), [seen[m]]).append(ref2)
-            else:
-                seen[m] = ref2
+        for label, (fed, _) in body.acts.items():
+            seen = first.setdefault((label, receiver), {})
+            for m in fed:
+                if m in seen:
+                    repeats.setdefault((label, receiver, m), [seen[m]]).append(preds)
+                else:
+                    seen[m] = preds
     violations = []
     for (label, receiver, m), feeds in sorted(
         repeats.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].canonical_bytes())
@@ -268,9 +268,9 @@ def _no_duplication(
         # a byzantine sender may send equal messages from several blocks;
         # only one origin block contributing it twice is a duplication
         origin_count: dict[str, int] = {}
-        for ref2 in feeds:
-            for p in view.preds[ref2]:
-                if m in view.out.get((p, label), ()):
+        for preds in feeds:
+            for p, _, pred_body in preds:
+                if pred_body is not None and m in pred_body.acts.get(label, _NO_ACT)[1]:
                     origin_count[p] = origin_count.get(p, 0) + 1
         repeated = sorted(p for p, c in origin_count.items() if c > 1)
         if repeated:
@@ -282,74 +282,24 @@ def _no_duplication(
     return sum(map(len, first.values())), violations
 
 
-def _check_edges(report: CheckReport, server: int, view: _ServerView, correct: set[int]) -> None:
-    """The three link properties at one server, edge by edge, with every
-    violation named: the path of a server whose blocks do not all pass."""
-    builder_of = {ref: ev["builder"] for ref, ev in view.inserts.items()}
-    # (ref, builder) -> the ref's children, and its preds, by that builder
-    children: dict[tuple[str, int], list[str]] = {}
-    preds_by: dict[tuple[str, int | None], list[str]] = {}
-    for ref, preds in view.preds.items():
-        builder = builder_of[ref]
-        for p in preds:
-            children.setdefault((p, builder), []).append(ref)
-            preds_by.setdefault((ref, builder_of.get(p)), []).append(p)
-
-    # reliable delivery: an emitted message appears in the in-buffer of
-    # every block by its (correct) receiver that references the emitting block
-    for (ref1, label), messages in sorted(view.out.items()):
-        if builder_of.get(ref1) not in correct:
-            continue
-        for m in messages:
-            if m.receiver not in correct:
-                continue
-            for ref2 in children.get((ref1, m.receiver), ()):
-                report.checked += 1
-                if m not in view.fed.get((ref2, label), ()):
-                    report.violations.append(
-                        f"reliable-delivery: interpreter {server}: message "
-                        f"{m.sender}->{m.receiver} from block {ref1[:12]} missing in "
-                        f"in-buffer of {ref2[:12]} (label {label.originator}/{label.nonce})"
-                    )
-
-    checked, violations = _no_duplication(server, view, builder_of, correct)
-    report.checked += checked
-    report.violations += violations
-
-    # authenticity: a fed message with a correct sender exists in the
-    # out-buffer of a referenced block built by that sender
-    for (ref2, label), fed in sorted(view.fed.items()):
-        for m in fed:
-            if m.sender not in correct:
-                continue
-            report.checked += 1
-            if not any(
-                m in view.out.get((p, label), ()) for p in preds_by.get((ref2, m.sender), ())
-            ):
-                report.violations.append(
-                    f"authenticity: interpreter {server}: message claiming sender "
-                    f"{m.sender} in in-buffer of {ref2[:12]} has no signed origin block "
-                    f"(label {label.originator}/{label.nonce})"
-                )
-
-
 def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
     """Reliable delivery, no duplication, and authenticity, restated over the
     interpretation events of every correct server.
 
     Reliable delivery on a block's in-edges and authenticity of its fed
     messages read only the block's verdict key (see :func:`_block_keys`), so
-    a pass decides each distinct key once and every server holding it reuses
-    the verdict. A server whose blocks all pass adds up their counts; one
-    with a failing block, or a view no key describes, is checked edge by
-    edge, so its violations keep their text and order. No duplication spans
-    a receiver's chain and stays per server; a clean result is shared by
-    servers with the same correct-built blocks.
+    a pass decides each distinct key once, into its check count and its
+    failed checks, and every server holding the key reuses the verdict. A
+    server sorts its failures, the receiving block of a reliable-delivery
+    failure by its INSERT order there, and reports its reliable-delivery
+    failures, then its no-duplication violations, then its authenticity
+    failures. No duplication spans a receiver's chain and stays per server;
+    a clean result is shared by servers with the same correct-built blocks.
     """
     report = CheckReport("point-to-point")
     correct = set(scenario.correct_servers())
     views = server_views(events)
-    verdicts: dict[_Key, int | None] = {}  # check count, None if one fails
+    verdicts: dict[_Key, tuple[int, tuple[_Failure, ...]]] = {}
     clean_no_dup: dict[frozenset[_Key], int] = {}  # correct-built blocks -> check count
     seen_any = False
 
@@ -361,24 +311,27 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
             continue
         seen_any = True
         keys = _block_keys(view)
-        if keys is not None:
-            for key in keys:
-                if key not in verdicts:
-                    verdicts[key] = _decide_block(key, correct)
-            counts = [verdicts[key] for key in keys]
-        if keys is None or None in counts:
-            _check_edges(report, server, view, correct)
-            continue
+        checked, failures = 0, []
+        for key in keys:
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = _decide_block(key, correct)
+            checked += verdict[0]
+            failures += verdict[1]
         own = frozenset(key for key in keys if key[0][1] in correct)
-        no_dup = clean_no_dup.get(own)
+        no_dup, violations = clean_no_dup.get(own), []
         if no_dup is None:
-            builder_of = {ref: ev["builder"] for ref, ev in view.inserts.items()}
-            no_dup, violations = _no_duplication(server, view, builder_of, correct)
-            if violations:
-                report.violations += violations
-            else:
+            no_dup, violations = _no_duplication(server, keys, correct)
+            if not violations:
                 clean_no_dup[own] = no_dup
-        report.checked += sum(counts) + no_dup
+        report.checked += checked + no_dup
+        if failures:
+            position = {ref: i for i, ref in enumerate(view.inserts)}
+            failures.sort(key=lambda f: (*f[:4], position.get(f[4])))
+            lines = [f"{f[5]}: interpreter {server}: {f[6]}" for f in failures]
+            delivered = sum(f[0] == 0 for f in failures)
+            violations = lines[:delivered] + violations + lines[delivered:]
+        report.violations += violations
 
     report.vacuous = not seen_any
     return report

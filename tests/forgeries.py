@@ -7,12 +7,16 @@ forgeries at the end pin the pair semantics and the report order, and each
 breaks one of the two conditions under which ``check_convergence`` decides a
 pair per snapshot (C1: one distinct-preds set per ref across the correct
 servers; C2: every snapshot holds the preds of its refs).
+``forged_interpreted_only_pred`` pins that an interpreted block a server
+never inserted is still the origin of what it emitted, and
+``forged_failure_order`` the order of one server's violations.
 ``forged_interpret_only_server`` pins two edge cases of the trace facts
 themselves: a correct server that interpreted but never inserted is a
 convergence target, and a repeated INTERPRET entry overwrites the earlier one.
 
-``seeded_mutants`` derives traces from simulated runs by one such
-perturbation each, for the differential test against the reference checkers.
+``seeded_mutants`` and ``seeded_body_mutants`` derive traces from simulated
+runs by one such perturbation each, of an INSERT event or of an INTERPRET
+entry, for the differential test against the reference checkers.
 """
 
 from __future__ import annotations
@@ -178,6 +182,37 @@ def forged_byzantine_refeed() -> tuple[Scenario, list[dict]]:
     return scenario, events
 
 
+def forged_interpreted_only_pred() -> tuple[Scenario, list[dict]]:
+    """:func:`forged_byzantine_refeed` with block V interpreted at server 1
+    but never inserted there: V still vouches for what it emitted, so its
+    echo fed by both Z and W is one no-duplication violation naming V."""
+    scenario, events = forged_byzantine_refeed()
+    return scenario, events[1:]
+
+
+def forged_failure_order() -> tuple[Scenario, list[dict]]:
+    """Failing checks at server 1 whose report order neither their refs'
+    text nor a message's first place in a buffer gives. X's echoes to
+    servers 1 and 2 are missing from blocks B (by 2, inserted first), Z and
+    A (by 1; A is inserted last but sorts first as text): edge order puts
+    Z's and A's misses of X's second echo before B's miss of its third.
+    W misses Z's echo to 1 and feeds three messages that no pred of it
+    emitted, the first of them twice: three authenticity violations in fed
+    order, and one no-duplication violation for the repeat."""
+    scenario, events = forged_base()
+    b, a = "11" * 32, "22" * 32
+    unsigned = [msg_hex(2, 1), msg_hex(3, 1), msg_hex(2, 1)]
+    entry = {"label": [0, 1], "fed": unsigned, "emitted": [], "state": "33" * 32, "skipped": 0}
+    events[5] = dict(events[5], labels=[dict(events[5]["labels"][0], fed=[])])  # Z feeds nothing
+    events[4:4] = [_insert(1, 1, b, 2, [X])]
+    events += [
+        _insert(2, 1, a, 1, [X]),
+        _insert(2, 1, W, 1, [Z]),
+        trace.event(2, "INTERPRET", server=1, ref=W, builder=1, labels=[entry]),
+    ]
+    return scenario, events
+
+
 def forged_interpret_only_server() -> tuple[Scenario, list[dict]]:
     """Correct server 2 interprets block X but inserts nothing, and server 1
     interprets X a second time with server 2's state digest. Server 2 is a
@@ -304,4 +339,60 @@ def seeded_mutants() -> list[tuple[str, Scenario, list[dict]]]:
             kind = kinds[len(mutants) % len(kinds)]
             events = _mutate(scenario, run(scenario).events, kind, Random(f"{name}-{index}"))
             mutants.append((f"{name} {index} {kind}", scenario, events))
+    return mutants
+
+
+# edit -> (whether an INTERPRET entry admits it, the edited entry)
+_BODY_EDITS = {
+    "drop fed": (lambda a: a["fed"], lambda a, rng: dict(a, fed=_without(a["fed"], rng))),
+    "duplicate fed": (lambda a: a["fed"], lambda a, rng: dict(a, fed=a["fed"] + [rng.choice(a["fed"])])),
+    "feed emitted": (lambda a: a["emitted"], lambda a, rng: dict(a, fed=a["fed"] + [rng.choice(a["emitted"])])),
+    "reverse fed": (lambda a: a["fed"] != a["fed"][::-1], lambda a, rng: dict(a, fed=a["fed"][::-1])),
+    "drop emitted": (lambda a: a["emitted"], lambda a, rng: dict(a, emitted=_without(a["emitted"], rng))),
+}
+
+
+def _without(hexes: list[str], rng: Random) -> list[str]:
+    i = rng.randrange(len(hexes))
+    return hexes[:i] + hexes[i + 1 :]
+
+
+def _mutate_body(scenario: Scenario, events: list[dict], edit: str, shared: bool, rng: Random) -> list[dict]:
+    """A copy of ``events`` with one INTERPRET entry of a correct server
+    edited by ``_BODY_EDITS[edit]``: in the labels list that every correct
+    server interpreting the block shares in memory if ``shared``, else in a
+    copy of that list that only the chosen event holds."""
+    admits, change = _BODY_EDITS[edit]
+    correct = set(scenario.correct_servers())
+    candidates = [
+        (i, j)
+        for i, ev in enumerate(events)
+        if ev["kind"] == "INTERPRET" and ev["server"] in correct
+        for j, act in enumerate(ev["labels"])
+        if admits(act)
+    ]
+    i, j = rng.choice(candidates)
+    old = events[i]["labels"]
+    labels = old[:j] + [change(old[j], rng)] + old[j + 1 :]
+    holders = {k for k, ev in enumerate(events) if ev["kind"] == "INTERPRET" and ev["labels"] is old}
+    targets = holders if shared else {i}
+    return [dict(ev, labels=labels) if k in targets else ev for k, ev in enumerate(events)]
+
+
+def seeded_body_mutants() -> list[tuple[str, Scenario, list[dict]]]:
+    """Four hundred traces: the runs of ``random_scenario`` and
+    ``adversarial_scenario`` 0-19, each with one INTERPRET entry changed by
+    each of ``_BODY_EDITS``, once in the labels list the correct servers
+    share and once in one server's own copy (see ``_mutate_body``)."""
+    mutants = []
+    for name, make in (("random", random_scenario), ("adversarial", adversarial_scenario)):
+        for index in range(20):
+            scenario = make(index)
+            events = run(scenario).events
+            for edit in _BODY_EDITS:
+                for shared in (True, False):
+                    way = "shared" if shared else "own"
+                    rng = Random(f"{name}-{index}-{edit}-{way}")
+                    mutated = _mutate_body(scenario, events, edit, shared, rng)
+                    mutants.append((f"{name} {index} {edit} {way}", scenario, mutated))
     return mutants

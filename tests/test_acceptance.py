@@ -81,10 +81,10 @@ CHECKER_PAIRS = (
 )
 
 
-def _report_mismatches(name: str, events: list[dict], scenario) -> list[str]:
+def _report_mismatches(name: str, events: list[dict], scenario, pairs=CHECKER_PAIRS) -> list[str]:
     """Where the checkers and their reference copies in ``oracles`` disagree."""
     mismatches = []
-    for checker, reference in CHECKER_PAIRS:
+    for checker, reference in pairs:
         got, want = checker(events, scenario), reference(events, scenario)
         if (got.violations, got.checked, got.vacuous) != (
             want.violations, want.checked, want.vacuous
@@ -93,12 +93,14 @@ def _report_mismatches(name: str, events: list[dict], scenario) -> list[str]:
     return mismatches
 
 
-def _mismatches_in_memory_and_read_back(name: str, events: list[dict], scenario) -> list[str]:
+def _mismatches_in_memory_and_read_back(
+    name: str, events: list[dict], scenario, pairs=CHECKER_PAIRS
+) -> list[str]:
     """:func:`_report_mismatches` on the events and on the same trace read
     back from its text, where no two INTERPRET events share a labels list."""
     read_back = trace.loads(trace.dumps(events))
-    return _report_mismatches(name, events, scenario) + _report_mismatches(
-        f"{name} (read back)", read_back, scenario
+    return _report_mismatches(name, events, scenario, pairs) + _report_mismatches(
+        f"{name} (read back)", read_back, scenario, pairs
     )
 
 
@@ -145,6 +147,20 @@ class TestCheckersMatchReference:
                 per_snapshot.append(name)
         assert not failures, failures
         assert not per_snapshot, per_snapshot
+
+    def test_seeded_body_mutants(self):
+        # a changed fed or emitted list reaches only the point-to-point
+        # checker, the one checker that reads messages; most mutants fail it,
+        # and a failing block is shared by every server that holds it when
+        # the edit is made in the labels list the correct servers share
+        mutants = forgeries.seeded_body_mutants()
+        assert len(mutants) == 400
+        failures, failing = [], 0
+        for name, scenario, events in mutants:
+            failures += _mismatches_in_memory_and_read_back(name, events, scenario, CHECKER_PAIRS[:1])
+            failing += not check_point_to_point(events, scenario).ok
+        assert not failures, failures
+        assert failing > len(mutants) / 2
 
     def test_scenario_batches(self, mixed_batch, adversarial_batch):
         t0 = time.perf_counter()

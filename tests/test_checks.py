@@ -18,7 +18,7 @@ from dagbft.checks import (
 from dagbft.protocol import Label, message_from_canonical
 from dagbft.simnet import BehaviorSpec, RequestInjection, Scenario, run
 
-from . import oracles
+from . import forgeries, oracles
 from .forgeries import (
     V,
     W,
@@ -30,7 +30,9 @@ from .forgeries import (
     forged_conflicting_preds,
     forged_cross_edge,
     forged_duplicate,
+    forged_failure_order,
     forged_interpret_only_server,
+    forged_interpreted_only_pred,
     forged_partitioned,
     forged_unclosed_snapshot,
     forged_unsigned_origin,
@@ -155,6 +157,31 @@ class TestNegativeFixtures:
             "message twice to server 1 (label 0/1)"
         ]
 
+    def test_interpreted_only_pred_vouches_for_its_messages(self):
+        # V's INTERPRET event, without its INSERT, still names V as the
+        # origin block of the echo Z and W both feed
+        scenario, events = forged_interpreted_only_pred()
+        for pass_events in (events, trace.loads(trace.dumps(events))):
+            report = check_point_to_point(pass_events, scenario)
+            assert _report(report) == _report(oracles.check_point_to_point(pass_events, scenario))
+            assert report.violations == [
+                f"no-duplication: interpreter 1: origin block {'ee' * 6} contributed the same "
+                "message twice to server 1 (label 0/1)"
+            ]
+
+    def test_violations_reported_in_edge_order(self):
+        # by emitting block, label, place in its out-buffer and the receiving
+        # block's INSERT order; then no duplication; then by feeding block,
+        # label and place in its in-buffer
+        scenario, events = forged_failure_order()
+        for pass_events in (events, trace.loads(trace.dumps(events))):
+            report = check_point_to_point(pass_events, scenario)
+            assert _report(report) == _report(oracles.check_point_to_point(pass_events, scenario))
+            blocks = [re.findall(r"in-buffer of (\w\w)", v) for v in report.violations]
+            assert blocks == [["cc"], ["22"], ["11"], ["dd"], [], ["dd"], ["dd"], ["dd"]]
+            senders = [re.findall(r"sender (\d)", v) for v in report.violations[5:]]
+            assert senders == [["2"], ["3"], ["2"]]
+
     def test_dropped_delivery_caught(self):
         # block Z references X but the echo addressed to server 1 is missing
         # from its in-buffer
@@ -183,7 +210,8 @@ class TestServerViews:
         monkeypatch.setattr(checks, "message_from_canonical", counting)
         views = checks.server_views(events)
         assert len(calls) == len(distinct) > 0
-        assert sum(len(v.fed) for v in views.values()) > len(distinct)
+        entries = sum(len(body.acts) for v in views.values() for body in v.bodies)
+        assert entries > len(distinct)
 
     def test_preds_kept_distinct_in_order_from_the_first_insert(self):
         scenario, events = forged_base()
@@ -249,6 +277,10 @@ def _interpret_twice(events: list[dict]) -> None:
     events.append(dict(events[5], step=2))  # Z's INTERPRET event again
 
 
+def _interpret_again_without_labels(events: list[dict]) -> None:
+    events.append(dict(events[5], step=2, labels=[]))  # Z's entry for label 0/1 still holds
+
+
 def _repeat_a_label(events: list[dict]) -> None:
     entry = events[5]["labels"][0]  # Z's only entry; the last entry for a label holds
     events[5]["labels"].insert(0, dict(entry, fed=[]))
@@ -263,59 +295,71 @@ _SCENARIO_CORPUS = dict(trace_lock_corpus()) | {
 }
 
 
+def _decided_once(events: list[dict], scenario: Scenario, monkeypatch) -> list[checks.CheckReport]:
+    """The point-to-point reports of the events in memory and read back from
+    text, each pass deciding each distinct block key once."""
+    decided = []
+    decide = checks._decide_block
+
+    def counting(key, correct):
+        decided.append(key)
+        return decide(key, correct)
+
+    monkeypatch.setattr(checks, "_decide_block", counting)
+    reports = []
+    for pass_events in (events, trace.loads(trace.dumps(events))):
+        decided.clear()
+        reports.append(check_point_to_point(pass_events, scenario))
+        assert len(decided) == len(set(decided))
+    return reports
+
+
 class TestPerBlockVerdicts:
-    """A clean view is checked by per-block verdicts; one that a verdict key
-    does not describe is checked edge by edge, and each reports what the
-    reference checker reports, in memory and read back from text."""
+    """Every block a server inserted or interpreted has a verdict key, and a
+    pass decides each distinct key once, passing or failing, and reports
+    what the reference checker reports, in memory and read back from text."""
 
     @pytest.mark.parametrize(
-        "edit, fallbacks",
+        "edit",
         [
-            (lambda events: None, []),
-            (_interpret_twice, [1, 1]),
-            (_repeat_a_label, [1, 1]),
-            (_interpret_without_insert, [1, 1]),
+            lambda events: None,
+            _interpret_twice,
+            _interpret_again_without_labels,
+            _repeat_a_label,
+            _interpret_without_insert,
         ],
-        ids=["clean", "interpreted twice", "label repeated in a body", "interpreted, not inserted"],
+        ids=[
+            "clean",
+            "interpreted twice",
+            "interpreted again without labels",
+            "label repeated in a body",
+            "interpreted, not inserted",
+        ],
     )
-    def test_views_no_key_describes_are_checked_edge_by_edge(self, edit, fallbacks, monkeypatch):
+    def test_odd_views_match_the_reference(self, edit):
         scenario, events = forged_base()
         edit(events)
-        servers = []
-        check_edges = checks._check_edges
-
-        def counting(report, server, view, correct):
-            servers.append(server)
-            check_edges(report, server, view, correct)
-
-        monkeypatch.setattr(checks, "_check_edges", counting)
         for pass_events in (events, trace.loads(trace.dumps(events))):
             got = _report(check_point_to_point(pass_events, scenario))
             assert got == _report(oracles.check_point_to_point(pass_events, scenario))
             assert got[0] == [] and got[1] > 0
-        assert servers == fallbacks
 
     @pytest.mark.parametrize("scenario", list(_SCENARIO_CORPUS.values()), ids=list(_SCENARIO_CORPUS))
     def test_clean_runs_decide_each_block_once(self, scenario, monkeypatch):
-        # every correct server of a clean run sums per-block verdicts, never
-        # falling back to the edge-by-edge loop, and a pass decides each
-        # distinct block key once, in memory and read back from text alike
-        decided, fallbacks = [], []
-        decide = checks._decide_block
-
-        def counting(key, correct):
-            decided.append(key)
-            return decide(key, correct)
-
-        monkeypatch.setattr(checks, "_decide_block", counting)
-        monkeypatch.setattr(checks, "_check_edges", lambda report, server, *_: fallbacks.append(server))
-        events = run(scenario).events
-        for pass_events in (events, trace.loads(trace.dumps(events))):
-            decided.clear()
-            report = check_point_to_point(pass_events, scenario)
+        for report in _decided_once(run(scenario).events, scenario, monkeypatch):
             assert report.ok and not report.vacuous
-            assert fallbacks == []
-            assert decided and len(decided) == len(set(decided))
+
+    def test_failing_blocks_decided_once(self, monkeypatch):
+        # a failing verdict carries its violations, so every server holding
+        # the block reuses it as it reuses a passing one
+        cases = [getattr(forgeries, name)() for name in dir(forgeries) if name.startswith("forged_")]
+        cases += [(scenario, events) for _, scenario, events in forgeries.seeded_body_mutants()]
+        failing = 0
+        for scenario, events in cases:
+            in_memory, read_back = _decided_once(events, scenario, monkeypatch)
+            assert _report(read_back) == _report(in_memory)
+            failing += not in_memory.ok
+        assert failing > len(cases) / 2
 
 
 _FILE_CORPUS = {"fig_broadcast": fig_broadcast_scenario()} | {
