@@ -74,8 +74,9 @@ class Block:
 
     A block object is immutable, so facts derived from it are kept on it,
     outside its fields: its ref and wire bytes, made on first use unless
-    it was decoded, its distinct preds, made on first use, and a passed
-    signature check per registry (see :meth:`BlockDag.signature_verifies`).
+    it was decoded, its distinct preds and its parent's ref, made on first
+    use, and a passed signature check per registry (see
+    :meth:`BlockDag.signature_verifies`).
     Servers that decode a byte string to one shared object, as a
     simulation's correct servers do, share these facts. A re-signed copy
     keeps the ref and the distinct preds.
@@ -216,20 +217,27 @@ class BlockDag:
         sequence number; None for genesis blocks.
 
         Raises MalformedBlockError when two distinct predecessors qualify and
-        UnknownBlockError when a predecessor cannot be resolved yet.
+        UnknownBlockError when a predecessor cannot be resolved yet. The
+        parent's ref is kept on the block, and neither error is.
         """
         if block.is_genesis():
             return None
-        matches = []
         for ref in block.distinct_preds():
-            candidate = self.get(ref)
-            if candidate.builder == block.builder and candidate.seqno == block.seqno - 1:
-                matches.append(candidate)
-        if len(matches) > 1:
-            raise MalformedBlockError(
-                f"block by {block.builder} at {block.seqno} lists two parents"
-            )
-        return matches[0] if matches else None
+            if ref not in self._vertices:
+                raise UnknownBlockError(f"{ref.hex()[:12]} not in DAG")
+        if "_parent" not in block.__dict__:  # a ref names the same block in every DAG
+            matches = []
+            for ref in block.distinct_preds():
+                pred = self._vertices[ref]
+                if pred.builder == block.builder and pred.seqno == block.seqno - 1:
+                    matches.append(ref)
+            if len(matches) > 1:
+                raise MalformedBlockError(
+                    f"block by {block.builder} at {block.seqno} lists two parents"
+                )
+            block.__dict__["_parent"] = matches[0] if matches else None
+        parent = block.__dict__["_parent"]
+        return None if parent is None else self._vertices[parent]
 
     def signature_verifies(self, block: Block) -> bool:
         """Whether the block carries its builder's signature over its ref.
@@ -259,16 +267,13 @@ class BlockDag:
         has already been validated (is in this DAG)."""
         if not self.signature_verifies(block):
             return False
-        for ref in block.distinct_preds():
-            if ref not in self._vertices:
-                return False
-        if not block.is_genesis():
-            try:
-                if self.parent_of(block) is None:
-                    return False
-            except MalformedBlockError:
-                return False
-        return True
+        try:
+            parent = self.parent_of(block)
+        except (UnknownBlockError, MalformedBlockError):
+            return False
+        if block.is_genesis():
+            return all(ref in self._vertices for ref in block.distinct_preds())
+        return parent is not None
 
     # -- mutation -------------------------------------------------------------
 

@@ -1,16 +1,18 @@
 """Block exchange: one intake per block, promotion, FWD recovery.
 
 One node per server. A received block is hashed and its signature verified
-at receipt, once per block object: the check's pass is kept on the block,
-and a simulation's correct servers decode through one table that gives
-them one object per distinct wire byte string, so one hash and one check
-serve them all. A bad signature is dropped at receipt, since nothing
-downstream could ever validate it. The block then waits in the pending
-buffer, indexed by the predecessors it still misses: each missing ref maps
-to the blocks waiting on it, and each block counts what it misses. When the
-count reaches zero the block is a candidate, and ``try_promote`` validates
-it once with ``BlockDag.is_valid``, which reuses the receipt-time signature
-check. A candidate that fails then can never pass and stays pending.
+at receipt, once per block object: the check's pass is kept on the block.
+A simulation's correct servers share one object per distinct wire byte
+string, so one hash and one check serve them all: a correct server's block
+is the object its builder sealed, verified once at its commit and never
+decoded by a correct receiver. A bad signature is dropped at receipt,
+since nothing downstream could ever validate it. The block then waits in
+the pending buffer, indexed by the predecessors it still misses: each
+missing ref maps to the blocks waiting on it, and each block counts what
+it misses. When the count reaches zero the block is a candidate, and
+``try_promote`` validates it once with ``BlockDag.is_valid``, which reuses
+the receipt-time signature check. A candidate that fails then can never
+pass and stays pending.
 Promotion runs in rounds: a round promotes, in ascending ref order, the
 valid candidates that were ready when it began; the blocks they unblock
 wait for the next round. A promoted ref is appended to the block the

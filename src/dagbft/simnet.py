@@ -15,9 +15,11 @@ per-step envelope budget. Both kinds take requests through the node's FIFO
 and receive each envelope, decoded once, the same way. Correct receivers
 decode through one table per run from block wire bytes to the block, so
 they share one object per distinct byte string, and with it one hash and
-one signature check. Adversaries decode on their own: their restricted
-signers are other registry objects, whose passes would replace the shared
-one on the block.
+one signature check. A correct server puts each block it seals in the
+table, so a correct block is verified once, at its builder's commit, and
+no correct receiver decodes it. Adversaries decode on their own: their
+restricted signers are other registry objects, whose passes would replace
+the shared one on the block.
 
 The drain phase realizes "eventually" at a finite horizon: each
 correct server publishes its current block once more, then deliveries,
@@ -40,7 +42,7 @@ from typing import Optional
 from weakref import WeakValueDictionary
 
 from . import trace
-from .blockdag import Block, BlockDag, BlockRef, block_ref
+from .blockdag import Block, BlockDag, BlockRef, block_ref, block_to_wire
 from .brb import ReliableBroadcast, decode_broadcast, encode_broadcast
 from .crypto import EncodingError, KeyRegistry, RestrictedSigner, Signature, SignatureScheme
 from .gossip import (
@@ -438,10 +440,10 @@ class Simulation:
 
     @cached_property
     def _blocks(self) -> WeakValueDictionary[bytes, Block]:
-        """Block wire bytes -> the block decoded from them, shared by the
-        correct receivers. An entry lives only while some server holds its
-        block. Made on first use: building it costs a few percent of the
-        setup of a small simulation."""
+        """Block wire bytes -> the block the correct receivers share: the
+        object a correct builder sealed, or the first decode of other bytes.
+        An entry lives only while some server holds its block. Made on first
+        use: building it costs a few percent of a small simulation's setup."""
         return WeakValueDictionary()
 
     # -- wire ------------------------------------------------------------------
@@ -529,36 +531,48 @@ class Simulation:
 
     # -- per-node recording -------------------------------------------------------
 
-    def _record_insert(self, now: int, server: int, block: Block) -> None:
-        self.events.append(
-            trace.event(
-                now,
-                "INSERT",
-                server=server,
-                ref=block_ref(block).hex(),
-                builder=block.builder,
-                seqno=block.seqno,
-                preds=[p.hex() for p in block.preds],
-                requests=[
+    @cached_property
+    def _insert_fields(self) -> dict[BlockRef, dict]:
+        """ref -> its INSERT fields but the server, shared read-only."""
+        return {}
+
+    def _insert_event(self, now: int, server: int, block: Block) -> dict:
+        ref = block_ref(block)
+        fields = self._insert_fields.get(ref)
+        if fields is None:
+            fields = self._insert_fields[ref] = {
+                "ref": ref.hex(),
+                "builder": block.builder,
+                "seqno": block.seqno,
+                "preds": [p.hex() for p in block.preds],
+                "requests": [
                     [label.originator, label.nonce, payload.hex()]
                     for label, payload in block.requests
                 ],
-            )
-        )
+            }
+        return trace.event(now, "INSERT", server=server, **fields)
 
     def _promote(self, now: int, node: Shim) -> None:
         for block in node.gossip.try_promote():
-            ref_hex = block_ref(block).hex()
-            self.events.append(trace.event(now, "PROMOTE", server=node.server, ref=ref_hex))
-            self._record_insert(now, node.server, block)
+            insert = self._insert_event(now, node.server, block)
+            self.events.append(trace.event(now, "PROMOTE", server=node.server, ref=insert["ref"]))
+            self.events.append(insert)
+
+    def _disseminate(self, now: int, envelopes: list[WireEnvelope]) -> None:
+        """Put a correct server's sealed block on the wire. The block goes
+        into the decode table first, so every correct receiver gets this
+        object and the signature check its builder's commit passed."""
+        block = envelopes[0].block
+        self._blocks[block_to_wire(block)] = block
+        self.events.append(self._insert_event(now, block.builder, block))
+        self._send_envelopes(now, envelopes)
 
     def _gossip_phase(self, now: int, node: Shim) -> None:
         self._promote(now, node)
         self._send_envelopes(now, node.gossip.request_missing(now))
         envelopes = node.tick(now)
         if envelopes:
-            self._record_insert(now, node.server, envelopes[0].block)
-            self._send_envelopes(now, envelopes)
+            self._disseminate(now, envelopes)
 
     def _interpret_phase(self, now: int, node: Shim) -> list[BlockInterpretation]:
         reports = node.interpreter.run_to_fixpoint()
@@ -639,10 +653,7 @@ class Simulation:
         now = start
         for _round in range(64):
             for server in sorted(self.correct):
-                node = self.correct[server]
-                block, envelopes = node.gossip.disseminate()
-                self._record_insert(now, server, block)
-                self._send_envelopes(now, envelopes)
+                self._disseminate(now, self.correct[server].gossip.disseminate()[1])
             # deliver, promote, and recover missing predecessors until the
             # wire is empty: promotion only shrinks what is missing, so a pass
             # that delivers nothing can ask for nothing new

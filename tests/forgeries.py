@@ -190,6 +190,16 @@ def forged_interpreted_only_pred() -> tuple[Scenario, list[dict]]:
     return scenario, events[1:]
 
 
+def forged_fed_to_uninserted_block() -> tuple[Scenario, list[dict]]:
+    """:func:`forged_base` with server 1 interpreting block V, which it never
+    inserted, as feeding it server 0's echo: V lists no preds, so no block
+    vouches for the message, one authenticity violation."""
+    scenario, events = forged_base()
+    entry = {"label": [0, 1], "fed": [msg_hex(0, 1)], "emitted": [], "state": "33" * 32, "skipped": 0}
+    events.append(trace.event(2, "INTERPRET", server=1, ref=V, builder=1, labels=[entry]))
+    return scenario, events
+
+
 def forged_failure_order() -> tuple[Scenario, list[dict]]:
     """Failing checks at server 1 whose report order neither their refs'
     text nor a message's first place in a buffer gives. X's echoes to

@@ -776,7 +776,8 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
                 if m.sender not in correct:
                     continue
                 report.checked += 1
-                preds = _distinct_preds(view.inserts[ref2])
+                # a ref interpreted but never inserted has no preds
+                preds = _distinct_preds(view.inserts.get(ref2, {"preds": []}))
                 if not any(
                     builder_of.get(p) == m.sender and m in view.out.get((p, label), ())
                     for p in preds

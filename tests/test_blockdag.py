@@ -12,6 +12,7 @@ from dagbft.blockdag import (
     BlockDag,
     MalformedBlockError,
     RejectedInsertError,
+    UnknownBlockError,
     block_from_wire,
     block_ref,
     block_to_wire,
@@ -56,6 +57,56 @@ class TestParent:
         doubled = signed_block(registry, 0, 1, (block_ref(g1), block_ref(g1)))
         assert dag.parent_of(doubled) == g1
         assert dag.is_valid(doubled)
+
+    def test_kept_parent_gives_the_same_answer_in_another_dag(self, registry):
+        # the parent's ref is kept on the block object; a second DAG
+        # answers with its own vertex for that ref
+        dag, (b1, b2, b3) = fig_pair_dag(registry)
+        assert dag.parent_of(b3) is b1
+        assert b3.__dict__["_parent"] == block_ref(b1)
+        other = BlockDag(registry)
+        copy = dataclasses.replace(b1)  # an equal block, another object
+        other.insert(copy)
+        other.insert(b2)
+        assert other.parent_of(b3) is copy
+        assert dag.parent_of(b3) is b1
+
+    def test_two_parents_raise_on_every_call(self, registry):
+        dag = BlockDag(registry)
+        g1 = signed_block(registry, 0, 0)
+        g2 = signed_block(registry, 0, 0, requests=((Label(0, 1), b"x"),))
+        dag.insert(g1)
+        dag.insert(g2)
+        bad = signed_block(registry, 0, 1, (block_ref(g1), block_ref(g2)))
+        for _ in range(2):
+            with pytest.raises(MalformedBlockError):
+                dag.parent_of(bad)
+        assert "_parent" not in bad.__dict__
+        other = BlockDag(registry)
+        other.insert(g2)
+        other.insert(g1)
+        with pytest.raises(MalformedBlockError):
+            other.parent_of(bad)
+
+    def test_missing_pred_raises_after_another_dag_resolved_the_parent(self, registry):
+        g0 = signed_block(registry, 0, 0)
+        g1 = signed_block(registry, 1, 0)
+        child = signed_block(registry, 0, 1, (block_ref(g0), block_ref(g1)))
+        full = BlockDag(registry)
+        full.insert(g0)
+        with pytest.raises(UnknownBlockError):
+            full.parent_of(child)
+        assert "_parent" not in child.__dict__
+        full.insert(g1)
+        assert full.parent_of(child) is g0
+        partial = BlockDag(registry)
+        partial.insert(g0)  # the parent, but not the other pred
+        for _ in range(2):
+            with pytest.raises(UnknownBlockError):
+                partial.parent_of(child)
+        assert not partial.is_valid(child)
+        with pytest.raises(UnknownBlockError):
+            BlockDag(registry).parent_of(child)
 
 
 class TestValid:

@@ -20,7 +20,6 @@ from dagbft.simnet import BehaviorSpec, RequestInjection, Scenario, run
 
 from . import forgeries, oracles
 from .forgeries import (
-    V,
     W,
     X,
     Y,
@@ -31,12 +30,12 @@ from .forgeries import (
     forged_cross_edge,
     forged_duplicate,
     forged_failure_order,
+    forged_fed_to_uninserted_block,
     forged_interpret_only_server,
     forged_interpreted_only_pred,
     forged_partitioned,
     forged_unclosed_snapshot,
     forged_unsigned_origin,
-    msg_hex,
 )
 from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
 from .test_trace_lock import corpus as trace_lock_corpus
@@ -140,9 +139,7 @@ class TestNegativeFixtures:
     def test_message_fed_to_a_block_never_inserted_caught_once(self):
         # an interpretation of a block its server never inserted has no
         # referenced block to vouch for a correct sender's message
-        scenario, events = forged_base()
-        entry = {"label": [0, 1], "fed": [msg_hex(0, 1)], "emitted": [], "state": "33" * 32, "skipped": 0}
-        events.append(trace.event(2, "INTERPRET", server=1, ref=V, builder=1, labels=[entry]))
+        scenario, events = forged_fed_to_uninserted_block()
         report = check_point_to_point(events, scenario)
         assert report.violations == [
             f"authenticity: interpreter 1: message claiming sender 0 in in-buffer of {'ee' * 6} "
