@@ -74,12 +74,12 @@ class Block:
 
     A block object is immutable, so facts derived from it are kept on it,
     outside its fields: its ref and wire bytes, made on first use unless
-    it was decoded, its distinct preds and its parent's ref, made on first
-    use, and a passed signature check per registry (see
-    :meth:`BlockDag.signature_verifies`).
+    it was decoded (the wire bytes reuse the core bytes the ref hashed),
+    its distinct preds and its parent's ref, made on first use, and a
+    passed signature check per key set (see :meth:`BlockDag.signature_verifies`).
     Servers that decode a byte string to one shared object, as a
-    simulation's correct servers do, share these facts. A re-signed copy
-    keeps the ref and the distinct preds.
+    simulation's servers do, share these facts. A re-signed copy keeps the
+    ref, the core bytes while kept, and the distinct preds.
     """
 
     builder: int
@@ -117,11 +117,12 @@ class Block:
     @cached_property
     def ref(self) -> BlockRef:
         """Content address over (builder, seqno, preds, requests)."""
-        return content_digest(self.core_bytes())
+        core = self.__dict__["_core"] = self.core_bytes()
+        return content_digest(core)
 
     def with_signature(self, signature: Signature) -> "Block":
         signed = Block(self.builder, self.seqno, self.preds, self.requests, signature)
-        for kept in ("ref", "_distinct_preds"):  # neither depends on the signature
+        for kept in ("ref", "_core", "_distinct_preds"):  # none depends on the signature
             if kept in self.__dict__:
                 signed.__dict__[kept] = self.__dict__[kept]
         return signed
@@ -145,9 +146,8 @@ def block_to_wire(block: Block) -> bytes:
         sig = block.signature
         if sig is None:
             raise EncodingError("refusing to encode an unsigned block for the wire")
-        wire = block.__dict__["_wire"] = (
-            block.core_bytes() + enc_u8(int(sig.scheme)) + enc_bytes(sig.data)
-        )
+        core = block.__dict__.pop("_core", None) or block.core_bytes()  # what the ref hashed
+        wire = block.__dict__["_wire"] = core + enc_u8(int(sig.scheme)) + enc_bytes(sig.data)
     return wire
 
 
@@ -242,12 +242,13 @@ class BlockDag:
     def signature_verifies(self, block: Block) -> bool:
         """Whether the block carries its builder's signature over its ref.
 
-        A pass is kept on the block object for this DAG's registry, so each
-        received or sealed block is verified once and every later check
-        reuses the answer, in every DAG over the same registry object that
-        holds the same block object. A failed check is not kept. A copy
-        with another signature is a new object and is checked afresh."""
-        if block.__dict__.get("_verified_by") is self.registry:
+        A pass is kept on the block object for the key set of this DAG's
+        registry, so each received or sealed block is verified once and
+        every later check reuses the answer, in every DAG over that key set,
+        restricted views included, that holds the same block object. A failed
+        check is not kept. A copy with another signature is checked afresh."""
+        keys = self.registry.key_set
+        if block.__dict__.get("_verified_by") is keys:
             return True
         if block.signature is None:
             return False
@@ -258,7 +259,7 @@ class BlockDag:
                 return False
         except UnknownServerError:
             return False
-        block.__dict__["_verified_by"] = self.registry
+        block.__dict__["_verified_by"] = keys
         return True
 
     def is_valid(self, block: Block) -> bool:

@@ -180,6 +180,11 @@ class SignatureRegistry(ABC):
     @abstractmethod
     def verify(self, server: int, digest: bytes, sig: Signature) -> bool: ...
 
+    @property
+    def key_set(self) -> "SignatureRegistry":
+        """The registry whose keys ``verify`` checks against: this one."""
+        return self
+
     def restricted(self, server: int) -> "RestrictedSigner":
         return RestrictedSigner(self, server)
 
@@ -224,30 +229,31 @@ class RestrictedSigner:
     """Registry view that verifies anyone but signs only as ``server``.
 
     It has the registry surface that ``BlockDag`` and ``GossipNode`` use
-    (``server_count``, ``sign``, ``verify``), so byzantine code runs the same
-    stack as a correct server on it. It is the one guard on who signs:
-    ``sign`` refuses every id but its own, and an unregistered ``server`` is
-    refused at construction.
+    (``server_count``, ``key_set``, ``sign``, ``verify``), so byzantine code
+    runs the same stack as a correct server on it; its ``key_set`` is the
+    wrapped registry, so a check it passes is that registry's. It is the one
+    guard on who signs: ``sign`` refuses every id but its own, and an
+    unregistered ``server`` is refused at construction.
     """
 
-    __slots__ = ("_registry", "server")
+    __slots__ = ("key_set", "server")
 
     def __init__(self, registry: SignatureRegistry, server: int) -> None:
         _check_registered(server, registry.server_count)
-        self._registry = registry
+        self.key_set = registry
         self.server = server
 
     @property
     def server_count(self) -> int:
-        return self._registry.server_count
+        return self.key_set.server_count
 
     def sign(self, server: int, digest: bytes) -> Signature:
         if server != self.server:
             raise UnknownServerError(f"this view signs only as server {self.server}")
-        return self._registry.sign(server, digest)
+        return self.key_set.sign(server, digest)
 
     def verify(self, server: int, digest: bytes, sig: Signature) -> bool:
-        return self._registry.verify(server, digest, sig)
+        return self.key_set.verify(server, digest, sig)
 
 
 try:  # optional real-scheme backend

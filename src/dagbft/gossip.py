@@ -1,15 +1,15 @@
 """Block exchange: one intake per block, promotion, FWD recovery.
 
 One node per server. A received block is hashed and its signature verified
-at receipt, once per block object: the check's pass is kept on the block.
-A simulation's correct servers share one object per distinct wire byte
-string, so one hash and one check serve them all: a correct server's block
-is the object its builder sealed, verified once at its commit and never
-decoded by a correct receiver. A bad signature is dropped at receipt,
-since nothing downstream could ever validate it. The block then waits in
-the pending buffer, indexed by the predecessors it still misses: each
-missing ref maps to the blocks waiting on it, and each block counts what
-it misses. When the count reaches zero the block is a candidate, and
+at receipt, once per block object: the check's pass is kept on the block
+for the registry's key set. A simulation's servers, adversaries included,
+share one object per distinct wire byte string, so one hash and one check
+serve them all: a block is the object its builder sealed, verified once at
+its commit and never decoded by a receiver. A bad signature is dropped at
+receipt, since nothing downstream could ever validate it. The block then
+waits in the pending buffer, indexed by the predecessors it still misses:
+each missing ref maps to the blocks waiting on it, and each block counts
+what it misses. When the count reaches zero the block is a candidate, and
 ``try_promote`` validates it once with ``BlockDag.is_valid``, which reuses
 the receipt-time signature check. A candidate that fails then can never
 pass and stays pending.
@@ -105,10 +105,8 @@ class WireEnvelope:
         return head + self.ref
 
     @classmethod
-    def decode(
-        cls, data: bytes, blocks: Optional[MutableMapping[bytes, Block]] = None
-    ) -> "WireEnvelope":
-        """Decode ``data``. ``blocks``, when given, maps block wire bytes to
+    def decode(cls, data: bytes, blocks: MutableMapping[bytes, Block]) -> "WireEnvelope":
+        """Decode ``data`` through ``blocks``, which maps block wire bytes to
         the block decoded from them: a block already there is returned as
         that same object, and a new one is added once it decodes."""
         r = reader(data)
@@ -117,11 +115,9 @@ class WireEnvelope:
             raise EncodingError("unsupported envelope version")
         if kind == BLOCK_ENVELOPE:
             body = data[r.pos :]
-            block = None if blocks is None else blocks.get(body)
+            block = blocks.get(body)
             if block is None:
-                block = block_from_wire(body)
-                if blocks is not None:
-                    blocks[body] = block
+                block = blocks[body] = block_from_wire(body)
             return cls(kind, sender, receiver, block=block)
         if kind == FWD_ENVELOPE:
             ref = r.take(DIGEST_SIZE)

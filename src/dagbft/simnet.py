@@ -12,14 +12,11 @@ interpretation and the self-filter on indications. Byzantine servers run
 scripted behaviors on a ``GossipNode`` whose registry is a restricted signer
 that can only sign as their own id; their outbound traffic is throttled by a
 per-step envelope budget. Both kinds take requests through the node's FIFO
-and receive each envelope, decoded once, the same way. Correct receivers
-decode through one table per run from block wire bytes to the block, so
-they share one object per distinct byte string, and with it one hash and
-one signature check. A correct server puts each block it seals in the
-table, so a correct block is verified once, at its builder's commit, and
-no correct receiver decodes it. Adversaries decode on their own: their
-restricted signers are other registry objects, whose passes would replace
-the shared one on the block.
+and send and receive ``WireEnvelope``s on one path: every block sent goes
+into one table per run from wire bytes to the block, and every receiver
+decodes through it. So the servers share one object, hash and signature
+check per distinct byte string, and a sealed block is verified once, at its
+commit, and decoded by no receiver. Only GARBAGE junk is sent as raw bytes.
 
 The drain phase realizes "eventually" at a finite horizon: each
 correct server publishes its current block once more, then deliveries,
@@ -287,8 +284,8 @@ class RunResult:
 class _Adversary:
     """One scripted byzantine server. Takes received blocks through the same
     gossip intake as a correct server, seals its own blocks on preds it
-    picks, and produces wire traffic into an outbox that the engine drains
-    at the per-step budget."""
+    picks, and puts its envelopes, or (receiver, junk bytes) pairs, in an
+    outbox that the engine drains at the per-step budget."""
 
     def __init__(
         self,
@@ -303,7 +300,7 @@ class _Adversary:
         self.scenario = scenario
         self.rng = rng
         self.node = GossipNode(server, restricted)
-        self.outbox: deque[tuple[int, bytes, Optional[str], Optional[str]]] = deque()
+        self.outbox: deque[WireEnvelope | tuple[int, bytes]] = deque()
         self._marker_nonce = 0
 
     # -- engine hooks ---------------------------------------------------------
@@ -323,7 +320,7 @@ class _Adversary:
         elif envelope.kind == FWD_ENVELOPE and kind == "CRASH_AT":
             reply = self.node.on_fwd_request(envelope.ref, envelope.sender)
             if reply is not None:
-                self._post_block(reply.block, [envelope.sender])
+                self.outbox.append(reply)
 
     def on_step(self, now: int) -> None:
         if self._dead(now):
@@ -353,11 +350,9 @@ class _Adversary:
         targets = self.spec.targets if kind == "SELECTIVE_SEND" else range(self.scenario.n)
         self._post_block(block, targets)
 
-    def drain_outbox(self, budget: int) -> list[tuple[int, bytes, Optional[str], Optional[str]]]:
-        out = []
-        while self.outbox and len(out) < budget:
-            out.append(self.outbox.popleft())
-        return out
+    def drain_outbox(self, budget: int) -> list[WireEnvelope | tuple[int, bytes]]:
+        outbox = self.outbox
+        return [outbox.popleft() for _ in range(min(len(outbox), budget))]
 
     # -- internals --------------------------------------------------------------
 
@@ -365,10 +360,8 @@ class _Adversary:
         return self.spec.kind == "CRASH_AT" and now >= self.spec.crash_step
 
     def _post_block(self, block: Block, receivers) -> None:
-        ref_hex = block_ref(block).hex()
         for receiver in receivers:
-            env = WireEnvelope(BLOCK_ENVELOPE, self.server, receiver, block=block)
-            self.outbox.append((receiver, env.encode(), "BLOCK", ref_hex))
+            self.outbox.append(WireEnvelope(BLOCK_ENVELOPE, self.server, receiver, block=block))
 
     def _emit_equivocation(self, rs_a: tuple[tuple[Label, bytes], ...]) -> None:
         if rs_a:
@@ -391,7 +384,7 @@ class _Adversary:
     def _emit_garbage(self) -> None:
         for receiver in range(self.scenario.n):
             junk = bytes(self.rng.getrandbits(8) for _ in range(24))
-            self.outbox.append((receiver, junk, "RAW", None))
+            self.outbox.append((receiver, junk))
         self._marker_nonce += 1
         bogus_core = Block(self.server, self._marker_nonce, (), ())
         bogus = bogus_core.with_signature(
@@ -440,10 +433,10 @@ class Simulation:
 
     @cached_property
     def _blocks(self) -> WeakValueDictionary[bytes, Block]:
-        """Block wire bytes -> the block the correct receivers share: the
-        object a correct builder sealed, or the first decode of other bytes.
-        An entry lives only while some server holds its block. Made on first
-        use: building it costs a few percent of a small simulation's setup."""
+        """Block wire bytes -> the block every receiver shares: the object
+        sent, or the first decode of bytes no server held. An entry lives
+        only while some server holds its block. Made on first use: building
+        it costs a few percent of a small simulation's setup."""
         return WeakValueDictionary()
 
     # -- wire ------------------------------------------------------------------
@@ -474,12 +467,15 @@ class Simulation:
         )
 
     def _send_envelopes(self, now: int, envelopes: list[WireEnvelope]) -> None:
+        """Put envelopes on the wire, each block into the table its receivers decode by."""
         for env in envelopes:
             ref_hex = env.named_ref.hex()
             if env.kind == FWD_ENVELOPE:
                 self.events.append(
                     trace.event(now, "FWD_REQ", server=env.sender, ref=ref_hex, to=env.receiver)
                 )
+            else:  # a block already there is this one, held by some server
+                self._blocks.setdefault(block_to_wire(env.block), env.block)
             self._schedule(now, env.sender, env.receiver, env.encode(), env.kind_name, ref_hex)
 
     def _deliver_due(self, now: int, halted=()) -> None:
@@ -489,7 +485,7 @@ class Simulation:
             if receiver in halted:
                 continue  # a halted adversary would buffer it and never use it
             try:
-                env = WireEnvelope.decode(wire, self._blocks if receiver in self.correct else None)
+                env = WireEnvelope.decode(wire, self._blocks)
             except EncodingError:
                 env, reason = None, "undecodable"
             if env is not None and (env.sender, env.receiver) != (sender, receiver):
@@ -559,11 +555,8 @@ class Simulation:
             self.events.append(insert)
 
     def _disseminate(self, now: int, envelopes: list[WireEnvelope]) -> None:
-        """Put a correct server's sealed block on the wire. The block goes
-        into the decode table first, so every correct receiver gets this
-        object and the signature check its builder's commit passed."""
+        """Record a correct server's sealed block and put it on the wire."""
         block = envelopes[0].block
-        self._blocks[block_to_wire(block)] = block
         self.events.append(self._insert_event(now, block.builder, block))
         self._send_envelopes(now, envelopes)
 
@@ -637,8 +630,11 @@ class Simulation:
             for server in sorted(self.adversaries):
                 adversary = self.adversaries[server]
                 adversary.on_step(now)
-                for receiver, wire, kind, ref_hex in adversary.drain_outbox(ADVERSARY_BUDGET):
-                    self._schedule(now, server, receiver, wire, kind, ref_hex)
+                for item in adversary.drain_outbox(ADVERSARY_BUDGET):
+                    if type(item) is WireEnvelope:
+                        self._send_envelopes(now, [item])
+                    else:  # GARBAGE junk
+                        self._schedule(now, server, *item, "RAW", None)
             for server in sorted(self.correct):
                 self._interpret_phase(now, self.correct[server])
         self._drain(scenario.max_steps)

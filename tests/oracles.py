@@ -471,15 +471,15 @@ def private_interpreters() -> Iterator[None]:
 
 @contextmanager
 def private_decoding() -> Iterator[None]:
-    """Make every correct receiver decode each envelope on its own, as a
-    real deployment does, where ``Simulation`` hands its correct receivers
-    one table of decoded blocks. Each server then decodes, hashes and
-    verifies every block it receives itself. ``WireEnvelope.decode`` is
-    wrapped to ignore the table and put back on exit."""
+    """Make every receiver decode each envelope on its own, as a real
+    deployment does, where ``Simulation`` hands all its receivers one table
+    of decoded blocks. Each server then decodes, hashes and verifies every
+    block it receives itself. ``WireEnvelope.decode`` is wrapped to decode
+    through a fresh, empty table and put back on exit."""
     decode = WireEnvelope.__dict__["decode"]
 
-    def private_decode(cls, data: bytes, blocks=None) -> WireEnvelope:
-        return decode.__func__(cls, data)
+    def private_decode(cls, data: bytes, blocks) -> WireEnvelope:
+        return decode.__func__(cls, data, {})
 
     WireEnvelope.decode = classmethod(private_decode)
     try:

@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from dagbft.blockdag import Block, block_ref
+from dagbft.blockdag import Block, BlockDag, block_ref
 from dagbft.crypto import (
     DIGEST_SIZE,
     Ed25519Registry,
@@ -248,6 +248,24 @@ class TestRestrictedSignerSurface:
 
     def test_server_count_is_the_registry_count(self, any_registry):
         assert any_registry.restricted(1).server_count == any_registry.server_count == 4
+
+    def test_a_pass_through_a_view_is_the_registrys_pass(self, any_registry):
+        # a view verifies with the registry it wraps, so a block checked in
+        # a DAG over the view is not checked again in a DAG over the
+        # registry or another view, and the reverse
+        assert any_registry.key_set is any_registry
+        assert any_registry.restricted(2).key_set is any_registry
+        calls = []
+        verify = any_registry.verify
+        any_registry.verify = lambda *args: calls.append(args) or verify(*args)
+        block = signed_block(any_registry, 1, 0)
+        views = (any_registry.restricted(2), any_registry, any_registry.restricted(3))
+        dags = [BlockDag(view) for view in views]
+        assert all(dag.signature_verifies(block) for dag in dags)
+        assert len(calls) == 1
+        other = type(any_registry).generate(4, seed=12)
+        assert not BlockDag(other).signature_verifies(block)
+        assert len(calls) == 1 and block.__dict__["_verified_by"] is any_registry
 
     def test_signature_never_verifies_as_another(self, any_registry):
         view = any_registry.restricted(2)

@@ -336,8 +336,9 @@ class TestEquivocation:
         adversary.outbox.clear()
         adversary.on_step(3)  # the next cadence step seals two forks
         forks = {}
-        for receiver, wire, _kind, ref_hex in adversary.outbox:
-            block = WireEnvelope.decode(wire).block
+        for envelope in adversary.outbox:
+            block = WireEnvelope.decode(envelope.encode(), {}).block
+            ref_hex = envelope.named_ref.hex()
             assert block_ref(block).hex() == ref_hex
             assert sim.registry.verify(3, block_ref(block), block.signature)
             forks[ref_hex] = block.signature
@@ -618,8 +619,8 @@ class TestGarbageHandling:
         scenario = Scenario(n=4, f=1, seed=23, max_steps=12, byzantine=garbage)
         adversary = Simulation(scenario).adversaries[1]
         adversary.on_step(0)
-        wires = [wire for _, wire, kind, _ in adversary.outbox if kind == "BLOCK"]
-        bogus = [WireEnvelope.decode(wire).block for wire in wires]
+        wires = [env.encode() for env in adversary.outbox if type(env) is WireEnvelope]
+        bogus = [WireEnvelope.decode(wire, {}).block for wire in wires]
         assert len(bogus) == 4
         assert {b.signature for b in bogus} == {Signature(SignatureScheme.HMAC_SHA256, bytes(32))}
 
@@ -743,7 +744,8 @@ class TestVerifyOnce:
                 RequestInjection(3 * i, i % 5, Label(i % 5, 1 + i), 40 + i) for i in range(6)
             ),
         )
-        result = run(scenario)
+        sim = Simulation(scenario)
+        result = sim.run()
         correct = set(scenario.correct_servers())
         per_correct: Counter = Counter()
         per_signed: Counter = Counter()
@@ -751,16 +753,38 @@ class TestVerifyOnce:
             if asker in correct:
                 per_correct[(asker, digest)] += count
                 per_signed[(builder, digest, sig)] += count
-        # every stored block object passed a check under its DAG's registry:
-        # only a verify that returned True sets the mark
-        for dag in result.final_dags.values():
+        # every block object an adversary or a correct server stores passed
+        # a check under the run's registry, which an adversary's restricted
+        # signer wraps: only a verify that returned True sets the mark
+        adversary_dags = [adversary.node.dag for adversary in sim.adversaries.values()]
+        for dag in (*result.final_dags.values(), *adversary_dags):
             for ref in dag.refs():
-                assert dag.get(ref).__dict__.get("_verified_by") is dag.registry
-        # correct servers share a block object and its check: a correct
-        # server's block is verified at its builder's commit and an
-        # adversary's at its first decode by a correct receiver, no more
+                assert dag.get(ref).__dict__.get("_verified_by") is sim.registry
+        # servers share a block object and its check: a block is verified
+        # at its builder's commit, no more
         assert set(per_signed.values()) == {1}
         assert max(per_correct.values()) == 1
+
+    def test_adversarial_runs_verify_each_passing_signature_once(self, monkeypatch):
+        # adversaries verify with the registry their restricted signers wrap,
+        # so the pass one server keeps on a shared block serves every server:
+        # each block any server holds passed one check, and no other passed
+        passed: Counter = Counter()
+        verify = KeyRegistry.verify
+
+        def counting_verify(self, server, digest, sig):
+            ok = verify(self, server, digest, sig)
+            passed[(server, digest, sig)] += ok
+            return ok
+
+        monkeypatch.setattr(KeyRegistry, "verify", counting_verify)
+        for index in range(20):
+            passed.clear()
+            sim = Simulation(adversarial_scenario(index))
+            sim.run()
+            held = {block_ref(block) for _, block in held_blocks(sim)}
+            assert +passed and set(passed.values()) <= {0, 1}, index
+            assert {digest for _, digest, _ in +passed} == held, index
 
     @pytest.mark.parametrize(
         "registry_class",
@@ -792,6 +816,37 @@ class TestVerifyOnce:
             refs = set().union(*(dag.refs() for dag in result.final_dags.values()))
             assert sum(verified.values()) == len(refs), index
             assert set(verified) == refs, index
+
+
+class TestEncodeOnce:
+    def test_each_sealed_block_core_is_encoded_once(self, monkeypatch):
+        # a sealed block's wire bytes reuse the core bytes its ref hashed,
+        # and a decoded block hashes the bytes it arrived in
+        encoded: Counter = Counter()
+        sealed: set[tuple] = set()
+        core_bytes = Block.core_bytes
+        seal = gossip.GossipNode.seal
+
+        def core(block):
+            return block.builder, block.seqno, block.preds, block.requests
+
+        def counting_core_bytes(self):
+            encoded[core(self)] += 1
+            return core_bytes(self)
+
+        def recording_seal(self, requests, preds):
+            block = seal(self, requests, preds)
+            sealed.add(core(block))
+            return block
+
+        monkeypatch.setattr(Block, "core_bytes", counting_core_bytes)
+        monkeypatch.setattr(gossip.GossipNode, "seal", recording_seal)
+        for scenario in [g(i) for g in (random_scenario, adversarial_scenario) for i in range(10)]:
+            encoded.clear()
+            sealed.clear()
+            run(scenario)
+            assert sealed <= encoded.keys()
+            assert set(encoded.values()) == {1}
 
 
 class TestInsertEventsAreTheLiveDag:
@@ -947,20 +1002,23 @@ INTAKE = {name: (scenario, cap) for name, scenario, cap in intake_corpus()}
 
 
 def held_blocks(sim: Simulation):
-    """(server, block) for every block object a correct server holds, in its
-    DAG or pending buffer."""
-    for server, node in sim.correct.items():
-        for block in (*map(node.dag.get, node.dag.refs()), *node.gossip.pending.values()):
+    """(server, block) for every block object a server, correct or not,
+    holds in its DAG or pending buffer."""
+    nodes = {server: shim.gossip for server, shim in sim.correct.items()}
+    nodes.update((server, adversary.node) for server, adversary in sim.adversaries.items())
+    for server, node in nodes.items():
+        for block in (*map(node.dag.get, node.dag.refs()), *node.pending.values()):
             yield server, block
 
 
 class TestSharedDecoding:
-    """A simulation's correct receivers decode through one table, so each
-    distinct block byte string is decoded, hashed and verified once per run
-    while some server holds its block. A correct server's block is never
-    decoded: its builder puts the object it sealed, verified at its commit,
-    in the table. Private decoding, each receiver on its own, is the
-    reference: it must give the same trace bytes."""
+    """A simulation's receivers, adversaries included, decode through one
+    table, so each distinct block byte string is decoded, hashed and
+    verified once per run while some server holds its block. A sealed block
+    is never decoded: every block sent goes into the table first, so its
+    receivers get the object its builder sealed, verified at its commit.
+    Private decoding, each receiver on its own, is the reference: it must
+    give the same trace bytes."""
 
     def test_corpus_has_178_runs(self):
         assert len(INTAKE) == 178
@@ -1034,56 +1092,38 @@ class TestSharedDecoding:
         assert sim._blocks
         assert {id(block) for block in sim._blocks.values()} <= held
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "lock_random_9",
-            "lock_adversarial_4",
-            "lock_adversarial_2_GARBAGE",
-            *(f"cap2_{name}" for name in EVICTING_AT_CAP_2),
-        ],
-    )
+    @pytest.mark.parametrize("name", list(INTAKE))
     def test_a_held_block_is_not_decoded_again(self, name, monkeypatch):
-        # block_from_wire runs for a correct receiver only when no correct
-        # server holds a block of the same bytes, and never on the bytes of
-        # a block a correct server built: its builder puts the object it
-        # sealed in the table. With no evicted and no forged block, every
-        # other byte string a correct server receives is decoded exactly once
+        # a block goes into the table when it is sent, and its sender holds
+        # it: no block a server sealed, and no bytes of a block a server
+        # holds, reach block_from_wire. Only a block no server holds is
+        # decoded, so with no signature failing, nothing is
         scenario, cap = INTAKE[name]
         monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", cap)
         sim = Simulation(scenario)
-        correct = set(scenario.correct_servers())
-        receiver = None  # of the envelope being decoded, if a correct one
-        received: set[bytes] = set()
-        decoded: Counter = Counter()  # block bytes -> decodes by correct receivers
-        decode = WireEnvelope.decode.__func__
+        sealed: set[tuple[bytes, Signature]] = set()
+        decoded: list[bytes] = []
+        seal = gossip.GossipNode.seal
         from_wire = gossip.block_from_wire
 
-        def flagged_decode(cls, data, blocks=None):
-            nonlocal receiver
-            # the envelope head is version, kind, sender, receiver (>BBII)
-            receiver = int.from_bytes(data[6:10], "big") if blocks is not None else None
-            envelope = decode(cls, data, blocks)
-            if receiver is not None and envelope.kind == BLOCK_ENVELOPE:
-                received.add(block_to_wire(envelope.block))
-            return envelope
+        def recording_seal(self, requests, preds):
+            block = seal(self, requests, preds)
+            sealed.add((block_ref(block), block.signature))
+            return block
 
         def counting_from_wire(data):
             block = from_wire(data)
-            if receiver is not None:
-                assert block.builder not in correct
-                assert data not in {block_to_wire(b) for _, b in held_blocks(sim)}
-                decoded[data] += 1
+            assert (block_ref(block), block.signature) not in sealed
+            assert data not in {block_to_wire(b) for _, b in held_blocks(sim)}
+            decoded.append(data)
             return block
 
-        monkeypatch.setattr(WireEnvelope, "decode", classmethod(flagged_decode))
+        monkeypatch.setattr(gossip.GossipNode, "seal", recording_seal)
         monkeypatch.setattr(gossip, "block_from_wire", counting_from_wire)
         events = sim.run().events
-        built = {data for data in received if from_wire(data).builder in correct}
-        assert built and decoded  # blocks of both kinds were received
-        if not any(e.get("reason") in ("pending_evicted", "bad_signature") for e in events):
-            assert set(decoded) == received - built
-            assert set(decoded.values()) <= {1}
+        assert sealed
+        if not any(e.get("reason") == "bad_signature" for e in events):
+            assert not decoded
 
 
 @pytest.mark.skipif(not ed25519_available(), reason="cryptography not installed")
