@@ -77,9 +77,9 @@ class Block:
     it was decoded (the wire bytes reuse the core bytes the ref hashed),
     its distinct preds and its parent's ref, made on first use, and a
     passed signature check per key set (see :meth:`BlockDag.signature_verifies`).
-    Servers that decode a byte string to one shared object, as a
-    simulation's servers do, share these facts. A re-signed copy keeps the
-    ref, the core bytes while kept, and the distinct preds.
+    Servers that hold one shared object, as a simulation's servers hold
+    the block sent, share these facts. A re-signed copy keeps the ref, the
+    core bytes while kept, and the distinct preds.
     """
 
     builder: int

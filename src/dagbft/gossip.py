@@ -3,10 +3,10 @@
 One node per server. A received block is hashed and its signature verified
 at receipt, once per block object: the check's pass is kept on the block
 for the registry's key set. A simulation's servers, adversaries included,
-share one object per distinct wire byte string, so one hash and one check
-serve them all: a block is the object its builder sealed, verified once at
-its commit and never decoded by a receiver. A bad signature is dropped at
-receipt, since nothing downstream could ever validate it. The block then
+are handed the object sent, so one hash and one check serve them all: a
+block is the object its builder sealed, verified once at its commit and
+never decoded by a receiver. A bad signature is dropped at receipt,
+since nothing downstream could ever validate it. The block then
 waits in the pending buffer, indexed by the predecessors it still misses:
 each missing ref maps to the blocks waiting on it, and each block counts
 what it misses. When the count reaches zero the block is a candidate, and
@@ -42,7 +42,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import MutableMapping, Optional
+from typing import Optional
 
 from .blockdag import (
     Block,
@@ -105,20 +105,14 @@ class WireEnvelope:
         return head + self.ref
 
     @classmethod
-    def decode(cls, data: bytes, blocks: MutableMapping[bytes, Block]) -> "WireEnvelope":
-        """Decode ``data`` through ``blocks``, which maps block wire bytes to
-        the block decoded from them: a block already there is returned as
-        that same object, and a new one is added once it decodes."""
+    def decode(cls, data: bytes) -> "WireEnvelope":
+        """Decode raw input; a simulated receiver is handed the envelope sent."""
         r = reader(data)
         version, kind, sender, receiver = r.fields(_ENVELOPE_HEAD)
         if version != ENCODING_VERSION:
             raise EncodingError("unsupported envelope version")
         if kind == BLOCK_ENVELOPE:
-            body = data[r.pos :]
-            block = blocks.get(body)
-            if block is None:
-                block = blocks[body] = block_from_wire(body)
-            return cls(kind, sender, receiver, block=block)
+            return cls(kind, sender, receiver, block=block_from_wire(data[r.pos :]))
         if kind == FWD_ENVELOPE:
             ref = r.take(DIGEST_SIZE)
             if not r.done():

@@ -12,17 +12,19 @@ interpretation and the self-filter on indications. Byzantine servers run
 scripted behaviors on a ``GossipNode`` whose registry is a restricted signer
 that can only sign as their own id; their outbound traffic is throttled by a
 per-step envelope budget. Both kinds take requests through the node's FIFO
-and send and receive ``WireEnvelope``s on one path: every block sent goes
-into one table per run from wire bytes to the block, and every receiver
-decodes through it. So the servers share one object, hash and signature
-check per distinct byte string, and a sealed block is verified once, at its
-commit, and decoded by no receiver. Only GARBAGE junk is sent as raw bytes.
+and send and receive ``WireEnvelope``s on one path: the wire carries each
+envelope with its bytes, and its receiver is handed the envelope sent. So
+the servers share one block object, hash and signature check per sealed
+block, and a sealed block is verified once, at its commit, and decoded by
+no receiver. The bytes give the SEND size and the same-step order; only raw
+bytes, which GARBAGE junk is, are decoded, and trusted no further than the
+link they came by.
 
 The drain phase realizes "eventually" at a finite horizon: each
 correct server publishes its current block once more, then deliveries,
 promotions, and forced FWD recovery run until the wire is empty, with no new
 disseminations. Byzantine servers are halted there: envelopes to them are
-not decoded and their outboxes are never flushed, so they send nothing.
+not handed to them and their outboxes are never flushed, so they send nothing.
 
 The trace is the record of a run: a server's DAG at a step is the blocks
 its INSERT events up to that step list, and the engine keeps no copies.
@@ -36,10 +38,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from random import Random
 from typing import Optional
-from weakref import WeakValueDictionary
 
 from . import trace
-from .blockdag import Block, BlockDag, BlockRef, block_ref, block_to_wire
+from .blockdag import Block, BlockDag, BlockRef, block_ref
 from .brb import ReliableBroadcast, decode_broadcast, encode_broadcast
 from .crypto import EncodingError, KeyRegistry, RestrictedSigner, Signature, SignatureScheme
 from .gossip import (
@@ -426,34 +427,24 @@ class Simulation:
                     shared=interpreted,
                 )
         self.events: list[dict] = []
-        self.inflight: dict[int, list[tuple[tuple, int, int, int, bytes]]] = {}
+        # due step -> (order key, sender, receiver, envelope or raw bytes)
+        self.inflight: dict[int, list[tuple[tuple, int, int, WireEnvelope | bytes]]] = {}
         # ref -> (report, INTERPRET labels): the servers sharing a report share
         # its labels list, so events are read-only
         self._interpret_labels: dict[BlockRef, tuple[BlockInterpretation, list[dict]]] = {}
 
-    @cached_property
-    def _blocks(self) -> WeakValueDictionary[bytes, Block]:
-        """Block wire bytes -> the block every receiver shares: the object
-        sent, or the first decode of bytes no server held. An entry lives
-        only while some server holds its block. Made on first use: building
-        it costs a few percent of a small simulation's setup."""
-        return WeakValueDictionary()
-
     # -- wire ------------------------------------------------------------------
 
-    def _schedule(
-        self,
-        now: int,
-        sender: int,
-        receiver: int,
-        wire: bytes,
-        env_kind: Optional[str],
-        ref_hex: Optional[str],
-    ) -> None:
+    def _schedule(self, now: int, sender: int, receiver: int, sent: WireEnvelope | bytes) -> None:
+        """Put ``sent`` on the link from ``sender`` to ``receiver``: an
+        envelope, handed to the receiver as it is, or raw bytes, decoded there."""
+        if type(sent) is bytes:
+            env_kind, ref_hex, wire = "RAW", None, sent
+        else:  # the ref first: a block's wire bytes reuse the core bytes it hashed
+            env_kind, ref_hex, wire = sent.kind_name, sent.named_ref.hex(), sent.encode()
         delay = self.delay_rng.randint(*self.scenario.delay_bounds)
-        due = now + delay
         key = (receiver, sender, now, hashlib.sha256(wire).digest())
-        self.inflight.setdefault(due, []).append((key, sender, receiver, now, wire))
+        self.inflight.setdefault(now + delay, []).append((key, sender, receiver, sent))
         self.events.append(
             trace.event(
                 now,
@@ -467,29 +458,27 @@ class Simulation:
         )
 
     def _send_envelopes(self, now: int, envelopes: list[WireEnvelope]) -> None:
-        """Put envelopes on the wire, each block into the table its receivers decode by."""
         for env in envelopes:
-            ref_hex = env.named_ref.hex()
             if env.kind == FWD_ENVELOPE:
+                ref_hex = env.ref.hex()
                 self.events.append(
                     trace.event(now, "FWD_REQ", server=env.sender, ref=ref_hex, to=env.receiver)
                 )
-            else:  # a block already there is this one, held by some server
-                self._blocks.setdefault(block_to_wire(env.block), env.block)
-            self._schedule(now, env.sender, env.receiver, env.encode(), env.kind_name, ref_hex)
+            self._schedule(now, env.sender, env.receiver, env)
 
     def _deliver_due(self, now: int, halted=()) -> None:
         batch = self.inflight.pop(now, [])
         batch.sort(key=lambda item: item[0])
-        for _key, sender, receiver, _send_step, wire in batch:
+        for _key, sender, receiver, env in batch:
             if receiver in halted:
                 continue  # a halted adversary would buffer it and never use it
-            try:
-                env = WireEnvelope.decode(wire, self._blocks)
-            except EncodingError:
-                env, reason = None, "undecodable"
-            if env is not None and (env.sender, env.receiver) != (sender, receiver):
-                env, reason = None, "misaddressed"  # a reply goes to the header's sender
+            if type(env) is bytes:  # input from outside, as GARBAGE junk is
+                try:
+                    env = WireEnvelope.decode(env)
+                except EncodingError:
+                    env, reason = None, "undecodable"
+                if env is not None and (env.sender, env.receiver) != (sender, receiver):
+                    env, reason = None, "misaddressed"  # a reply goes to the header's sender
             if receiver in self.adversaries:
                 self.adversaries[receiver].on_deliver(now, env)
                 continue
@@ -634,7 +623,7 @@ class Simulation:
                     if type(item) is WireEnvelope:
                         self._send_envelopes(now, [item])
                     else:  # GARBAGE junk
-                        self._schedule(now, server, *item, "RAW", None)
+                        self._schedule(now, server, *item)
             for server in sorted(self.correct):
                 self._interpret_phase(now, self.correct[server])
         self._drain(scenario.max_steps)

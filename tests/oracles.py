@@ -26,9 +26,9 @@ Four kinds live here, each independent of the code path it judges:
   slot is empty until its block is interpreted and never changes after,
   also where simulated servers share slots. ``private_interpreters`` gives
   every simulated server its own interpreter store, and ``private_decoding``
-  makes every correct receiver decode, hash and verify each block itself:
-  the references whose traces the shared store's and the shared decoded
-  blocks' must equal.
+  makes every receiver decode each envelope from its bytes, and so hash and
+  verify each block itself: the references whose traces the shared store's
+  and the shared block objects' must equal.
   ``interpret_in_random_order`` interprets a DAG in a seeded random
   topological order, for the order-independence checks.
 * ``live_snapshots`` copies each correct server's live DAG at chosen steps
@@ -57,7 +57,7 @@ from dagbft import gossip
 from dagbft.blockdag import Block, BlockDag, BlockDagError, BlockRef, block_ref
 from dagbft.brb import ReliableBroadcast, decode_deliver, encode_broadcast, encode_payload
 from dagbft.checks import CheckReport
-from dagbft.crypto import UnknownServerError, content_digest
+from dagbft.crypto import EncodingError, UnknownServerError, content_digest
 from dagbft.gossip import WireEnvelope
 from dagbft.interpret import BlockInterpretation, Interpreter, LabelActivity, _Slot
 from dagbft.protocol import (
@@ -470,21 +470,46 @@ def private_interpreters() -> Iterator[None]:
 
 
 @contextmanager
-def private_decoding() -> Iterator[None]:
-    """Make every receiver decode each envelope on its own, as a real
-    deployment does, where ``Simulation`` hands all its receivers one table
-    of decoded blocks. Each server then decodes, hashes and verifies every
-    block it receives itself. ``WireEnvelope.decode`` is wrapped to decode
-    through a fresh, empty table and put back on exit."""
+def private_decoding() -> Iterator[list[tuple[WireEnvelope | None, WireEnvelope | None]]]:
+    """Make every receiver decode each envelope delivered to it from its
+    bytes, as a real deployment does, where ``Simulation`` hands the
+    receiver the envelope sent. Each server then decodes, hashes and
+    verifies every block it receives itself. ``Simulation._deliver_due`` is
+    wrapped to put each due envelope's bytes in its place, and
+    ``WireEnvelope.decode`` to record each decode; both are put back on
+    exit. Yields the (sent envelope, decoded envelope) pair of every decode
+    in delivery order: the sent one is None for raw input, the decoded one
+    when the bytes do not decode."""
+    deliver_due = Simulation._deliver_due
     decode = WireEnvelope.__dict__["decode"]
+    decodes: list[tuple[WireEnvelope | None, WireEnvelope | None]] = []
+    sent: dict[bytes, WireEnvelope] = {}  # wire -> envelope, of the batch being delivered
 
-    def private_decode(cls, data: bytes, blocks) -> WireEnvelope:
-        return decode.__func__(cls, data, {})
+    def private_deliver_due(self: Simulation, now: int, halted=()) -> None:
+        sent.clear()
+        batch = self.inflight.get(now, [])
+        for i, (key, sender, receiver, item) in enumerate(batch):
+            if type(item) is WireEnvelope:
+                wire = item.encode()
+                sent[wire] = item
+                batch[i] = (key, sender, receiver, wire)
+        deliver_due(self, now, halted)
 
-    WireEnvelope.decode = classmethod(private_decode)
+    def recording_decode(cls, data: bytes) -> WireEnvelope:
+        try:
+            envelope = decode.__func__(cls, data)
+        except EncodingError:
+            decodes.append((sent.get(data), None))
+            raise
+        decodes.append((sent.get(data), envelope))
+        return envelope
+
+    Simulation._deliver_due = private_deliver_due
+    WireEnvelope.decode = classmethod(recording_decode)
     try:
-        yield
+        yield decodes
     finally:
+        Simulation._deliver_due = deliver_due
         WireEnvelope.decode = decode
 
 

@@ -301,7 +301,7 @@ class TestForwardRequests:
     def test_fwd_reply_carries_the_bytes_that_arrived(self, registry):
         node = make_node(registry, server=0)
         sent = WireEnvelope(BLOCK_ENVELOPE, 1, 0, block=signed_block(registry, 1, 0)).encode()
-        arrived = WireEnvelope.decode(sent, {}).block
+        arrived = WireEnvelope.decode(sent).block
         node.on_receive_block(arrived)
         assert node.try_promote() == [arrived]
         reply = node.on_fwd_request(block_ref(arrived), 2)
@@ -375,13 +375,13 @@ class TestEnvelopeCodec:
     def test_block_envelope_round_trip(self, registry):
         block = signed_block(registry, 1, 0, requests=((Label(1, 1), b"zz"),))
         env = WireEnvelope(BLOCK_ENVELOPE, 1, 3, block=block)
-        decoded = WireEnvelope.decode(env.encode(), {})
+        decoded = WireEnvelope.decode(env.encode())
         assert decoded == env
 
     def test_fwd_envelope_round_trip(self, registry):
         ref = block_ref(signed_block(registry, 0, 0))
         env = WireEnvelope(FWD_ENVELOPE, 0, 2, ref=ref)
-        assert WireEnvelope.decode(env.encode(), {}) == env
+        assert WireEnvelope.decode(env.encode()) == env
 
     def test_resigned_block_encodes_its_own_signature(self, registry):
         block = signed_block(registry, 1, 0, requests=((Label(1, 1), b"zz"),))
@@ -394,9 +394,9 @@ class TestEnvelopeCodec:
 
     def test_garbage_rejected(self):
         with pytest.raises(EncodingError):
-            WireEnvelope.decode(b"\x01\x09\x00\x00", {})
+            WireEnvelope.decode(b"\x01\x09\x00\x00")
         with pytest.raises(EncodingError):
-            WireEnvelope.decode(b"", {})
+            WireEnvelope.decode(b"")
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -435,7 +435,7 @@ class TestEnvelopeCodec:
         mutants.append(bytes(scrambled))
         for mutant in mutants:
             try:
-                decoded = WireEnvelope.decode(mutant, {})
+                decoded = WireEnvelope.decode(mutant)
             except EncodingError:
                 continue
             # the codec is canonical: what decodes re-encodes to itself, so

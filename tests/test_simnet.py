@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import re
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -337,7 +337,7 @@ class TestEquivocation:
         adversary.on_step(3)  # the next cadence step seals two forks
         forks = {}
         for envelope in adversary.outbox:
-            block = WireEnvelope.decode(envelope.encode(), {}).block
+            block = WireEnvelope.decode(envelope.encode()).block
             ref_hex = envelope.named_ref.hex()
             assert block_ref(block).hex() == ref_hex
             assert sim.registry.verify(3, block_ref(block), block.signature)
@@ -545,32 +545,28 @@ class TestTraceShape:
     @pytest.mark.parametrize("index", range(4))
     def test_adversaries_take_nothing_in_the_drain(self, monkeypatch, index):
         # envelopes to a halted adversary stay on the wire but are not even
-        # decoded: every decode in the drain is a correct server's delivery
+        # handed to it: it takes envelopes before the drain and none in it
         scenario = adversarial_scenario(index)
         draining = False
-        decoded = 0
-        decode = WireEnvelope.decode.__func__
+        taken: Counter = Counter()  # draining -> envelopes adversaries took
+        on_deliver = simnet._Adversary.on_deliver
         drain = Simulation._drain
 
-        def counting_decode(cls, data, blocks=None):
-            nonlocal decoded
-            decoded += draining
-            return decode(cls, data, blocks)
+        def counting_on_deliver(self, now, envelope):
+            taken[draining] += 1
+            return on_deliver(self, now, envelope)
 
         def flagged_drain(self, start):
             nonlocal draining
             draining = True
             return drain(self, start)
 
-        monkeypatch.setattr(WireEnvelope, "decode", classmethod(counting_decode))
+        monkeypatch.setattr(simnet._Adversary, "on_deliver", counting_on_deliver)
         monkeypatch.setattr(Simulation, "_drain", flagged_drain)
         byzantine = {server for server, _ in scenario.byzantine}
         drained = [e for e in run(scenario).events if e["step"] >= scenario.max_steps]
         assert any(e["kind"] == "SEND" and e["to"] in byzantine for e in drained)
-        received = [
-            e for e in drained if e["kind"] == "DELIVER" or e.get("reason") == "undecodable"
-        ]
-        assert decoded == len(received) > 0
+        assert taken[True] == 0 and taken[False] > 0
 
 
 class TestEventualValidity:
@@ -620,7 +616,7 @@ class TestGarbageHandling:
         adversary = Simulation(scenario).adversaries[1]
         adversary.on_step(0)
         wires = [env.encode() for env in adversary.outbox if type(env) is WireEnvelope]
-        bogus = [WireEnvelope.decode(wire, {}).block for wire in wires]
+        bogus = [WireEnvelope.decode(wire).block for wire in wires]
         assert len(bogus) == 4
         assert {b.signature for b in bogus} == {Signature(SignatureScheme.HMAC_SHA256, bytes(32))}
 
@@ -642,9 +638,7 @@ class TestMisaddressedEnvelopes:
         sim = Simulation(scenario)
         genesis = block_ref(Block(0, 0, (), ()))  # server 0 seals it at step 0
         wire = WireEnvelope(FWD_ENVELOPE, *header, ref=genesis).encode()
-        sender, receiver = link
-        key = (receiver, sender, 3, hashlib.sha256(wire).digest())
-        sim.inflight[4] = [(key, sender, receiver, 3, wire)]  # due at step 4
+        sim._schedule(3, *link, wire)  # raw bytes, due at step 4 with unit delay
         return [e for e in sim.run().events if e["step"] == 4]
 
     @pytest.mark.parametrize("header", [(99, 0), (2, 0), (3, 1)], ids=["unknown", "third", "receiver"])
@@ -1012,13 +1006,11 @@ def held_blocks(sim: Simulation):
 
 
 class TestSharedDecoding:
-    """A simulation's receivers, adversaries included, decode through one
-    table, so each distinct block byte string is decoded, hashed and
-    verified once per run while some server holds its block. A sealed block
-    is never decoded: every block sent goes into the table first, so its
-    receivers get the object its builder sealed, verified at its commit.
-    Private decoding, each receiver on its own, is the reference: it must
-    give the same trace bytes."""
+    """A simulation's receivers, adversaries included, are handed the
+    envelope sent, so they share the object its builder sealed, hashed once
+    and verified at its commit, and no block is decoded. Private decoding,
+    each receiver decoding every envelope from its bytes, is the reference:
+    it must give the same trace bytes."""
 
     def test_corpus_has_178_runs(self):
         assert len(INTAKE) == 178
@@ -1028,16 +1020,40 @@ class TestSharedDecoding:
         scenario, cap = INTAKE[name]
         monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", cap)
         shared = run(scenario).trace_text()
-        with private_decoding():
-            private = run(scenario).trace_text()
-        assert shared == private
+        taken = 0  # envelopes and junk handed to adversaries not halted
+        on_deliver = simnet._Adversary.on_deliver
+
+        def counting_on_deliver(self, now, envelope):
+            nonlocal taken
+            taken += 1
+            return on_deliver(self, now, envelope)
+
+        monkeypatch.setattr(simnet._Adversary, "on_deliver", counting_on_deliver)
+        with private_decoding() as decodes:
+            private = run(scenario)
+        assert private.trace_text() == shared
+        # the wire is empty at the end, so every send to a correct server,
+        # never halted, was delivered: each delivery was decoded once
+        correct = set(scenario.correct_servers())
+        to_correct = sum(e["kind"] == "SEND" and e["to"] in correct for e in private.events)
+        assert len(decodes) == to_correct + taken
+        envelopes = [(sent, decoded) for sent, decoded in decodes if sent is not None]
+        assert envelopes
+        for sent, decoded in envelopes:
+            assert decoded == sent
+            if sent.kind == BLOCK_ENVELOPE:
+                assert decoded.block is not sent.block
+                assert block_ref(decoded.block) == block_ref(sent.block)
+                assert block_to_wire(decoded.block) == block_to_wire(sent.block)
+        garbage = any(spec.kind == "GARBAGE" for _, spec in scenario.byzantine)
+        assert garbage or len(envelopes) == len(decodes)  # only junk is raw
 
     def test_correct_servers_share_one_object_per_block(self):
         scenario = adversarial_scenario(1)
 
         def objects_per_ref(result):
-            # a builder's own blocks included: the table holds the object it
-            # sealed, so its receivers share that object with it
+            # a builder's own blocks included: its receivers are handed the
+            # object it sealed, so they share that object with it
             out: dict[bytes, list[int]] = {}
             for dag in result.final_dags.values():
                 for ref in dag.refs():
@@ -1056,74 +1072,79 @@ class TestSharedDecoding:
         assert distinct(objects_per_ref(run(scenario))) == distinct(shared)  # put back
 
     def test_a_copy_with_other_signature_bytes_is_checked_on_its_own(self):
-        # the table is keyed by the whole wire bytes: a copy of a good block
-        # with zeroed signature bytes is its own object and fails its own
-        # check, even after the good copy passed at another receiver
+        # a receiver is handed the object sent: a copy of a good block with
+        # zeroed signature bytes is its own object and fails its own check,
+        # even after the good copy passed at another receiver
         sim = Simulation(fig_broadcast_scenario())  # unit delay
         good = sim.correct[0].gossip.seal((), ())
         sig = good.signature
         forged = good.with_signature(Signature(sig.scheme, bytes(len(sig.data))))
-        ref_hex = block_ref(good).hex()
         for now, (block, receiver) in enumerate(((good, 1), (forged, 2), (good, 2))):
-            wire = WireEnvelope(BLOCK_ENVELOPE, 0, receiver, block=block).encode()
-            sim._schedule(now, 0, receiver, wire, "BLOCK", ref_hex)
+            sim._send_envelopes(now, [WireEnvelope(BLOCK_ENVELOPE, 0, receiver, block=block)])
             sim._deliver_due(now + 1)
         drops = [(e["server"], e["reason"]) for e in sim.events if e["kind"] == "DROP"]
         assert drops == [(2, "bad_signature")]
         at_1 = sim.correct[1].gossip.pending[block_ref(good)]
         at_2 = sim.correct[2].gossip.pending[block_ref(good)]
-        assert at_1 is at_2 and at_1.signature == sig
+        assert at_1 is at_2 is good and at_1.signature == sig
         assert at_1.__dict__["_verified_by"] is sim.registry
-        wire = WireEnvelope(BLOCK_ENVELOPE, 0, 3, block=forged).encode()
-        copy = WireEnvelope.decode(wire, sim._blocks).block
-        assert copy is not at_1 and copy == forged
-        assert "_verified_by" not in copy.__dict__
+        assert "_verified_by" not in forged.__dict__
 
     @pytest.mark.parametrize("name", list(EVICTING_AT_CAP_2))
-    def test_table_keeps_only_blocks_a_server_holds(self, name, monkeypatch):
-        # evicted pending blocks must not stay alive through the table
+    def test_no_evicted_block_is_kept_alive(self, name, monkeypatch):
+        # an evicted pending block must not stay alive through the simulator:
+        # once collected, it lives only if some server holds it, and the
+        # servers, not the engine, are what keep it alive
         monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", 2)
         generate, index = EVICTING_AT_CAP_2[name]
+        evicted: list[weakref.ref] = []
+        evict = gossip.GossipNode._evict_oldest
+
+        def recording_evict(self, of_builder):
+            evicted.append(weakref.ref(self.pending[next(iter(of_builder))]))
+            return evict(self, of_builder)
+
+        monkeypatch.setattr(gossip.GossipNode, "_evict_oldest", recording_evict)
         sim = Simulation(generate(index))
         result = sim.run()
         assert any(e.get("reason") == "pending_evicted" for e in result.events)
         gc.collect()
         held = {id(block) for _, block in held_blocks(sim)}
-        assert sim._blocks
-        assert {id(block) for block in sim._blocks.values()} <= held
+        assert all(block() is None or id(block()) in held for block in evicted)
+        del result
+        sim.correct.clear()
+        sim.adversaries.clear()
+        gc.collect()
+        assert evicted and all(block() is None for block in evicted)
 
     @pytest.mark.parametrize("name", list(INTAKE))
     def test_a_held_block_is_not_decoded_again(self, name, monkeypatch):
-        # a block goes into the table when it is sent, and its sender holds
-        # it: no block a server sealed, and no bytes of a block a server
-        # holds, reach block_from_wire. Only a block no server holds is
-        # decoded, so with no signature failing, nothing is
+        # receivers are handed the envelope sent, so no block reaches
+        # block_from_wire: only raw bytes are decoded, GARBAGE junk, each
+        # at most once, and always when it goes to a correct server
         scenario, cap = INTAKE[name]
         monkeypatch.setattr(gossip, "PENDING_CAP_PER_BUILDER", cap)
-        sim = Simulation(scenario)
-        sealed: set[tuple[bytes, Signature]] = set()
-        decoded: list[bytes] = []
-        seal = gossip.GossipNode.seal
+        decoded: Counter = Counter()
+        decode = WireEnvelope.decode.__func__
         from_wire = gossip.block_from_wire
 
-        def recording_seal(self, requests, preds):
-            block = seal(self, requests, preds)
-            sealed.add((block_ref(block), block.signature))
-            return block
+        def counting_decode(cls, data):
+            decoded["envelope"] += 1
+            return decode(cls, data)
 
         def counting_from_wire(data):
             block = from_wire(data)
-            assert (block_ref(block), block.signature) not in sealed
-            assert data not in {block_to_wire(b) for _, b in held_blocks(sim)}
-            decoded.append(data)
+            decoded["block"] += 1
             return block
 
-        monkeypatch.setattr(gossip.GossipNode, "seal", recording_seal)
+        monkeypatch.setattr(WireEnvelope, "decode", classmethod(counting_decode))
         monkeypatch.setattr(gossip, "block_from_wire", counting_from_wire)
-        events = sim.run().events
-        assert sealed
-        if not any(e.get("reason") == "bad_signature" for e in events):
-            assert not decoded
+        events = run(scenario).events
+        correct = set(scenario.correct_servers())
+        raw = [e for e in events if e["kind"] == "SEND" and e["envelope"] == "RAW"]
+        assert any(e["kind"] == "DELIVER" and e["envelope"] == "BLOCK" for e in events)
+        assert decoded["block"] == 0
+        assert sum(e["to"] in correct for e in raw) <= decoded["envelope"] <= len(raw)
 
 
 @pytest.mark.skipif(not ed25519_available(), reason="cryptography not installed")
