@@ -189,6 +189,53 @@ class TestStateDigests:
         assert len(orders) > 1
 
 
+class TestStateDigestCoverage:
+    """What ``state_digest`` covers: a block's instance, each flag and
+    sender set of it included, and its out-buffer. Any change to one of
+    them at a block changes the block's digest."""
+
+    @staticmethod
+    def digest_with(it: Interpreter, ref, instance, out) -> bytes:
+        """The digest of (ref, L1) with the slot's L1 instance and out-buffer
+        swapped for ``instance`` and ``out``."""
+        slot = it._slots[ref]
+        it._slots[ref] = _Slot({**slot.instances, L1: instance}, {**slot.out, L1: out})
+        try:
+            return it.state_digest(ref, L1)
+        finally:
+            it._slots[ref] = slot
+
+    def test_flags_sender_sets_and_out_buffer_change_the_digest(self, registry):
+        dag, _ = broadcast_fixture(registry, rounds=4)
+        it = Interpreter(dag, protocol())
+        it.run_to_fixpoint()
+        changed = dict.fromkeys(["flag", "echo_senders", "ready_senders", "out"], 0)
+        for ref in dag.refs():
+            slot = it._slots[ref]
+            if L1 not in slot.instances:
+                continue
+            inst, out = slot.instances[L1], slot.out.get(L1, ())
+            digest = it.state_digest(ref, L1)
+            assert self.digest_with(it, ref, inst.clone(), out) == digest
+            for flag in ("echoed", "readied", "delivered"):
+                flipped = inst.clone()
+                setattr(flipped, flag, not getattr(inst, flag))
+                assert self.digest_with(it, ref, flipped, out) != digest, flag
+                changed["flag"] += 1
+            for table in ("echo_senders", "ready_senders"):
+                for value in {42, *getattr(inst, table)}:  # 42, the value broadcast
+                    for sender in set(range(N)) - getattr(inst, table).get(value, set()):
+                        grown = inst.clone()
+                        getattr(grown, table).setdefault(value, set()).add(sender)
+                        assert self.digest_with(it, ref, grown, out) != digest, table
+                        changed[table] += 1
+            for i in range(len(out)):
+                dropped = out[:i] + out[i + 1 :]
+                assert self.digest_with(it, ref, inst, dropped) != digest
+                changed["out"] += 1
+        assert all(changed.values()), changed
+
+
 class TestGrowingDag:
     def test_repeated_calls_match_one_call_on_the_final_dag(self, registry):
         final, blocks = broadcast_fixture(registry, rounds=5)
