@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .blockdag import (
     Block,
@@ -56,8 +55,6 @@ from .crypto import (
     DIGEST_SIZE,
     ENCODING_VERSION,
     EncodingError,
-    enc_u32,
-    enc_u8,
     reader,
 )
 from .protocol import Label
@@ -76,9 +73,9 @@ _KIND_NAMES = {BLOCK_ENVELOPE: "BLOCK", FWD_ENVELOPE: "FWD"}
 _ENVELOPE_HEAD = struct.Struct(">BBII")  # version, kind, sender, receiver
 
 
-@dataclass(frozen=True)
-class WireEnvelope:
-    """What actually crosses the simulated network: a block or a FWD request."""
+class WireEnvelope(NamedTuple):
+    """What actually crosses the simulated network: a block or a FWD request.
+    A tuple, as ``Label`` is: cheap to build, compared and hashed in C."""
 
     kind: int
     sender: int
@@ -95,14 +92,24 @@ class WireEnvelope:
         """The ref the envelope names: its block's, or the one a FWD asks for."""
         return block_ref(self.block) if self.kind == BLOCK_ENVELOPE else self.ref
 
+    def body(self) -> bytes:
+        """The bytes after the header: the block's wire bytes or the FWD's ref."""
+        if self.kind == BLOCK_ENVELOPE and self.block is not None:
+            return block_to_wire(self.block)
+        if self.kind == FWD_ENVELOPE and type(self.ref) is bytes and len(self.ref) == DIGEST_SIZE:
+            return self.ref
+        raise EncodingError(f"kind {self.kind} envelope lacks its block or {DIGEST_SIZE}-byte ref")
+
+    def wire_size(self) -> int:
+        """The length of ``encode()``'s bytes, without building them."""
+        return _ENVELOPE_HEAD.size + len(self.body())
+
     def encode(self) -> bytes:
-        head = enc_u8(ENCODING_VERSION) + enc_u8(self.kind)
-        head += enc_u32(self.sender) + enc_u32(self.receiver)
-        if self.kind == BLOCK_ENVELOPE:
-            assert self.block is not None
-            return head + block_to_wire(self.block)
-        assert self.ref is not None
-        return head + self.ref
+        try:
+            head = _ENVELOPE_HEAD.pack(ENCODING_VERSION, self.kind, self.sender, self.receiver)
+        except struct.error:
+            raise EncodingError("envelope header field out of range") from None
+        return head + self.body()
 
     @classmethod
     def decode(cls, data: bytes) -> "WireEnvelope":
@@ -179,7 +186,7 @@ class GossipNode:
         self.pending[ref] = block
         of_builder[ref] = None
         self._asks = None
-        missing = [p for p in block.distinct_preds() if p not in self.dag]
+        missing = [p for p in block.distinct_preds() if p not in self.dag._vertices]
         if missing:
             self._missing[ref] = len(missing)
             for pred in missing:
@@ -248,10 +255,11 @@ class GossipNode:
         ref, and a block it releases missed only that ref."""
         if self._asks is None:
             out: dict[tuple[BlockRef, int], None] = {}  # ordered set
+            in_dag, pending = self.dag._vertices, self.pending  # tested without a call
             for ref in sorted(self._missing):
-                block = self.pending[ref]
+                block = pending[ref]
                 for pred in block.distinct_preds():
-                    if pred not in self.dag and pred not in self.pending:
+                    if pred not in in_dag and pred not in pending:
                         out[(pred, block.builder)] = None
             self._asks = list(out)
         return self._asks

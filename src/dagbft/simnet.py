@@ -3,8 +3,8 @@
 Time is an integer step counter. Every envelope put on the wire gets a
 delivery delay drawn uniformly from the scenario's bounds by a Mersenne
 Twister seeded from the scenario; envelopes due at the same step are
-delivered in (receiver, sender, send step, envelope hash) order. The whole
-run is a pure function of the scenario, so equal scenarios produce
+delivered in (receiver, sender, send step, SHA-256 of the wire bytes) order.
+The whole run is a pure function of the scenario, so equal scenarios produce
 byte-identical traces.
 
 Correct servers are ``Shim`` instances: the full stack of gossip,
@@ -16,9 +16,12 @@ and send and receive ``WireEnvelope``s on one path: the wire carries each
 envelope with its bytes, and its receiver is handed the envelope sent. So
 the servers share one block object, hash and signature check per sealed
 block, and a sealed block is verified once, at its commit, and decoded by
-no receiver. The bytes give the SEND size and the same-step order; only raw
-bytes, which GARBAGE junk is, are decoded, and trusted no further than the
-link they came by.
+no receiver. The SEND size is the header's length plus the block's wire
+bytes' or the FWD ref's, and no envelope is encoded to send it; the wire
+bytes are hashed only for the envelopes due at one step that share their
+link and send step, the one case the digest orders. Only raw bytes, which
+GARBAGE junk is, are decoded, and trusted no further than the link they
+came by.
 
 The drain phase realizes "eventually" at a finite horizon: each
 correct server publishes its current block once more, then deliveries,
@@ -33,7 +36,7 @@ its INSERT events up to that step list, and the engine keeps no copies.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from random import Random
@@ -69,6 +72,8 @@ _KIND_FIELDS = {"CRASH_AT": {"crash_step": int}, "SELECTIVE_SEND": {"targets": [
 
 ADVERSARY_BUDGET = 4
 """Envelopes a byzantine server may put on the wire per step."""
+
+_SCHEMA = trace.SCHEMA_VERSION  # events are dict literals: ``trace.event``'s keys, in its order
 
 
 class ScenarioError(Exception):
@@ -427,7 +432,7 @@ class Simulation:
                     shared=interpreted,
                 )
         self.events: list[dict] = []
-        # due step -> (order key, sender, receiver, envelope or raw bytes)
+        # due step -> ((receiver, sender, send step), sender, receiver, envelope or raw bytes)
         self.inflight: dict[int, list[tuple[tuple, int, int, WireEnvelope | bytes]]] = {}
         # ref -> (report, INTERPRET labels): the servers sharing a report share
         # its labels list, so events are read-only
@@ -439,36 +444,27 @@ class Simulation:
         """Put ``sent`` on the link from ``sender`` to ``receiver``: an
         envelope, handed to the receiver as it is, or raw bytes, decoded there."""
         if type(sent) is bytes:
-            env_kind, ref_hex, wire = "RAW", None, sent
+            env_kind, ref_hex, size = "RAW", None, len(sent)
         else:  # the ref first: a block's wire bytes reuse the core bytes it hashed
-            env_kind, ref_hex, wire = sent.kind_name, sent.named_ref.hex(), sent.encode()
+            env_kind, ref_hex, size = sent.kind_name, sent.named_ref.hex(), sent.wire_size()
         delay = self.delay_rng.randint(*self.scenario.delay_bounds)
-        key = (receiver, sender, now, hashlib.sha256(wire).digest())
-        self.inflight.setdefault(now + delay, []).append((key, sender, receiver, sent))
-        self.events.append(
-            trace.event(
-                now,
-                "SEND",
-                frm=sender,
-                to=receiver,
-                envelope=env_kind,
-                ref=ref_hex,
-                size=len(wire),
-            )
-        )
+        link = (receiver, sender, now)
+        self.inflight.setdefault(now + delay, []).append((link, sender, receiver, sent))
+        self.events.append({"schema": _SCHEMA, "step": now, "kind": "SEND", "frm": sender,
+                            "to": receiver, "envelope": env_kind, "ref": ref_hex, "size": size})
 
     def _send_envelopes(self, now: int, envelopes: list[WireEnvelope]) -> None:
         for env in envelopes:
             if env.kind == FWD_ENVELOPE:
-                ref_hex = env.ref.hex()
-                self.events.append(
-                    trace.event(now, "FWD_REQ", server=env.sender, ref=ref_hex, to=env.receiver)
-                )
+                self.events.append({"schema": _SCHEMA, "step": now, "kind": "FWD_REQ",
+                                    "server": env.sender, "ref": env.ref.hex(), "to": env.receiver})
             self._schedule(now, env.sender, env.receiver, env)
 
     def _deliver_due(self, now: int, halted=()) -> None:
         batch = self.inflight.pop(now, [])
-        batch.sort(key=lambda item: item[0])
+        links = Counter(item[0] for item in batch)
+        # envelopes of one link and send step go in their wire bytes' SHA-256 order
+        batch.sort(key=lambda item: (item[0], _digest(item[3]) if links[item[0]] > 1 else b""))
         for _key, sender, receiver, env in batch:
             if receiver in halted:
                 continue  # a halted adversary would buffer it and never use it
@@ -487,16 +483,8 @@ class Simulation:
                 continue
             node = self.correct[receiver]
             ref_hex = env.named_ref.hex()
-            self.events.append(
-                trace.event(
-                    now,
-                    "DELIVER",
-                    frm=sender,
-                    to=receiver,
-                    envelope=env.kind_name,
-                    ref=ref_hex,
-                )
-            )
+            self.events.append({"schema": _SCHEMA, "step": now, "kind": "DELIVER", "frm": sender,
+                                "to": receiver, "envelope": env.kind_name, "ref": ref_hex})
             if env.kind == BLOCK_ENVELOPE:
                 outcome = node.gossip.on_receive_block(env.block)
                 if outcome == Disposition.BAD_SIGNATURE:
@@ -506,9 +494,8 @@ class Simulation:
             else:
                 reply = node.gossip.on_fwd_request(env.ref, env.sender)
                 if reply is not None:
-                    self.events.append(
-                        trace.event(now, "FWD_RESP", server=receiver, to=env.sender, ref=ref_hex)
-                    )
+                    self.events.append({"schema": _SCHEMA, "step": now, "kind": "FWD_RESP",
+                                        "server": receiver, "to": env.sender, "ref": ref_hex})
                     self._send_envelopes(now, [reply])
 
     def _drop(self, now: int, server: int, reason: str, **fields) -> None:
@@ -535,12 +522,13 @@ class Simulation:
                     for label, payload in block.requests
                 ],
             }
-        return trace.event(now, "INSERT", server=server, **fields)
+        return {"schema": _SCHEMA, "step": now, "kind": "INSERT", "server": server, **fields}
 
     def _promote(self, now: int, node: Shim) -> None:
         for block in node.gossip.try_promote():
             insert = self._insert_event(now, node.server, block)
-            self.events.append(trace.event(now, "PROMOTE", server=node.server, ref=insert["ref"]))
+            self.events.append({"schema": _SCHEMA, "step": now, "kind": "PROMOTE",
+                                "server": node.server, "ref": insert["ref"]})
             self.events.append(insert)
 
     def _disseminate(self, now: int, envelopes: list[WireEnvelope]) -> None:
@@ -593,16 +581,8 @@ class Simulation:
                 for act in report.labels
             ]
             self._interpret_labels[report.ref] = (report, labels)
-        self.events.append(
-            trace.event(
-                now,
-                "INTERPRET",
-                server=server,
-                ref=report.ref.hex(),
-                builder=report.builder,
-                labels=labels,
-            )
-        )
+        self.events.append({"schema": _SCHEMA, "step": now, "kind": "INTERPRET", "server": server,
+                            "ref": report.ref.hex(), "builder": report.builder, "labels": labels})
 
     # -- main loop ------------------------------------------------------------------
 
@@ -661,6 +641,11 @@ class Simulation:
             if quiet:
                 return
         raise RuntimeError("drain did not quiesce within the round bound")
+
+
+def _digest(sent: WireEnvelope | bytes) -> bytes:
+    """SHA-256 of what is on the wire: raw bytes as they are, an envelope encoded."""
+    return hashlib.sha256(sent if type(sent) is bytes else sent.encode()).digest()
 
 
 def run(scenario: Scenario) -> RunResult:

@@ -14,6 +14,7 @@ It encodes a list once per object and call, so servers sharing one pay once.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _esc
 from operator import itemgetter
 from typing import Iterable
@@ -59,6 +60,11 @@ def event(step: int, kind: str, **fields) -> dict:
 
 # events hold no reference cycles, so the encoder need not look for them
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+# the C encoder that ``_ENCODER.encode`` builds on every call, built once with its settings
+_C_ENCODER = c_make_encoder and c_make_encoder(
+    None, _ENCODER.default, _esc, _ENCODER.indent, _ENCODER.key_separator,
+    _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan)
+_encode_list = (lambda value: "".join(_C_ENCODER(value, 0))) if _C_ENCODER else _ENCODER.encode
 
 # kind -> its line, from a list encoder and its values in sorted-key order, or False
 _WRITERS = {
@@ -112,7 +118,7 @@ def dumps(events: Iterable[dict]) -> str:
     held: dict[int, tuple[list, str]] = {}  # id -> (list, its text), held so no list reuses an id
 
     def encode_list(value: list) -> str:
-        hit = held.get(id(value)) or held.setdefault(id(value), (value, _ENCODER.encode(value)))
+        hit = held.get(id(value)) or held.setdefault(id(value), (value, _encode_list(value)))
         return hit[1]
 
     lines = []

@@ -28,7 +28,10 @@ Four kinds live here, each independent of the code path it judges:
   every simulated server its own interpreter store, and ``private_decoding``
   makes every receiver decode each envelope from its bytes, and so hash and
   verify each block itself: the references whose traces the shared store's
-  and the shared block objects' must equal.
+  and the shared block objects' must equal. ``eager_schedule`` encodes and
+  hashes every envelope at send time, as the simulator first did: the
+  reference for its SEND sizes taken from lengths and its same-step order
+  hashed only where envelopes tie.
   ``interpret_in_random_order`` interprets a DAG in a seeded random
   topological order, for the order-independence checks.
 * ``live_snapshots`` copies each correct server's live DAG at chosen steps
@@ -47,13 +50,14 @@ can hold state for.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from random import Random
 from typing import Iterable, Iterator
 
-from dagbft import gossip
+from dagbft import gossip, trace
 from dagbft.blockdag import Block, BlockDag, BlockDagError, BlockRef, block_ref
 from dagbft.brb import ReliableBroadcast, decode_deliver, encode_broadcast, encode_payload
 from dagbft.checks import CheckReport
@@ -511,6 +515,37 @@ def private_decoding() -> Iterator[list[tuple[WireEnvelope | None, WireEnvelope 
     finally:
         Simulation._deliver_due = deliver_due
         WireEnvelope.decode = decode
+
+
+@contextmanager
+def eager_schedule() -> Iterator[None]:
+    """Make ``Simulation._schedule`` encode every envelope it puts on the
+    wire, as it was first written: the SEND size is the length of those
+    bytes and the order key is (receiver, sender, send step, SHA-256 of
+    those bytes), so two keys are equal only where the bytes are. The same
+    delay is drawn. ``Simulation._schedule`` is replaced and put back on
+    exit."""
+    schedule = Simulation._schedule
+
+    def eager(self: Simulation, now: int, sender: int, receiver: int, sent) -> None:
+        if type(sent) is bytes:
+            env_kind, ref_hex, wire = "RAW", None, sent
+        else:
+            env_kind, ref_hex, wire = sent.kind_name, sent.named_ref.hex(), sent.encode()
+        delay = self.delay_rng.randint(*self.scenario.delay_bounds)
+        key = (receiver, sender, now, hashlib.sha256(wire).digest())
+        self.inflight.setdefault(now + delay, []).append((key, sender, receiver, sent))
+        self.events.append(
+            trace.event(
+                now, "SEND", frm=sender, to=receiver, envelope=env_kind, ref=ref_hex, size=len(wire)
+            )
+        )
+
+    Simulation._schedule = eager
+    try:
+        yield
+    finally:
+        Simulation._schedule = schedule
 
 
 @contextmanager

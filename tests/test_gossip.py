@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -391,6 +395,67 @@ class TestEnvelopeCodec:
         assert block_to_wire(forged) != wire
         assert block_from_wire(block_to_wire(forged)).signature == forged.signature
         assert block_to_wire(block) == wire
+
+    def test_wire_size_is_the_encoded_length(self, registry):
+        block = signed_block(registry, 1, 0, requests=((Label(1, 1), b"zz"),))
+        for env in (
+            WireEnvelope(BLOCK_ENVELOPE, 1, 3, block=block),
+            WireEnvelope(FWD_ENVELOPE, 0, 2**32 - 1, ref=block_ref(block)),
+        ):
+            assert env.wire_size() == len(env.encode())
+
+    def test_envelope_is_a_tuple_of_its_fields(self, registry):
+        ref = block_ref(signed_block(registry, 0, 0))
+        env = WireEnvelope(FWD_ENVELOPE, 0, 2, ref=ref)
+        assert tuple(env) == (FWD_ENVELOPE, 0, 2, None, ref)
+        assert env == WireEnvelope(FWD_ENVELOPE, 0, 2, None, ref)
+        assert env != WireEnvelope(FWD_ENVELOPE, 0, 3, ref=ref)
+        assert hash(env) == hash(WireEnvelope(FWD_ENVELOPE, 0, 2, ref=ref))
+
+    @pytest.mark.parametrize(
+        "env",
+        [
+            WireEnvelope(BLOCK_ENVELOPE, 1, 3),  # no block
+            WireEnvelope(BLOCK_ENVELOPE, 1, 3, ref=bytes(32)),  # a ref, no block
+            WireEnvelope(FWD_ENVELOPE, 1, 3),  # no ref
+            WireEnvelope(FWD_ENVELOPE, 1, 3, ref=bytes(31)),
+            WireEnvelope(FWD_ENVELOPE, 1, 3, ref=bytes(33)),
+            WireEnvelope(FWD_ENVELOPE, 1, 3, ref=""),
+            WireEnvelope(3, 1, 3, ref=bytes(32)),  # an unknown kind
+        ],
+        ids=["block-none", "block-ref-only", "fwd-none", "fwd-31", "fwd-33", "fwd-str", "kind-3"],
+    )
+    def test_envelope_without_its_body_raises_encoding_error(self, env):
+        # encoding must not give bytes that decode rejects, nor an assert's
+        # error, which ``python -O`` strips
+        with pytest.raises(EncodingError):
+            env.encode()
+        with pytest.raises(EncodingError):
+            env.wire_size()
+
+    @pytest.mark.parametrize("sender, receiver", [(-1, 0), (2**32, 0), (0, -1), (0, 2**32), (0, 1.5)])
+    def test_header_out_of_range_raises_encoding_error(self, sender, receiver):
+        env = WireEnvelope(FWD_ENVELOPE, sender, receiver, ref=bytes(32))
+        with pytest.raises(EncodingError):
+            env.encode()
+
+    def test_encoding_errors_hold_without_asserts(self):
+        # the same checks under ``python -O``, which drops assert statements
+        code = (
+            "from dagbft.crypto import EncodingError\n"
+            "from dagbft.gossip import BLOCK_ENVELOPE, FWD_ENVELOPE, WireEnvelope\n"
+            "for env in (WireEnvelope(BLOCK_ENVELOPE, 1, 3), WireEnvelope(FWD_ENVELOPE, 1, 3)):\n"
+            "    for method in (env.encode, env.wire_size):\n"
+            "        try:\n"
+            "            method()\n"
+            "        except EncodingError:\n"
+            "            continue\n"
+            "        raise SystemExit('no EncodingError')\n"
+        )
+        src = str(Path(gossip.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_garbage_rejected(self):
         with pytest.raises(EncodingError):

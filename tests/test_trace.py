@@ -9,6 +9,7 @@ only the events the templates cannot write reach the generic encoder.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from unittest import mock
 
@@ -194,6 +195,38 @@ def test_simulated_traces_match_and_only_extended_drops_fall_back(name, scenario
 
 def test_every_kind_has_a_writer():
     assert set(trace._WRITERS) == set(trace._FAST) == set(trace.FIELDS)
+
+
+class TestListEncoder:
+    """``JSONEncoder.encode`` builds a C encoder on every call; ``dumps``
+    encodes its lists with one built at import, or with the generic
+    encoder's ``encode`` where Python has no C encoder."""
+
+    def test_dumps_builds_an_encoder_only_per_event_left_to_the_encoder(self, monkeypatch):
+        events = simnet.run(adversarial_scenario(1)).events
+        expected = reference(events)
+        _, fallen_back = dumps_counting(events)
+        assert any(e["kind"] == "INSERT" and e["preds"] for e in events)
+        built = []
+        make = json.encoder.c_make_encoder
+
+        def counting_make(*args):
+            built.append(args)
+            return make(*args)
+
+        monkeypatch.setattr(json.encoder, "c_make_encoder", counting_make)
+        assert trace.dumps(events) == expected
+        assert len(built) == len(fallen_back)
+
+    def test_without_the_c_encoder_the_bytes_are_the_same(self, monkeypatch):
+        # a copy of the module imported where the C encoder is absent
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        spec = importlib.util.spec_from_file_location("trace_without_c_encoder", trace.__file__)
+        plain = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(plain)
+        assert plain._encode_list == plain._ENCODER.encode
+        events = simnet.run(adversarial_scenario(1)).events
+        assert plain.dumps(events) == trace.dumps(events) == reference(events)
 
 
 class TestLoads:
