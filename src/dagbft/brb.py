@@ -4,12 +4,16 @@ The reference protocol for the framework: one broadcast per instance, ECHO
 and READY phases with quorums at 2f+1, READY amplification at f+1, delivery
 at 2f+1 READYs. A broadcast request is accepted only when the requesting
 server is the label's originator, which is what makes requests
-self-authenticating inside a simulation.
+self-authenticating inside a simulation. ``on_receive`` runs once per fed
+message and reads each sender set once; ``state_bytes``, which every state
+digest encodes, joins its parts once.
 """
 
 from __future__ import annotations
 
-from .crypto import enc_bytes, enc_seq, enc_u32, enc_u32s, enc_u64, enc_u8
+from struct import pack
+
+from .crypto import enc_u32, enc_u64, enc_u8
 from .protocol import ContractError, Label, Message, ProcessInstance, Protocol, ProtocolError
 
 ECHO = 1
@@ -64,6 +68,10 @@ class BrbInstance(ProcessInstance):
         super().__init__(label, server)
         self.server_count = server_count
         self.fault_bound = fault_bound
+        # quorum thresholds
+        self._echo_quorum = 2 * fault_bound + 1
+        self._ready_amplify = fault_bound + 1
+        self._deliver_quorum = 2 * fault_bound + 1
         self._identity = b""  # the state encoding's constant prefix, kept by clones
         self.echoed = False
         self.readied = False
@@ -71,19 +79,6 @@ class BrbInstance(ProcessInstance):
         self.echo_senders: dict[int, set[int]] = {}
         self.ready_senders: dict[int, set[int]] = {}
         self._pending_indications: list[bytes] = []
-
-    # quorum thresholds
-    @property
-    def _echo_quorum(self) -> int:
-        return 2 * self.fault_bound + 1
-
-    @property
-    def _ready_amplify(self) -> int:
-        return self.fault_bound + 1
-
-    @property
-    def _deliver_quorum(self) -> int:
-        return 2 * self.fault_bound + 1
 
     def _to_all(self, kind: int, value: int) -> list[Message]:
         payload = encode_payload(kind, value)
@@ -99,30 +94,32 @@ class BrbInstance(ProcessInstance):
         return self._to_all(ECHO, value)
 
     def on_receive(self, message: Message) -> list[Message]:
-        if message.receiver != self.server:
-            raise ContractError(
-                f"message for {message.receiver} fed to instance of {self.server}"
-            )
+        sender, receiver, payload = message
+        if receiver != self.server:
+            raise ContractError(f"message for {receiver} fed to instance of {self.server}")
         try:
-            kind, value = decode_payload(message.payload)
+            kind, value = decode_payload(payload)
         except ProtocolError:
             return []  # byzantine payloads must not crash correct servers
         if kind == ECHO:
-            self.echo_senders.setdefault(value, set()).add(message.sender)
+            echoes = self.echo_senders.setdefault(value, set())
+            echoes.add(sender)
+            readies = self.ready_senders.get(value, ())
         else:
-            self.ready_senders.setdefault(value, set()).add(message.sender)
+            readies = self.ready_senders.setdefault(value, set())
+            readies.add(sender)
+            echoes = self.echo_senders.get(value, ())
 
         out: list[Message] = []
         if kind == ECHO and not self.echoed:
             self.echoed = True
-            out.extend(self._to_all(ECHO, value))
-        if not self.readied and len(self.echo_senders.get(value, ())) >= self._echo_quorum:
+            out = self._to_all(ECHO, value)
+        if not self.readied and (
+            len(echoes) >= self._echo_quorum or len(readies) >= self._ready_amplify
+        ):
             self.readied = True
-            out.extend(self._to_all(READY, value))
-        if not self.readied and len(self.ready_senders.get(value, ())) >= self._ready_amplify:
-            self.readied = True
-            out.extend(self._to_all(READY, value))
-        if not self.delivered and len(self.ready_senders.get(value, ())) >= self._deliver_quorum:
+            out += self._to_all(READY, value)
+        if not self.delivered and len(readies) >= self._deliver_quorum:
             self.delivered = True
             self._pending_indications.append(encode_deliver(value))
         return out
@@ -144,23 +141,22 @@ class BrbInstance(ProcessInstance):
         return dup
 
     def state_bytes(self) -> bytes:
-        def sender_sets(table: dict[int, set[int]]) -> bytes:
-            return enc_seq(
-                enc_u64(value) + enc_u32s(sorted(senders))
-                for value, senders in sorted(table.items())
-                if senders
-            )
-
         if not self._identity:
             ids = (self.server, self.server_count, self.fault_bound)
             self._identity = self.label.canonical_bytes() + b"".join(map(enc_u32, ids))
-        return (
-            self._identity
-            + bytes((self.echoed, self.readied, self.delivered))  # one u8 per flag
-            + sender_sets(self.echo_senders)
-            + sender_sets(self.ready_senders)
-            + enc_seq(enc_bytes(i) for i in self._pending_indications)
-        )
+        # a u8 per flag; per table the count of non-empty sender sets, each a
+        # u64 value and count-prefixed u32 senders (in range: decoded values
+        # and message senders); the count-prefixed pending indications
+        parts = [self._identity, bytes((self.echoed, self.readied, self.delivered))]
+        for table in (self.echo_senders, self.ready_senders):
+            sets = [pack(f">QI{len(senders)}I", value, len(senders), *sorted(senders))
+                    for value, senders in sorted(table.items()) if senders]
+            parts.append(pack(">I", len(sets)))
+            parts += sets
+        parts.append(pack(">I", len(self._pending_indications)))
+        for indication in self._pending_indications:
+            parts += (pack(">I", len(indication)), indication)
+        return b"".join(parts)
 
 
 class ReliableBroadcast(Protocol):

@@ -543,26 +543,29 @@ def check_convergence(events: list[dict], scenario: Scenario) -> CheckReport:
 
 def check_interpretation_agreement(events: list[dict], scenario: Scenario) -> CheckReport:
     """For every block interpreted by several correct servers, the per-label
-    state digests must coincide."""
+    state digests must coincide. Servers whose INTERPRET events of a block
+    hold the same ``labels`` lists are read once, as one group."""
     report = CheckReport("interpretation-agreement")
     correct = set(scenario.correct_servers())
-    states: dict[tuple[int, str, Label], str] = {}  # a repeated entry overwrites
+    held: dict[str, dict[int, list[list]]] = {}  # ref -> server -> its labels lists
     for ev in events:
         if ev["kind"] == "INTERPRET" and ev["server"] in correct:
-            for act in ev["labels"]:
-                raw = act["label"]
-                states[ev["server"], ev["ref"], Label(int(raw[0]), int(raw[1]))] = act["state"]
-    by_key: dict[tuple[str, Label], set[str]] = {}
-    for (_, ref, label), digest in states.items():
-        by_key.setdefault((ref, label), set()).add(digest)
+            held.setdefault(ev["ref"], {}).setdefault(ev["server"], []).append(ev["labels"])
+    by_key: dict[tuple[str, tuple[int, int]], set[str]] = {}
+    for ref, lists_of in held.items():
+        for lists in {tuple(map(id, lists)): lists for lists in lists_of.values()}.values():
+            states = {(act["label"][0], act["label"][1]): act["state"] for labels in lists
+                      for act in labels}  # a repeated entry overwrites
+            for label, digest in states.items():
+                by_key.setdefault((ref, label), set()).add(digest)
     if not by_key:
         report.vacuous = True
         return report
-    for (ref, label), digests in sorted(by_key.items()):
+    for (ref, (originator, nonce)), digests in sorted(by_key.items()):
         report.checked += 1
         if len(digests) > 1:
             report.violations.append(
-                f"agreement: block {ref[:12]} label {label.originator}/{label.nonce} has "
+                f"agreement: block {ref[:12]} label {int(originator)}/{int(nonce)} has "
                 f"{len(digests)} distinct state digests across correct servers"
             )
     return report

@@ -5,7 +5,10 @@ parent's process instances and clones one on first touch, the first time it
 feeds that instance's label, so a block costs what its own traffic costs,
 not what its history holds. It feeds the block's embedded requests, then
 every message addressed to the block's builder from the out-buffers of the
-block's predecessors, in the fixed message order. Each interpreted block
+block's predecessors, gathered in one pass, by label and in the fixed
+message order. Beyond those calls a block pays one state digest per label it
+feeds, a SHA-256 over ``state_bytes`` and the out-buffer, recomputed each
+time: nothing is cached on an instance. Each interpreted block
 gets one slot holding its instances and its out-buffer per label; what a
 block was fed and the indications it raised are in its report, the
 interpreter's only output. Slots are write-once: after a block is
@@ -32,10 +35,11 @@ mixed blocks.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import struct
+from typing import NamedTuple
 
 from .blockdag import BlockDag, BlockRef, block_ref
-from .crypto import content_digest, enc_bytes, enc_seq, enc_u8
+from .crypto import content_digest
 from .protocol import (
     Label,
     Message,
@@ -46,14 +50,15 @@ from .protocol import (
 )
 
 _TAG_INSTANCE_STATE = 0x20
+_DIGEST_HEAD = struct.Struct(">BI")  # tag, state length
+_U32 = struct.Struct(">I")
 
 
 class InterpretError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class LabelActivity:
+class LabelActivity(NamedTuple):
     """What one label did at one block: messages fed, messages emitted, the
     post-state digest, and the indications its instance raised there, on
     behalf of the block's builder."""
@@ -66,15 +71,13 @@ class LabelActivity:
     indications: tuple[bytes, ...]
 
 
-@dataclass(frozen=True)
-class BlockInterpretation:
+class BlockInterpretation(NamedTuple):
     ref: BlockRef
     builder: int
     labels: tuple[LabelActivity, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class _Slot:
+class _Slot(NamedTuple):
     """One interpreted block: its instances, which are its parent's objects
     except for a private clone per label advanced here, and the out-buffer
     per label."""
@@ -108,25 +111,22 @@ class Interpreter:
         """Digest over the instance state plus the sorted out-buffer for
         (block, label); the cross-interpreter equality oracle.
 
-        Labels never touched at the block digest as a fresh instance.
+        Labels never touched at the block digest as a fresh instance. The
+        material: the tag, the length-prefixed state, the out-buffer's count
+        and its messages' length-prefixed canonical bytes in bytewise order.
         """
-        slot = self._slot(ref)
-        inst = slot.instances.get(label)
-        if inst is None:
-            inst = self.protocol.spawn(label, self.dag.get(ref).builder)
-        out = sorted(slot.out.get(label, ()), key=message_sort_key)
-        material = (
-            enc_u8(_TAG_INSTANCE_STATE)
-            + enc_bytes(inst.state_bytes())
-            + enc_seq(enc_bytes(m.canonical_bytes()) for m in out)
-        )
-        return content_digest(material)
-
-    def _slot(self, ref: BlockRef) -> _Slot:
         slot = self._slots.get(ref)
         if slot is None:
             raise InterpretError(f"{ref.hex()[:12]} has not been interpreted")
-        return slot
+        inst = slot.instances.get(label)
+        if inst is None:
+            inst = self.protocol.spawn(label, self.dag.get(ref).builder)
+        state = inst.state_bytes()
+        out = sorted([m.canonical_bytes() for m in slot.out.get(label, ())])
+        parts = [_DIGEST_HEAD.pack(_TAG_INSTANCE_STATE, len(state)), state, _U32.pack(len(out))]
+        for encoded in out:
+            parts += (_U32.pack(len(encoded)), encoded)
+        return content_digest(b"".join(parts))
 
     # -- scheduling ------------------------------------------------------------
 
@@ -166,6 +166,7 @@ class Interpreter:
 
     def _interpret_block(self, ref: BlockRef) -> BlockInterpretation:
         block = self.dag.get(ref)
+        builder = block.builder
         parent = self.dag.parent_of(block)
         instances: dict[Label, ProcessInstance] = {}
         if parent is not None:
@@ -173,52 +174,36 @@ class Interpreter:
         # this block's private instances: a clone of the shared one, or a
         # fresh spawn, made the first time the block feeds a label
         own: dict[Label, ProcessInstance] = {}
-
-        # out-buffers as ordered sets; a label gets one exactly when fed here
+        # out-buffers as ordered sets; a label gets one when fed or when a request succeeds
         out: dict[Label, dict[Message, None]] = {}
-        fed: dict[Label, tuple[Message, ...]] = {}
         skipped: dict[Label, int] = {}
 
-        def instance_for(label: Label) -> ProcessInstance:
-            inst = own.get(label)
-            if inst is None:
-                shared = instances.get(label)
-                if shared is None:
-                    inst = self.protocol.spawn(label, block.builder)
-                else:
-                    inst = shared.clone()
-                own[label] = inst
-            return inst
+        # messages materialized by edges from predecessors: those addressed
+        # to the builder, gathered per label in one pass
+        incoming: dict[Label, set[Message]] = {}
+        for p in block.distinct_preds():
+            for label, messages in self._slots[p].out.items():
+                for m in messages:
+                    if m.receiver == builder:
+                        incoming.setdefault(label, set()).add(m)
+        fed = {label: tuple(sorted(incoming[label], key=message_sort_key)) for label in sorted(incoming)}
 
-        def emit(label: Label, messages: list[Message]) -> None:
-            out.setdefault(label, {}).update(dict.fromkeys(messages))
-
-        # requests embedded in this block, in list order; a failed one leaves
-        # the private instance unchanged
+        # requests embedded in this block, in list order, then the fed
+        # messages; a failed request leaves the private instance unchanged
         for label, payload in block.requests:
+            inst = self._private(own, instances, label, builder)
             try:
-                outputs = instance_for(label).on_request(payload)
+                emitted = inst.on_request(payload)
             except ProtocolError:
                 skipped[label] = skipped.get(label, 0) + 1
                 continue
-            emit(label, outputs)
-
-        # messages materialized by edges from predecessors: only labels some
-        # predecessor has an out-buffer for can carry one
-        preds = [self._slots[p] for p in block.distinct_preds()]
-        for label in sorted(set().union(*(pred.out for pred in preds))):
-            incoming = {
-                m
-                for pred in preds
-                for m in pred.out.get(label, ())
-                if m.receiver == block.builder
-            }
-            if not incoming:
-                continue
-            fed[label] = tuple(sorted(incoming, key=message_sort_key))
-            inst = instance_for(label)
-            for m in fed[label]:
-                emit(label, inst.on_receive(m))
+            out.setdefault(label, {}).update(dict.fromkeys(emitted))
+        for label, messages in fed.items():
+            inst = self._private(own, instances, label, builder)
+            buffer = out.setdefault(label, {})
+            for m in messages:
+                for e in inst.on_receive(m):
+                    buffer[e] = None
 
         # a label whose requests all failed keeps its shared instance, or none
         instances.update((label, own[label]) for label in out)
@@ -228,18 +213,19 @@ class Interpreter:
         slot = _Slot(instances, {label: tuple(ms) for label, ms in out.items()})
         self._slots[ref] = slot
 
-        return BlockInterpretation(
-            ref,
-            block.builder,
-            tuple(
-                LabelActivity(
-                    label,
-                    fed.get(label, ()),
-                    slot.out.get(label, ()),
-                    self.state_digest(ref, label),
-                    skipped.get(label, 0),
-                    indications.get(label, ()),
-                )
-                for label in sorted(skipped.keys() | out.keys())
-            ),
-        )
+        acts = [
+            LabelActivity(label, fed.get(label, ()), slot.out.get(label, ()),
+                          self.state_digest(ref, label), skipped.get(label, 0),
+                          indications.get(label, ()))
+            for label in sorted(skipped.keys() | out.keys())
+        ]
+        return BlockInterpretation(ref, builder, tuple(acts))
+
+    def _private(self, own: dict, shared: dict, label: Label, builder: int) -> ProcessInstance:
+        """The block's private instance for ``label``, made on first use: a
+        clone of the one its chain shares, or a fresh spawn where it has none."""
+        inst = own.get(label)
+        if inst is None:
+            inst = shared.get(label)
+            inst = own[label] = self.protocol.spawn(label, builder) if inst is None else inst.clone()
+        return inst

@@ -13,7 +13,7 @@ import struct
 from abc import ABC, abstractmethod
 from typing import NamedTuple
 
-from .crypto import ENCODING_VERSION, EncodingError, enc_bytes, enc_u8, enc_u32, enc_u64
+from .crypto import ENCODING_VERSION, EncodingError, enc_u8, enc_u32, enc_u64
 
 _TAG_LABEL = 0x10
 _TAG_MESSAGE = 0x11
@@ -50,9 +50,6 @@ class Label(NamedTuple):
         )
 
 
-_MESSAGE_PREFIX = enc_u8(ENCODING_VERSION) + enc_u8(_TAG_MESSAGE)
-
-
 class _MessageFields(NamedTuple):
     sender: int
     receiver: int
@@ -70,7 +67,11 @@ class Message(_MessageFields):
     def __new__(cls, sender: int, receiver: int, payload: bytes) -> "Message":
         self = tuple.__new__(cls, (sender, receiver, payload))
         # sorting, state digests and the trace all read these bytes
-        self._canonical = _MESSAGE_PREFIX + enc_u32(sender) + enc_u32(receiver) + enc_bytes(payload)
+        try:
+            head = _MESSAGE_HEAD.pack(ENCODING_VERSION, _TAG_MESSAGE, sender, receiver, len(payload))
+        except struct.error:
+            raise EncodingError(f"message field out of range: {sender}, {receiver}") from None
+        self._canonical = head + payload
         return self
 
     def canonical_bytes(self) -> bytes:

@@ -549,20 +549,15 @@ class Simulation:
         for report in reports:
             self._record_interpretation(now, node.server, report)
         for report in reports:
+            block = report.ref.hex()
             for act in report.labels:
                 for payload in act.indications:
-                    self.events.append(
-                        trace.event(
-                            now,
-                            "INDICATE",
-                            server=node.server,
-                            label=[act.label.originator, act.label.nonce],
-                            indication=payload.hex(),
-                            on_behalf_of=report.builder,
-                            block=report.ref.hex(),
-                            surfaced=node.surfaces(report),
-                        )
-                    )
+                    self.events.append({"schema": _SCHEMA, "step": now, "kind": "INDICATE",
+                                        "server": node.server,
+                                        "label": [act.label.originator, act.label.nonce],
+                                        "indication": payload.hex(),
+                                        "on_behalf_of": report.builder, "block": block,
+                                        "surfaced": node.surfaces(report)})
         return reports
 
     def _record_interpretation(

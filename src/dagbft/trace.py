@@ -3,11 +3,12 @@
 A run produces a totally ordered list of events, one JSON object per line.
 Every event carries the schema version, the step it happened at, and a kind
 from the fixed alphabet below; the remaining fields depend on the kind, and
-parsing rejects an event that lacks one its kind always carries or gives it
-another type. The serialization is canonical (sorted keys, no whitespace) so
-identical runs produce byte-identical files. ``dumps`` writes the JSON
-encoder's bytes: an event with exactly its kind's fields, each of exactly its
-type, through the kind's template, and any other event through the encoder.
+parsing rejects an event that lacks one its kind always carries or gives it,
+or one its kind may carry, another type. The serialization is canonical
+(sorted keys, no whitespace) so identical runs produce byte-identical files.
+``dumps`` writes the JSON encoder's bytes: an event with exactly its kind's
+fields, or those and one optional field, each of exactly its type, through
+a template of that shape, and any other event through the encoder.
 It encodes a list once per object and call, so servers sharing one pay once.
 """
 
@@ -39,6 +40,8 @@ FIELDS = {
                  "block": str, "surfaced": bool},
     "DROP": {"server": int, "reason": str},
 }
+# fields an event of a kind may carry besides those, typed as in FIELDS
+OPTIONAL = {"DROP": {"frm": int, "ref": str}}
 # per INTERPRET label entry
 LABEL_FIELDS = {"label": LABEL, "fed": [str], "emitted": [str], "state": str, "skipped": int}
 KINDS = frozenset(FIELDS)
@@ -108,10 +111,20 @@ _WRITERS = {
         type(kind) is type(reason) is str and type(schema) is type(server) is type(step) is int
         and f'{{"kind":"{kind}","reason":{_esc(reason)},"schema":{schema},"server":{server},'
         f'"step":{step}}}\n',
+    # (kind, name): an event of the kind with the one optional field ``name``
+    ("DROP", "frm"): lambda enc, frm, kind, reason, schema, server, step:
+        type(kind) is type(reason) is str and type(frm) is type(schema) is type(server) is int
+        and type(step) is int and f'{{"frm":{frm},"kind":"{kind}","reason":{_esc(reason)},'
+        f'"schema":{schema},"server":{server},"step":{step}}}\n',
+    ("DROP", "ref"): lambda enc, kind, reason, ref, schema, server, step:
+        type(kind) is type(reason) is type(ref) is str and type(schema) is type(server) is int
+        and type(step) is int and f'{{"kind":"{kind}","reason":{_esc(reason)},"ref":{_esc(ref)},'
+        f'"schema":{schema},"server":{server},"step":{step}}}\n',
 }
 _WRITERS["FWD_RESP"] = _WRITERS["FWD_REQ"]  # the same fields
-_FAST = {kind: (itemgetter(*sorted({"schema", "step", "kind", *FIELDS[kind]})), _WRITERS[kind])
-         for kind in FIELDS}
+_SHAPES = {**FIELDS, **{(k, name): [*FIELDS[k], name] for k in OPTIONAL for name in OPTIONAL[k]}}
+_FAST = {shape: (itemgetter(*sorted({"schema", "step", "kind", *fields})), _WRITERS[shape])
+         for shape, fields in _SHAPES.items()}
 
 
 def dumps(events: Iterable[dict]) -> str:
@@ -129,6 +142,10 @@ def dumps(events: Iterable[dict]) -> str:
         except (KeyError, TypeError):  # not a dict, an unknown kind or a field missing
             values = ()
         line = values and len(e) == len(values) and write(encode_list, *values)
+        if values and len(e) == len(values) + 1:  # perhaps one optional field more
+            for name in OPTIONAL.get(e["kind"], {}).keys() & e.keys():
+                get, write = _FAST[e["kind"], name]
+                line = write(encode_list, *get(e))
         lines.append(line or _ENCODER.encode(e) + "\n")
     return "".join(lines)
 
@@ -154,6 +171,8 @@ def parse_line(line: str, lineno: int) -> dict:
     if not conforms(obj.get("step"), int):
         raise TraceFormatError("missing integer step", lineno)
     _require(obj, FIELDS[obj["kind"]], obj["kind"], lineno)
+    present = {name: spec for name, spec in OPTIONAL.get(obj["kind"], {}).items() if name in obj}
+    _require(obj, present, obj["kind"], lineno)
     if obj["kind"] == "INTERPRET":
         for entry in obj["labels"]:
             _require(entry, LABEL_FIELDS, "INTERPRET label entry", lineno)

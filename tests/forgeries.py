@@ -406,3 +406,54 @@ def seeded_body_mutants() -> list[tuple[str, Scenario, list[dict]]]:
                     mutated = _mutate_body(scenario, events, edit, shared, rng)
                     mutants.append((f"{name} {index} {edit} {way}", scenario, mutated))
     return mutants
+
+
+_AGREEMENT_EDITS = ("edit state", "drop entry")
+
+
+def _mutate_agreement(
+    scenario: Scenario, events: list[dict], edit: str, shared: bool, rng: Random
+) -> list[dict]:
+    """A copy of ``events`` with one INTERPRET entry of a correct server given
+    a seeded random ``state`` (``edit state``) or taken out (``drop entry``):
+    in the labels list that every correct server interpreting the block
+    shares in memory if ``shared``, else in a copy that only the chosen event
+    holds. The entry is of a block that another correct server interprets
+    too, so an edit of one server's own copy always meets a differing digest."""
+    correct = set(scenario.correct_servers())
+    holders: dict[str, set[int]] = {}  # ref -> the correct servers interpreting it
+    for ev in events:
+        if ev["kind"] == "INTERPRET" and ev["server"] in correct:
+            holders.setdefault(ev["ref"], set()).add(ev["server"])
+    candidates = [
+        (i, j)
+        for i, ev in enumerate(events)
+        if ev["kind"] == "INTERPRET" and ev["server"] in correct and len(holders[ev["ref"]]) > 1
+        for j in range(len(ev["labels"]))
+    ]
+    i, j = rng.choice(candidates)
+    old = events[i]["labels"]
+    edited = [dict(old[j], state=rng.randbytes(32).hex())] if edit == "edit state" else []
+    labels = old[:j] + edited + old[j + 1 :]
+    holders_of_old = {k for k, ev in enumerate(events) if ev["kind"] == "INTERPRET" and ev["labels"] is old}
+    targets = holders_of_old if shared else {i}
+    return [dict(ev, labels=labels) if k in targets else ev for k, ev in enumerate(events)]
+
+
+def seeded_agreement_mutants() -> list[tuple[str, Scenario, list[dict]]]:
+    """A hundred and sixty traces: the runs of ``random_scenario`` and
+    ``adversarial_scenario`` 0-19, each with one INTERPRET entry changed by
+    each of ``_AGREEMENT_EDITS``, once in the labels list the correct servers
+    share and once in one server's own copy (see ``_mutate_agreement``)."""
+    mutants = []
+    for name, make in (("random", random_scenario), ("adversarial", adversarial_scenario)):
+        for index in range(20):
+            scenario = make(index)
+            events = run(scenario).events
+            for edit in _AGREEMENT_EDITS:
+                for shared in (True, False):
+                    way = "shared" if shared else "own"
+                    rng = Random(f"agreement-{name}-{index}-{edit}-{way}")
+                    mutated = _mutate_agreement(scenario, events, edit, shared, rng)
+                    mutants.append((f"{name} {index} {edit} {way}", scenario, mutated))
+    return mutants

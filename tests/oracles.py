@@ -40,6 +40,13 @@ Four kinds live here, each independent of the code path it judges:
   deep-clones every instance its parent holds. ``Interpreter`` shares the
   parent's instances and clones one only when the block feeds it; its
   reports and slots must equal these.
+* ``reference_message_bytes``, ``reference_brb_state_bytes`` and
+  ``reference_state_digest`` spell out the canonical encodings field by
+  field with the ``crypto`` encoders: a message, a broadcast instance's state
+  and the state digest's material. ``Message``, ``BrbInstance.state_bytes``
+  and ``Interpreter.state_digest`` pack and join them in fewer calls, and
+  must give the same bytes. ``CloningInterpreter`` inherits
+  ``state_digest``, so without these only the trace lock would guard it.
 
 Beside them sit the paper's definitions that only the tests evaluate: the
 generic directed graph with its insert, ``extends`` and ``union``, the
@@ -59,9 +66,26 @@ from typing import Iterable, Iterator
 
 from dagbft import gossip, trace
 from dagbft.blockdag import Block, BlockDag, BlockDagError, BlockRef, block_ref
-from dagbft.brb import ReliableBroadcast, decode_deliver, encode_broadcast, encode_payload
+from dagbft.brb import (
+    BrbInstance,
+    ReliableBroadcast,
+    decode_deliver,
+    encode_broadcast,
+    encode_payload,
+)
 from dagbft.checks import CheckReport
-from dagbft.crypto import EncodingError, UnknownServerError, content_digest
+from dagbft.crypto import (
+    ENCODING_VERSION,
+    EncodingError,
+    UnknownServerError,
+    content_digest,
+    enc_bytes,
+    enc_seq,
+    enc_u8,
+    enc_u32,
+    enc_u32s,
+    enc_u64,
+)
 from dagbft.gossip import WireEnvelope
 from dagbft.interpret import BlockInterpretation, Interpreter, LabelActivity, _Slot
 from dagbft.protocol import (
@@ -688,6 +712,65 @@ class CloningInterpreter(Interpreter):
                 for label in sorted(skipped.keys() | out.keys())
             ),
         )
+
+
+# ---------------------------------------------------------------------------
+# Reference encodings
+# ---------------------------------------------------------------------------
+
+
+def reference_message_bytes(sender: int, receiver: int, payload: bytes) -> bytes:
+    """A message's canonical bytes: version, tag 0x11, sender, receiver and
+    the length-prefixed payload, each field encoded on its own."""
+    return (
+        enc_u8(ENCODING_VERSION)
+        + enc_u8(0x11)
+        + enc_u32(sender)
+        + enc_u32(receiver)
+        + enc_bytes(payload)
+    )
+
+
+def reference_brb_state_bytes(inst: BrbInstance) -> bytes:
+    """A broadcast instance's state encoding: its label and ids, a u8 per
+    flag, each sender table as a sequence of (value, sorted senders) over its
+    non-empty sets by value, and the sequence of pending indications."""
+
+    def sender_sets(table: dict[int, set[int]]) -> bytes:
+        return enc_seq(
+            enc_u64(value) + enc_u32s(sorted(senders))
+            for value, senders in sorted(table.items())
+            if senders
+        )
+
+    ids = (inst.server, inst.server_count, inst.fault_bound)
+    return (
+        inst.label.canonical_bytes()
+        + b"".join(map(enc_u32, ids))
+        + bytes((inst.echoed, inst.readied, inst.delivered))
+        + sender_sets(inst.echo_senders)
+        + sender_sets(inst.ready_senders)
+        + enc_seq(enc_bytes(i) for i in inst._pending_indications)
+    )
+
+
+def reference_state_digest(interpreter: Interpreter, ref: BlockRef, label: Label) -> bytes:
+    """``Interpreter.state_digest`` as first written, with every encoding
+    spelled out: tag 0x20, the length-prefixed state, then the sequence of
+    length-prefixed messages of the out-buffer in message order. A label the
+    block never touched digests as a fresh instance."""
+    slot = interpreter._slots[ref]
+    inst = slot.instances.get(label)
+    if inst is None:
+        inst = interpreter.protocol.spawn(label, interpreter.dag.get(ref).builder)
+    state = reference_brb_state_bytes(inst) if isinstance(inst, BrbInstance) else inst.state_bytes()
+    out = sorted(slot.out.get(label, ()), key=message_sort_key)
+    material = (
+        enc_u8(0x20)
+        + enc_bytes(state)
+        + enc_seq(enc_bytes(reference_message_bytes(*m)) for m in out)
+    )
+    return content_digest(material)
 
 
 # ---------------------------------------------------------------------------

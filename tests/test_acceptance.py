@@ -162,6 +162,20 @@ class TestCheckersMatchReference:
         assert not failures, failures
         assert failing > len(mutants) / 2
 
+    def test_seeded_agreement_mutants(self):
+        # a changed state digest or a dropped label entry, in the labels list
+        # the correct servers share or in one server's own copy; an edited
+        # own copy disagrees with another correct server's digest
+        mutants = forgeries.seeded_agreement_mutants()
+        assert len(mutants) == 160
+        failures, unflagged = [], []
+        for name, scenario, events in mutants:
+            failures += _mismatches_in_memory_and_read_back(name, events, scenario, CHECKER_PAIRS[3:])
+            if name.endswith("edit state own") and check_interpretation_agreement(events, scenario).ok:
+                unflagged.append(name)
+        assert not failures, failures
+        assert not unflagged, unflagged
+
     def test_scenario_batches(self, mixed_batch, adversarial_batch):
         t0 = time.perf_counter()
         failures: list[str] = []

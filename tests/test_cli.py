@@ -354,6 +354,9 @@ _MALFORMED_EVENTS = [
     '{"schema":1,"step":true,"kind":"PROMOTE","server":0,"ref":"aa"}',
     '{"schema":true,"step":0,"kind":"PROMOTE","server":0,"ref":"aa"}',
     '{"schema":1.0,"step":0,"kind":"PROMOTE","server":0,"ref":"aa"}',
+    # an optional field present but wrongly typed
+    '{"schema":1,"step":0,"kind":"DROP","server":0,"reason":"misaddressed","frm":"3"}',
+    '{"schema":1,"step":0,"kind":"DROP","server":0,"reason":"bad_signature","ref":5}',
     pytest.param("[" * 200_000, id="nested-too-deep"),
 ]
 

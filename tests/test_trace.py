@@ -1,16 +1,18 @@
 """Trace serialization: ``dumps`` writes the generic JSON encoder's bytes.
 
-``dumps`` writes most events with a template per kind and encodes each list
-once per object; the reference is ``json.dumps`` with sorted keys and no
-whitespace, one line per event. These tests compare the two over generated
-events, conforming or not, and over the simulator's own traces, and pin that
-only the events the templates cannot write reach the generic encoder.
+``dumps`` writes most events with a template per kind, and per optional field
+of a kind, and encodes each list once per object; the reference is
+``json.dumps`` with sorted keys and no whitespace, one line per event. These
+tests compare the two over generated events, conforming or not, and over the
+simulator's own traces, and pin that only the events the templates cannot
+write reach the generic encoder.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -70,9 +72,14 @@ def conforming(spec) -> st.SearchStrategy:
 
 
 def events_of(kind: str) -> st.SearchStrategy:
+    """Conforming events of ``kind``: with its fields alone, or with one of
+    its optional fields as well."""
     fields = {name: conforming(spec) for name, spec in trace.FIELDS[kind].items()}
     base = {"schema": st.just(trace.SCHEMA_VERSION) | st.integers(), "step": st.integers()}
-    return st.fixed_dictionaries({**base, "kind": st.just(kind), **fields})
+    extras = [{}] + [{name: conforming(spec)} for name, spec in trace.OPTIONAL.get(kind, {}).items()]
+    return st.one_of(
+        [st.fixed_dictionaries({**base, "kind": st.just(kind), **fields, **extra}) for extra in extras]
+    )
 
 
 CONFORMING = st.one_of([events_of(kind) for kind in sorted(trace.FIELDS)])
@@ -139,6 +146,21 @@ class TestDifferential:
                     assert trace.dumps([changed]) == reference([changed]), (name, value)
 
     @pytest.mark.parametrize(
+        "kind, name", [(kind, name) for kind in trace.OPTIONAL for name in trace.OPTIONAL[kind]]
+    )
+    def test_each_optional_field_with_each_wrong_value_matches(self, kind, name):
+        event = {"schema": trace.SCHEMA_VERSION, "step": 5, "kind": kind}
+        event.update((field, example(spec)) for field, spec in trace.FIELDS[kind].items())
+        event[name] = example(trace.OPTIONAL[kind][name])
+        assert dumps_counting([event]) == (reference([event]), [])
+        for value in WRONG:
+            if not trace.conforms(value, trace.OPTIONAL[kind][name]):
+                changed = {**event, name: value}
+                assert dumps_counting([changed]) == (reference([changed]), [changed]), value
+        both = {**event, **{other: example(spec) for other, spec in trace.OPTIONAL[kind].items()}}
+        assert dumps_counting([both]) == (reference([both]), [both])
+
+    @pytest.mark.parametrize(
         "field, value",
         [("step", True), ("server", False), ("schema", 1.0), ("reason", None), ("kind", "drop")],
     )
@@ -184,17 +206,28 @@ def corpus():
 
 
 @pytest.mark.parametrize("name, scenario", list(corpus()), ids=[n for n, _ in corpus()])
-def test_simulated_traces_match_and_only_extended_drops_fall_back(name, scenario):
+def test_simulated_traces_match_and_none_falls_back(name, scenario):
     events = simnet.run(scenario).events
     text, fallen_back = dumps_counting(events)
     assert text == reference(events)
-    drop_fields = {"schema", "step", "kind", *trace.FIELDS["DROP"]}
-    for event in fallen_back:
-        assert event["kind"] == "DROP" and set(event) > drop_fields
+    assert fallen_back == []
 
 
-def test_every_kind_has_a_writer():
-    assert set(trace._WRITERS) == set(trace._FAST) == set(trace.FIELDS)
+def test_simulated_drops_carry_one_optional_field_each():
+    # the corpus's DROPs are all of the shapes with a template of their own
+    required = {"schema", "step", "kind", *trace.FIELDS["DROP"]}
+    shapes = Counter(
+        tuple(sorted(set(e) - required))
+        for _, scenario in corpus()
+        for e in simnet.run(scenario).events
+        if e["kind"] == "DROP"
+    )
+    assert shapes == {("frm",): 71, ("ref",): 63}
+
+
+def test_every_kind_and_optional_field_has_a_writer():
+    optional = {(kind, name) for kind in trace.OPTIONAL for name in trace.OPTIONAL[kind]}
+    assert set(trace._WRITERS) == set(trace._FAST) == set(trace.FIELDS) | optional
 
 
 class TestListEncoder:
@@ -238,6 +271,17 @@ class TestLoads:
         assert trace.loads(text) == [drop]
         with pytest.raises(trace.TraceFormatError, match="^line 2: not valid JSON"):
             trace.loads(text + "not json\n")
+
+    @pytest.mark.parametrize("name, value", [("frm", "3"), ("frm", True), ("ref", 5), ("ref", None)])
+    def test_a_wrongly_typed_optional_field_is_rejected(self, name, value):
+        drop = trace.event(4, "DROP", server=2, reason="x", **{name: value})
+        with pytest.raises(trace.TraceFormatError, match=f"^line 1: DROP field {name} has"):
+            trace.loads(json.dumps(drop) + "\n")
+
+    @pytest.mark.parametrize("extra", [{}, {"frm": 3}, {"ref": "ab"}, {"frm": 3, "ref": "ab"}])
+    def test_optional_fields_of_their_type_are_accepted(self, extra):
+        drop = trace.event(4, "DROP", server=2, reason="x", **extra)
+        assert trace.loads(trace.dumps([drop])) == [drop]
 
     def test_a_carriage_return_before_the_newline_is_whitespace(self):
         drop = trace.event(4, "DROP", server=2, reason="x")
