@@ -130,7 +130,16 @@ class BrbInstance(ProcessInstance):
         return out
 
     def clone(self) -> "BrbInstance":
-        dup = BrbInstance(self.label, self.server, self.server_count, self.fault_bound)
+        # built without ``__init__``, whose fresh tables would be thrown away;
+        # each attribute is named, so one added later is not shared by accident
+        dup = object.__new__(BrbInstance)
+        dup.label = self.label
+        dup.server = self.server
+        dup.server_count = self.server_count
+        dup.fault_bound = self.fault_bound
+        dup._echo_quorum = self._echo_quorum
+        dup._ready_amplify = self._ready_amplify
+        dup._deliver_quorum = self._deliver_quorum
         dup._identity = self._identity
         dup.echoed = self.echoed
         dup.readied = self.readied

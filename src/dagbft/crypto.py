@@ -9,7 +9,9 @@ Two signature backends share one base, ``SignatureRegistry``:
 * ``KeyRegistry`` -- HMAC-SHA256 over per-server secrets. This is the
   simulator backend; it is fast and deterministic from a seed.
 * ``Ed25519Registry`` -- a real asymmetric scheme (requires the optional
-  ``cryptography`` dependency).
+  ``cryptography`` dependency). The backend imports ``cryptography`` on
+  first use, when a registry is built or ``ed25519_available()`` asks, so a
+  process that only signs with HMAC never loads it.
 
 Both sign by server id, ``sign(server, digest)``. The adversary model is
 enforced in one place: byzantine parties get only a ``RestrictedSigner``,
@@ -256,12 +258,17 @@ class RestrictedSigner:
         return self.key_set.verify(server, digest, sig)
 
 
-try:  # optional real-scheme backend
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+_NO_ED25519 = "cryptography is not installed; Ed25519 backend unavailable"
 
-    _HAVE_ED25519 = True
-except Exception:  # pragma: no cover - environment without cryptography
-    _HAVE_ED25519 = False
+
+def _ed25519_key_class() -> type | None:
+    """The optional backend's private-key class, imported on first use (a
+    later call finds the module loaded), or None when it cannot be imported."""
+    try:
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+    except Exception:  # an environment without (a working) cryptography
+        return None
+    return Ed25519PrivateKey
 
 
 class Ed25519Registry(SignatureRegistry):
@@ -269,18 +276,19 @@ class Ed25519Registry(SignatureRegistry):
     so that fixtures using this backend stay reproducible."""
 
     def __init__(self, private_keys: list) -> None:
-        if not _HAVE_ED25519:
-            raise CryptoError("cryptography is not installed; Ed25519 backend unavailable")
+        if _ed25519_key_class() is None:
+            raise CryptoError(_NO_ED25519)
         self._private = tuple(private_keys)
         self._public = tuple(k.public_key() for k in self._private)
 
     @classmethod
     def generate(cls, count: int, seed: int) -> "Ed25519Registry":
-        if not _HAVE_ED25519:
-            raise CryptoError("cryptography is not installed; Ed25519 backend unavailable")
+        key_class = _ed25519_key_class()
+        if key_class is None:
+            raise CryptoError(_NO_ED25519)
         base = b"dagbft-ed25519-v1" + enc_u64(seed & 0xFFFFFFFFFFFFFFFF)
         keys = [
-            Ed25519PrivateKey.from_private_bytes(content_digest(base + enc_u32(i)))
+            key_class.from_private_bytes(content_digest(base + enc_u32(i)))
             for i in range(count)
         ]
         return cls(keys)
@@ -305,4 +313,4 @@ class Ed25519Registry(SignatureRegistry):
 
 
 def ed25519_available() -> bool:
-    return _HAVE_ED25519
+    return _ed25519_key_class() is not None

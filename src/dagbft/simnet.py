@@ -31,6 +31,8 @@ not handed to them and their outboxes are never flushed, so they send nothing.
 
 The trace is the record of a run: a server's DAG at a step is the blocks
 its INSERT events up to that step list, and the engine keeps no copies.
+Each ref is hex-encoded once per run, so every event field that names one
+ref (``ref``, INSERT ``preds``, INDICATE ``block``) holds one string object.
 """
 
 from __future__ import annotations
@@ -437,6 +439,11 @@ class Simulation:
         # ref -> (report, INTERPRET labels): the servers sharing a report share
         # its labels list, so events are read-only
         self._interpret_labels: dict[BlockRef, tuple[BlockInterpretation, list[dict]]] = {}
+        self._ref_hex: dict[BlockRef, str] = {}  # ref -> its hex, the one string events hold
+
+    def _hex(self, ref: BlockRef) -> str:
+        """``ref.hex()``, the same string object on every call for one ref."""
+        return self._ref_hex.get(ref) or self._ref_hex.setdefault(ref, ref.hex())
 
     # -- wire ------------------------------------------------------------------
 
@@ -446,7 +453,9 @@ class Simulation:
         if type(sent) is bytes:
             env_kind, ref_hex, size = "RAW", None, len(sent)
         else:  # the ref first: a block's wire bytes reuse the core bytes it hashed
-            env_kind, ref_hex, size = sent.kind_name, sent.named_ref.hex(), sent.wire_size()
+            ref, table = sent.named_ref, self._ref_hex
+            ref_hex = table.get(ref) or table.setdefault(ref, ref.hex())
+            env_kind, size = sent.kind_name, sent.wire_size()
         delay = self.delay_rng.randint(*self.scenario.delay_bounds)
         link = (receiver, sender, now)
         self.inflight.setdefault(now + delay, []).append((link, sender, receiver, sent))
@@ -457,12 +466,14 @@ class Simulation:
         for env in envelopes:
             if env.kind == FWD_ENVELOPE:
                 self.events.append({"schema": _SCHEMA, "step": now, "kind": "FWD_REQ",
-                                    "server": env.sender, "ref": env.ref.hex(), "to": env.receiver})
+                                    "server": env.sender, "ref": self._hex(env.ref),
+                                    "to": env.receiver})
             self._schedule(now, env.sender, env.receiver, env)
 
     def _deliver_due(self, now: int, halted=()) -> None:
         batch = self.inflight.pop(now, [])
         links = Counter(item[0] for item in batch)
+        table = self._ref_hex
         # envelopes of one link and send step go in their wire bytes' SHA-256 order
         batch.sort(key=lambda item: (item[0], _digest(item[3]) if links[item[0]] > 1 else b""))
         for _key, sender, receiver, env in batch:
@@ -482,7 +493,8 @@ class Simulation:
                 self._drop(now, receiver, reason, frm=sender)
                 continue
             node = self.correct[receiver]
-            ref_hex = env.named_ref.hex()
+            ref = env.named_ref
+            ref_hex = table.get(ref) or table.setdefault(ref, ref.hex())
             self.events.append({"schema": _SCHEMA, "step": now, "kind": "DELIVER", "frm": sender,
                                 "to": receiver, "envelope": env.kind_name, "ref": ref_hex})
             if env.kind == BLOCK_ENVELOPE:
@@ -490,7 +502,7 @@ class Simulation:
                 if outcome == Disposition.BAD_SIGNATURE:
                     self._drop(now, receiver, "bad_signature", ref=ref_hex)
                 elif isinstance(outcome, bytes):  # the evicted block's ref
-                    self._drop(now, receiver, "pending_evicted", ref=outcome.hex())
+                    self._drop(now, receiver, "pending_evicted", ref=self._hex(outcome))
             else:
                 reply = node.gossip.on_fwd_request(env.ref, env.sender)
                 if reply is not None:
@@ -513,10 +525,10 @@ class Simulation:
         fields = self._insert_fields.get(ref)
         if fields is None:
             fields = self._insert_fields[ref] = {
-                "ref": ref.hex(),
+                "ref": self._hex(ref),
                 "builder": block.builder,
                 "seqno": block.seqno,
-                "preds": [p.hex() for p in block.preds],
+                "preds": [self._hex(p) for p in block.preds],
                 "requests": [
                     [label.originator, label.nonce, payload.hex()]
                     for label, payload in block.requests
@@ -549,7 +561,7 @@ class Simulation:
         for report in reports:
             self._record_interpretation(now, node.server, report)
         for report in reports:
-            block = report.ref.hex()
+            block = self._hex(report.ref)
             for act in report.labels:
                 for payload in act.indications:
                     self.events.append({"schema": _SCHEMA, "step": now, "kind": "INDICATE",
@@ -577,7 +589,8 @@ class Simulation:
             ]
             self._interpret_labels[report.ref] = (report, labels)
         self.events.append({"schema": _SCHEMA, "step": now, "kind": "INTERPRET", "server": server,
-                            "ref": report.ref.hex(), "builder": report.builder, "labels": labels})
+                            "ref": self._hex(report.ref), "builder": report.builder,
+                            "labels": labels})
 
     # -- main loop ------------------------------------------------------------------
 

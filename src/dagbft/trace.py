@@ -200,8 +200,26 @@ def _require(obj: dict, fields: dict, what: str, lineno: int) -> None:
 
 
 def loads(text: str) -> list[dict]:
+    """The events of a JSONL trace. Equal ``ref``, INSERT ``preds`` and
+    INDICATE ``block`` values come back as one string object, as a run
+    holds them."""
+    refs: dict[str, str] = {}  # a ref's first string, which equal ones are replaced by
+    events = []
     lines = enumerate(text.split("\n"), start=1)  # splitlines splits inside JSON strings too
-    return [parse_line(line, lineno) for lineno, line in lines if line.strip()]
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        obj = parse_line(line, lineno)
+        ref = obj.get("ref")
+        if type(ref) is str:
+            obj["ref"] = refs.setdefault(ref, ref)
+        kind = obj["kind"]
+        if kind == "INSERT":
+            obj["preds"] = [refs.setdefault(p, p) for p in obj["preds"]]
+        elif kind == "INDICATE":
+            obj["block"] = refs.setdefault(obj["block"], obj["block"])
+        events.append(obj)
+    return events
 
 
 def read_jsonl(path: str) -> list[dict]:

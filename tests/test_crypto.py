@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import os
 import struct
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from dagbft import crypto
 from dagbft.blockdag import Block, BlockDag, block_ref
 from dagbft.crypto import (
     DIGEST_SIZE,
@@ -193,6 +199,82 @@ class TestEd25519Registry:
         block = signed_block(registry, 0, 0)
         dag.insert(block)
         assert dag.is_valid(block)
+
+
+# In a fresh process: an HMAC simulation that checks clean, then ``dagbft run``
+# and ``dagbft check`` on its scenario in the working directory.
+_HMAC_RUN = """
+import io, json, sys
+from dagbft import checks, simnet
+from dagbft.cli import main
+
+SCENARIO = {"n": 4, "f": 1, "seed": 7, "max_steps": 9,
+            "requests": [{"step": 0, "server": 0, "label": [0, 1], "value": 42}]}
+scenario = simnet.Scenario.from_dict(SCENARIO)
+events = simnet.run(scenario).events
+for check in (checks.check_point_to_point, checks.check_brb, checks.check_convergence,
+              checks.check_interpretation_agreement):
+    assert check(events, scenario).ok, check.__name__
+with open("scenario.json", "w") as fh:
+    json.dump(SCENARIO, fh)
+assert main(["run", "--scenario", "scenario.json", "--out", "trace.jsonl"], io.StringIO()) == 0
+assert main(["check", "--trace", "trace.jsonl", "--scenario", "scenario.json"], io.StringIO()) == 0
+"""
+# prints the names of the cryptography modules loaded so far
+_PRINT_LOADED = """
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "cryptography")))
+"""
+# the Ed25519 backend's checks and construction all fail when it cannot load
+_NO_BACKEND = """
+from dagbft.crypto import CryptoError, Ed25519Registry, ed25519_available
+assert not ed25519_available()
+for make in (lambda: Ed25519Registry.generate(4, seed=1), lambda: Ed25519Registry([])):
+    try:
+        make()
+    except CryptoError:
+        continue
+    raise SystemExit("no CryptoError")
+"""
+
+
+def _python(code: str, cwd: Path) -> str:
+    """Standard output of ``code`` run by a fresh interpreter on this ``dagbft``."""
+    src = str(Path(crypto.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestEd25519OnFirstUse:
+    """Only the Ed25519 backend needs ``cryptography``: the package, its CLI
+    and an HMAC run never import it, and without it that backend alone fails."""
+
+    @pytest.mark.skipif(not ed25519_available(), reason="cryptography not installed")
+    def test_hmac_runs_never_load_cryptography(self, tmp_path):
+        code = (
+            "import dagbft, dagbft.cli\n" + _HMAC_RUN + _PRINT_LOADED
+            + "from dagbft.crypto import Ed25519Registry\n"
+            + "Ed25519Registry.generate(4, seed=1)\n" + _PRINT_LOADED
+        )
+        before, after = map(json.loads, _python(code, tmp_path).splitlines()[-2:])
+        assert before == []
+        assert "cryptography" in after
+
+    @pytest.mark.parametrize("blocked", ["before_import", "after_import"])
+    def test_missing_backend_fails_only_ed25519(self, tmp_path, blocked):
+        # before the import it is not installed; after it, it is not loaded yet
+        block = "sys.modules['cryptography'] = None\n"
+        code = (
+            "import sys\n"
+            + (block if blocked == "before_import" else "")
+            + "import dagbft, dagbft.cli\n"
+            + (block if blocked == "after_import" else "")
+            + _NO_BACKEND
+            + _HMAC_RUN
+        )
+        _python(code, tmp_path)
 
 
 @pytest.fixture(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagbft import gossip, simnet
+from dagbft import gossip, simnet, trace
 from dagbft.blockdag import Block, block_ref, block_to_wire
 from dagbft.brb import decode_broadcast, decode_deliver
 from dagbft.checks import (
@@ -975,6 +975,37 @@ class TestSharedInterpretation:
         with private_interpreters():
             run(scenario)
         assert computed == interpreted
+
+
+def ref_fields(events: list[dict]) -> list[str]:
+    """The values of every field that names a ref: ``ref``, INSERT
+    ``preds`` and INDICATE ``block``."""
+    out = []
+    for e in events:
+        if type(e.get("ref")) is str:
+            out.append(e["ref"])
+        if e["kind"] == "INSERT":
+            out += e["preds"]
+        elif e["kind"] == "INDICATE":
+            out.append(e["block"])
+    return out
+
+
+class TestOneStringPerRef:
+    """A run hex-encodes each ref once and ``trace.loads`` reads each ref
+    value once, so every field naming one ref holds one string object."""
+
+    @pytest.mark.parametrize("gen", [random_scenario, adversarial_scenario])
+    @pytest.mark.parametrize("index", range(10))
+    def test_equal_refs_are_one_object(self, gen, index):
+        events = run(gen(index)).events
+        for held in (events, trace.loads(trace.dumps(events))):
+            values = ref_fields(held)
+            objects = {value: set() for value in values}
+            for value in values:
+                objects[value].add(id(value))
+            assert len(values) > len(objects)  # refs recur: the check is not vacuous
+            assert all(len(ids) == 1 for ids in objects.values())
 
 
 def intake_corpus():
