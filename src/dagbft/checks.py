@@ -15,6 +15,9 @@ Point-to-point decides each distinct block once per pass, from the block's
 body, its preds and their bodies and builders, into a check count and the
 failed checks, and every server that holds that block reuses the verdict
 and sorts the failures into its own report.
+
+Each checker makes no reference cycles and runs with the cyclic garbage
+collector paused: see ``trace.gc_paused``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .brb import decode_deliver
 from .crypto import EncodingError
 from .protocol import Label, Message, ProtocolError, message_from_canonical
 from .simnet import Scenario
-from .trace import TraceFormatError
+from .trace import TraceFormatError, gc_paused
 
 
 @dataclass
@@ -282,6 +285,7 @@ def _no_duplication(server: int, keys: list[_Key], correct: set[int]) -> tuple[i
     return sum(map(len, first.values())), violations
 
 
+@gc_paused
 def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
     """Reliable delivery, no duplication, and authenticity, restated over the
     interpretation events of every correct server.
@@ -342,6 +346,7 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
+@gc_paused
 def check_brb(events: list[dict], scenario: Scenario) -> CheckReport:
     """Validity, no duplication, integrity, consistency, totality, per label,
     quantified over correct servers only."""
@@ -467,6 +472,7 @@ def _snapshots(dag: dict[str, dict], steps: tuple[int, ...]) -> tuple[dict[int, 
     return snaps, closed
 
 
+@gc_paused
 def check_convergence(events: list[dict], scenario: Scenario) -> CheckReport:
     """Every pair of correct snapshots is jointly contained in every correct
     server's final DAG (with the edge restriction, not mere vertex subset),
@@ -541,6 +547,7 @@ def check_convergence(events: list[dict], scenario: Scenario) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
+@gc_paused
 def check_interpretation_agreement(events: list[dict], scenario: Scenario) -> CheckReport:
     """For every block interpreted by several correct servers, the per-label
     state digests must coincide. Servers whose INTERPRET events of a block

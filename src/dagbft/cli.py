@@ -35,7 +35,7 @@ def _load_scenario(path: str, out) -> simnet.Scenario | None:
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=out)
         return None
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or a huge integer
         print(f"error: scenario is not valid JSON: {exc}", file=out)
         return None
     try:

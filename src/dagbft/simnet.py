@@ -33,14 +33,18 @@ The trace is the record of a run: a server's DAG at a step is the blocks
 its INSERT events up to that step list, and the engine keeps no copies.
 Each ref is hex-encoded once per run, so every event field that names one
 ref (``ref``, INSERT ``preds``, INDICATE ``block``) holds one string object.
+A run makes no reference cycles and runs with the cyclic garbage collector
+paused: see ``trace.gc_paused``.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 from random import Random
 from typing import Optional
 
@@ -301,12 +305,12 @@ class _Adversary:
         spec: BehaviorSpec,
         scenario: Scenario,
         restricted: RestrictedSigner,
-        rng: Random,
     ) -> None:
         self.server = server
         self.spec = spec
         self.scenario = scenario
-        self.rng = rng
+        # GARBAGE is the one behavior that draws from an RNG
+        self.rng = Random((scenario.seed << 8) ^ server) if spec.kind == "GARBAGE" else None
         self.node = GossipNode(server, restricted)
         self.outbox: deque[WireEnvelope | tuple[int, bytes]] = deque()
         self._marker_nonce = 0
@@ -418,11 +422,7 @@ class Simulation:
         for server in range(scenario.n):
             if server in byz:
                 self.adversaries[server] = _Adversary(
-                    server,
-                    byz[server],
-                    scenario,
-                    self.registry.restricted(server),
-                    Random((scenario.seed << 8) ^ server),
+                    server, byz[server], scenario, self.registry.restricted(server)
                 )
             else:
                 self.correct[server] = Shim(
@@ -472,10 +472,14 @@ class Simulation:
 
     def _deliver_due(self, now: int, halted=()) -> None:
         batch = self.inflight.pop(now, [])
-        links = Counter(item[0] for item in batch)
-        table = self._ref_hex
+        batch.sort(key=_link)
+        links = list(map(_link, batch))
         # envelopes of one link and send step go in their wire bytes' SHA-256 order
-        batch.sort(key=lambda item: (item[0], _digest(item[3]) if links[item[0]] > 1 else b""))
+        for link, count in Counter(links).items():
+            if count > 1:
+                i = bisect_left(links, link)
+                batch[i:i + count] = sorted(batch[i:i + count], key=lambda item: _digest(item[3]))
+        table = self._ref_hex
         for _key, sender, receiver, env in batch:
             if receiver in halted:
                 continue  # a halted adversary would buffer it and never use it
@@ -594,6 +598,7 @@ class Simulation:
 
     # -- main loop ------------------------------------------------------------------
 
+    @trace.gc_paused
     def run(self) -> RunResult:
         scenario = self.scenario
         for now in range(scenario.max_steps):
@@ -649,6 +654,9 @@ class Simulation:
             if quiet:
                 return
         raise RuntimeError("drain did not quiesce within the round bound")
+
+
+_link = itemgetter(0)  # an in-flight item's (receiver, sender, send step)
 
 
 def _digest(sent: WireEnvelope | bytes) -> bytes:

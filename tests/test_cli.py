@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -20,6 +21,14 @@ def scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(fig_broadcast_scenario().to_dict()))
     return path
+
+
+# a JSON integer longer than the interpreter's digit limit, which the decoder
+# rejects with a plain ValueError; no such limit before Python 3.11 or when set to 0
+_PAST_DIGIT_LIMIT = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+)
+_HUGE = "9" * 5000
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -181,7 +190,17 @@ class TestRun:
         assert "ran 12 steps" in text
 
     @pytest.mark.parametrize(
-        "content", [None, b"\xff\xfe", b"[" * 200_000], ids=["missing", "not-utf8", "too-deep"]
+        "content",
+        [
+            None,
+            b"\xff\xfe",
+            b"[" * 200_000,
+            pytest.param(
+                f'{{"n": 4, "f": 1, "seed": {_HUGE}, "max_steps": 4}}'.encode(),
+                marks=_PAST_DIGIT_LIMIT,
+            ),
+        ],
+        ids=["missing", "not-utf8", "too-deep", "seed-past-digit-limit"],
     )
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_unreadable_scenario_is_config_error(self, tmp_path, command, content):
@@ -358,6 +377,11 @@ _MALFORMED_EVENTS = [
     '{"schema":1,"step":0,"kind":"DROP","server":0,"reason":"misaddressed","frm":"3"}',
     '{"schema":1,"step":0,"kind":"DROP","server":0,"reason":"bad_signature","ref":5}',
     pytest.param("[" * 200_000, id="nested-too-deep"),
+    pytest.param(
+        f'{{"schema":1,"step":{_HUGE},"kind":"PROMOTE","server":0,"ref":"aa"}}',
+        id="step-past-digit-limit",
+        marks=_PAST_DIGIT_LIMIT,
+    ),
 ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import re
 import sys
@@ -1068,6 +1069,70 @@ class TestLazyTieDigest:
         # the digest path ran: 36 of the 80 runs tie, 688 envelopes in all (38
         # runs and 1,548 envelopes share a link and send step, in any batch)
         assert (sum(map(bool, tied)), sum(tied)) == (36, 688)
+
+
+class TestTieOrder:
+    """``_deliver_due`` sorts a due batch by link, (receiver, sender, send
+    step), and puts the envelopes of one link in their wire bytes' SHA-256
+    order, hashing only those."""
+
+    def test_only_tied_envelopes_are_hashed(self, monkeypatch):
+        sim = Simulation(fig_broadcast_scenario())
+        tied = [WireEnvelope(FWD_ENVELOPE, 0, 1, ref=bytes([i]) * 32) for i in (7, 8, 9)]
+        untied = [
+            WireEnvelope(FWD_ENVELOPE, 0, 1, ref=bytes([5]) * 32),  # one send step earlier
+            WireEnvelope(FWD_ENVELOPE, 3, 1, ref=bytes([6]) * 32),
+        ]
+        junk = b"\xff" * 24
+        items = [((1, 0, 3), 0, 1, env) for env in tied]
+        items += [((1, 0, 2), 0, 1, untied[0]), ((1, 3, 3), 3, 1, untied[1]), ((0, 2, 3), 2, 0, junk)]
+        sim.inflight[4] = [items[i] for i in (3, 1, 5, 0, 4, 2)]
+        hashed, digest = [], simnet._digest
+
+        def counting_digest(sent):
+            hashed.append(sent)
+            return digest(sent)
+
+        monkeypatch.setattr(simnet, "_digest", counting_digest)
+        sim._deliver_due(4)
+        by_wire = sorted(tied, key=lambda env: hashlib.sha256(env.encode()).digest())
+        assert by_wire != tied  # the digest order is not the order built
+        delivered = [(e["kind"], e.get("frm"), e.get("ref")) for e in sim.events]
+        assert delivered == [
+            ("DROP", 2, None),  # undecodable junk, to server 0
+            *(("DELIVER", 0, env.ref.hex()) for env in [untied[0], *by_wire]),
+            ("DELIVER", 3, untied[1].ref.hex()),
+        ]
+        assert sorted(hashed) == sorted(tied)
+
+
+class TestAdversaryRandom:
+    """GARBAGE is the one behavior that draws random numbers, so only its
+    adversaries get a seeded generator beside the delay generator."""
+
+    @pytest.mark.parametrize(
+        "kinds, generators",
+        [(("EQUIVOCATE", "SELECTIVE_SEND"), 1), (("GARBAGE", "CRASH_AT"), 2), (("GARBAGE", "GARBAGE"), 3)],
+    )
+    def test_random_generators_per_simulation(self, kinds, generators, monkeypatch):
+        made = []
+
+        class CountingRandom(simnet.Random):
+            def __init__(self, seed):
+                made.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(simnet, "Random", CountingRandom)
+        specs = [
+            BehaviorSpec(kind, targets=(0, 1)) if kind == "SELECTIVE_SEND" else BehaviorSpec(kind)
+            for kind in kinds
+        ]
+        scenario = Scenario(n=7, f=2, seed=9, max_steps=6, byzantine=tuple(zip((5, 6), specs)))
+        sim = Simulation(scenario)
+        assert len(made) == generators
+        garbage = [s for s, spec in scenario.byzantine if spec.kind == "GARBAGE"]
+        assert made[1:] == [(9 << 8) ^ s for s in garbage]
+        assert [s for s, adv in sim.adversaries.items() if adv.rng is not None] == garbage
 
 
 class TestSharedDecoding:
