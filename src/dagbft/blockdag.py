@@ -30,18 +30,16 @@ from .crypto import (
     Signature,
     SignatureScheme,
     UnknownServerError,
+    _Reader,
     content_digest,
-    enc_bytes,
-    enc_seq,
-    enc_u8,
-    enc_u32,
-    enc_u64,
-    reader,
+    pack_fields,
 )
 from .protocol import Label, read_label
 
 _TAG_BLOCK_CORE = 0x01
 _BLOCK_HEAD = struct.Struct(">BBIQI")  # version, tag, builder, seqno, pred count
+_LENGTH = struct.Struct(">I")  # the request count, a request payload's length
+_SIGNATURE_HEAD = struct.Struct(">BI")  # scheme, data length
 
 
 class BlockDagError(Exception):
@@ -91,17 +89,11 @@ class Block:
     def core_bytes(self) -> bytes:
         """Canonical encoding of the signed content; the signature is excluded
         so the content hash is independent of it."""
-        return (
-            enc_u8(ENCODING_VERSION)
-            + enc_u8(_TAG_BLOCK_CORE)
-            + enc_u32(self.builder)
-            + enc_u64(self.seqno)
-            + enc_seq(self.preds)
-            + enc_seq(
-                label.canonical_bytes() + enc_bytes(payload)
-                for label, payload in self.requests
-            )
-        )
+        head = (ENCODING_VERSION, _TAG_BLOCK_CORE, self.builder, self.seqno, len(self.preds))
+        parts = [pack_fields(_BLOCK_HEAD, *head), *self.preds, _LENGTH.pack(len(self.requests))]
+        for label, payload in self.requests:
+            parts += (label.canonical_bytes(), _LENGTH.pack(len(payload)), payload)
+        return b"".join(parts)
 
     def distinct_preds(self) -> tuple[BlockRef, ...]:
         """Predecessor refs with byzantine repetitions removed, first-seen
@@ -147,13 +139,14 @@ def block_to_wire(block: Block) -> bytes:
         if sig is None:
             raise EncodingError("refusing to encode an unsigned block for the wire")
         core = block.__dict__.pop("_core", None) or block.core_bytes()  # what the ref hashed
-        wire = block.__dict__["_wire"] = core + enc_u8(int(sig.scheme)) + enc_bytes(sig.data)
+        head = pack_fields(_SIGNATURE_HEAD, sig.scheme, len(sig.data))
+        wire = block.__dict__["_wire"] = core + head + sig.data
     return wire
 
 
 def block_from_wire(data: bytes) -> Block:
     """Decode a block that keeps ``data`` as its wire bytes and hashes its core."""
-    r = reader(data)
+    r = _Reader(data)
     version, tag, builder, seqno, count = r.fields(_BLOCK_HEAD)
     if version != ENCODING_VERSION:
         raise EncodingError("unsupported encoding version")
@@ -161,11 +154,12 @@ def block_from_wire(data: bytes) -> Block:
         raise EncodingError("not a block encoding")
     packed = r.take(DIGEST_SIZE * count)
     preds = tuple(packed[i : i + DIGEST_SIZE] for i in range(0, len(packed), DIGEST_SIZE))
-    requests = tuple((read_label(r), r.raw_bytes()) for _ in range(r.u32()))
+    (count,) = r.fields(_LENGTH)
+    requests = tuple((read_label(r), r.take(r.fields(_LENGTH)[0])) for _ in range(count))
     core_end = r.pos
-    scheme = r.u8()
+    scheme, size = r.fields(_SIGNATURE_HEAD)
     try:
-        sig = Signature(SignatureScheme(scheme), r.raw_bytes())
+        sig = Signature(SignatureScheme(scheme), r.take(size))
     except ValueError as exc:
         raise EncodingError(f"unknown signature scheme {scheme}") from exc
     if not r.done():

@@ -5,56 +5,59 @@ and READY phases with quorums at 2f+1, READY amplification at f+1, delivery
 at 2f+1 READYs. A broadcast request is accepted only when the requesting
 server is the label's originator, which is what makes requests
 self-authenticating inside a simulation. ``on_receive`` runs once per fed
-message and reads each sender set once; ``state_bytes``, which every state
-digest encodes, joins its parts once.
+message, reads the message's header in one ``struct`` call and each sender
+set once; ``state_bytes``, which every state digest encodes, joins its
+parts once. Each payload packs through one ``struct`` layout.
 """
 
 from __future__ import annotations
 
-from struct import pack
+from struct import Struct, pack
 
-from .crypto import enc_u32, enc_u64, enc_u8
-from .protocol import ContractError, Label, Message, ProcessInstance, Protocol, ProtocolError
+from .crypto import pack_fields
+from .protocol import MESSAGE_HEAD, ContractError, Label, Message, ProcessInstance, Protocol, ProtocolError
 
 ECHO = 1
 READY = 2
 
-_VALUE_BYTES = 8
+_VALUE = Struct(">Q")  # a broadcast request and a deliver indication
+_PAYLOAD = Struct(">BQ")  # a message payload: kind, value
+_IDS = Struct(">III")  # server, server count, fault bound
 
 
 def encode_broadcast(value: int) -> bytes:
     """Request payload: the 64-bit value to broadcast."""
-    return enc_u64(value)
+    return pack_fields(_VALUE, value)
 
 
 def decode_broadcast(payload: bytes) -> int:
-    if len(payload) != _VALUE_BYTES:
+    if len(payload) != _VALUE.size:
         raise ProtocolError("broadcast request must be exactly 8 bytes")
-    return int.from_bytes(payload, "big")
+    return _VALUE.unpack(payload)[0]
 
 
 def encode_payload(kind: int, value: int) -> bytes:
     """Message payload: 1-byte kind tag + 8-byte big-endian value."""
     if kind not in (ECHO, READY):
         raise ProtocolError(f"unknown message kind {kind}")
-    return enc_u8(kind) + enc_u64(value)
+    return pack_fields(_PAYLOAD, kind, value)
 
 
 def decode_payload(payload: bytes) -> tuple[int, int]:
-    if len(payload) != 1 + _VALUE_BYTES or payload[0] not in (ECHO, READY):
+    if len(payload) != _PAYLOAD.size or payload[0] not in (ECHO, READY):
         raise ProtocolError("not a broadcast protocol message")
-    return payload[0], int.from_bytes(payload[1:], "big")
+    return _PAYLOAD.unpack(payload)
 
 
 def encode_deliver(value: int) -> bytes:
     """Indication payload."""
-    return enc_u64(value)
+    return pack_fields(_VALUE, value)
 
 
 def decode_deliver(payload: bytes) -> int:
-    if len(payload) != _VALUE_BYTES:
+    if len(payload) != _VALUE.size:
         raise ProtocolError("deliver indication must be exactly 8 bytes")
-    return int.from_bytes(payload, "big")
+    return _VALUE.unpack(payload)[0]
 
 
 class BrbInstance(ProcessInstance):
@@ -94,11 +97,11 @@ class BrbInstance(ProcessInstance):
         return self._to_all(ECHO, value)
 
     def on_receive(self, message: Message) -> list[Message]:
-        sender, receiver, payload = message
+        _, _, sender, receiver, _ = MESSAGE_HEAD.unpack_from(message)
         if receiver != self.server:
             raise ContractError(f"message for {receiver} fed to instance of {self.server}")
         try:
-            kind, value = decode_payload(payload)
+            kind, value = decode_payload(message[MESSAGE_HEAD.size :])
         except ProtocolError:
             return []  # byzantine payloads must not crash correct servers
         if kind == ECHO:
@@ -151,8 +154,8 @@ class BrbInstance(ProcessInstance):
 
     def state_bytes(self) -> bytes:
         if not self._identity:
-            ids = (self.server, self.server_count, self.fault_bound)
-            self._identity = self.label.canonical_bytes() + b"".join(map(enc_u32, ids))
+            ids = pack_fields(_IDS, self.server, self.server_count, self.fault_bound)
+            self._identity = self.label.canonical_bytes() + ids
         # a u8 per flag; per table the count of non-empty sender sets, each a
         # u64 value and count-prefixed u32 senders (in range: decoded values
         # and message senders); the count-prefixed pending indications

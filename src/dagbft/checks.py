@@ -80,9 +80,10 @@ class _Body:
             self._sent = {}
             for label, (_, out) in self.acts.items():
                 for i, m in enumerate(out):
-                    sent = self._sent.get(m.receiver)
+                    to = m.receiver
+                    sent = self._sent.get(to)
                     if sent is None:
-                        sent = self._sent[m.receiver] = ([], [], [])
+                        sent = self._sent[to] = ([], [], [])
                     sent[0].append(label)
                     sent[1].append(m)
                     sent[2].append(i)
@@ -226,12 +227,13 @@ def _decide_block(key: _Key, correct: set[int]) -> tuple[int, tuple[_Failure, ..
             origins.setdefault(pred_builder, []).append(pred_body)
     for label, (fed, _) in acts.items():
         for i, m in enumerate(fed):
-            if m.sender not in correct:
+            sender = m.sender
+            if sender not in correct:
                 continue
             checked += 1
-            if not any(m in pb.acts.get(label, _NO_ACT)[1] for pb in origins.get(m.sender, ())):
+            if not any(m in pb.acts.get(label, _NO_ACT)[1] for pb in origins.get(sender, ())):
                 detail = (
-                    f"message claiming sender {m.sender} in in-buffer of {ref[:12]} has no "
+                    f"message claiming sender {sender} in in-buffer of {ref[:12]} has no "
                     f"signed origin block (label {label.originator}/{label.nonce})"
                 )
                 failures.append((2, ref, label, i, None, "authenticity", detail))
@@ -258,9 +260,7 @@ def _no_duplication(server: int, keys: list[_Key], correct: set[int]) -> tuple[i
                 else:
                     seen[m] = preds
     violations = []
-    for (label, receiver, m), feeds in sorted(
-        repeats.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].canonical_bytes())
-    ):
+    for (label, receiver, m), feeds in sorted(repeats.items()):
         if m.sender in correct:
             violations.append(
                 f"no-duplication: interpreter {server}: message {m.sender}->{receiver} "

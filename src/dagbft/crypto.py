@@ -1,8 +1,13 @@
-"""Content hashing, canonical-encoding primitives, and pluggable signatures.
+"""Content hashing, the canonical codec's helpers, and pluggable signatures.
 
-Everything that must be byte-identical across independent machines funnels
-through this module: the fixed-width big-endian integer encoders, the
-length-prefixed byte/sequence encoders, and the 32-byte content digest.
+Every canonical encoding packs its fixed-width big-endian fields with one
+``struct`` layout, kept beside the type it encodes, and joins its
+variable-length parts (refs, payloads, signature data) after their length
+prefixes; it never uses a ``struct`` ``s`` format, which pads or truncates.
+This module holds what the codecs share: ``pack_fields``, which turns a
+field out of its layout's range into ``EncodingError``, the ``_Reader``
+cursor the block and envelope decoders read through, and the 32-byte
+content digest.
 
 Two signature backends share one base, ``SignatureRegistry``:
 
@@ -26,10 +31,10 @@ import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
 
 DIGEST_SIZE = 32
 ENCODING_VERSION = 1
+_KEY_SEED = struct.Struct(">QI")  # the registry seed, a server id
 
 
 class CryptoError(Exception):
@@ -45,53 +50,22 @@ class EncodingError(CryptoError):
 
 
 # ---------------------------------------------------------------------------
-# Canonical encoding primitives
+# Canonical encoding
 # ---------------------------------------------------------------------------
 
-_U8 = struct.Struct(">B")
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
 
-
-def enc_u8(value: int) -> bytes:
-    if not 0 <= value <= 0xFF:
-        raise EncodingError(f"u8 out of range: {value}")
-    return _U8.pack(value)
-
-
-def enc_u32(value: int) -> bytes:
-    if not 0 <= value <= 0xFFFFFFFF:
-        raise EncodingError(f"u32 out of range: {value}")
-    return _U32.pack(value)
-
-
-def enc_u64(value: int) -> bytes:
-    if not 0 <= value <= 0xFFFFFFFFFFFFFFFF:
-        raise EncodingError(f"u64 out of range: {value}")
-    return _U64.pack(value)
-
-
-def enc_bytes(data: bytes) -> bytes:
-    """Length-prefixed byte string; the prefix keeps concatenation injective."""
-    return enc_u32(len(data)) + data
-
-
-def enc_seq(items: Iterable[bytes]) -> bytes:
-    """Count-prefixed sequence of already-encoded items."""
-    chunks = list(items)
-    return enc_u32(len(chunks)) + b"".join(chunks)
-
-
-def enc_u32s(values: Sequence[int]) -> bytes:
-    """``enc_seq(enc_u32(v) for v in values)`` packed in one ``struct`` call."""
+def pack_fields(layout: struct.Struct, *fields) -> bytes:
+    """``layout.pack(*fields)``, a field out of its format's range raising
+    ``EncodingError`` rather than ``struct.error``."""
     try:
-        return struct.pack(f">{len(values) + 1}I", len(values), *values)
+        return layout.pack(*fields)
     except struct.error:
-        raise EncodingError(f"u32 out of range in {list(values)}") from None
+        raise EncodingError(f"field out of range in {fields}") from None
 
 
 class _Reader:
-    """Cursor over canonical bytes; decoding counterpart of the encoders."""
+    """Cursor over canonical bytes: fixed-width fields by ``struct`` layout,
+    variable-length parts by their decoded length."""
 
     __slots__ = ("data", "pos")
 
@@ -115,24 +89,8 @@ class _Reader:
         self.pos = end
         return out
 
-    def u8(self) -> int:
-        return self.fields(_U8)[0]
-
-    def u32(self) -> int:
-        return self.fields(_U32)[0]
-
-    def u64(self) -> int:
-        return self.fields(_U64)[0]
-
-    def raw_bytes(self) -> bytes:
-        return self.take(self.u32())
-
     def done(self) -> bool:
         return self.pos == len(self.data)
-
-
-def reader(data: bytes) -> _Reader:
-    return _Reader(data)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +162,8 @@ class KeyRegistry(SignatureRegistry):
 
     @classmethod
     def generate(cls, count: int, seed: int) -> "KeyRegistry":
-        base = b"dagbft-key-v1" + enc_u64(seed & 0xFFFFFFFFFFFFFFFF)
-        return cls([content_digest(base + enc_u32(i)) for i in range(count)])
+        seed &= 0xFFFFFFFFFFFFFFFF
+        return cls([content_digest(b"dagbft-key-v1" + _KEY_SEED.pack(seed, i)) for i in range(count)])
 
     @property
     def server_count(self) -> int:
@@ -286,12 +244,9 @@ class Ed25519Registry(SignatureRegistry):
         key_class = _ed25519_key_class()
         if key_class is None:
             raise CryptoError(_NO_ED25519)
-        base = b"dagbft-ed25519-v1" + enc_u64(seed & 0xFFFFFFFFFFFFFFFF)
-        keys = [
-            key_class.from_private_bytes(content_digest(base + enc_u32(i)))
-            for i in range(count)
-        ]
-        return cls(keys)
+        seed &= 0xFFFFFFFFFFFFFFFF
+        digests = (content_digest(b"dagbft-ed25519-v1" + _KEY_SEED.pack(seed, i)) for i in range(count))
+        return cls([key_class.from_private_bytes(digest) for digest in digests])
 
     @property
     def server_count(self) -> int:

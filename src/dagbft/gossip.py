@@ -51,12 +51,7 @@ from .blockdag import (
     block_ref,
     block_to_wire,
 )
-from .crypto import (
-    DIGEST_SIZE,
-    ENCODING_VERSION,
-    EncodingError,
-    reader,
-)
+from .crypto import DIGEST_SIZE, ENCODING_VERSION, EncodingError, _Reader, pack_fields
 from .protocol import Label
 
 BLOCK_ENVELOPE = 1
@@ -105,16 +100,13 @@ class WireEnvelope(NamedTuple):
         return _ENVELOPE_HEAD.size + len(self.body())
 
     def encode(self) -> bytes:
-        try:
-            head = _ENVELOPE_HEAD.pack(ENCODING_VERSION, self.kind, self.sender, self.receiver)
-        except struct.error:
-            raise EncodingError("envelope header field out of range") from None
+        head = pack_fields(_ENVELOPE_HEAD, ENCODING_VERSION, self.kind, self.sender, self.receiver)
         return head + self.body()
 
     @classmethod
     def decode(cls, data: bytes) -> "WireEnvelope":
         """Decode raw input; a simulated receiver is handed the envelope sent."""
-        r = reader(data)
+        r = _Reader(data)
         version, kind, sender, receiver = r.fields(_ENVELOPE_HEAD)
         if version != ENCODING_VERSION:
             raise EncodingError("unsupported envelope version")

@@ -6,9 +6,9 @@ feeds that instance's label, so a block costs what its own traffic costs,
 not what its history holds. It feeds the block's embedded requests, then
 every message addressed to the block's builder from the out-buffers of the
 block's predecessors, gathered in one pass, by label and in the fixed
-message order. Beyond those calls a block pays one state digest per label it
-feeds, a SHA-256 over ``state_bytes`` and the out-buffer, recomputed each
-time: nothing is cached on an instance. Each interpreted block
+message order, that of their bytes. Beyond those calls a block pays one
+state digest per label it feeds, a SHA-256 over ``state_bytes`` and the
+out-buffer, recomputed each time: nothing is cached on an instance. Each interpreted block
 gets one slot holding its instances and its out-buffer per label; what a
 block was fed and the indications it raised are in its report, the
 interpreter's only output. Slots are write-once: after a block is
@@ -40,14 +40,7 @@ from typing import NamedTuple
 
 from .blockdag import BlockDag, BlockRef, block_ref
 from .crypto import content_digest
-from .protocol import (
-    Label,
-    Message,
-    ProcessInstance,
-    Protocol,
-    ProtocolError,
-    message_sort_key,
-)
+from .protocol import RECEIVER, Label, Message, ProcessInstance, Protocol, ProtocolError
 
 _TAG_INSTANCE_STATE = 0x20
 _DIGEST_HEAD = struct.Struct(">BI")  # tag, state length
@@ -122,7 +115,7 @@ class Interpreter:
         if inst is None:
             inst = self.protocol.spawn(label, self.dag.get(ref).builder)
         state = inst.state_bytes()
-        out = sorted([m.canonical_bytes() for m in slot.out.get(label, ())])
+        out = sorted(slot.out.get(label, ()))
         parts = [_DIGEST_HEAD.pack(_TAG_INSTANCE_STATE, len(state)), state, _U32.pack(len(out))]
         for encoded in out:
             parts += (_U32.pack(len(encoded)), encoded)
@@ -181,12 +174,15 @@ class Interpreter:
         # messages materialized by edges from predecessors: those addressed
         # to the builder, gathered per label in one pass
         incoming: dict[Label, set[Message]] = {}
+        to_builder = _U32.pack(builder)  # the receiver field of those messages
+        # its last byte, read without a copy, rules out most other messages
+        last, low = RECEIVER.stop - 1, to_builder[-1]
         for p in block.distinct_preds():
             for label, messages in self._slots[p].out.items():
                 for m in messages:
-                    if m.receiver == builder:
+                    if m[last] == low and m[RECEIVER] == to_builder:
                         incoming.setdefault(label, set()).add(m)
-        fed = {label: tuple(sorted(incoming[label], key=message_sort_key)) for label in sorted(incoming)}
+        fed = {label: tuple(sorted(incoming[label])) for label in sorted(incoming)}
 
         # requests embedded in this block, in list order, then the fed
         # messages; a failed request leaves the private instance unchanged

@@ -5,6 +5,10 @@ consumes requests and messages and synchronously returns the messages it
 emits; indications are buffered and drained by the caller. Determinism and
 clonability are load-bearing: the interpreter replays the same machine on
 every server and relies on equal inputs producing equal states.
+
+A message is its canonical encoding, a ``bytes`` value: every server
+compares, hashes and orders the messages it materializes by those bytes
+alone, and the interpreter feeds them in byte order.
 """
 
 from __future__ import annotations
@@ -13,12 +17,13 @@ import struct
 from abc import ABC, abstractmethod
 from typing import NamedTuple
 
-from .crypto import ENCODING_VERSION, EncodingError, enc_u8, enc_u32, enc_u64
+from .crypto import ENCODING_VERSION, EncodingError, pack_fields
 
 _TAG_LABEL = 0x10
 _TAG_MESSAGE = 0x11
 _LABEL_LAYOUT = struct.Struct(">BBIQ")  # version, tag, originator, nonce
-_MESSAGE_HEAD = struct.Struct(">BBIII")  # version, tag, sender, receiver, payload length
+MESSAGE_HEAD = struct.Struct(">BBIII")  # version, tag, sender, receiver, payload length
+RECEIVER = slice(6, 10)  # the receiver field of a message's bytes
 
 
 class ProtocolError(Exception):
@@ -42,40 +47,41 @@ class Label(NamedTuple):
     nonce: int
 
     def canonical_bytes(self) -> bytes:
-        return (
-            enc_u8(ENCODING_VERSION)
-            + enc_u8(_TAG_LABEL)
-            + enc_u32(self.originator)
-            + enc_u64(self.nonce)
-        )
+        return pack_fields(_LABEL_LAYOUT, ENCODING_VERSION, _TAG_LABEL, self.originator, self.nonce)
 
 
-class _MessageFields(NamedTuple):
-    sender: int
-    receiver: int
-    payload: bytes
+class Message(bytes):
+    """A protocol message, whose value is its canonical encoding: the
+    ``MESSAGE_HEAD`` fields, then the payload. Equality, hash and order are
+    those of the bytes. That is exact because the codec is canonical: two
+    messages are equal exactly when their fields are, and the byte order is
+    a strict total order that is the same on every machine, the one the
+    interpreter feeds messages in. The fields are read-only properties over
+    the bytes. An out-of-range sender or receiver raises ``EncodingError``."""
 
-
-class Message(_MessageFields):
-    """A protocol message. A tuple of its three fields, so it hashes and
-    compares in C as ``(sender, receiver, payload)``. Its canonical encoding
-    is computed once, at construction, or kept from the bytes it was decoded
-    from (see :func:`message_from_canonical`), in the one attribute beyond
-    the fields, which equality, hash and repr do not see. An out-of-range
-    sender or receiver raises ``EncodingError`` here."""
+    __slots__ = ()
 
     def __new__(cls, sender: int, receiver: int, payload: bytes) -> "Message":
-        self = tuple.__new__(cls, (sender, receiver, payload))
-        # sorting, state digests and the trace all read these bytes
         try:
-            head = _MESSAGE_HEAD.pack(ENCODING_VERSION, _TAG_MESSAGE, sender, receiver, len(payload))
+            head = MESSAGE_HEAD.pack(ENCODING_VERSION, _TAG_MESSAGE, sender, receiver, len(payload))
         except struct.error:
             raise EncodingError(f"message field out of range: {sender}, {receiver}") from None
-        self._canonical = head + payload
-        return self
+        return bytes.__new__(cls, head + payload)
 
-    def canonical_bytes(self) -> bytes:
-        return self._canonical
+    @property
+    def sender(self) -> int:
+        return MESSAGE_HEAD.unpack_from(self)[2]
+
+    @property
+    def receiver(self) -> int:
+        return MESSAGE_HEAD.unpack_from(self)[3]
+
+    @property
+    def payload(self) -> bytes:
+        return self[MESSAGE_HEAD.size :]
+
+    def __repr__(self) -> str:
+        return f"Message(sender={self.sender}, receiver={self.receiver}, payload={self.payload!r})"
 
 
 def read_label(r) -> Label:
@@ -88,33 +94,19 @@ def read_label(r) -> Label:
 
 
 def message_from_canonical(data: bytes) -> Message:
-    """Inverse of :meth:`Message.canonical_bytes`; used by trace checkers.
-
-    The message keeps ``data`` as its canonical bytes rather than encoding
-    its fields again. That is exact because the codec is canonical: bytes
-    that decode at all are the one encoding of their message."""
-    head = _MESSAGE_HEAD.size
+    """The message whose encoding is ``data``, which must be exactly one
+    message encoding; used by trace checkers."""
+    head = MESSAGE_HEAD.size
     if len(data) < head:
         raise EncodingError("truncated encoding")
-    version, tag, sender, receiver, size = _MESSAGE_HEAD.unpack_from(data)
+    version, tag, _, _, size = MESSAGE_HEAD.unpack_from(data)
     if version != ENCODING_VERSION or tag != _TAG_MESSAGE:
         raise EncodingError("not a message encoding")
     if len(data) < head + size:
         raise EncodingError("truncated encoding")
     if len(data) > head + size:
         raise EncodingError("trailing bytes after message encoding")
-    message = tuple.__new__(Message, (sender, receiver, data[head:]))  # skips the encoding
-    message._canonical = data
-    return message
-
-
-def message_sort_key(message: Message) -> bytes:
-    """Key of the strict total order on messages: the canonical encoding.
-
-    Any fixed order works; bytes are stable across machines, which is what
-    keeps independent interpreters feeding messages in the same sequence.
-    """
-    return message._canonical
+    return bytes.__new__(Message, data)
 
 
 class ProcessInstance(ABC):

@@ -584,8 +584,8 @@ class Simulation:
             labels = [
                 {
                     "label": [act.label.originator, act.label.nonce],
-                    "fed": [m.canonical_bytes().hex() for m in act.fed],
-                    "emitted": [m.canonical_bytes().hex() for m in act.emitted],
+                    "fed": [m.hex() for m in act.fed],
+                    "emitted": [m.hex() for m in act.emitted],
                     "state": act.state_digest.hex(),
                     "skipped": act.skipped_requests,
                 }

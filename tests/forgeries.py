@@ -35,7 +35,7 @@ X, Y, Z, W, V = "aa" * 32, "bb" * 32, "cc" * 32, "dd" * 32, "ee" * 32
 
 
 def msg_hex(sender: int, receiver: int, value: int = 42, kind: int = 1) -> str:
-    return Message(sender, receiver, encode_payload(kind, value)).canonical_bytes().hex()
+    return Message(sender, receiver, encode_payload(kind, value)).hex()
 
 
 def forged_base() -> tuple[Scenario, list[dict]]:

@@ -40,13 +40,13 @@ Four kinds live here, each independent of the code path it judges:
   deep-clones every instance its parent holds. ``Interpreter`` shares the
   parent's instances and clones one only when the block feeds it; its
   reports and slots must equal these.
-* ``reference_message_bytes``, ``reference_brb_state_bytes`` and
-  ``reference_state_digest`` spell out the canonical encodings field by
-  field with the ``crypto`` encoders: a message, a broadcast instance's state
-  and the state digest's material. ``Message``, ``BrbInstance.state_bytes``
-  and ``Interpreter.state_digest`` pack and join them in fewer calls, and
-  must give the same bytes. ``CloningInterpreter`` inherits
-  ``state_digest``, so without these only the trace lock would guard it.
+* the ``enc_*`` encoders and the ``reference_*`` encodings spell out the
+  canonical encodings field by field: a label, a message, a block's core
+  and wire bytes, the broadcast protocol's payloads, a broadcast instance's
+  state and the state digest's material. The package packs each through
+  one ``struct`` layout and joins them in fewer calls, and must give the
+  same bytes. ``CloningInterpreter`` inherits ``state_digest``, so without
+  these only the trace lock would guard it.
 
 Beside them sit the paper's definitions that only the tests evaluate: the
 generic directed graph with its insert, ``extends`` and ``union``, the
@@ -58,6 +58,7 @@ can hold state for.
 from __future__ import annotations
 
 import hashlib
+import struct
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -74,18 +75,7 @@ from dagbft.brb import (
     encode_payload,
 )
 from dagbft.checks import CheckReport
-from dagbft.crypto import (
-    ENCODING_VERSION,
-    EncodingError,
-    UnknownServerError,
-    content_digest,
-    enc_bytes,
-    enc_seq,
-    enc_u8,
-    enc_u32,
-    enc_u32s,
-    enc_u64,
-)
+from dagbft.crypto import ENCODING_VERSION, EncodingError, UnknownServerError, content_digest
 from dagbft.gossip import WireEnvelope
 from dagbft.interpret import BlockInterpretation, Interpreter, LabelActivity, _Slot
 from dagbft.protocol import (
@@ -94,7 +84,6 @@ from dagbft.protocol import (
     ProcessInstance,
     ProtocolError,
     message_from_canonical,
-    message_sort_key,
 )
 from dagbft.shim import Shim
 from dagbft.simnet import Scenario, Simulation
@@ -385,8 +374,8 @@ def union_dags(g1: BlockDag, g2: BlockDag) -> BlockDag:
 
 def message_less(m1: Message, m2: Message) -> bool:
     """Strict total order on messages: byte order of the canonical encoding,
-    the order the interpreter sorts by."""
-    return message_sort_key(m1) < message_sort_key(m2)
+    spelled out field by field, the order the interpreter sorts by."""
+    return reference_encoding(m1) < reference_encoding(m2)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +405,7 @@ def slot_fingerprint(interpreter: Interpreter, ref: BlockRef) -> bytes:
         parts.append(slot.instances[label].state_bytes())
     for label in sorted(slot.out):
         parts.append(label.canonical_bytes())
-        parts.extend(m.canonical_bytes() for m in slot.out[label])
+        parts.extend(slot.out[label])
     return content_digest(b"".join(parts))
 
 
@@ -686,7 +675,7 @@ class CloningInterpreter(Interpreter):
             }
             if not incoming:
                 continue
-            fed[label] = tuple(sorted(incoming, key=message_sort_key))
+            fed[label] = tuple(sorted(incoming))
             inst = instance_for(label)
             for m in fed[label]:
                 emit(label, inst.on_receive(m))
@@ -719,6 +708,48 @@ class CloningInterpreter(Interpreter):
 # ---------------------------------------------------------------------------
 
 
+def enc_u8(value: int) -> bytes:
+    if not 0 <= value <= 0xFF:
+        raise EncodingError(f"u8 out of range: {value}")
+    return value.to_bytes(1, "big")
+
+
+def enc_u32(value: int) -> bytes:
+    if not 0 <= value <= 0xFFFFFFFF:
+        raise EncodingError(f"u32 out of range: {value}")
+    return value.to_bytes(4, "big")
+
+
+def enc_u64(value: int) -> bytes:
+    if not 0 <= value <= 0xFFFFFFFFFFFFFFFF:
+        raise EncodingError(f"u64 out of range: {value}")
+    return value.to_bytes(8, "big")
+
+
+def enc_bytes(data: bytes) -> bytes:
+    """Length-prefixed byte string; the prefix keeps concatenation injective."""
+    return enc_u32(len(data)) + data
+
+
+def enc_seq(items: Iterable[bytes]) -> bytes:
+    """Count-prefixed sequence of already-encoded items."""
+    chunks = list(items)
+    return enc_u32(len(chunks)) + b"".join(chunks)
+
+
+def enc_u32s(values: list[int]) -> bytes:
+    """``enc_seq(enc_u32(v) for v in values)`` packed in one ``struct`` call."""
+    try:
+        return struct.pack(f">{len(values) + 1}I", len(values), *values)
+    except struct.error:
+        raise EncodingError(f"u32 out of range in {list(values)}") from None
+
+
+def reference_label_bytes(label: Label) -> bytes:
+    """A label's canonical bytes: version, tag 0x10, originator, nonce."""
+    return enc_u8(ENCODING_VERSION) + enc_u8(0x10) + enc_u32(label.originator) + enc_u64(label.nonce)
+
+
 def reference_message_bytes(sender: int, receiver: int, payload: bytes) -> bytes:
     """A message's canonical bytes: version, tag 0x11, sender, receiver and
     the length-prefixed payload, each field encoded on its own."""
@@ -729,6 +760,42 @@ def reference_message_bytes(sender: int, receiver: int, payload: bytes) -> bytes
         + enc_u32(receiver)
         + enc_bytes(payload)
     )
+
+
+def reference_encoding(m: Message) -> bytes:
+    """``reference_message_bytes`` of a message's fields."""
+    return reference_message_bytes(m.sender, m.receiver, m.payload)
+
+
+def reference_block_core_bytes(block: Block) -> bytes:
+    """A block's signed content: version, tag 0x01, builder, seqno, the
+    sequence of preds and the sequence of (label, length-prefixed payload)
+    requests."""
+    return (
+        enc_u8(ENCODING_VERSION)
+        + enc_u8(0x01)
+        + enc_u32(block.builder)
+        + enc_u64(block.seqno)
+        + enc_seq(block.preds)
+        + enc_seq(reference_label_bytes(label) + enc_bytes(payload) for label, payload in block.requests)
+    )
+
+
+def reference_block_wire(block: Block) -> bytes:
+    """A signed block's wire bytes: its core, the scheme byte and the
+    length-prefixed signature data."""
+    sig = block.signature
+    return reference_block_core_bytes(block) + enc_u8(int(sig.scheme)) + enc_bytes(sig.data)
+
+
+def reference_value_bytes(value: int) -> bytes:
+    """A broadcast request and a deliver indication: the value as a u64."""
+    return enc_u64(value)
+
+
+def reference_payload_bytes(kind: int, value: int) -> bytes:
+    """A broadcast message's payload: the kind as a u8, the value as a u64."""
+    return enc_u8(kind) + enc_u64(value)
 
 
 def reference_brb_state_bytes(inst: BrbInstance) -> bytes:
@@ -745,7 +812,7 @@ def reference_brb_state_bytes(inst: BrbInstance) -> bytes:
 
     ids = (inst.server, inst.server_count, inst.fault_bound)
     return (
-        inst.label.canonical_bytes()
+        reference_label_bytes(inst.label)
         + b"".join(map(enc_u32, ids))
         + bytes((inst.echoed, inst.readied, inst.delivered))
         + sender_sets(inst.echo_senders)
@@ -764,11 +831,11 @@ def reference_state_digest(interpreter: Interpreter, ref: BlockRef, label: Label
     if inst is None:
         inst = interpreter.protocol.spawn(label, interpreter.dag.get(ref).builder)
     state = reference_brb_state_bytes(inst) if isinstance(inst, BrbInstance) else inst.state_bytes()
-    out = sorted(slot.out.get(label, ()), key=message_sort_key)
+    out = sorted(slot.out.get(label, ()))
     material = (
         enc_u8(0x20)
         + enc_bytes(state)
-        + enc_seq(enc_bytes(reference_message_bytes(*m)) for m in out)
+        + enc_seq(enc_bytes(reference_encoding(m)) for m in out)
     )
     return content_digest(material)
 
@@ -885,9 +952,7 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
                     if m in view.out.get((p, label), ())
                 ]
                 deliveries.setdefault((label, receiver, m), []).append((ref2, origins))
-        for (label, receiver, m), feeds in sorted(
-            deliveries.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].canonical_bytes())
-        ):
+        for (label, receiver, m), feeds in sorted(deliveries.items()):
             report.checked += 1
             if len(feeds) <= 1:
                 continue

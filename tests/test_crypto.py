@@ -25,23 +25,22 @@ from dagbft.crypto import (
     SignatureRegistry,
     SignatureScheme,
     UnknownServerError,
+    _Reader,
     content_digest,
     ed25519_available,
-    enc_bytes,
-    enc_seq,
-    enc_u8,
-    enc_u32,
-    enc_u32s,
-    enc_u64,
-    reader,
+    pack_fields,
 )
 from dagbft.gossip import GossipNode
 from dagbft.protocol import Label
 
+from .oracles import enc_bytes, enc_seq, enc_u8, enc_u32, enc_u32s, enc_u64
 from .util import make_registry, signed_block
 
 
 class TestEncoders:
+    """The spelled-out reference encoders of ``oracles`` and the codec's
+    shared helpers: ``pack_fields`` and the ``_Reader`` cursor."""
+
     def test_fixed_widths(self):
         assert enc_u8(0xAB) == b"\xab"
         assert enc_u32(1) == b"\x00\x00\x00\x01"
@@ -55,15 +54,27 @@ class TestEncoders:
     def test_length_prefix_keeps_concatenation_injective(self):
         assert enc_bytes(b"ab") + enc_bytes(b"c") != enc_bytes(b"a") + enc_bytes(b"bc")
 
+    def test_pack_fields_is_the_field_by_field_encoding(self):
+        layout = struct.Struct(">BIQ")
+        assert pack_fields(layout, 3, 7, 9) == enc_u8(3) + enc_u32(7) + enc_u64(9)
+
+    @pytest.mark.parametrize("fields", [(256, 0, 0), (0, -1, 0), (0, 0, 1 << 64), (0, 0, "x")])
+    def test_pack_fields_raises_encoding_error(self, fields):
+        with pytest.raises(EncodingError):
+            pack_fields(struct.Struct(">BIQ"), *fields)
+
     def test_reader_round_trip(self):
         blob = enc_u8(3) + enc_u32(7) + enc_u64(9) + enc_bytes(b"xy")
-        r = reader(blob)
-        assert (r.u8(), r.u32(), r.u64(), r.raw_bytes()) == (3, 7, 9, b"xy")
+        r = _Reader(blob)
+        (kind, number, big, size) = r.fields(struct.Struct(">BIQI"))
+        assert (kind, number, big, r.take(size)) == (3, 7, 9, b"xy")
         assert r.done()
 
     def test_reader_truncation(self):
-        with pytest.raises(EncodingError):
-            reader(b"\x00\x00").u32()
+        with pytest.raises(EncodingError, match="truncated"):
+            _Reader(b"\x00\x00").fields(struct.Struct(">I"))
+        with pytest.raises(EncodingError, match="truncated"):
+            _Reader(b"\x00\x00").take(3)
 
     @pytest.mark.parametrize("values", [[], [0], [3, 1, 2], [0xFFFFFFFF, 7]])
     def test_packed_u32s_are_the_sequence_encoding(self, values):
@@ -75,9 +86,9 @@ class TestEncoders:
             enc_u32s(values)
 
     def test_reader_fields(self):
-        r = reader(enc_u8(3) + enc_u32(7) + enc_u64(9) + b"x")
+        r = _Reader(enc_u8(3) + enc_u32(7) + enc_u64(9) + b"x")
         assert r.fields(struct.Struct(">BIQ")) == (3, 7, 9)
-        assert r.pos == 13
+        assert r.pos == 13 and not r.done()
         with pytest.raises(EncodingError, match="truncated"):
             r.fields(struct.Struct(">H"))
         assert r.take(1) == b"x" and r.done()

@@ -13,7 +13,6 @@ from dagbft.protocol import (
     Label,
     Message,
     message_from_canonical,
-    message_sort_key,
 )
 
 from .oracles import message_less
@@ -50,7 +49,7 @@ class TestMessageOrder:
     def test_transitive_on_random_triples(self):
         rng = Random(22)
         for _ in range(1000):
-            ms = sorted((random_message(rng) for _ in range(3)), key=message_sort_key)
+            ms = sorted(random_message(rng) for _ in range(3))
             if ms[0] != ms[1] and ms[1] != ms[2]:
                 assert message_less(ms[0], ms[1])
                 assert message_less(ms[1], ms[2])
@@ -60,43 +59,58 @@ class TestMessageOrder:
         rng = Random(23)
         for _ in range(200):
             m = random_message(rng)
-            assert message_from_canonical(m.canonical_bytes()) == m
+            assert message_from_canonical(bytes(m)) == m
 
 
 class TestMessageValue:
-    """A message is its three fields: the canonical bytes it keeps are not
-    one of them."""
+    """A message is its canonical bytes: its fields are read from them, and
+    equality, hash and order are theirs."""
 
-    def test_three_fields(self):
-        assert list(Message._fields) == ["sender", "receiver", "payload"]
+    def test_fields_are_read_only_views_of_the_bytes(self):
+        m = Message(1, 2, b"\xab")
+        assert isinstance(m, bytes)
+        assert (m.sender, m.receiver, m.payload) == (1, 2, b"\xab")
+        for name in ("sender", "receiver", "payload"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, 3)
 
-    def test_hash_is_the_field_tuple_hash(self):
-        # sets and dicts of messages keep the order the field tuple gives them,
-        # for built and for decoded messages alike
+    @pytest.mark.parametrize("how", ["built", "decoded"])
+    def test_a_message_holds_no_dict(self, how):
+        m = Message(3, 5, encode_payload(1, 42))
+        if how == "decoded":
+            m = message_from_canonical(bytes(m))
+        assert not hasattr(m, "__dict__")
+
+    def test_equality_and_hash_are_those_of_the_fields_and_the_bytes(self):
+        # equal fields give equal messages, whose hash is their bytes', for
+        # built and for decoded messages alike; small ranges make ties common
         rng = Random(29)
-        for _ in range(200):
-            m = random_message(rng)
-            decoded = message_from_canonical(m.canonical_bytes())
-            assert hash(m) == hash(decoded) == hash((m.sender, m.receiver, m.payload))
+        fields = [(rng.randrange(2), rng.randrange(2), bytes(rng.randrange(2))) for _ in range(40)]
+        built = [Message(*f) for f in fields]
+        decoded = [message_from_canonical(bytes(m)) for m in built]
+        for f, m, d in zip(fields, built, decoded):
+            assert d == m and hash(m) == hash(d) == hash(bytes(m))
+            for g, other in zip(fields, decoded):
+                assert (m == other) == (f == g)
 
-    def test_equality_hash_and_repr_see_only_the_fields(self):
+    def test_equality_hash_and_repr(self):
         m = Message(1, 2, b"\xab")
         assert m == Message(1, 2, b"\xab")
         assert m != Message(1, 3, b"\xab") and m != Message(1, 2, b"\xac")
-        assert hash(m) == hash((1, 2, b"\xab"))
+        assert hash(m) == hash(bytes.fromhex("0111" "00000001" "00000002" "00000001" "ab"))
         assert repr(m) == "Message(sender=1, receiver=2, payload=b'\\xab')"
 
-    def test_canonical_bytes_are_the_field_encoding(self):
+    def test_the_bytes_are_the_field_encoding(self):
         m = Message(1, 2, b"\xab")
-        assert m.canonical_bytes() == bytes.fromhex("0111" "00000001" "00000002" "00000001" "ab")
-        assert message_from_canonical(m.canonical_bytes()) == m
+        assert bytes(m) == bytes.fromhex("0111" "00000001" "00000002" "00000001" "ab")
+        assert message_from_canonical(bytes(m)) == m
 
     @pytest.mark.parametrize("payload", [b"", b"\xab", encode_payload(1, 42)])
     def test_decoded_message_keeps_the_bytes_it_came_from(self, payload):
         # a decoded message keeps its input as its canonical bytes, which is
         # exact only if no other bytes decode to it: every byte mutant that
         # decodes must re-encode to itself, also when rebuilt field by field
-        original = Message(3, 5, payload).canonical_bytes()
+        original = bytes(Message(3, 5, payload))
         decoded = 0
         for i in range(len(original)):
             for value in range(256):
@@ -107,8 +121,8 @@ class TestMessageValue:
                     continue
                 decoded += 1
                 rebuilt = Message(m.sender, m.receiver, m.payload)
-                assert m.canonical_bytes() == mutant
-                assert rebuilt.canonical_bytes() == mutant and rebuilt == m
+                assert m == mutant and type(m) is Message
+                assert rebuilt == mutant and rebuilt == m
         assert decoded >= 8 * 256  # every value of every sender and receiver byte
 
     @pytest.mark.parametrize("fields", [(2**32, 0, b""), (0, 2**32, b""), (-1, 0, b"")])

@@ -1,22 +1,47 @@
 """The packed encodings against their spelled-out references in ``oracles``.
 
-``Message`` packs its head in one call, ``BrbInstance.state_bytes`` joins one
-list of parts and ``Interpreter.state_digest`` builds its material in one
-join. These tests compare each with the field-by-field formula on every
-slot of simulated runs, where the digest of a label the block never touched
-is checked too, and on the edge cases of the fields.
+Each encoding packs its fixed-width fields with one ``struct`` layout:
+``Label``, ``Message``, a block's core and wire bytes and the broadcast
+protocol's payloads, while ``BrbInstance.state_bytes`` joins one list of
+parts and ``Interpreter.state_digest`` builds its material in one join.
+These tests compare each with the field-by-field formula on every block,
+request, message and slot of simulated runs, where the digest of a label
+the block never touched is checked too, and on the edge cases of the
+fields.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from dagbft import simnet
-from dagbft.brb import BrbInstance
-from dagbft.crypto import EncodingError
-from dagbft.protocol import Label, Message, message_from_canonical
+from dagbft.blockdag import Block, block_to_wire
+from dagbft.brb import (
+    ECHO,
+    BrbInstance,
+    decode_broadcast,
+    decode_deliver,
+    decode_payload,
+    encode_broadcast,
+    encode_deliver,
+    encode_payload,
+)
+from dagbft.crypto import EncodingError, Signature
+from dagbft.protocol import Label, Message, ProtocolError, message_from_canonical
 
-from .oracles import reference_brb_state_bytes, reference_message_bytes, reference_state_digest
+from .oracles import (
+    reference_block_core_bytes,
+    reference_block_wire,
+    reference_brb_state_bytes,
+    reference_encoding,
+    reference_label_bytes,
+    reference_message_bytes,
+    reference_payload_bytes,
+    reference_state_digest,
+    reference_value_bytes,
+)
 from .scenarios import adversarial_scenario, random_scenario
 
 UNTOUCHED = Label(0, 1 << 40)  # no scenario injects it
@@ -26,6 +51,17 @@ def corpus():
     for i in range(40):
         yield f"random_{i}", random_scenario(i)
         yield f"adversarial_{i}", adversarial_scenario(i)
+
+
+def check_value(payload: bytes, decode, encode) -> int:
+    """0 if ``payload`` does not decode; else 1, once the value it decodes to
+    encodes to it both packed and spelled out."""
+    try:
+        value = decode(payload)
+    except ProtocolError:
+        return 0
+    assert encode(value) == reference_value_bytes(value) == payload
+    return 1
 
 
 @pytest.mark.parametrize("name, scenario", list(corpus()), ids=[n for n, _ in corpus()])
@@ -48,9 +84,26 @@ def test_every_slot_encodes_as_the_reference(name, scenario):
             states += 1
         for out in slot.out.values():
             for m in out:
-                assert m.canonical_bytes() == reference_message_bytes(*m)
+                assert m == reference_encoding(m)
+                kind, value = decode_payload(m.payload)  # correct servers emit these alone
+                assert encode_payload(kind, value) == reference_payload_bytes(kind, value) == m.payload
                 messages += 1
     assert digests > len(slots) and states and messages
+
+    dags = [node.dag for node in sim.correct.values()]
+    dags += [adversary.node.dag for adversary in sim.adversaries.values()]
+    blocks = {ref: block for dag in dags for ref, block in dag._vertices.items()}
+    requests = values = 0
+    for block in blocks.values():
+        assert block.core_bytes() == reference_block_core_bytes(block)
+        assert block_to_wire(block) == reference_block_wire(block)
+        for label, payload in block.requests:
+            assert label.canonical_bytes() == reference_label_bytes(label)
+            values += check_value(payload, decode_broadcast, encode_broadcast)
+            requests += 1
+    indications = [bytes.fromhex(ev["indication"]) for ev in sim.events if ev["kind"] == "INDICATE"]
+    delivered = sum(check_value(payload, decode_deliver, encode_deliver) for payload in indications)
+    assert blocks and requests and values and delivered == len(indications)
 
 
 class TestMessageEdgeCases:
@@ -59,8 +112,8 @@ class TestMessageEdgeCases:
     @pytest.mark.parametrize("sender", [0, 0xFFFFFFFF])
     def test_extreme_fields_encode_as_the_reference(self, sender, receiver, payload):
         m = Message(sender, receiver, payload)
-        assert m.canonical_bytes() == reference_message_bytes(sender, receiver, payload)
-        assert message_from_canonical(m.canonical_bytes()) == m
+        assert m == reference_message_bytes(sender, receiver, payload)
+        assert message_from_canonical(bytes(m)) == m
 
     @pytest.mark.parametrize("bad", [-1, 1 << 32])
     def test_an_out_of_range_field_raises_encoding_error(self, bad):
@@ -84,3 +137,35 @@ class TestBrbStateEdgeCases:
         inst._pending_indications = [b"", bytes(8)]
         assert inst.state_bytes() == reference_brb_state_bytes(inst)
         assert inst.clone().state_bytes() == inst.state_bytes()
+
+
+OUT_OF_RANGE = {
+    "label-originator": (Label(2**32, 0), Label.canonical_bytes, reference_label_bytes),
+    "label-nonce": (Label(0, 2**64), Label.canonical_bytes, reference_label_bytes),
+    "label-negative": (Label(-1, 0), Label.canonical_bytes, reference_label_bytes),
+    "block-builder": (Block(2**32, 0, (), ()), Block.core_bytes, reference_block_core_bytes),
+    "block-seqno": (Block(0, 2**64, (), ()), Block.core_bytes, reference_block_core_bytes),
+    "block-request-label": (
+        Block(0, 0, (), ((Label(0, 2**64), b""),)), Block.core_bytes, reference_block_core_bytes
+    ),
+    "wire-scheme": (Block(0, 0, (), (), Signature(256, b"")), block_to_wire, reference_block_wire),
+    "broadcast": (2**64, encode_broadcast, reference_value_bytes),
+    "broadcast-negative": (-1, encode_broadcast, reference_value_bytes),
+    "deliver": (2**64, encode_deliver, reference_value_bytes),
+    "payload-value": (2**64, partial(encode_payload, ECHO), partial(reference_payload_bytes, ECHO)),
+    "brb-server": (
+        BrbInstance(Label(0, 1), 2**32, 4, 1), BrbInstance.state_bytes, reference_brb_state_bytes
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(OUT_OF_RANGE))
+def test_a_packed_encoder_raises_encoding_error(name):
+    """Each encoder that packs through a ``struct`` layout raises
+    ``EncodingError``, not ``struct.error``, on a field out of its range, as
+    the reference does."""
+    value, encode, reference = OUT_OF_RANGE[name]
+    with pytest.raises(EncodingError):
+        encode(value)
+    with pytest.raises(EncodingError):
+        reference(value)
