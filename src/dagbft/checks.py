@@ -11,10 +11,14 @@ Each checker reads only the trace facts its property names: BRB the
 surfaced indications, convergence the INSERT events, agreement the
 INTERPRET state digests, and the link properties (point-to-point) the fed
 and emitted messages, decoded by :func:`server_views`, its only caller.
-Point-to-point decides each distinct block once per pass, from the block's
-body, its preds and their bodies and builders, into a check count and the
-failed checks, and every server that holds that block reuses the verdict
-and sorts the failures into its own report.
+Point-to-point computes each per-block fact once per pass for all
+servers: the views read the events in one loop, each distinct ``preds``
+list gets one distinct-preds list, each distinct body is decoded once with
+the message headers its verdicts read, and each distinct block as a server
+holds it is one node. It decides each distinct block once per pass, from
+the block's body, its preds and their bodies and builders, into a check
+count and the failed checks, and every server that holds that block reuses
+the verdict and sorts the failures into its own report.
 
 Each checker makes no reference cycles and runs with the cyclic garbage
 collector paused: see ``trace.gc_paused``.
@@ -24,11 +28,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
+from typing import Callable
 
 from .brb import decode_deliver
 from .crypto import EncodingError
-from .protocol import Label, Message, ProtocolError, message_from_canonical
+from .protocol import MESSAGE_HEAD, Label, Message, ProtocolError, message_from_canonical
 from .simnet import Scenario
 from .trace import TraceFormatError, gc_paused
 
@@ -56,38 +61,39 @@ class CheckReport:
 
 
 _Buffers = tuple[tuple[Message, ...], tuple[Message, ...]]  # (fed, emitted) of one label
-_Sent = tuple[list[Label], list[Message], list[int]]
-_NOT_SENT: _Sent = ([], [], [])
+_Sent = tuple[Label, Message, int]  # a message emitted, its label and its index there
+_NO_ACT: _Buffers = ((), ())
 
 
 class _Body:
     """One INTERPRET ``labels`` list, decoded: label -> (fed, emitted), the
     last entry for a label holding. Bodies are interned by content, so equal
     bodies are one object, and the verdict keys of
-    :func:`check_point_to_point` hold bodies by identity."""
+    :func:`check_point_to_point` hold bodies by identity.
 
-    __slots__ = ("acts", "_sent")
+    A body also holds the message headers its verdicts read, each read once
+    for every verdict that holds the body: per label the sender of each fed
+    message, and per receiver the messages emitted to it, each with its
+    label and its index in that label's emitted list."""
+
+    __slots__ = ("acts", "senders", "sent_to")
 
     def __init__(self, acts: dict[Label, _Buffers]):
+        head = MESSAGE_HEAD.unpack_from
         self.acts = acts
-        self._sent: dict[int, _Sent] | None = None
+        self.senders = {label: [head(m)[2] for m in fed] for label, (fed, _) in acts.items()}
+        self.sent_to: dict[int, list[_Sent]] = {}
+        for label, (_, out) in acts.items():
+            for i, m in enumerate(out):
+                to = head(m)[3]
+                sent = self.sent_to.get(to)
+                if sent is None:
+                    self.sent_to[to] = [(label, m, i)]
+                else:
+                    sent.append((label, m, i))
 
-    def sent_to(self, receiver: int) -> _Sent:
-        """The messages emitted to ``receiver``, in body order, with the label
-        of each and its index in that label's emitted list: three lists, not
-        a triple per message, as a pass keeps them."""
-        if self._sent is None:
-            self._sent = {}
-            for label, (_, out) in self.acts.items():
-                for i, m in enumerate(out):
-                    to = m.receiver
-                    sent = self._sent.get(to)
-                    if sent is None:
-                        sent = self._sent[to] = ([], [], [])
-                    sent[0].append(label)
-                    sent[1].append(m)
-                    sent[2].append(i)
-        return self._sent.get(receiver, _NOT_SENT)
+
+_NO_BODY = _Body({})  # the body of a block never interpreted: fed nothing
 
 
 @dataclass
@@ -112,18 +118,38 @@ def server_dags(events: list[dict]) -> dict[int, dict[str, dict]]:
     return dags
 
 
-def _distinct_preds(dag: dict[str, dict]) -> dict[str, list[str]]:
-    """ref -> the distinct preds, in order, of a :func:`server_dags` DAG's refs."""
-    return {ref: list(dict.fromkeys(ev["preds"])) for ref, ev in dag.items()}
+def _distinct_preds() -> Callable[[list[str]], list[str]]:
+    """A function from an INSERT ``preds`` list to its distinct preds, in
+    order, that makes one list per distinct ``preds`` list and returns it
+    for every equal one. In memory a run's servers share one ``preds`` list
+    per ref, found by its id; a trace read from a file has a list per event,
+    found by its content."""
+    by_list: dict[int, tuple[list[str], list[str]]] = {}  # id(preds) -> (preds, distinct)
+    by_content: dict[tuple[str, ...], list[str]] = {}
+
+    def distinct(preds: list[str]) -> list[str]:
+        shared = by_list.get(id(preds))
+        if shared is None:
+            content = tuple(preds)
+            found = by_content.get(content)
+            if found is None:
+                found = by_content[content] = list(dict.fromkeys(preds))
+            shared = by_list[id(preds)] = (preds, found)  # the list kept keeps its id
+        return shared[1]
+
+    return distinct
 
 
 def server_views(events: list[dict]) -> dict[int, _ServerView]:
-    """Each server's view for the link properties, with every distinct
-    message encoding decoded once and every distinct INTERPRET body, keyed by
-    its labels' fed and emitted encodings, decoded once. Servers that share
-    one ``labels`` list object (a shared report, in memory) find its body
-    by the list's id; a trace read from a file finds it by content."""
-    views = {s: _ServerView(dag, _distinct_preds(dag)) for s, dag in server_dags(events).items()}
+    """Each server's view for the link properties, from one pass over the
+    events. Each distinct ``preds`` list gets one distinct-preds list (see
+    :func:`_distinct_preds`), every distinct message encoding is decoded
+    once, and every distinct INTERPRET body, keyed by its labels' fed and
+    emitted encodings, is decoded once. Servers that share one ``labels``
+    list object (a shared report, in memory) find its body by the list's id;
+    a trace read from a file finds it by content."""
+    views: dict[int, _ServerView] = {}
+    distinct = _distinct_preds()
     messages: dict[str, Message] = {}
     by_list: dict[int, tuple[list, _Body]] = {}  # id(labels) -> (labels, body)
     by_content: dict[tuple, _Body] = {}
@@ -136,32 +162,35 @@ def server_views(events: list[dict]) -> dict[int, _ServerView]:
                 except (ValueError, EncodingError) as exc:
                     what = f"server {server} block {ref[:12]}: undecodable message {h[:24]!r}"
                     raise TraceFormatError(what) from exc
-        return tuple(messages[h] for h in hexes)
+        return tuple(map(messages.__getitem__, hexes))
 
     for ev in events:
-        if ev["kind"] == "INTERPRET":
-            server, ref, labels = ev["server"], ev["ref"], ev["labels"]
-            view = views.get(server)
-            if view is None:  # a server that interpreted but never inserted
-                view = views[server] = _ServerView()
-            view.interpreted.append(ref)
-            shared = by_list.get(id(labels))
-            if shared is None:
-                content = tuple(
-                    [(tuple(act["label"]), tuple(act["fed"]), tuple(act["emitted"])) for act in labels]
-                )
-                body = by_content.get(content)
-                if body is None:
-                    acts = {
-                        Label(int(raw[0]), int(raw[1])): (
-                            decode(fed, server, ref),
-                            decode(out, server, ref),
-                        )
-                        for raw, fed, out in content
-                    }
-                    body = by_content[content] = _Body(acts)
-                shared = by_list[id(labels)] = (labels, body)  # the list kept keeps its id
-            view.bodies.append(shared[1])
+        kind = ev["kind"]
+        if kind != "INSERT" and kind != "INTERPRET":
+            continue
+        server, ref = ev["server"], ev["ref"]
+        view = views.get(server)
+        if view is None:
+            view = views[server] = _ServerView()
+        if kind == "INSERT":
+            if ref not in view.inserts:
+                view.inserts[ref] = ev
+                view.preds[ref] = distinct(ev["preds"])
+            continue
+        view.interpreted.append(ref)
+        labels = ev["labels"]
+        shared = by_list.get(id(labels))
+        if shared is None:
+            content = tuple([(tuple(act["label"]), tuple(act["fed"]), tuple(act["emitted"])) for act in labels])
+            body = by_content.get(content)
+            if body is None:
+                acts = {
+                    Label(int(raw[0]), int(raw[1])): (decode(fed, server, ref), decode(out, server, ref))
+                    for raw, fed, out in content
+                }
+                body = by_content[content] = _Body(acts)
+            shared = by_list[id(labels)] = (labels, body)  # the list kept keeps its id
+        view.bodies.append(shared[1])
     return views
 
 
@@ -169,11 +198,20 @@ def server_views(events: list[dict]) -> dict[int, _ServerView]:
 # Point-to-point link properties over interpretation
 # ---------------------------------------------------------------------------
 
-# A block's node at a server is (ref, builder, body): the builder as the
-# server's INSERT records it, None if it never inserted the ref, and the
-# body None if it never interpreted the ref. Its verdict key is (node, the
-# nodes of its distinct preds).
-_Node = tuple[str, "int | None", "_Body | None"]
+class _Node:
+    """A block as one server holds it: its ref, its builder as the server's
+    INSERT records it (None if it never inserted the ref), and its body
+    (None if it never interpreted the ref). A pass makes one node per
+    distinct (ref, builder, body), so nodes hash and compare by identity,
+    and a block's verdict key, (its node, the nodes of its distinct preds),
+    hashes its nodes' addresses alone."""
+
+    __slots__ = ("ref", "builder", "body")
+
+    def __init__(self, ref: str, builder: int | None, body: _Body | None):
+        self.ref, self.builder, self.body = ref, builder, body
+
+
 _Key = tuple[_Node, tuple[_Node, ...]]
 # A failed check: (section, ref, label, index, receiving ref, property,
 # detail). Reliable delivery is section 0: the emitting ref, the message's
@@ -181,40 +219,55 @@ _Key = tuple[_Node, tuple[_Node, ...]]
 # section 2: the feeding ref, the message's index in that label's fed list,
 # and no receiving ref. A server sorts its failures by the first five.
 _Failure = tuple[int, str, Label, int, "str | None", str, str]
-_NO_ACT: _Buffers = ((), ())
 
 
-def _block_keys(view: _ServerView) -> list[_Key]:
-    """The verdict key of each block the server inserted or interpreted. A
-    ref interpreted twice has one body, the last entry for each label
+# A pred the server neither inserted nor interpreted: with no builder and no
+# body, no check reads it.
+_ABSENT = _Node("", None, None)
+
+
+def _block_keys(view: _ServerView, pool: dict[tuple, _Node]) -> list[_Key]:
+    """The verdict key of each block the server inserted or interpreted,
+    its nodes drawn from the pass's ``pool``: (ref, builder, body) -> node.
+    A ref interpreted twice has one body, the last entry for each label
     holding; a ref interpreted but never inserted has no builder and no
     preds."""
     body_of: dict[str, _Body] = {}
     for ref, body in zip(view.interpreted, view.bodies):
         earlier = body_of.get(ref)
         body_of[ref] = body if earlier is None else _Body({**earlier.acts, **body.acts})
-    nodes: dict[str, _Node] = {ref: (ref, None, body) for ref, body in body_of.items()}
-    nodes.update((ref, (ref, ev["builder"], body_of.get(ref))) for ref, ev in view.inserts.items())
-    return [
-        (node, tuple([nodes.get(p) or (p, None, None) for p in view.preds.get(ref, ())]))
-        for ref, node in nodes.items()
-    ]
+    held: dict[str, _Node] = {}
+    for ref, ev in view.inserts.items():
+        node = (ref, ev["builder"], body_of.get(ref))
+        held[ref] = pool.get(node) or pool.setdefault(node, _Node(*node))
+    for ref, body in body_of.items():
+        if ref not in held:
+            node = (ref, None, body)
+            held[ref] = pool.get(node) or pool.setdefault(node, _Node(*node))
+    absent = repeat(_ABSENT)
+    return [(block, tuple(map(held.get, view.preds.get(ref, ()), absent))) for ref, block in held.items()]
 
 
 def _decide_block(key: _Key, correct: set[int]) -> tuple[int, tuple[_Failure, ...]]:
     """Reliable delivery on a block's in-edges and authenticity of its fed
     messages, decided from the block's verdict key alone: the number of
-    checks and the failed ones, which name no server."""
-    (ref, builder, body), preds = key
-    acts = body.acts if body is not None else {}
+    checks and the failed ones, which name no server. The headers come from
+    the bodies (see :class:`_Body`), and each check looks one message up in
+    one label's list, a few messages long: a message a correct pred emitted
+    to the block's correct builder, in the block's fed list; a message fed
+    from a correct sender, in the emitted lists of the preds that sender
+    built."""
+    block, preds = key
+    ref, builder, body = block.ref, block.builder, block.body or _NO_BODY
+    acts = body.acts
     checked, failures = 0, []
     if builder in correct:
-        for pred_ref, pred_builder, pred_body in preds:
-            if pred_body is None or pred_builder not in correct:
+        for pred in preds:
+            if pred.body is None or pred.builder not in correct:
                 continue
-            labels, messages, indices = pred_body.sent_to(builder)
-            checked += len(labels)
-            for label, m, i in zip(labels, messages, indices):
+            pred_ref, sent = pred.ref, pred.body.sent_to.get(builder, ())
+            checked += len(sent)
+            for label, m, i in sent:
                 if m not in acts.get(label, _NO_ACT)[0]:
                     detail = (
                         f"message {m.sender}->{m.receiver} from block {pred_ref[:12]} missing in "
@@ -222,16 +275,18 @@ def _decide_block(key: _Key, correct: set[int]) -> tuple[int, tuple[_Failure, ..
                     )
                     failures.append((0, pred_ref, label, i, ref, "reliable-delivery", detail))
     origins: dict[int | None, list[_Body]] = {}  # builder -> the bodies of its preds
-    for _, pred_builder, pred_body in preds:
-        if pred_body is not None:
-            origins.setdefault(pred_builder, []).append(pred_body)
+    for pred in preds:
+        if pred.body is not None:
+            origins.setdefault(pred.builder, []).append(pred.body)
     for label, (fed, _) in acts.items():
-        for i, m in enumerate(fed):
-            sender = m.sender
+        for i, (m, sender) in enumerate(zip(fed, body.senders[label])):
             if sender not in correct:
                 continue
             checked += 1
-            if not any(m in pb.acts.get(label, _NO_ACT)[1] for pb in origins.get(sender, ())):
+            for pred_body in origins.get(sender, ()):
+                if m in pred_body.acts.get(label, _NO_ACT)[1]:
+                    break
+            else:
                 detail = (
                     f"message claiming sender {sender} in in-buffer of {ref[:12]} has no "
                     f"signed origin block (label {label.originator}/{label.nonce})"
@@ -249,7 +304,8 @@ def _no_duplication(server: int, keys: list[_Key], correct: set[int]) -> tuple[i
     first: dict[tuple[Label, int], dict[Message, tuple[_Node, ...]]] = {}
     # (label, receiver, message) -> the preds of every feeding block, if several
     repeats: dict[tuple[Label, int, Message], list[tuple[_Node, ...]]] = {}
-    for (_, receiver, body), preds in keys:
+    for block, preds in keys:
+        receiver, body = block.builder, block.body
         if receiver not in correct or body is None:
             continue
         for label, (fed, _) in body.acts.items():
@@ -272,9 +328,9 @@ def _no_duplication(server: int, keys: list[_Key], correct: set[int]) -> tuple[i
         # only one origin block contributing it twice is a duplication
         origin_count: dict[str, int] = {}
         for preds in feeds:
-            for p, _, pred_body in preds:
-                if pred_body is not None and m in pred_body.acts.get(label, _NO_ACT)[1]:
-                    origin_count[p] = origin_count.get(p, 0) + 1
+            for pred in preds:
+                if pred.body is not None and m in pred.body.acts.get(label, _NO_ACT)[1]:
+                    origin_count[pred.ref] = origin_count.get(pred.ref, 0) + 1
         repeated = sorted(p for p, c in origin_count.items() if c > 1)
         if repeated:
             violations.append(
@@ -293,18 +349,21 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
     Reliable delivery on a block's in-edges and authenticity of its fed
     messages read only the block's verdict key (see :func:`_block_keys`), so
     a pass decides each distinct key once, into its check count and its
-    failed checks, and every server holding the key reuses the verdict. A
-    server sorts its failures, the receiving block of a reliable-delivery
-    failure by its INSERT order there, and reports its reliable-delivery
-    failures, then its no-duplication violations, then its authenticity
-    failures. No duplication spans a receiver's chain and stays per server;
-    a clean result is shared by servers with the same correct-built blocks.
+    failed checks, and every server holding the key reuses the verdict. The
+    pass makes one node per distinct block as a server holds it, so a key
+    hashes and compares by its nodes' identities. A server sorts its
+    failures, the receiving block of a reliable-delivery failure by its
+    INSERT order there, and reports its reliable-delivery failures, then its
+    no-duplication violations, then its authenticity failures. No
+    duplication spans a receiver's chain and stays per server; a clean
+    result is shared by servers with the same correct-built blocks.
     """
     report = CheckReport("point-to-point")
     correct = set(scenario.correct_servers())
     views = server_views(events)
+    pool: dict[tuple, _Node] = {}  # (ref, builder, body) -> its node
     verdicts: dict[_Key, tuple[int, tuple[_Failure, ...]]] = {}
-    clean_no_dup: dict[frozenset[_Key], int] = {}  # correct-built blocks -> check count
+    clean_no_dup: dict[frozenset[int], int] = {}  # correct-built blocks' verdict ids -> check count
     seen_any = False
 
     for server in sorted(views):
@@ -314,15 +373,17 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
         if not view.interpreted:
             continue
         seen_any = True
-        keys = _block_keys(view)
-        checked, failures = 0, []
+        keys = _block_keys(view, pool)
+        checked, failures, own = 0, [], []
         for key in keys:
             verdict = verdicts.get(key)
             if verdict is None:
                 verdict = verdicts[key] = _decide_block(key, correct)
             checked += verdict[0]
             failures += verdict[1]
-        own = frozenset(key for key in keys if key[0][1] in correct)
+            if key[0].builder in correct:
+                own.append(id(verdict))  # the pass keeps one verdict object per key
+        own = frozenset(own)
         no_dup, violations = clean_no_dup.get(own), []
         if no_dup is None:
             no_dup, violations = _no_duplication(server, keys, correct)
@@ -496,7 +557,10 @@ def check_convergence(events: list[dict], scenario: Scenario) -> CheckReport:
     if correct - dags.keys():  # a correct server that only interpreted has an empty DAG
         interpreters = (ev["server"] for ev in events if ev["kind"] == "INTERPRET")
         dags.update((s, {}) for s in interpreters if s not in dags)
-    finals = {s: _distinct_preds(dags[s]) for s in sorted(correct) if s in dags}
+    distinct = _distinct_preds()
+    finals = {
+        s: {ref: distinct(ev["preds"]) for ref, ev in dags[s].items()} for s in sorted(correct) if s in dags
+    }
     if not steps or not finals:
         report.vacuous = True
         return report

@@ -408,6 +408,16 @@ def seeded_body_mutants() -> list[tuple[str, Scenario, list[dict]]]:
     return mutants
 
 
+def seeded_body_mutant(name: str, scenario: Scenario, events: list[dict]) -> list[dict]:
+    """A copy of ``events`` with one INTERPRET entry of a correct server
+    changed as ``_mutate_body`` changes it, by an edit of ``_BODY_EDITS``
+    that changes its messages, not only their order, in the shared labels
+    list or in one server's own copy, both drawn from ``name``."""
+    rng = Random(name)
+    edit = rng.choice(sorted(set(_BODY_EDITS) - {"reverse fed"}))
+    return _mutate_body(scenario, events, edit, rng.random() < 0.5, rng)
+
+
 _AGREEMENT_EDITS = ("edit state", "drop entry")
 
 

@@ -125,6 +125,32 @@ def adversarial_scenario(index: int) -> Scenario:
     )
 
 
+def wide_scenario(n: int, *, byzantine: bool) -> Scenario:
+    """``n`` servers, ``f = (n - 1) // 3``, over three rounds at cadence 3,
+    with a broadcast from server 0 and one from server ``n - 1``. With
+    ``byzantine``, server ``n - 1`` equivocates and server ``n - 2`` sends
+    only to the lower half. Sizes above those of the scenarios above, with
+    a horizon short enough for the reference checkers."""
+    byz = (
+        (n - 1, BehaviorSpec("EQUIVOCATE")),
+        (n - 2, BehaviorSpec("SELECTIVE_SEND", targets=tuple(range(n // 2)))),
+    )
+    return Scenario(
+        n=n,
+        f=(n - 1) // 3,
+        seed=0x51DE + n,
+        max_steps=9,
+        delay_bounds=(1, 2),
+        cadence=3,
+        byzantine=byz if byzantine else (),
+        requests=(
+            RequestInjection(0, 0, Label(0, 1), 42),
+            RequestInjection(1, n - 1, Label(n - 1, 2), 57),
+        ),
+        snapshot_steps=(5,),
+    )
+
+
 def fig_broadcast_scenario(*, labels: int = 1, seed: int = 7) -> Scenario:
     """The lockstep n=4 fixture: constant unit delay, cadence 3, one
     broadcast in the originator's first block (plus optional parallel

@@ -38,7 +38,7 @@ from .oracles import (
     live_labels,
     reference_outputs,
 )
-from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
+from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario, wide_scenario
 from .util import buffers
 
 L1 = Label(0, 1)
@@ -183,6 +183,26 @@ class TestCheckersMatchReference:
             for i, (scenario, result) in enumerate(batch):
                 failures += _report_mismatches(f"{name} {i}", result.events, scenario)
         _verdict("checkers match their reference (300 scenarios)", failures, time.perf_counter() - t0, None)
+
+    @pytest.mark.parametrize("n", [10, 13])
+    def test_larger_n(self, n):
+        # the corpus above runs n=4 and n=7, where a label's fed and emitted
+        # lists are short; here they are longer, an honest run and one with
+        # an equivocator and a selective sender, each also with a seeded
+        # body mutant
+        failures, failing = [], 0
+        for byzantine in (False, True):
+            scenario = wide_scenario(n, byzantine=byzantine)
+            events = run(scenario).events
+            name = f"n={n} {'byzantine' if byzantine else 'honest'}"
+            assert all(checker(events, scenario).ok for checker, _ in CHECKER_PAIRS), name
+            failures += _mismatches_in_memory_and_read_back(name, events, scenario)
+            # a body edit reaches only the point-to-point checker
+            mutant = forgeries.seeded_body_mutant(name, scenario, events)
+            failures += _mismatches_in_memory_and_read_back(f"{name} mutant", mutant, scenario, CHECKER_PAIRS[:1])
+            failing += not check_point_to_point(mutant, scenario).ok
+        assert not failures, failures
+        assert failing == 2
 
 
 class TestCriterion1BroadcastFixture:

@@ -222,6 +222,51 @@ class TestServerViews:
         assert view.preds == {X: [], Y: [], Z: [Y, X], W: [X, Z]}
         assert view.inserts[W]["step"] == 2
 
+    @pytest.mark.parametrize("read_back", [False, True], ids=["in memory", "read back"])
+    def test_a_pass_reads_the_event_list_once(self, read_back):
+        events = run(adversarial_scenario(1)).events
+        if read_back:
+            events = trace.loads(trace.dumps(events))
+        counted = _IterCounted(events)
+        views = checks.server_views(counted)
+        assert counted.iterations == 1
+        assert views[0].interpreted and views[0].inserts
+
+    @pytest.mark.parametrize("read_back", [False, True], ids=["in memory", "read back"])
+    def test_one_distinct_preds_list_per_distinct_preds_list(self, read_back, monkeypatch):
+        # in memory the servers share one preds list per ref, found by its
+        # id; read back, every INSERT event has its own, found by content
+        events = run(adversarial_scenario(1)).events
+        if read_back:
+            events = trace.loads(trace.dumps(events))
+        inserts = [ev for ev in events if ev["kind"] == "INSERT"]
+        distinct = {tuple(ev["preds"]) for ev in inserts}
+        calls = []
+
+        class Counting(dict):
+            @classmethod
+            def fromkeys(cls, keys, value=None):
+                calls.append(keys)
+                return dict.fromkeys(keys, value)
+
+        monkeypatch.setattr(checks, "dict", Counting, raising=False)
+        views = checks.server_views(events)
+        assert len(calls) == len(distinct) < len(inserts)
+        shared = {}
+        for view in views.values():
+            for ref, preds in view.preds.items():
+                assert shared.setdefault(tuple(view.inserts[ref]["preds"]), preds) is preds
+
+
+class _IterCounted(list):
+    """A list that counts the passes made over it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
 
 def _report(report: checks.CheckReport) -> tuple:
     return report.violations, report.checked, report.vacuous
