@@ -15,7 +15,9 @@ from __future__ import annotations
 from struct import Struct, pack
 
 from .crypto import pack_fields
-from .protocol import MESSAGE_HEAD, ContractError, Label, Message, ProcessInstance, Protocol, ProtocolError
+from .protocol import (
+    MESSAGE_HEAD, ContractError, Label, Message, ProcessInstance, Protocol, ProtocolError, message,
+)
 
 ECHO = 1
 READY = 2
@@ -85,7 +87,7 @@ class BrbInstance(ProcessInstance):
 
     def _to_all(self, kind: int, value: int) -> list[Message]:
         payload = encode_payload(kind, value)
-        return [Message(self.server, rcv, payload) for rcv in range(self.server_count)]
+        return [message(self.server, rcv, payload) for rcv in range(self.server_count)]
 
     def on_request(self, payload: bytes) -> list[Message]:
         value = decode_broadcast(payload)  # raises ProtocolError, state untouched

@@ -13,12 +13,13 @@ INTERPRET state digests, and the link properties (point-to-point) the fed
 and emitted messages, decoded by :func:`server_views`, its only caller.
 Point-to-point computes each per-block fact once per pass for all
 servers: the views read the events in one loop, each distinct ``preds``
-list gets one distinct-preds list, each distinct body is decoded once with
-the message headers its verdicts read, and each distinct block as a server
-holds it is one node. It decides each distinct block once per pass, from
-the block's body, its preds and their bodies and builders, into a check
-count and the failed checks, and every server that holds that block reuses
-the verdict and sorts the failures into its own report.
+list gets one distinct-preds list, each ``labels`` list is decoded once
+into a body with the message headers its verdicts read, and each distinct
+block as a server holds it is one node. It decides each distinct block
+once per pass, from the block's body, its preds and their bodies and
+builders, into a check count and the failed checks, and every server that
+holds that block reuses the verdict and sorts the failures into its own
+report.
 
 Each checker makes no reference cycles and runs with the cyclic garbage
 collector paused: see ``trace.gc_paused``.
@@ -67,9 +68,9 @@ _NO_ACT: _Buffers = ((), ())
 
 class _Body:
     """One INTERPRET ``labels`` list, decoded: label -> (fed, emitted), the
-    last entry for a label holding. Bodies are interned by content, so equal
-    bodies are one object, and the verdict keys of
-    :func:`check_point_to_point` hold bodies by identity.
+    last entry for a label holding. A pass makes one body per ``labels``
+    list object, and the verdict keys of :func:`check_point_to_point` hold
+    bodies by identity.
 
     A body also holds the message headers its verdicts read, each read once
     for every verdict that holds the body: per label the sender of each fed
@@ -121,9 +122,10 @@ def server_dags(events: list[dict]) -> dict[int, dict[str, dict]]:
 def _distinct_preds() -> Callable[[list[str]], list[str]]:
     """A function from an INSERT ``preds`` list to its distinct preds, in
     order, that makes one list per distinct ``preds`` list and returns it
-    for every equal one. In memory a run's servers share one ``preds`` list
-    per ref, found by its id; a trace read from a file has a list per event,
-    found by its content."""
+    for every equal one. A run's servers share one ``preds`` list per ref,
+    and ``trace.loads`` one per distinct list, found by its id; a run still
+    holds equal lists of distinct refs (genesis blocks, an equivocator's
+    forks), found by their content."""
     by_list: dict[int, tuple[list[str], list[str]]] = {}  # id(preds) -> (preds, distinct)
     by_content: dict[tuple[str, ...], list[str]] = {}
 
@@ -144,17 +146,15 @@ def server_views(events: list[dict]) -> dict[int, _ServerView]:
     """Each server's view for the link properties, from one pass over the
     events. Each distinct ``preds`` list gets one distinct-preds list (see
     :func:`_distinct_preds`), every distinct message encoding is decoded
-    once, and every distinct INTERPRET body, keyed by its labels' fed and
-    emitted encodings, is decoded once. Servers that share one ``labels``
-    list object (a shared report, in memory) find its body by the list's id;
-    a trace read from a file finds it by content."""
+    once, and every INTERPRET ``labels`` list object is decoded into one
+    body, found by the list's id. Servers share one list per report in a
+    run, and ``trace.loads`` gives equal lists one object."""
     views: dict[int, _ServerView] = {}
     distinct = _distinct_preds()
     messages: dict[str, Message] = {}
     by_list: dict[int, tuple[list, _Body]] = {}  # id(labels) -> (labels, body)
-    by_content: dict[tuple, _Body] = {}
 
-    def decode(hexes: tuple[str, ...], server: int, ref: str) -> tuple[Message, ...]:
+    def decode(hexes: list[str], server: int, ref: str) -> tuple[Message, ...]:
         for h in hexes:
             if h not in messages:
                 try:
@@ -181,15 +181,12 @@ def server_views(events: list[dict]) -> dict[int, _ServerView]:
         labels = ev["labels"]
         shared = by_list.get(id(labels))
         if shared is None:
-            content = tuple([(tuple(act["label"]), tuple(act["fed"]), tuple(act["emitted"])) for act in labels])
-            body = by_content.get(content)
-            if body is None:
-                acts = {
-                    Label(int(raw[0]), int(raw[1])): (decode(fed, server, ref), decode(out, server, ref))
-                    for raw, fed, out in content
-                }
-                body = by_content[content] = _Body(acts)
-            shared = by_list[id(labels)] = (labels, body)  # the list kept keeps its id
+            acts = {
+                Label(int(act["label"][0]), int(act["label"][1])):
+                    (decode(act["fed"], server, ref), decode(act["emitted"], server, ref))
+                for act in labels
+            }
+            shared = by_list[id(labels)] = (labels, _Body(acts))  # the list kept keeps its id
         view.bodies.append(shared[1])
     return views
 
@@ -269,8 +266,9 @@ def _decide_block(key: _Key, correct: set[int]) -> tuple[int, tuple[_Failure, ..
             checked += len(sent)
             for label, m, i in sent:
                 if m not in acts.get(label, _NO_ACT)[0]:
+                    _, _, sender, receiver, _ = MESSAGE_HEAD.unpack_from(m)
                     detail = (
-                        f"message {m.sender}->{m.receiver} from block {pred_ref[:12]} missing in "
+                        f"message {sender}->{receiver} from block {pred_ref[:12]} missing in "
                         f"in-buffer of {ref[:12]} (label {label.originator}/{label.nonce})"
                     )
                     failures.append((0, pred_ref, label, i, ref, "reliable-delivery", detail))
@@ -317,9 +315,10 @@ def _no_duplication(server: int, keys: list[_Key], correct: set[int]) -> tuple[i
                     seen[m] = preds
     violations = []
     for (label, receiver, m), feeds in sorted(repeats.items()):
-        if m.sender in correct:
+        sender = MESSAGE_HEAD.unpack_from(m)[2]
+        if sender in correct:
             violations.append(
-                f"no-duplication: interpreter {server}: message {m.sender}->{receiver} "
+                f"no-duplication: interpreter {server}: message {sender}->{receiver} "
                 f"(label {label.originator}/{label.nonce}) fed {len(feeds)} times "
                 f"across blocks of server {receiver}"
             )

@@ -50,38 +50,23 @@ class Label(NamedTuple):
         return pack_fields(_LABEL_LAYOUT, ENCODING_VERSION, _TAG_LABEL, self.originator, self.nonce)
 
 
-class Message(bytes):
-    """A protocol message, whose value is its canonical encoding: the
-    ``MESSAGE_HEAD`` fields, then the payload. Equality, hash and order are
-    those of the bytes. That is exact because the codec is canonical: two
+Message = bytes  # a message is its canonical encoding, built by message()
+
+
+def message(sender: int, receiver: int, payload: bytes) -> Message:
+    """The message from ``sender`` to ``receiver`` carrying ``payload``:
+    its canonical encoding, the ``MESSAGE_HEAD`` fields (read back through
+    it and ``RECEIVER``), then the payload. Equality, hash and order are
+    those of the bytes, which is exact because the codec is canonical: two
     messages are equal exactly when their fields are, and the byte order is
-    a strict total order that is the same on every machine, the one the
-    interpreter feeds messages in. The fields are read-only properties over
-    the bytes. An out-of-range sender or receiver raises ``EncodingError``."""
-
-    __slots__ = ()
-
-    def __new__(cls, sender: int, receiver: int, payload: bytes) -> "Message":
-        try:
-            head = MESSAGE_HEAD.pack(ENCODING_VERSION, _TAG_MESSAGE, sender, receiver, len(payload))
-        except struct.error:
-            raise EncodingError(f"message field out of range: {sender}, {receiver}") from None
-        return bytes.__new__(cls, head + payload)
-
-    @property
-    def sender(self) -> int:
-        return MESSAGE_HEAD.unpack_from(self)[2]
-
-    @property
-    def receiver(self) -> int:
-        return MESSAGE_HEAD.unpack_from(self)[3]
-
-    @property
-    def payload(self) -> bytes:
-        return self[MESSAGE_HEAD.size :]
-
-    def __repr__(self) -> str:
-        return f"Message(sender={self.sender}, receiver={self.receiver}, payload={self.payload!r})"
+    a strict total order, the same on every machine, that the interpreter
+    feeds messages in. An out-of-range sender or receiver raises
+    ``EncodingError``."""
+    try:
+        head = MESSAGE_HEAD.pack(ENCODING_VERSION, _TAG_MESSAGE, sender, receiver, len(payload))
+    except struct.error:
+        raise EncodingError(f"message field out of range: {sender}, {receiver}") from None
+    return head + payload
 
 
 def read_label(r) -> Label:
@@ -94,8 +79,8 @@ def read_label(r) -> Label:
 
 
 def message_from_canonical(data: bytes) -> Message:
-    """The message whose encoding is ``data``, which must be exactly one
-    message encoding; used by trace checkers."""
+    """``data`` itself, which must be exactly one message encoding; used by
+    trace checkers."""
     head = MESSAGE_HEAD.size
     if len(data) < head:
         raise EncodingError("truncated encoding")
@@ -106,7 +91,7 @@ def message_from_canonical(data: bytes) -> Message:
         raise EncodingError("truncated encoding")
     if len(data) > head + size:
         raise EncodingError("trailing bytes after message encoding")
-    return bytes.__new__(Message, data)
+    return data
 
 
 class ProcessInstance(ABC):

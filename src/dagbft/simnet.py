@@ -43,7 +43,6 @@ import hashlib
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from functools import cached_property
 from operator import itemgetter
 from random import Random
 from typing import Optional
@@ -440,6 +439,7 @@ class Simulation:
         # its labels list, so events are read-only
         self._interpret_labels: dict[BlockRef, tuple[BlockInterpretation, list[dict]]] = {}
         self._ref_hex: dict[BlockRef, str] = {}  # ref -> its hex, the one string events hold
+        self._insert_fields: dict[BlockRef, dict] = {}  # ref -> its INSERT fields but the server
 
     def _hex(self, ref: BlockRef) -> str:
         """``ref.hex()``, the same string object on every call for one ref."""
@@ -518,11 +518,6 @@ class Simulation:
         self.events.append(trace.event(now, "DROP", server=server, reason=reason, **fields))
 
     # -- per-node recording -------------------------------------------------------
-
-    @cached_property
-    def _insert_fields(self) -> dict[BlockRef, dict]:
-        """ref -> its INSERT fields but the server, shared read-only."""
-        return {}
 
     def _insert_event(self, now: int, server: int, block: Block) -> dict:
         ref = block_ref(block)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 from functools import wraps
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _esc
@@ -228,12 +229,17 @@ def _require(obj: dict, fields: dict, what: str, lineno: int) -> None:
 
 @gc_paused
 def loads(text: str) -> list[dict]:
-    """The events of a JSONL trace. Equal ``ref``, INSERT ``preds`` and
-    INDICATE ``block`` values come back as one string object, as a run
-    holds them."""
+    """The events of a JSONL trace. As in a run, equal ``ref``, INSERT
+    ``preds`` and INDICATE ``block`` values are one string, and equal INSERT
+    ``preds`` and INTERPRET ``labels`` lists, equal with the types
+    ``parse_line`` checked, one list; a ``labels`` list with an entry that
+    has a field beyond ``LABEL_FIELDS`` keeps its own."""
     refs: dict[str, str] = {}  # a ref's first string, which equal ones are replaced by
+    preds_lists: dict[tuple[str, ...], list[str]] = {}  # content -> the first list
+    labels_lists: dict[tuple, list[dict]] = {}  # content -> the first list
     events = []
-    lines = enumerate(text.split("\n"), start=1)  # splitlines splits inside JSON strings too
+    # one line at a time, split on "\n" alone: splitlines splits inside JSON strings too
+    lines = enumerate(map(itemgetter(0), re.finditer("^.*$", text, re.MULTILINE)), start=1)
     for lineno, line in lines:
         if not line.strip():
             continue
@@ -243,18 +249,29 @@ def loads(text: str) -> list[dict]:
             obj["ref"] = refs.setdefault(ref, ref)
         kind = obj["kind"]
         if kind == "INSERT":
-            obj["preds"] = [refs.setdefault(p, p) for p in obj["preds"]]
+            preds = tuple(obj["preds"])
+            if preds not in preds_lists:
+                preds_lists[preds] = [refs.setdefault(p, p) for p in preds]
+            obj["preds"] = preds_lists[preds]
+        elif kind == "INTERPRET" and all(len(e) == len(LABEL_FIELDS) for e in obj["labels"]):
+            content = tuple([(*e["label"], tuple(e["fed"]), tuple(e["emitted"]), e["state"], e["skipped"])
+                             for e in obj["labels"]])
+            obj["labels"] = labels_lists.setdefault(content, obj["labels"])
         elif kind == "INDICATE":
             obj["block"] = refs.setdefault(obj["block"], obj["block"])
         events.append(obj)
     return events
 
 
-def read_jsonl(path: str) -> list[dict]:
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``; its bytes are freed on return."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"not UTF-8 text at byte {exc.start}") from exc
-    return loads(text)
+
+
+def read_jsonl(path: str) -> list[dict]:
+    return loads(_read_text(path))

@@ -26,7 +26,7 @@ from random import Random
 
 from dagbft import trace
 from dagbft.brb import encode_payload
-from dagbft.protocol import Label, Message
+from dagbft.protocol import Label, message
 from dagbft.simnet import BehaviorSpec, RequestInjection, Scenario, run
 
 from .scenarios import adversarial_scenario, random_scenario
@@ -35,7 +35,7 @@ X, Y, Z, W, V = "aa" * 32, "bb" * 32, "cc" * 32, "dd" * 32, "ee" * 32
 
 
 def msg_hex(sender: int, receiver: int, value: int = 42, kind: int = 1) -> str:
-    return Message(sender, receiver, encode_payload(kind, value)).hex()
+    return message(sender, receiver, encode_payload(kind, value)).hex()
 
 
 def forged_base() -> tuple[Scenario, list[dict]]:

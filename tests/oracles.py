@@ -46,7 +46,8 @@ Four kinds live here, each independent of the code path it judges:
   state and the state digest's material. The package packs each through
   one ``struct`` layout and joins them in fewer calls, and must give the
   same bytes. ``CloningInterpreter`` inherits ``state_digest``, so without
-  these only the trace lock would guard it.
+  these only the trace lock would guard it. ``message_fields`` reads a
+  message's fields back from its bytes one at a time, with no ``struct``.
 
 Beside them sit the paper's definitions that only the tests evaluate: the
 generic directed graph with its insert, ``extends`` and ``union``, the
@@ -63,7 +64,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from random import Random
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from dagbft import gossip, trace
 from dagbft.blockdag import Block, BlockDag, BlockDagError, BlockRef, block_ref
@@ -83,6 +84,7 @@ from dagbft.protocol import (
     Message,
     ProcessInstance,
     ProtocolError,
+    message,
     message_from_canonical,
 )
 from dagbft.shim import Shim
@@ -152,15 +154,15 @@ def feed_instance(instance, inputs: list[BroadcastInput]) -> list[list[tuple]]:
         else:
             kind, value, sender = item
             payload = encode_payload(1 if kind == "ECHO" else 2, value)
-            messages = instance.on_receive(Message(sender, instance.server, payload))
+            messages = instance.on_receive(message(sender, instance.server, payload))
         # messages arrive grouped as broadcasts-to-all in emission order
         assert len(messages) % n == 0, "instance must emit whole broadcasts"
         for i in range(0, len(messages), n):
             group = messages[i : i + n]
-            assert [m.receiver for m in group] == list(range(n))
-            assert len({m.payload for m in group}) == 1
-            kind_byte = group[0].payload[0]
-            value = int.from_bytes(group[0].payload[1:], "big")
+            assert [message_fields(m).receiver for m in group] == list(range(n))
+            assert len({message_fields(m).payload for m in group}) == 1
+            payload = message_fields(group[0]).payload
+            kind_byte, value = payload[0], int.from_bytes(payload[1:], "big")
             out.append(("ECHO" if kind_byte == 1 else "READY", value))
         for payload in instance.take_indications():
             out.append(("deliver", decode_deliver(payload)))
@@ -178,8 +180,8 @@ def perfect_network_deliveries(
     instances = {s: protocol.spawn(label, s) for s in range(n)}
     queue = deque(instances[originator].on_request(encode_broadcast(value)))
     while queue:
-        message = queue.popleft()
-        queue.extend(instances[message.receiver].on_receive(message))
+        m = queue.popleft()
+        queue.extend(instances[message_fields(m).receiver].on_receive(m))
     delivered: dict[int, int] = {}
     for server, instance in sorted(instances.items()):
         for payload in instance.take_indications():
@@ -671,7 +673,7 @@ class CloningInterpreter(Interpreter):
                 m
                 for pred in preds
                 for m in pred.out.get(label, ())
-                if m.receiver == block.builder
+                if message_fields(m).receiver == block.builder
             }
             if not incoming:
                 continue
@@ -762,9 +764,25 @@ def reference_message_bytes(sender: int, receiver: int, payload: bytes) -> bytes
     )
 
 
+class MessageFields(NamedTuple):
+    sender: int
+    receiver: int
+    payload: bytes
+
+
+def message_fields(m: Message) -> MessageFields:
+    """A message's fields, read from its canonical bytes one at a time:
+    version (1 byte), tag (1), sender (4), receiver (4), payload length (4)
+    and the payload, which must end the bytes."""
+    assert m[0] == ENCODING_VERSION and m[1] == 0x11, "not a message encoding"
+    size = int.from_bytes(m[10:14], "big")
+    assert len(m) == 14 + size, "payload length and message length disagree"
+    return MessageFields(int.from_bytes(m[2:6], "big"), int.from_bytes(m[6:10], "big"), m[14:])
+
+
 def reference_encoding(m: Message) -> bytes:
     """``reference_message_bytes`` of a message's fields."""
-    return reference_message_bytes(m.sender, m.receiver, m.payload)
+    return reference_message_bytes(*message_fields(m))
 
 
 def reference_block_core_bytes(block: Block) -> bytes:
@@ -925,16 +943,17 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
             if builder_of.get(ref1) not in correct:
                 continue
             for m in messages:
-                if m.receiver not in correct:
+                sender, to, _ = message_fields(m)
+                if to not in correct:
                     continue
                 for ref2 in children.get(ref1, ()):
-                    if builder_of.get(ref2) != m.receiver:
+                    if builder_of.get(ref2) != to:
                         continue
                     report.checked += 1
                     if m not in view.fed.get((ref2, label), ()):
                         report.violations.append(
                             f"reliable-delivery: interpreter {server}: message "
-                            f"{m.sender}->{m.receiver} from block {ref1[:12]} missing in "
+                            f"{sender}->{to} from block {ref1[:12]} missing in "
                             f"in-buffer of {ref2[:12]} (label {label.originator}/{label.nonce})"
                         )
 
@@ -956,9 +975,10 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
             report.checked += 1
             if len(feeds) <= 1:
                 continue
-            if m.sender in correct:
+            sender = message_fields(m).sender
+            if sender in correct:
                 report.violations.append(
-                    f"no-duplication: interpreter {server}: message {m.sender}->{receiver} "
+                    f"no-duplication: interpreter {server}: message {sender}->{receiver} "
                     f"(label {label.originator}/{label.nonce}) fed {len(feeds)} times "
                     f"across blocks of server {receiver}"
                 )
@@ -981,18 +1001,19 @@ def check_point_to_point(events: list[dict], scenario: Scenario) -> CheckReport:
             view.fed.items(), key=lambda kv: (kv[0][0], kv[0][1])
         ):
             for m in fed:
-                if m.sender not in correct:
+                sender = message_fields(m).sender
+                if sender not in correct:
                     continue
                 report.checked += 1
                 # a ref interpreted but never inserted has no preds
                 preds = _distinct_preds(view.inserts.get(ref2, {"preds": []}))
                 if not any(
-                    builder_of.get(p) == m.sender and m in view.out.get((p, label), ())
+                    builder_of.get(p) == sender and m in view.out.get((p, label), ())
                     for p in preds
                 ):
                     report.violations.append(
                         f"authenticity: interpreter {server}: message claiming sender "
-                        f"{m.sender} in in-buffer of {ref2[:12]} has no signed origin block "
+                        f"{sender} in in-buffer of {ref2[:12]} has no signed origin block "
                         f"(label {label.originator}/{label.nonce})"
                     )
 

@@ -24,7 +24,7 @@ from dagbft.checks import (
     message_census,
 )
 from dagbft.interpret import Interpreter
-from dagbft.protocol import Label, Message
+from dagbft.protocol import Label, message
 from dagbft.simnet import run
 
 from . import forgeries, oracles
@@ -222,23 +222,23 @@ class TestCriterion1BroadcastFixture:
         def in_set(pos):
             return set(buffers(reports, by_pos[pos], L1)[0])
 
-        echo_to_all = {Message(0, r, encode_payload(ECHO, 42)) for r in range(4)}
+        echo_to_all = {message(0, r, encode_payload(ECHO, 42)) for r in range(4)}
         if out_set((0, 0)) != echo_to_all or in_set((0, 0)) != set():
             failures.append("originator's first block must emit exactly ECHO 42 to all")
         for server in (1, 2, 3):
-            expected_in = {Message(0, server, encode_payload(ECHO, 42))}
-            relay = {Message(server, r, encode_payload(ECHO, 42)) for r in range(4)}
+            expected_in = {message(0, server, encode_payload(ECHO, 42))}
+            relay = {message(server, r, encode_payload(ECHO, 42)) for r in range(4)}
             if in_set((server, 1)) != expected_in:
                 failures.append(f"server {server} round-1 in-buffer wrong")
             if out_set((server, 1)) != relay:
                 failures.append(f"server {server} round-1 must relay the echo")
         # the originator hears its own echo back but the guard keeps it quiet
-        if in_set((0, 1)) != {Message(0, 0, encode_payload(ECHO, 42))}:
+        if in_set((0, 1)) != {message(0, 0, encode_payload(ECHO, 42))}:
             failures.append("originator round-1 in-buffer wrong")
         if out_set((0, 1)) != set():
             failures.append("originator round-1 out-buffer must be empty")
         for server in range(4):
-            ready = {Message(server, r, encode_payload(READY, 42)) for r in range(4)}
+            ready = {message(server, r, encode_payload(READY, 42)) for r in range(4)}
             if out_set((server, 2)) != ready:
                 failures.append(f"server {server} round-2 must emit READY 42 to all")
         surfaced = {
@@ -507,9 +507,9 @@ class TestCriterion8ExhaustiveMicroOracle:
                     for ready_set in combinations(range(4), ready_count):
                         instance = self._instance()
                         for s in echo_set:
-                            instance.on_receive(Message(s, 0, encode_payload(ECHO, 42)))
+                            instance.on_receive(message(s, 0, encode_payload(ECHO, 42)))
                         for s in ready_set:
-                            instance.on_receive(Message(s, 0, encode_payload(READY, 42)))
+                            instance.on_receive(message(s, 0, encode_payload(READY, 42)))
                         want_ready = echo_count >= 3 or ready_count >= 2
                         want_deliver = ready_count >= 3
                         if instance.readied != want_ready:
@@ -544,7 +544,7 @@ class TestCriterion8ExhaustiveMicroOracle:
                 delivered = 0
                 for kind, value, sender in multiset:
                     instance.on_receive(
-                        Message(sender, 0, encode_payload(ECHO if kind == "ECHO" else READY, value))
+                        message(sender, 0, encode_payload(ECHO if kind == "ECHO" else READY, value))
                     )
                     delivered += len(instance.take_indications())
                 if delivered > 1:

@@ -17,11 +17,12 @@ from dagbft.brb import (
     encode_broadcast,
     encode_payload,
 )
-from dagbft.protocol import Label, Message, ProtocolError
+from dagbft.protocol import Label, Message, ProtocolError, message
 
 from .oracles import (
     echo_quorums_possible,
     feed_instance,
+    message_fields,
     perfect_network_deliveries,
     reference_outputs,
 )
@@ -34,11 +35,11 @@ def fresh(server: int = 0, originator: int = 0) -> BrbInstance:
 
 
 def echo(value: int, sender: int, receiver: int = 0) -> Message:
-    return Message(sender, receiver, encode_payload(ECHO, value))
+    return message(sender, receiver, encode_payload(ECHO, value))
 
 
 def ready(value: int, sender: int, receiver: int = 0) -> Message:
-    return Message(sender, receiver, encode_payload(READY, value))
+    return message(sender, receiver, encode_payload(READY, value))
 
 
 class TestCodec:
@@ -76,7 +77,7 @@ class TestInitialState:
 class TestRequest:
     def test_originator_broadcast_echoes_to_all(self):
         out = fresh().on_request(encode_broadcast(42))
-        assert [(m.receiver, m.payload) for m in out] == [
+        assert [(f.receiver, f.payload) for f in map(message_fields, out)] == [
             (r, encode_payload(ECHO, 42)) for r in range(N)
         ]
 
@@ -101,7 +102,7 @@ class TestRequest:
 class TestReceive:
     def test_first_echo_relays(self):
         out = fresh().on_receive(echo(42, 1))
-        assert [(m.receiver, m.payload) for m in out] == [
+        assert [(f.receiver, f.payload) for f in map(message_fields, out)] == [
             (r, encode_payload(ECHO, 42)) for r in range(N)
         ]
 
@@ -111,7 +112,7 @@ class TestReceive:
         instance.on_receive(echo(42, 0))  # own echo looping back
         assert instance.on_receive(echo(42, 1)) == []
         out = instance.on_receive(echo(42, 2))
-        assert [(m.receiver, m.payload) for m in out] == [
+        assert [(f.receiver, f.payload) for f in map(message_fields, out)] == [
             (r, encode_payload(READY, 42)) for r in range(N)
         ]
 
@@ -126,7 +127,7 @@ class TestReceive:
         instance = fresh(server=3, originator=0)
         instance.on_receive(ready(42, 0, receiver=3))
         out = instance.on_receive(ready(42, 1, receiver=3))
-        assert [m.payload for m in out] == [encode_payload(READY, 42)] * N
+        assert [message_fields(m).payload for m in out] == [encode_payload(READY, 42)] * N
 
     def test_delivery_at_two_f_plus_one_readies(self):
         instance = fresh()
@@ -145,7 +146,7 @@ class TestReceive:
     def test_unknown_kind_ignored(self):
         instance = fresh()
         before = instance.state_bytes()
-        assert instance.on_receive(Message(1, 0, b"\x07garbagegarbage")) == []
+        assert instance.on_receive(message(1, 0, b"\x07garbagegarbage")) == []
         assert instance.state_bytes() == before
 
     def test_take_indications_empty_on_fresh(self):

@@ -17,7 +17,7 @@ from dagbft.brb import (
     encode_payload,
 )
 from dagbft.interpret import InterpretError, Interpreter, _Slot
-from dagbft.protocol import Label, Message
+from dagbft.protocol import Label, message
 from dagbft.simnet import run
 
 from .oracles import (
@@ -65,16 +65,16 @@ class TestBroadcastRounds:
         reports = Interpreter(dag, protocol()).run_to_fixpoint()
         fed, emitted = buffers(reports, block_ref(blocks[(0, 0)]), L1)
         assert fed == ()
-        assert set(emitted) == {Message(0, r, encode_payload(ECHO, 42)) for r in range(N)}
+        assert set(emitted) == {message(0, r, encode_payload(ECHO, 42)) for r in range(N)}
 
     def test_round_one_receivers_relay_the_echo(self, registry):
         dag, blocks = broadcast_fixture(registry, rounds=2)
         reports = Interpreter(dag, protocol()).run_to_fixpoint()
         for server in (1, 2, 3):
             fed, emitted = buffers(reports, block_ref(blocks[(server, 1)]), L1)
-            assert fed == (Message(0, server, encode_payload(ECHO, 42)),)
+            assert fed == (message(0, server, encode_payload(ECHO, 42)),)
             assert set(emitted) == {
-                Message(server, r, encode_payload(ECHO, 42)) for r in range(N)
+                message(server, r, encode_payload(ECHO, 42)) for r in range(N)
             }
 
     def test_originator_round_one_hears_itself_but_stays_quiet(self, registry):
@@ -82,7 +82,7 @@ class TestBroadcastRounds:
         dag, blocks = broadcast_fixture(registry, rounds=2)
         reports = Interpreter(dag, protocol()).run_to_fixpoint()
         fed, emitted = buffers(reports, block_ref(blocks[(0, 1)]), L1)
-        assert fed == (Message(0, 0, encode_payload(ECHO, 42)),)
+        assert fed == (message(0, 0, encode_payload(ECHO, 42)),)
         assert emitted == ()
 
     def test_round_two_emits_ready_after_quorum(self, registry):
@@ -91,7 +91,7 @@ class TestBroadcastRounds:
         for server in range(N):
             _, emitted = buffers(reports, block_ref(blocks[(server, 2)]), L1)
             assert set(emitted) == {
-                Message(server, r, encode_payload(READY, 42)) for r in range(N)
+                message(server, r, encode_payload(READY, 42)) for r in range(N)
             }
 
     def test_round_three_delivers_everywhere_once(self, registry):
@@ -294,7 +294,7 @@ class TestByzantineInputs:
         dag.insert(doubled)
         reports = Interpreter(dag, protocol()).run_to_fixpoint()
         fed, _ = buffers(reports, block_ref(doubled), L1)
-        assert fed == (Message(0, 1, encode_payload(ECHO, 42)),)
+        assert fed == (message(0, 1, encode_payload(ECHO, 42)),)
 
 
 class TestLiveLabelSoundness:
@@ -438,7 +438,7 @@ class TestCopyOnWrite:
 
     def test_touched_label_gets_its_own_clone(self, registry):
         it, reports, (r0, r1, _) = self.chain(registry)
-        assert buffers(reports, r1, L1)[0] == (Message(0, 0, encode_payload(ECHO, 42)),)
+        assert buffers(reports, r1, L1)[0] == (message(0, 0, encode_payload(ECHO, 42)),)
         assert it._slots[r1].instances[L1] is not it._slots[r0].instances[L1]
 
     def test_skipped_request_keeps_the_shared_instance(self, registry):

@@ -2,24 +2,29 @@
 
 from __future__ import annotations
 
+import gc
 from random import Random
 
 import pytest
 
+import dagbft
 from dagbft.brb import ReliableBroadcast, encode_broadcast, encode_payload
 from dagbft.crypto import EncodingError
 from dagbft.protocol import (
+    MESSAGE_HEAD,
+    RECEIVER,
     ContractError,
     Label,
     Message,
+    message,
     message_from_canonical,
 )
 
-from .oracles import message_less
+from .oracles import message_fields, message_less
 
 
 def random_message(rng: Random) -> Message:
-    return Message(
+    return message(
         rng.randrange(8),
         rng.randrange(8),
         bytes(rng.getrandbits(8) for _ in range(rng.randrange(0, 6))),
@@ -28,13 +33,13 @@ def random_message(rng: Random) -> Message:
 
 class TestMessageOrder:
     def test_irreflexive(self):
-        m = Message(0, 1, b"\x01")
+        m = message(0, 1, b"\x01")
         assert not message_less(m, m)
 
     def test_sender_orders_first(self):
         payload = encode_payload(1, 42)
-        a = Message(0, 3, payload)
-        b = Message(1, 3, payload)
+        a = message(0, 3, payload)
+        b = message(1, 3, payload)
         assert message_less(a, b)
 
     def test_trichotomy_on_random_pairs(self):
@@ -59,58 +64,66 @@ class TestMessageOrder:
         rng = Random(23)
         for _ in range(200):
             m = random_message(rng)
-            assert message_from_canonical(bytes(m)) == m
+            assert message_from_canonical(m) == m
 
 
 class TestMessageValue:
-    """A message is its canonical bytes: its fields are read from them, and
-    equality, hash and order are theirs."""
+    """A message is a plain ``bytes`` value, its canonical encoding: its
+    fields are read from those bytes, and equality, hash and order are
+    theirs."""
 
-    def test_fields_are_read_only_views_of_the_bytes(self):
-        m = Message(1, 2, b"\xab")
-        assert isinstance(m, bytes)
-        assert (m.sender, m.receiver, m.payload) == (1, 2, b"\xab")
-        for name in ("sender", "receiver", "payload"):
-            with pytest.raises(AttributeError):
-                setattr(m, name, 3)
+    def test_fields_are_read_from_the_bytes(self):
+        m = message(1, 2, b"\xab")
+        assert type(m) is bytes
+        assert message_fields(m) == (1, 2, b"\xab")
+        assert MESSAGE_HEAD.unpack_from(m)[2:4] == (1, 2)
+        assert m[RECEIVER] == (2).to_bytes(4, "big")
+        assert m[MESSAGE_HEAD.size :] == b"\xab"
 
     @pytest.mark.parametrize("how", ["built", "decoded"])
     def test_a_message_holds_no_dict(self, how):
-        m = Message(3, 5, encode_payload(1, 42))
+        # a plain bytes value: no instance dict, and nothing the cyclic
+        # collector tracks
+        m = message(3, 5, encode_payload(1, 42))
         if how == "decoded":
-            m = message_from_canonical(bytes(m))
-        assert not hasattr(m, "__dict__")
+            data = bytes(bytearray(m))
+            m = message_from_canonical(data)
+            assert m is data  # no copy
+        assert type(m) is bytes and not hasattr(m, "__dict__") and not gc.is_tracked(m)
+
+    def test_message_is_exported_as_the_bytes_type(self):
+        # the annotation alias, kept in the package's exports; no class
+        assert dagbft.Message is Message is bytes and "Message" in dagbft.__all__
 
     def test_equality_and_hash_are_those_of_the_fields_and_the_bytes(self):
         # equal fields give equal messages, whose hash is their bytes', for
         # built and for decoded messages alike; small ranges make ties common
         rng = Random(29)
         fields = [(rng.randrange(2), rng.randrange(2), bytes(rng.randrange(2))) for _ in range(40)]
-        built = [Message(*f) for f in fields]
+        built = [message(*f) for f in fields]
         decoded = [message_from_canonical(bytes(m)) for m in built]
         for f, m, d in zip(fields, built, decoded):
             assert d == m and hash(m) == hash(d) == hash(bytes(m))
             for g, other in zip(fields, decoded):
                 assert (m == other) == (f == g)
 
-    def test_equality_hash_and_repr(self):
-        m = Message(1, 2, b"\xab")
-        assert m == Message(1, 2, b"\xab")
-        assert m != Message(1, 3, b"\xab") and m != Message(1, 2, b"\xac")
+    def test_equality_and_hash(self):
+        m = message(1, 2, b"\xab")
+        assert m == message(1, 2, b"\xab")
+        assert m != message(1, 3, b"\xab") and m != message(1, 2, b"\xac")
         assert hash(m) == hash(bytes.fromhex("0111" "00000001" "00000002" "00000001" "ab"))
-        assert repr(m) == "Message(sender=1, receiver=2, payload=b'\\xab')"
 
     def test_the_bytes_are_the_field_encoding(self):
-        m = Message(1, 2, b"\xab")
-        assert bytes(m) == bytes.fromhex("0111" "00000001" "00000002" "00000001" "ab")
-        assert message_from_canonical(bytes(m)) == m
+        m = message(1, 2, b"\xab")
+        assert m == bytes.fromhex("0111" "00000001" "00000002" "00000001" "ab")
+        assert message_from_canonical(m) == m
 
     @pytest.mark.parametrize("payload", [b"", b"\xab", encode_payload(1, 42)])
     def test_decoded_message_keeps_the_bytes_it_came_from(self, payload):
-        # a decoded message keeps its input as its canonical bytes, which is
-        # exact only if no other bytes decode to it: every byte mutant that
-        # decodes must re-encode to itself, also when rebuilt field by field
-        original = bytes(Message(3, 5, payload))
+        # a decoded message is its input, which is exact only if no other
+        # bytes decode to it: every byte mutant that decodes must re-encode
+        # to itself, also when rebuilt field by field
+        original = message(3, 5, payload)
         decoded = 0
         for i in range(len(original)):
             for value in range(256):
@@ -120,15 +133,15 @@ class TestMessageValue:
                 except EncodingError:
                     continue
                 decoded += 1
-                rebuilt = Message(m.sender, m.receiver, m.payload)
-                assert m == mutant and type(m) is Message
+                rebuilt = message(*message_fields(m))
+                assert m == mutant and type(m) is bytes
                 assert rebuilt == mutant and rebuilt == m
         assert decoded >= 8 * 256  # every value of every sender and receiver byte
 
     @pytest.mark.parametrize("fields", [(2**32, 0, b""), (0, 2**32, b""), (-1, 0, b"")])
     def test_out_of_range_endpoint_raises_at_construction(self, fields):
         with pytest.raises(EncodingError):
-            Message(*fields)
+            message(*fields)
 
 
 class TestLabel:
@@ -164,7 +177,7 @@ class TestInstanceContract:
                 inputs.append(
                     (
                         "message",
-                        Message(
+                        message(
                             rng.randrange(n),
                             0,
                             encode_payload(rng.choice((1, 2)), rng.randrange(3)),
@@ -228,12 +241,12 @@ class TestInstanceContract:
         instance = protocol.spawn(Label(0, 1), 0)
         outputs = instance.on_request(encode_broadcast(1))
         for trial in range(200):
-            m = Message(rng.randrange(4), 0, encode_payload(rng.choice((1, 2)), rng.randrange(2)))
+            m = message(rng.randrange(4), 0, encode_payload(rng.choice((1, 2)), rng.randrange(2)))
             outputs += instance.on_receive(m)
-        assert outputs and all(m.sender == 0 for m in outputs)
+        assert outputs and all(message_fields(m).sender == 0 for m in outputs)
 
     def test_receiver_mismatch_is_contract_violation(self):
         protocol = ReliableBroadcast(4, 1)
         instance = protocol.spawn(Label(0, 1), 0)
         with pytest.raises(ContractError):
-            instance.on_receive(Message(1, 2, encode_payload(1, 5)))
+            instance.on_receive(message(1, 2, encode_payload(1, 5)))

@@ -1,7 +1,7 @@
 """The packed encodings against their spelled-out references in ``oracles``.
 
 Each encoding packs its fixed-width fields with one ``struct`` layout:
-``Label``, ``Message``, a block's core and wire bytes and the broadcast
+``Label``, ``message``, a block's core and wire bytes and the broadcast
 protocol's payloads, while ``BrbInstance.state_bytes`` joins one list of
 parts and ``Interpreter.state_digest`` builds its material in one join.
 These tests compare each with the field-by-field formula on every block,
@@ -29,9 +29,10 @@ from dagbft.brb import (
     encode_payload,
 )
 from dagbft.crypto import EncodingError, Signature
-from dagbft.protocol import Label, Message, ProtocolError, message_from_canonical
+from dagbft.protocol import Label, ProtocolError, message, message_from_canonical
 
 from .oracles import (
+    message_fields,
     reference_block_core_bytes,
     reference_block_wire,
     reference_brb_state_bytes,
@@ -85,8 +86,9 @@ def test_every_slot_encodes_as_the_reference(name, scenario):
         for out in slot.out.values():
             for m in out:
                 assert m == reference_encoding(m)
-                kind, value = decode_payload(m.payload)  # correct servers emit these alone
-                assert encode_payload(kind, value) == reference_payload_bytes(kind, value) == m.payload
+                payload = message_fields(m).payload
+                kind, value = decode_payload(payload)  # correct servers emit these alone
+                assert encode_payload(kind, value) == reference_payload_bytes(kind, value) == payload
                 messages += 1
     assert digests > len(slots) and states and messages
 
@@ -111,7 +113,7 @@ class TestMessageEdgeCases:
     @pytest.mark.parametrize("receiver", [0, 0xFFFFFFFF])
     @pytest.mark.parametrize("sender", [0, 0xFFFFFFFF])
     def test_extreme_fields_encode_as_the_reference(self, sender, receiver, payload):
-        m = Message(sender, receiver, payload)
+        m = message(sender, receiver, payload)
         assert m == reference_message_bytes(sender, receiver, payload)
         assert message_from_canonical(bytes(m)) == m
 
@@ -119,7 +121,7 @@ class TestMessageEdgeCases:
     def test_an_out_of_range_field_raises_encoding_error(self, bad):
         for fields in ((bad, 0, b""), (0, bad, b"")):
             with pytest.raises(EncodingError):
-                Message(*fields)
+                message(*fields)
             with pytest.raises(EncodingError):
                 reference_message_bytes(*fields)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -286,3 +287,48 @@ class TestLoads:
     def test_a_carriage_return_before_the_newline_is_whitespace(self):
         drop = trace.event(4, "DROP", server=2, reason="x")
         assert trace.loads(trace.dumps([drop, drop]).replace("\n", "\r\n")) == [drop, drop]
+
+    @pytest.mark.parametrize(
+        "scenario", [adversarial_scenario(1), random_scenario(2)], ids=["adversarial 1", "random 2"]
+    )
+    def test_equal_lists_read_back_as_one_list(self, scenario):
+        # as in a run, where servers share one list per ref; the bytes
+        # written back are the same
+        text = trace.dumps(simnet.run(scenario).events)
+        loaded = trace.loads(text)
+        for kind, name in (("INSERT", "preds"), ("INTERPRET", "labels")):
+            lists = [e[name] for e in loaded if e["kind"] == kind]
+            first = {}
+            for value in lists:
+                assert first.setdefault(json.dumps(value, sort_keys=True), value) is value
+            assert len(first) < len(lists)
+        assert trace.dumps(loaded) == text
+
+    def test_a_labels_entry_with_a_field_of_its_own_keeps_its_list(self):
+        entry = {"label": [0, 1], "fed": ["ab"], "emitted": [], "state": "cd", "skipped": 0}
+        events = [
+            trace.event(step, "INTERPRET", server=step, ref="ef", builder=1, labels=[dict(entry, **extra)])
+            for step, extra in enumerate([{}, {}, {"note": 1}, {"note": 1}])
+        ]
+        text = trace.dumps(events)
+        loaded = trace.loads(text)
+        a, b, c, d = (e["labels"] for e in loaded)
+        assert a is b and a is not c and c is not d and c == d
+        assert trace.dumps(loaded) == text
+
+    def test_reading_a_file_peaks_below_five_times_its_size(self, tmp_path):
+        # the file's bytes are freed before parsing, and lines are parsed
+        # one at a time
+        path = tmp_path / "trace.jsonl"
+        trace.write_jsonl(simnet.run(adversarial_scenario(1)).events, str(path))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            events = trace.read_jsonl(str(path))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(events) > 1000 and peak < 5 * path.stat().st_size
