@@ -6,10 +6,12 @@ from the fixed alphabet below; the remaining fields depend on the kind, and
 parsing rejects an event that lacks one its kind always carries or gives it,
 or one its kind may carry, another type. The serialization is canonical
 (sorted keys, no whitespace) so identical runs produce byte-identical files.
-``dumps`` writes the JSON encoder's bytes: an event with exactly its kind's
-fields, or those and one optional field, each of exactly its type, through
-a template of that shape, and any other event through the encoder.
-It encodes a list once per object and call, so servers sharing one pay once.
+``dumps`` writes the JSON encoder's bytes. An event with exactly its kind's
+fields, or those and one optional field, each of exactly its type, goes
+through the line writer of that shape, which ``_writer`` compiles at import
+from the ``FIELDS`` types; any other event goes through the encoder. So a
+kind added to ``FIELDS`` needs no writer of its own. ``dumps`` encodes a
+list once per object and call, so servers sharing one pay once.
 
 ``loads`` runs with the cyclic garbage collector paused, as a run and each
 checker do: see :func:`gc_paused`.
@@ -97,60 +99,48 @@ _C_ENCODER = c_make_encoder and c_make_encoder(
     _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan)
 _encode_list = (lambda value: "".join(_C_ENCODER(value, 0))) if _C_ENCODER else _ENCODER.encode
 
-# kind -> its line, from a list encoder and its values in sorted-key order, or False
-_WRITERS = {
-    "SEND": lambda enc, envelope, frm, kind, ref, schema, size, step, to:
-        type(kind) is type(envelope) is str and (ref is None or type(ref) is str)
-        and type(frm) is type(schema) is type(size) is type(step) is type(to) is int
-        and f'{{"envelope":{_esc(envelope)},"frm":{frm},"kind":"{kind}",'
-        f'"ref":{"null" if ref is None else _esc(ref)},"schema":{schema},"size":{size},'
-        f'"step":{step},"to":{to}}}\n',
-    "DELIVER": lambda enc, envelope, frm, kind, ref, schema, step, to:
-        type(kind) is type(envelope) is type(ref) is str and type(frm) is type(to) is int
-        and type(schema) is type(step) is int and f'{{"envelope":{_esc(envelope)},"frm":{frm},'
-        f'"kind":"{kind}","ref":{_esc(ref)},"schema":{schema},"step":{step},"to":{to}}}\n',
-    "INSERT": lambda enc, builder, kind, preds, ref, requests, schema, seqno, server, step:
-        type(kind) is type(ref) is str and type(preds) is type(requests) is list
-        and type(builder) is type(schema) is type(seqno) is type(server) is type(step) is int
-        and f'{{"builder":{builder},"kind":"{kind}","preds":{enc(preds)},"ref":{_esc(ref)},'
-        f'"requests":{enc(requests)},"schema":{schema},"seqno":{seqno},"server":{server},'
-        f'"step":{step}}}\n',
-    "PROMOTE": lambda enc, kind, ref, schema, server, step:
-        type(kind) is type(ref) is str and type(schema) is type(server) is type(step) is int
-        and f'{{"kind":"{kind}","ref":{_esc(ref)},"schema":{schema},"server":{server},'
-        f'"step":{step}}}\n',
-    "FWD_REQ": lambda enc, kind, ref, schema, server, step, to:
-        type(kind) is type(ref) is str and type(schema) is type(server) is type(step) is int
-        and type(to) is int and f'{{"kind":"{kind}","ref":{_esc(ref)},"schema":{schema},'
-        f'"server":{server},"step":{step},"to":{to}}}\n',
-    "INTERPRET": lambda enc, builder, kind, labels, ref, schema, server, step:
-        type(kind) is type(ref) is str and type(labels) is list
-        and type(builder) is type(schema) is type(server) is type(step) is int
-        and f'{{"builder":{builder},"kind":"{kind}","labels":{enc(labels)},"ref":{_esc(ref)},'
-        f'"schema":{schema},"server":{server},"step":{step}}}\n',
-    "INDICATE": lambda enc, block, indication, kind, label, behalf, schema, server, step, surfaced:
-        type(kind) is type(block) is type(indication) is str and type(surfaced) is bool
-        and type(label) is list and len(label) == 2 and type(label[0]) is type(label[1]) is int
-        and type(behalf) is type(schema) is type(server) is type(step) is int
-        and f'{{"block":{_esc(block)},"indication":{_esc(indication)},"kind":"{kind}",'
-        f'"label":[{label[0]},{label[1]}],"on_behalf_of":{behalf},"schema":{schema},'
-        f'"server":{server},"step":{step},"surfaced":{"true" if surfaced else "false"}}}\n',
-    "DROP": lambda enc, kind, reason, schema, server, step:
-        type(kind) is type(reason) is str and type(schema) is type(server) is type(step) is int
-        and f'{{"kind":"{kind}","reason":{_esc(reason)},"schema":{schema},"server":{server},'
-        f'"step":{step}}}\n',
-    # (kind, name): an event of the kind with the one optional field ``name``
-    ("DROP", "frm"): lambda enc, frm, kind, reason, schema, server, step:
-        type(kind) is type(reason) is str and type(frm) is type(schema) is type(server) is int
-        and type(step) is int and f'{{"frm":{frm},"kind":"{kind}","reason":{_esc(reason)},'
-        f'"schema":{schema},"server":{server},"step":{step}}}\n',
-    ("DROP", "ref"): lambda enc, kind, reason, ref, schema, server, step:
-        type(kind) is type(reason) is type(ref) is str and type(schema) is type(server) is int
-        and type(step) is int and f'{{"kind":"{kind}","reason":{_esc(reason)},"ref":{_esc(ref)},'
-        f'"schema":{schema},"server":{server},"step":{step}}}\n',
-}
-_WRITERS["FWD_RESP"] = _WRITERS["FWD_REQ"]  # the same fields
-_SHAPES = {**FIELDS, **{(k, name): [*FIELDS[k], name] for k in OPTIONAL for name in OPTIONAL[k]}}
+# a scalar FIELDS type -> (a test that the value x has it, an expression of x's JSON text)
+_SCALARS = {int: ("type({x}) is int", "{x}"), bool: ("type({x}) is bool", '"true" if {x} else "false"'),
+            str: ("type({x}) is str", "_esc({x})"), None: ("{x} is None", '"null"')}
+
+
+def _code(spec, x: str) -> tuple[str, str]:
+    """Source of a test that the value ``x`` has the ``FIELDS`` type ``spec``,
+    and of string literals that join to its JSON text where the test holds."""
+    if isinstance(spec, list):  # through the list encoder
+        return f"type({x}) is list", f"f'{{enc({x})}}'"
+    if isinstance(spec, tuple):
+        items = [_code(item, f"{x}[{i}]") for i, item in enumerate(spec)]
+        tests = [f"type({x}) is list", f"len({x}) == {len(spec)}", *(test for test, _ in items)]
+        return " and ".join(tests), "'[' " + " ',' ".join(text for _, text in items) + " ']'"
+    # a set's alternatives in a fixed order, so the source is the same in every process
+    alts = [[part.format(x=x) for part in _SCALARS[alt]]
+            for alt in (sorted(spec, key=str) if isinstance(spec, set) else [spec])]
+    expr = "".join(f"{text} if {test} else " for test, text in alts[:-1]) + alts[-1][1]
+    return f"({' or '.join(test for test, _ in alts)})", f"f'{{{expr}}}'"
+
+
+def _writer(kind: str, fields: dict):
+    """The line writer of an event of ``kind`` with exactly ``fields`` besides
+    schema, step and kind: from a list encoder and the event's values in
+    sorted-key order, its line, or False if a value is not of its field's
+    type. A list's items are not tested, as the list encoder writes any."""
+    specs = {"schema": int, "step": int, "kind": str, **fields}
+    tests, texts = [], []
+    for i, name in enumerate(sorted(specs)):
+        test, text = _code(specs[name], f"v{i}")
+        tests.append(test)
+        texts += [repr(("," if i else "{") + _esc(name) + ":"), repr(_esc(kind)) if name == "kind" else text]
+    params = ", ".join(f"v{i}" for i in range(len(specs)))
+    return eval(f"lambda enc, {params}: {' and '.join(tests)} and {' '.join(texts)} '}}\\n'", {"_esc": _esc})
+
+
+# a kind, or (kind, name) for an event of the kind with its optional field ``name`` -> its fields
+_SHAPES = {**FIELDS, **{(kind, name): {**FIELDS[kind], name: spec}
+                        for kind in OPTIONAL for name, spec in OPTIONAL[kind].items()}}
+# shape -> its writer, compiled once from generated source as dataclasses builds __init__
+_WRITERS = {shape: _writer(shape if type(shape) is str else shape[0], fields)
+            for shape, fields in _SHAPES.items()}
 _FAST = {shape: (itemgetter(*sorted({"schema", "step", "kind", *fields})), _WRITERS[shape])
          for shape, fields in _SHAPES.items()}
 

@@ -1,10 +1,11 @@
 """Trace serialization: ``dumps`` writes the generic JSON encoder's bytes.
 
-``dumps`` writes most events with a template per kind, and per optional field
-of a kind, and encodes each list once per object; the reference is
-``json.dumps`` with sorted keys and no whitespace, one line per event. These
-tests compare the two over generated events, conforming or not, and over the
-simulator's own traces, and pin that only the events the templates cannot
+``dumps`` writes most events with a line writer per kind, and per optional
+field of a kind, built from the ``FIELDS`` types, and encodes each list once
+per object; the reference is ``json.dumps`` with sorted keys and no
+whitespace, one line per event. These tests compare the two over generated
+events, conforming or not, over a kind of every field type and over the
+simulator's own traces, and pin that only the events the writers cannot
 write reach the generic encoder.
 """
 
@@ -14,6 +15,7 @@ import importlib.util
 import json
 import tracemalloc
 from collections import Counter
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -198,6 +200,50 @@ class TestDifferential:
                                   labels=[{"step": step}] * (step % 3))
 
         assert trace.dumps(events()) == reference(events())
+
+
+# a kind outside FIELDS with one field of each FIELDS type
+PROBE = {"count": int, "flag": bool, "name": str, "ref": {str, None}, "label": trace.LABEL,
+         "preds": [str], "labels": [dict]}
+PROBE_SPECS = {"schema": int, "step": int, "kind": str, **PROBE}
+PROBE_FAST = (itemgetter(*sorted(PROBE_SPECS)), trace._writer("PROBE", PROBE))
+PROBES = st.fixed_dictionaries(
+    {"schema": st.integers(), "step": st.integers(), "kind": st.just("PROBE"),
+     **{name: conforming(spec) for name, spec in PROBE.items()}}
+)
+
+
+class TestWriterBuilder:
+    """``trace._writer`` builds the line writer of any kind from its
+    ``FIELDS`` types; here one outside ``FIELDS``, put in ``dumps``'s
+    table for the test."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(PROBES)
+    def test_conforming_values_are_written_as_the_encoder_writes_them(self, event):
+        get, write = PROBE_FAST
+        assert write(trace._encode_list, *get(event)) == reference([event])
+        with mock.patch.dict(trace._FAST, PROBE=PROBE_FAST):
+            assert dumps_counting([event]) == (reference([event]), [])
+
+    def test_a_wrong_value_is_refused_and_left_to_the_encoder(self):
+        get, write = PROBE_FAST
+        event = {name: example(spec) for name, spec in PROBE_SPECS.items()}
+        event["kind"] = "PROBE"
+        with mock.patch.dict(trace._FAST, PROBE=PROBE_FAST):
+            for name, spec in PROBE_SPECS.items():
+                for value in WRONG:
+                    if trace.conforms(value, spec):
+                        continue
+                    changed = {**event, name: value}
+                    line = write(trace._encode_list, *get(changed))
+                    if isinstance(spec, list) and type(value) is list:
+                        # a list's items are not tested: the list encoder writes any list
+                        assert line == reference([changed]), (name, value)
+                    else:
+                        assert line is False, (name, value)
+                        assert dumps_counting([changed]) == (reference([changed]), [changed])
+                    assert trace.dumps([changed]) == reference([changed])
 
 
 def corpus():
