@@ -13,8 +13,8 @@ from the ``FIELDS`` types; any other event goes through the encoder. So a
 kind added to ``FIELDS`` needs no writer of its own. ``dumps`` encodes a
 list once per object and call, so servers sharing one pay once.
 
-``loads`` runs with the cyclic garbage collector paused, as a run and each
-checker do: see :func:`gc_paused`.
+``dumps`` and ``loads`` run with the cyclic garbage collector paused, as a
+run and each checker do: see :func:`gc_paused`.
 """
 
 from __future__ import annotations
@@ -145,6 +145,7 @@ _FAST = {shape: (itemgetter(*sorted({"schema", "step", "kind", *fields})), _WRIT
          for shape, fields in _SHAPES.items()}
 
 
+@gc_paused
 def dumps(events: Iterable[dict]) -> str:
     held: dict[int, tuple[list, str]] = {}  # id -> (list, its text), held so no list reuses an id
 

@@ -1,5 +1,5 @@
-"""The cyclic garbage collector is paused over a run, a trace read and each
-checker (``trace.gc_paused``).
+"""The cyclic garbage collector is paused over a run, a trace write, a trace
+read and each checker (``trace.gc_paused``).
 
 The pause is safe only because none of these calls creates a reference
 cycle: reference counting frees everything they drop, so a collection
@@ -86,7 +86,7 @@ class TestNoCycles:
         result = sim.run()
         assert gc.collect() == 0
         text = trace.dumps(result.events)
-        gc.collect()
+        assert gc.collect() == 0
         events = trace.loads(text)
         assert gc.collect() == 0
         for read in (result.events, events):
@@ -99,7 +99,9 @@ class TestNoCycles:
     @pytest.mark.parametrize("name", list(FORGERIES))
     def test_checks_on_forged_traces(self, name, collector_off):
         scenario, events = FORGERIES[name]()
-        read = trace.loads(trace.dumps(events))
+        text = trace.dumps(events)
+        assert gc.collect() == 0
+        read = trace.loads(text)
         assert gc.collect() == 0
         for evs in (events, read):
             for check in CHECKERS:
@@ -118,7 +120,12 @@ def _calls():
         sim._drain = lambda start: trace.loads("{")  # a TraceFormatError from inside the run
         return sim.run()
 
+    def failing_events():
+        yield from events
+        raise trace.TraceFormatError("an event source that fails part way")
+
     yield "Simulation.run", lambda: Simulation(scenario).run(), failing_run
+    yield "trace.dumps", lambda: trace.dumps(events), lambda: trace.dumps(failing_events())
     yield "trace.loads", lambda: trace.loads(text), lambda: trace.loads(text + "{\n")
     for check in CHECKERS:
         # an undecodable message, and for the BRB checker an undecodable indication
@@ -152,7 +159,7 @@ class TestCollectorState:
             (gc.enable if was else gc.disable)()
 
     def test_every_entry_point_is_wrapped(self):
-        wrapped = [Simulation.run, trace.loads, *CHECKERS]
+        wrapped = [Simulation.run, trace.dumps, trace.loads, *CHECKERS]
         assert all(fn.__wrapped__.__name__ == fn.__name__ for fn in wrapped)
 
 
@@ -175,6 +182,7 @@ class TestNoCollectionInside:
         text = trace.dumps(events)
         calls = {
             "Simulation.run": (sim.run, lambda: Simulation.run.__wrapped__(bare_sim)),
+            "trace.dumps": (lambda: trace.dumps(events), lambda: trace.dumps.__wrapped__(events)),
             "trace.loads": (lambda: trace.loads(text), lambda: trace.loads.__wrapped__(text)),
         }
         for check in CHECKERS:
