@@ -6,12 +6,11 @@ from the fixed alphabet below; the remaining fields depend on the kind, and
 parsing rejects an event that lacks one its kind always carries or gives it,
 or one its kind may carry, another type. The serialization is canonical
 (sorted keys, no whitespace) so identical runs produce byte-identical files.
-``dumps`` writes the JSON encoder's bytes. An event with exactly its kind's
-fields, or those and one optional field, each of exactly its type, goes
-through the line writer of that shape, which ``_writer`` compiles at import
-from the ``FIELDS`` types; any other event goes through the encoder. So a
-kind added to ``FIELDS`` needs no writer of its own. ``dumps`` encodes a
-list once per object and call, so servers sharing one pay once.
+``dumps`` writes the JSON encoder's bytes: an event with exactly its kind's
+fields, or those and one optional field, each of exactly its type, through
+the writer that ``_writer`` builds for that shape from the ``FIELDS`` types,
+and any other event through the encoder. It encodes a list once per object
+and call, so servers sharing one pay once.
 
 ``dumps`` and ``loads`` run with the cyclic garbage collector paused, as a
 run and each checker do: see :func:`gc_paused`.
@@ -53,6 +52,9 @@ OPTIONAL = {"DROP": {"frm": int, "ref": str}}
 # per INTERPRET label entry
 LABEL_FIELDS = {"label": LABEL, "fed": [str], "emitted": [str], "state": str, "skipped": int}
 KINDS = frozenset(FIELDS)
+# each key and kind an event may hold -> the module's string, which ``loads`` gives events
+_NAMES = {name: name for fields in (*FIELDS.values(), *OPTIONAL.values(), LABEL_FIELDS, KINDS)
+          for name in ("schema", "step", "kind", *fields)}
 
 
 class TraceFormatError(Exception):
@@ -204,8 +206,9 @@ def conforms(value, spec) -> bool:
         return any(conforms(value, alt) for alt in spec)
     if isinstance(spec, tuple):
         return type(value) is list and len(value) == len(spec) and all(map(conforms, value, spec))
-    if isinstance(spec, list):
-        return type(value) is list and all(conforms(item, spec[0]) for item in value)
+    if isinstance(spec, list):  # of one Python type, the items' types are read in C
+        return type(value) is list and ({*map(type, value)} <= {spec[0]} if type(spec[0]) is type
+                                        else all(conforms(item, spec[0]) for item in value))
     return value is None if spec is None else type(value) is spec
 
 
@@ -220,25 +223,26 @@ def _require(obj: dict, fields: dict, what: str, lineno: int) -> None:
 
 @gc_paused
 def loads(text: str) -> list[dict]:
-    """The events of a JSONL trace. As in a run, equal ``ref``, INSERT
-    ``preds`` and INDICATE ``block`` values are one string, and equal INSERT
-    ``preds`` and INTERPRET ``labels`` lists, equal with the types
+    """The events of a JSONL trace. As in a run, equal keys, kinds, ``ref``,
+    INSERT ``preds`` and INDICATE ``block`` values are one string, and equal
+    INSERT ``preds`` and INTERPRET ``labels`` lists, equal with the types
     ``parse_line`` checked, one list; a ``labels`` list with an entry that
     has a field beyond ``LABEL_FIELDS`` keeps its own."""
     refs: dict[str, str] = {}  # a ref's first string, which equal ones are replaced by
     preds_lists: dict[tuple[str, ...], list[str]] = {}  # content -> the first list
     labels_lists: dict[tuple, list[dict]] = {}  # content -> the first list
     events = []
+    name = _NAMES.get
     # one line at a time, split on "\n" alone: splitlines splits inside JSON strings too
     lines = enumerate(map(itemgetter(0), re.finditer("^.*$", text, re.MULTILINE)), start=1)
     for lineno, line in lines:
         if not line.strip():
             continue
-        obj = parse_line(line, lineno)
+        obj = {name(key, key): value for key, value in parse_line(line, lineno).items()}
+        kind = obj["kind"] = _NAMES[obj["kind"]]
         ref = obj.get("ref")
         if type(ref) is str:
             obj["ref"] = refs.setdefault(ref, ref)
-        kind = obj["kind"]
         if kind == "INSERT":
             preds = tuple(obj["preds"])
             if preds not in preds_lists:
@@ -247,7 +251,9 @@ def loads(text: str) -> list[dict]:
         elif kind == "INTERPRET" and all(len(e) == len(LABEL_FIELDS) for e in obj["labels"]):
             content = tuple([(*e["label"], tuple(e["fed"]), tuple(e["emitted"]), e["state"], e["skipped"])
                              for e in obj["labels"]])
-            obj["labels"] = labels_lists.setdefault(content, obj["labels"])
+            if content not in labels_lists:
+                labels_lists[content] = [{name(k, k): v for k, v in e.items()} for e in obj["labels"]]
+            obj["labels"] = labels_lists[content]
         elif kind == "INDICATE":
             obj["block"] = refs.setdefault(obj["block"], obj["block"])
         events.append(obj)

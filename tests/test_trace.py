@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from dagbft import simnet, trace
 
-from .scenarios import adversarial_scenario, random_scenario
+from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
 
 
 def reference(events) -> str:
@@ -349,6 +349,18 @@ class TestLoads:
                 assert first.setdefault(json.dumps(value, sort_keys=True), value) is value
             assert len(first) < len(lists)
         assert trace.dumps(loaded) == text
+
+    @pytest.mark.parametrize(
+        "scenario", [fig_broadcast_scenario(), adversarial_scenario(1)], ids=["broadcast", "adversarial 1"]
+    )
+    def test_events_hold_the_module_key_and_kind_strings(self, scenario):
+        # json.loads makes new key strings for each line it parses
+        loaded = trace.loads(trace.dumps(simnet.run(scenario).events))
+        entries = [entry for e in loaded if e["kind"] == "INTERPRET" for entry in e["labels"]]
+        assert entries
+        for obj in loaded + entries:
+            assert all(trace._NAMES[key] is key for key in obj), obj
+        assert all(trace._NAMES[e["kind"]] is e["kind"] for e in loaded)
 
     def test_a_labels_entry_with_a_field_of_its_own_keeps_its_list(self):
         entry = {"label": [0, 1], "fed": ["ab"], "emitted": [], "state": "cd", "skipped": 0}
