@@ -121,23 +121,15 @@ def server_dags(events: list[dict]) -> dict[int, dict[str, dict]]:
 
 def _distinct_preds() -> Callable[[list[str]], list[str]]:
     """A function from an INSERT ``preds`` list to its distinct preds, in
-    order, that makes one list per distinct ``preds`` list and returns it
-    for every equal one. A run's servers share one ``preds`` list per ref,
-    and ``trace.loads`` one per distinct list, found by its id; a run still
-    holds equal lists of distinct refs (genesis blocks, an equivocator's
-    forks), found by their content."""
-    by_list: dict[int, tuple[list[str], list[str]]] = {}  # id(preds) -> (preds, distinct)
-    by_content: dict[tuple[str, ...], list[str]] = {}
+    order, that makes one list per ``preds`` list object and returns it on
+    every call with that object. A run and ``trace.loads`` both give equal
+    ``preds`` lists one object, so this is one list per distinct list."""
+    # id(preds) -> (preds, distinct), preds held so no list reuses an id
+    by_list: dict[int, tuple[list[str], list[str]]] = {}
 
     def distinct(preds: list[str]) -> list[str]:
-        shared = by_list.get(id(preds))
-        if shared is None:
-            content = tuple(preds)
-            found = by_content.get(content)
-            if found is None:
-                found = by_content[content] = list(dict.fromkeys(preds))
-            shared = by_list[id(preds)] = (preds, found)  # the list kept keeps its id
-        return shared[1]
+        hit = by_list.get(id(preds)) or by_list.setdefault(id(preds), (preds, list(dict.fromkeys(preds))))
+        return hit[1]
 
     return distinct
 

@@ -157,7 +157,6 @@ class GossipNode:
         self._ready: set[BlockRef] = set()  # no pred missing, not yet validated
         self.fwd_clock: dict[BlockRef, dict[int, int]] = {}  # ref -> target -> step
         self._forced: dict[BlockRef, dict[int, int]] = {}  # the same, for forced asks
-        self._asks: Optional[list[tuple[BlockRef, int]]] = None  # missing_predecessors
 
     # -- receiving ----------------------------------------------------------
 
@@ -177,7 +176,6 @@ class GossipNode:
             outcome = self._evict_oldest(of_builder)
         self.pending[ref] = block
         of_builder[ref] = None
-        self._asks = None
         missing = [p for p in block.distinct_preds() if p not in self.dag._vertices]
         if missing:
             self._missing[ref] = len(missing)
@@ -239,22 +237,15 @@ class GossipNode:
     def missing_predecessors(self) -> list[tuple[BlockRef, int]]:
         """(missing ref, builder to ask) pairs. Every distinct referencing
         builder is a candidate responder (a single unresponsive builder must
-        not wedge recovery); repeats from the same builder collapse.
-
-        The list is kept, and callers must not modify it, until a block is
-        buffered (which may also evict one) or committed. Promotion changes
-        no pair: the promoted ref was pending, so it was no pair's missing
-        ref, and a block it releases missed only that ref."""
-        if self._asks is None:
-            out: dict[tuple[BlockRef, int], None] = {}  # ordered set
-            in_dag, pending = self.dag._vertices, self.pending  # tested without a call
-            for ref in sorted(self._missing):
-                block = pending[ref]
-                for pred in block.distinct_preds():
-                    if pred not in in_dag and pred not in pending:
-                        out[(pred, block.builder)] = None
-            self._asks = list(out)
-        return self._asks
+        not wedge recovery); repeats from the same builder collapse."""
+        out: dict[tuple[BlockRef, int], None] = {}  # ordered set
+        in_dag, pending = self.dag._vertices, self.pending  # tested without a call
+        for ref in sorted(self._missing):
+            block = pending[ref]
+            for pred in block.distinct_preds():
+                if pred not in in_dag and pred not in pending:
+                    out[(pred, block.builder)] = None
+        return list(out)
 
     def request_missing(self, now: int, *, force: bool = False) -> list[WireEnvelope]:
         """Issue FWD requests for missing predecessors. A timed (reference,
@@ -290,7 +281,6 @@ class GossipNode:
         """Insert this server's own sealed block and restart the draft from
         it: the next block is its child and lists it as its parent."""
         ref = self.dag.insert(block)
-        self._asks = None
         self.next_seqno = block.seqno + 1
         self.draft_preds = {ref: None}
         self._release(ref)  # content is predictable, e.g. an empty genesis block

@@ -32,7 +32,8 @@ not handed to them and their outboxes are never flushed, so they send nothing.
 The trace is the record of a run: a server's DAG at a step is the blocks
 its INSERT events up to that step list, and the engine keeps no copies.
 Each ref is hex-encoded once per run, so every event field that names one
-ref (``ref``, INSERT ``preds``, INDICATE ``block``) holds one string object.
+ref (``ref``, INSERT ``preds``, INDICATE ``block``) holds one string object,
+and equal INSERT ``preds`` lists are one list, as ``trace.loads`` gives them.
 A run makes no reference cycles and runs with the cyclic garbage collector
 paused: see ``trace.gc_paused``.
 """
@@ -440,6 +441,7 @@ class Simulation:
         self._interpret_labels: dict[BlockRef, tuple[BlockInterpretation, list[dict]]] = {}
         self._ref_hex: dict[BlockRef, str] = {}  # ref -> its hex, the one string events hold
         self._insert_fields: dict[BlockRef, dict] = {}  # ref -> its INSERT fields but the server
+        self._preds_lists: dict[tuple[BlockRef, ...], list[str]] = {}  # preds -> one INSERT list
 
     def _hex(self, ref: BlockRef) -> str:
         """``ref.hex()``, the same string object on every call for one ref."""
@@ -527,7 +529,7 @@ class Simulation:
                 "ref": self._hex(ref),
                 "builder": block.builder,
                 "seqno": block.seqno,
-                "preds": [self._hex(p) for p in block.preds],
+                "preds": self._preds_lists.setdefault(block.preds, [self._hex(p) for p in block.preds]),
                 "requests": [
                     [label.originator, label.nonce, payload.hex()]
                     for label, payload in block.requests

@@ -10,10 +10,12 @@ or one its kind may carry, another type. The serialization is canonical
 fields, or those and one optional field, each of exactly its type, through
 the writer that ``_writer`` builds for that shape from the ``FIELDS`` types,
 and any other event through the encoder. It encodes a list once per object
-and call, so servers sharing one pay once.
+and call, so servers sharing one pay once. ``write_jsonl`` writes, and
+``read_jsonl`` reads, a file one line at a time: neither holds its whole
+text.
 
-``dumps`` and ``loads`` run with the cyclic garbage collector paused, as a
-run and each checker do: see :func:`gc_paused`.
+``dumps``, ``write_jsonl``, ``loads`` and ``read_jsonl`` run with the cyclic
+garbage collector paused, as a run and each checker do: see :func:`gc_paused`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import wraps
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _esc
 from operator import itemgetter
-from typing import Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 SCHEMA_VERSION = 1
 
@@ -68,7 +70,9 @@ class TraceFormatError(Exception):
 def gc_paused(fn):
     """``fn`` with the cyclic garbage collector disabled for each call. On
     return or raise the collector is enabled again if it was enabled at the
-    call, so a caller that disabled it finds it disabled."""
+    call, so a caller that disabled it finds it disabled. Wrapping a
+    generator function would pause only the call that creates the generator,
+    so the functions that consume one are wrapped instead."""
 
     # Safe because each wrapped call (a run, a trace read, a check pass) is
     # bounded work that creates no reference cycles: reference counting frees
@@ -147,15 +151,14 @@ _FAST = {shape: (itemgetter(*sorted({"schema", "step", "kind", *fields})), _WRIT
          for shape, fields in _SHAPES.items()}
 
 
-@gc_paused
-def dumps(events: Iterable[dict]) -> str:
+def _lines(events: Iterable[dict]) -> Iterator[str]:
+    """Each event's line, as ``dumps`` joins and ``write_jsonl`` writes them."""
     held: dict[int, tuple[list, str]] = {}  # id -> (list, its text), held so no list reuses an id
 
     def encode_list(value: list) -> str:
         hit = held.get(id(value)) or held.setdefault(id(value), (value, _encode_list(value)))
         return hit[1]
 
-    lines = []
     for e in events:
         try:
             get, write = _FAST[e["kind"]]
@@ -167,13 +170,18 @@ def dumps(events: Iterable[dict]) -> str:
             for name in OPTIONAL.get(e["kind"], {}).keys() & e.keys():
                 get, write = _FAST[e["kind"], name]
                 line = write(encode_list, *get(e))
-        lines.append(line or _ENCODER.encode(e) + "\n")
-    return "".join(lines)
+        yield line or _ENCODER.encode(e) + "\n"
 
 
+@gc_paused
+def dumps(events: Iterable[dict]) -> str:
+    return "".join(_lines(events))
+
+
+@gc_paused
 def write_jsonl(events: Iterable[dict], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(events))
+        fh.writelines(_lines(events))
 
 
 def parse_line(line: str, lineno: int) -> dict:
@@ -221,21 +229,14 @@ def _require(obj: dict, fields: dict, what: str, lineno: int) -> None:
             raise TraceFormatError(f"{what} field {name} has the wrong type", lineno)
 
 
-@gc_paused
-def loads(text: str) -> list[dict]:
-    """The events of a JSONL trace. As in a run, equal keys, kinds, ``ref``,
-    INSERT ``preds`` and INDICATE ``block`` values are one string, and equal
-    INSERT ``preds`` and INTERPRET ``labels`` lists, equal with the types
-    ``parse_line`` checked, one list; a ``labels`` list with an entry that
-    has a field beyond ``LABEL_FIELDS`` keeps its own."""
+def _parse(lines: Iterable[str]) -> list[dict]:
+    """The events of a JSONL trace's lines, as :func:`loads` gives them."""
     refs: dict[str, str] = {}  # a ref's first string, which equal ones are replaced by
     preds_lists: dict[tuple[str, ...], list[str]] = {}  # content -> the first list
     labels_lists: dict[tuple, list[dict]] = {}  # content -> the first list
     events = []
     name = _NAMES.get
-    # one line at a time, split on "\n" alone: splitlines splits inside JSON strings too
-    lines = enumerate(map(itemgetter(0), re.finditer("^.*$", text, re.MULTILINE)), start=1)
-    for lineno, line in lines:
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         obj = {name(key, key): value for key, value in parse_line(line, lineno).items()}
@@ -260,15 +261,29 @@ def loads(text: str) -> list[dict]:
     return events
 
 
-def _read_text(path: str) -> str:
-    """The UTF-8 text of the file at ``path``; its bytes are freed on return."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceFormatError(f"not UTF-8 text at byte {exc.start}") from exc
+@gc_paused
+def loads(text: str) -> list[dict]:
+    """The events of a JSONL trace. As in a run, equal keys, kinds, ``ref``,
+    INSERT ``preds`` and INDICATE ``block`` values are one string, and equal
+    INSERT ``preds`` and INTERPRET ``labels`` lists, equal with the types
+    ``parse_line`` checked, one list; a ``labels`` list with an entry that
+    has a field beyond ``LABEL_FIELDS`` keeps its own."""
+    # split on "\n" alone, lazily: splitlines splits inside JSON strings too
+    return _parse(map(itemgetter(0), re.finditer("^.*$", text, re.MULTILINE)))
 
 
+def _decoded(fh: BinaryIO) -> Iterator[str]:
+    """Each line of a binary file as UTF-8 text, without its newline."""
+    offset = 0
+    for raw in fh:
+        try:
+            yield raw.rstrip(b"\n").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"not UTF-8 text at byte {offset + exc.start}") from exc
+        offset += len(raw)
+
+
+@gc_paused
 def read_jsonl(path: str) -> list[dict]:
-    return loads(_read_text(path))
+    with open(path, "rb") as fh:
+        return _parse(_decoded(fh))

@@ -267,9 +267,9 @@ class TestServerViews:
 
     @pytest.mark.parametrize("read_back", [False, True], ids=["in memory", "read back"])
     def test_one_distinct_preds_list_per_distinct_preds_list(self, read_back, monkeypatch):
-        # the servers share one preds list per ref and trace.loads one per
-        # distinct list, found by its id; in memory, equal lists of distinct
-        # refs (genesis blocks, an equivocator's forks) are found by content
+        # a run and trace.loads both give equal preds lists one object, also
+        # those of distinct refs (genesis blocks, an equivocator's forks), so
+        # the list is found by its id alone
         events = run(adversarial_scenario(1)).events
         if read_back:
             events = trace.loads(trace.dumps(events))

@@ -109,6 +109,12 @@ class TestNoCycles:
                 assert gc.collect() == 0, check.__name__
 
 
+def _file(name: str, text: str) -> str:
+    """``name``, written with ``text`` in the working directory."""
+    Path(name).write_text(text, encoding="utf-8")
+    return name
+
+
 def _calls():
     """(name, the wrapped call, a call of the same function that raises)."""
     scenario = fig_broadcast_scenario()
@@ -127,6 +133,17 @@ def _calls():
     yield "Simulation.run", lambda: Simulation(scenario).run(), failing_run
     yield "trace.dumps", lambda: trace.dumps(events), lambda: trace.dumps(failing_events())
     yield "trace.loads", lambda: trace.loads(text), lambda: trace.loads(text + "{\n")
+    # files in the working directory, which the tests below make a temporary one
+    yield (
+        "trace.write_jsonl",
+        lambda: trace.write_jsonl(events, "trace.jsonl"),
+        lambda: trace.write_jsonl(failing_events(), "trace.jsonl"),
+    )
+    yield (
+        "trace.read_jsonl",
+        lambda: trace.read_jsonl(_file("trace.jsonl", text)),
+        lambda: trace.read_jsonl(_file("bad.jsonl", text + "{\n")),
+    )
     for check in CHECKERS:
         # an undecodable message, and for the BRB checker an undecodable indication
         bad = _indicating("zz") if check is checks.check_brb else _interpret_emitting("zz")
@@ -145,7 +162,8 @@ CALLS = list(_calls())
 class TestCollectorState:
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "caller-disabled"])
     @pytest.mark.parametrize("name, call, failing", CALLS, ids=[c[0] for c in CALLS])
-    def test_put_back_on_return_and_raise(self, name, call, failing, enabled):
+    def test_put_back_on_return_and_raise(self, name, call, failing, enabled, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         was = gc.isenabled()
         try:
             (gc.enable if enabled else gc.disable)()
@@ -159,7 +177,7 @@ class TestCollectorState:
             (gc.enable if was else gc.disable)()
 
     def test_every_entry_point_is_wrapped(self):
-        wrapped = [Simulation.run, trace.dumps, trace.loads, *CHECKERS]
+        wrapped = [Simulation.run, trace.dumps, trace.write_jsonl, trace.loads, trace.read_jsonl, *CHECKERS]
         assert all(fn.__wrapped__.__name__ == fn.__name__ for fn in wrapped)
 
 
@@ -168,7 +186,8 @@ class TestNoCollectionInside:
     call, even with a threshold that starts one at every allocation; the
     unwrapped function starts some, so the hook does see them."""
 
-    def test_no_collection_starts(self):
+    def test_no_collection_starts(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         starts = []
 
         def hook(phase, info):
@@ -180,10 +199,19 @@ class TestNoCollectionInside:
         sim, bare_sim = Simulation(scenario), Simulation(scenario)
         events = simnet.run(scenario).events
         text = trace.dumps(events)
+        _file("read.jsonl", text)
         calls = {
             "Simulation.run": (sim.run, lambda: Simulation.run.__wrapped__(bare_sim)),
             "trace.dumps": (lambda: trace.dumps(events), lambda: trace.dumps.__wrapped__(events)),
             "trace.loads": (lambda: trace.loads(text), lambda: trace.loads.__wrapped__(text)),
+            "trace.write_jsonl": (
+                lambda: trace.write_jsonl(events, "trace.jsonl"),
+                lambda: trace.write_jsonl.__wrapped__(events, "trace.jsonl"),
+            ),
+            "trace.read_jsonl": (
+                lambda: trace.read_jsonl("read.jsonl"),
+                lambda: trace.read_jsonl.__wrapped__("read.jsonl"),
+            ),
         }
         for check in CHECKERS:
             calls[check.__name__] = (

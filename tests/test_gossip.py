@@ -202,7 +202,7 @@ class TestForwardRequests:
         asks = node.missing_predecessors()
         assert sorted(asks) == sorted([(genesis, 1), (block_ref(parent), 2)])
         node.request_missing(now=0)
-        assert node.missing_predecessors() is asks
+        assert node.missing_predecessors() == asks
         node.disseminate()  # the empty genesis block
         assert node.missing_predecessors() == [(block_ref(parent), 2)]
         node.on_receive_block(parent)

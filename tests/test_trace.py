@@ -6,7 +6,8 @@ per object; the reference is ``json.dumps`` with sorted keys and no
 whitespace, one line per event. These tests compare the two over generated
 events, conforming or not, over a kind of every field type and over the
 simulator's own traces, and pin that only the events the writers cannot
-write reach the generic encoder.
+write reach the generic encoder. ``TestFiles`` holds a file written and
+read a line at a time to the same bytes, events and errors as the text.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from operator import itemgetter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dagbft import simnet, trace
 
 from .scenarios import adversarial_scenario, fig_broadcast_scenario, random_scenario
+from .test_cli import _MALFORMED_EVENTS
+from .test_trace_lock import corpus as lock_corpus
 
 
 def reference(events) -> str:
@@ -390,3 +393,112 @@ class TestLoads:
             if not tracing:
                 tracemalloc.stop()
         assert len(events) > 1000 and peak < 5 * path.stat().st_size
+
+
+def identities(events: list[dict]) -> list:
+    """Each key, str and list of the events in walk order, as the index of
+    the first of them that is the same object, and for a key also whether
+    it is the module's string."""
+    first: dict[int, int] = {}
+    out: list = []
+
+    def walk(value) -> None:
+        if type(value) is dict:
+            for key, item in value.items():
+                out.append((first.setdefault(id(key), len(first)), trace._NAMES.get(key) is key))
+                walk(item)
+        elif type(value) in (str, list):
+            out.append(first.setdefault(id(value), len(first)))
+            for item in value if type(value) is list else ():
+                walk(item)
+
+    for e in events:
+        walk(e)
+    return out
+
+
+def read_both(data: bytes, path) -> tuple:
+    """What ``loads`` makes of ``data``'s text and what ``read_jsonl`` makes
+    of a file holding ``data``: the events, or the text of the
+    ``TraceFormatError`` raised."""
+    path.write_bytes(data)
+    outcomes = []
+    for read in (lambda: trace.loads(data.decode("utf-8")), lambda: trace.read_jsonl(str(path))):
+        try:
+            outcomes.append(read())
+        except trace.TraceFormatError as exc:
+            outcomes.append(str(exc))
+    return tuple(outcomes)
+
+
+def peak_of(call) -> tuple:
+    """``call()``, the peak of the memory traced during the call above that
+    at its start, and what of that is still held on return."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - before, current - before
+
+
+class TestFiles:
+    """``write_jsonl`` and ``read_jsonl`` work a line at a time, and a file
+    holds and reads back what ``dumps`` and ``loads`` give in memory: the
+    same bytes, the same events with the same shared lists and key strings,
+    and the same errors."""
+
+    def assert_same_both_ways(self, events, path) -> None:
+        trace.write_jsonl(events, str(path))
+        data = path.read_bytes()
+        assert data == trace.dumps(events).encode()
+        from_text, from_file = read_both(data, path)
+        assert from_file == from_text
+        if type(from_text) is list:
+            assert identities(from_file) == identities(from_text)
+
+    @pytest.mark.parametrize("name, scenario", list(lock_corpus()), ids=[n for n, _ in lock_corpus()])
+    def test_simulated_traces_are_the_same_both_ways(self, name, scenario, tmp_path):
+        self.assert_same_both_ways(simnet.run(scenario).events, tmp_path / "trace.jsonl")
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(CONFORMING | deviant(), max_size=6))
+    def test_generated_events_are_the_same_both_ways(self, tmp_path, events):
+        self.assert_same_both_ways(events, tmp_path / "trace.jsonl")
+
+    @pytest.mark.parametrize("line", _MALFORMED_EVENTS)
+    def test_a_malformed_line_gives_the_same_error_both_ways(self, line, tmp_path):
+        data = trace.dumps([trace.event(0, "DROP", server=0, reason="x")]).encode() + line.encode() + b"\n"
+        from_text, from_file = read_both(data, tmp_path / "bad.jsonl")
+        assert from_text.startswith("line 2: ") and from_file == from_text
+
+    def test_a_byte_that_is_not_utf8_is_reported_at_its_offset_in_the_file(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = trace.dumps([trace.event(step, "DROP", server=0, reason="x") for step in (0, 1)]).encode()
+        bad = b'{"schema":1,"step":2,"kind":"DROP","server":0,"reason":"\xe9"}\n'
+        path.write_bytes(good + bad)
+        offset = len(good) + bad.index(b"\xe9")
+        with pytest.raises(trace.TraceFormatError, match=f"^not UTF-8 text at byte {offset}$"):
+            trace.read_jsonl(str(path))
+        # the lines before it are parsed first, so a malformed one is reported
+        path.write_bytes(b"{\n" + good + bad)
+        with pytest.raises(trace.TraceFormatError, match="^line 1: not valid JSON"):
+            trace.read_jsonl(str(path))
+
+    def test_writing_a_file_peaks_below_half_its_size(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        events = simnet.run(adversarial_scenario(1)).events
+        _, peak, _ = peak_of(lambda: trace.write_jsonl(events, str(path)))
+        assert peak < 0.5 * path.stat().st_size
+
+    def test_reading_a_file_peaks_a_quarter_of_its_size_above_the_events(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        trace.write_jsonl(simnet.run(adversarial_scenario(1)).events, str(path))
+        events, peak, held = peak_of(lambda: trace.read_jsonl(str(path)))
+        assert len(events) > 1000 and peak - held < 0.25 * path.stat().st_size
